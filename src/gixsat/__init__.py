@@ -14,7 +14,7 @@ from .formula import (
     reconstruct_model,
 )
 from .oracle import OracleReport, brute_solve, count_clause_solutions
-from .simplify import resolve, simplify_to_fixpoint
+from .simplify import simplify_to_fixpoint
 
 __all__ = [
     "Clause",
@@ -31,6 +31,5 @@ __all__ = [
     "OracleReport",
     "brute_solve",
     "count_clause_solutions",
-    "resolve",
     "simplify_to_fixpoint",
 ]

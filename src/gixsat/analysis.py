@@ -31,17 +31,6 @@ TAU_FIXTURE = _DATA_DIR / "tau_values.txt"
 # branching vectors
 
 
-@dataclass(frozen=True)
-class BranchingVector:
-    decreases: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.decreases:
-            raise ValueError("empty branching vector")
-        if any(t <= 0 for t in self.decreases):
-            raise ValueError("branching vector entries must be positive")
-
-
 def branching_factor(decreases: Sequence[float], tol: float = 1e-9) -> float:
     """Unique beta > 1 with sum(beta**-t) == 1, found by bisection."""
     ts = tuple(float(t) for t in decreases)
@@ -98,21 +87,11 @@ def combine_vectors(u_branch_index: int, parent: Sequence[float], child: Sequenc
 # weighted measures
 
 
-@dataclass(frozen=True)
-class MeasureWeights:
-    scheme: str
-    weights: dict[int, float]      # lowest clause target -> variable weight
-    link_deltas: dict[int, float]  # clause target -> net decrease when linking there
-
-
+# scheme -> {clause target: variable weight}
 MEASURE_SCHEMES = {
-    "g2": MeasureWeights("g2", {1: 0.8039, 2: 1.0}, {1: 0.6078}),
-    "g3": MeasureWeights("g3", {1: 0.6985, 2: 0.875, 3: 1.0}, {1: 0.397, 2: 0.75}),
-    "g4": MeasureWeights(
-        "g4",
-        {1: 0.6464, 2: 0.8376, 3: 0.9412, 4: 1.0},
-        {1: 0.2928, 2: 0.6752, 3: 0.8824},
-    ),
+    "g2": {1: 0.8039, 2: 1.0},
+    "g3": {1: 0.6985, 2: 0.875, 3: 1.0},
+    "g4": {1: 0.6464, 2: 0.8376, 3: 0.9412, 4: 1.0},
 }
 
 
@@ -130,9 +109,10 @@ def measure(formula: Formula, scheme: str) -> float:
     """Weighted variable count for the given scheme; at most num_vars."""
     if scheme not in MEASURE_SCHEMES:
         raise ValueError(f"unknown measure scheme {scheme!r}")
+    weights = MEASURE_SCHEMES[scheme]
     total = 0.0
     if scheme == "g2":
-        low, high = 0.8039, 1.0
+        low, high = weights[1], weights[2]
         for v in range(1, formula.num_vars + 1):
             strong = [c for c in formula.clauses if clause_depends_on(c, v)]
             occurs = any(v in c.variables() for c in formula.clauses)
@@ -143,7 +123,6 @@ def measure(formula: Formula, scheme: str) -> float:
             else:
                 total += high
         return total
-    weights = MEASURE_SCHEMES[scheme].weights
     for v in range(1, formula.num_vars + 1):
         targets = [c.target for c in formula.clauses if v in c.variables() and c.target >= 1]
         if not targets:

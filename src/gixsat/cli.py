@@ -204,27 +204,6 @@ def _cmd_verify(args) -> int:
     return 0 if mismatches == 0 else EXIT_INPUT
 
 
-def _cmd_bench(args) -> int:
-    for k in range(args.count):
-        spec = generator.GenSpec(
-            num_vars=args.n,
-            num_clauses=args.m,
-            min_len=4,
-            max_len=6,
-            max_target=args.max_target,
-            planted=True,
-            seed=args.seed + k,
-        )
-        formula, _ = generator.generate(spec)
-        started = time.monotonic()
-        result = dpll.solve_auto(formula)
-        elapsed = time.monotonic() - started
-        nodes = result.stats.nodes_expanded if result.stats else 0
-        print(f"c bench n={args.n} m={args.m} seed={args.seed + k} "
-              f"status={result.status} nodes={nodes} time={elapsed:.2f}s")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gixsat")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -264,14 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--planted", action="store_true", help="generate satisfiable instances only")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="time the solver on planted instances")
-    p.add_argument("--n", type=int, default=40)
-    p.add_argument("--m", type=int, default=30)
-    p.add_argument("--max-target", type=int, default=2)
-    p.add_argument("--count", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -37,7 +37,9 @@ from .formula import (
     degree,
     evaluate,
     link_literals,
+    lit_key,
     reconstruct_model,
+    true_count,
 )
 from .simplify import simplify_to_fixpoint
 
@@ -186,10 +188,10 @@ def _select_g2(f: Formula) -> Rule:
     for i, c in enumerate(cls):
         if c.target != 2:
             continue
-        twos = sorted((l for l, m in c.occ.items() if m == 2), key=lambda l: (abs(l), l < 0))
+        twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
         if len(twos) < 2:
             continue
-        ones = sorted((l for l, m in c.occ.items() if m == 1), key=lambda l: (abs(l), l < 0))
+        ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
         if len(twos) == 2 and len(ones) == 1:
             return _simp("g2.10.single0", [("false", ones[0])])
         if len(twos) == 2 and len(ones) == 2:
@@ -206,7 +208,7 @@ def _select_g2(f: Formula) -> Rule:
         if len(twos) != 1:
             continue
         x2 = twos[0]
-        singles = sorted((l for l, m in c.occ.items() if m == 1), key=lambda l: (abs(l), l < 0))
+        singles = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
         sz = c.size()
         if sz == 3:
             return _simp("g2.11.len3", [("true", x2), ("false", singles[0])])
@@ -536,43 +538,86 @@ def _delta_of(c: Clause, lit: int, copies: int) -> dict:
     return delta
 
 
-def _sorted_lits(occ: dict) -> list:
-    return sorted(occ, key=lambda l: (abs(l), l < 0))
+# Rules 9 and 11 on a clause (x..x delta), x its first literal of the given
+# repeat count: each table maps the occurrence profile of delta to a tag
+# suffix and a rule. "unsat" rejects, "branch" branches x, and "pair3"
+# branches x against d0; otherwise the entry's actions are forced. Actions
+# name literals of delta by multiplicity and canonical order: singles s0,
+# s1, ..., doubles d0, ..., triples t0 ("-" negates). An unlisted profile
+# branches x when delta has at least the table's width distinct literals,
+# and falls back to that branch otherwise.
+
+_C3_TWICE_WIDTH = 5
+_C3_TWICE = {
+    (1,): ("all1", [("true", "x"), ("true", "s0")]),
+    (1, 1): ("pair", [("true", "x"), ("link", "s0", "-s1")]),
+    (2, 1): ("odd1", [("true", "s0")]),
+    (2, 1, 1): ("linkneg", [("link", "x", "-d0")]),
+    (2, 2, 1): ("odd1", [("true", "s0")]),
+    (2, 2, 1, 1): ("linkpair", [("link", "s0", "-s1")]),
+    (2, 2, 2, 1): ("odd1", [("true", "s0")]),
+    (2,): "unsat",
+    (2, 2): "unsat",
+    (2, 2, 2): "unsat",
+    (2, 2, 2, 2): "unsat",
+    (1, 1, 1): "branch",
+    (1, 1, 1, 1): "branch",
+    (2, 1, 1, 1): "branch",
+    (1, 1, 1, 1, 1): "branch",
+}
+
+_C4_THRICE_WIDTH = 3
+_C4_THRICE = {
+    (1,): ("all1", [("true", "x"), ("true", "s0")]),
+    (1, 1): ("pair", [("true", "x"), ("link", "s0", "-s1")]),
+    (2, 1): ("force", [("true", "x"), ("true", "s0"), ("false", "d0")]),
+    (1, 1, 1): ("x1", [("true", "x")]),
+    (3, 1): ("linkneg", [("true", "s0"), ("link", "x", "-t0")]),
+    (2, 2): ("x0", [("false", "x"), ("true", "d0"), ("true", "d1")]),
+    (3,): "unsat",
+    (3, 2): "unsat",
+    (3, 3): "unsat",
+}
+
+_C4_TWICE_WIDTH = 6
+_C4_TWICE = {
+    (1, 1): ("all1", [("true", "x"), ("true", "s0"), ("true", "s1")]),
+    (2, 1): ("force", [("true", "x"), ("true", "d0"), ("false", "s0")]),
+    (1, 1, 1): ("x1", [("true", "x")]),
+    (2, 1, 1): ("linkpair", [("link", "s0", "s1")]),
+    (2, 2, 1): ("even0", [("false", "s0")]),
+    (2, 2, 1, 1): ("linkpair", [("link", "s0", "s1")]),
+    (2, 2, 2, 1): ("even0", [("false", "s0")]),
+    (2, 2, 2, 1, 1): ("linkpair", [("link", "s0", "s1")]),
+    (2, 2, 2, 2, 1): ("even0", [("false", "s0")]),
+    (2, 1, 1, 1, 1): "pair3",
+    (2, 2, 1, 1, 1): "pair3",
+    (1, 1, 1, 1): "branch",
+    (2, 1, 1, 1): "branch",
+    (1, 1, 1, 1, 1): "branch",
+}
 
 
-def _twice_dispatch_c3(scheme, x2, delta) -> Rule:
-    """Exactly-3 clause (x2 x2 delta): forced shapes, else branch x2."""
-    lits = _sorted_lits(delta)
-    singles = [l for l in lits if delta[l] == 1]
-    doubles = [l for l in lits if delta[l] == 2]
-    size = sum(delta.values())
-    prof = _mult_profile(delta)
-    tag = f"{scheme}.9.twice"
-    if size == 1:
-        return _simp(tag + ".all1", [("true", x2), ("true", singles[0])])
-    if prof == (2,):
+def _repeated_rule(tag, table, width, x, delta) -> Rule:
+    order = sorted(delta, key=lit_key)
+    lits = {"x": x}
+    for name, m in (("s", 1), ("d", 2), ("t", 3)):
+        for k, lit in enumerate(l for l in order if delta[l] == m):
+            lits[f"{name}{k}"] = lit
+    entry = table.get(_mult_profile(delta))
+    if entry is None:
+        entry = "branch" if len(delta) >= width else "fallback"
+    if entry == "unsat":
         return _unsat(tag + ".unsat")
-    if prof == (1, 1):
-        return _simp(tag + ".pair", [("true", x2), ("link", singles[0], -singles[1])])
-    if prof == (2, 1):
-        return _simp(tag + ".odd1", [("true", singles[0])])
-    if prof == (2, 2):
-        return _unsat(tag + ".unsat")
-    if prof == (2, 1, 1):
-        return _simp(tag + ".linkneg", [("link", x2, -doubles[0])])
-    if prof == (2, 2, 1):
-        return _simp(tag + ".odd1", [("true", singles[0])])
-    if prof == (2, 2, 2):
-        return _unsat(tag + ".unsat")
-    if prof == (2, 2, 1, 1):
-        return _simp(tag + ".linkpair", [("link", singles[0], -singles[1])])
-    if prof == (2, 2, 2, 1):
-        return _simp(tag + ".odd1", [("true", singles[0])])
-    if prof == (2, 2, 2, 2):
-        return _unsat(tag + ".unsat")
-    if prof in ((1, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)) or len(delta) >= 5:
-        return _branch_lit(tag + ".branch", abs(x2))
-    return _branch_lit(tag + ".fallback", abs(x2), fallback=True)
+    if entry in ("branch", "fallback"):
+        return _branch_lit(f"{tag}.{entry}", abs(x), fallback=entry == "fallback")
+    if entry == "pair3":
+        return _branch_pair3(tag + ".pair3", x, lits["d0"])
+    suffix, template = entry
+    return _simp(f"{tag}.{suffix}", [
+        (kind, *(-lits[n[1:]] if n[0] == "-" else lits[n] for n in names))
+        for kind, *names in template
+    ])
 
 
 def _select_g34(f: Formula, scheme: str) -> Rule:
@@ -593,7 +638,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
         i, c = hit
         x2 = next(l for l in c.sorted_literals() if c.occ[l] == 2)
         delta = _delta_of(c, x2, 2)
-        singles = [l for l in _sorted_lits(delta) if delta[l] == 1]
+        singles = [l for l in sorted(delta, key=lit_key) if delta[l] == 1]
         prof = _mult_profile(delta)
         if scheme == "g3":
             if c.size() == 3:
@@ -631,7 +676,8 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
                 return _simp(f"{scheme}.9.thrice.force", [("true", x3)])
             return _branch_lit(f"{scheme}.9.thrice.branch", abs(x3))
         x2 = next(l for l in c.sorted_literals() if c.occ[l] == 2)
-        return _twice_dispatch_c3(scheme, x2, _delta_of(c, x2, 2))
+        return _repeated_rule(f"{scheme}.9.twice", _C3_TWICE, _C3_TWICE_WIDTH,
+                              x2, _delta_of(c, x2, 2))
 
     # rule 10: single-occurrence exactly-3 clause
     hit = _first_clause(f, 3, multi=False)
@@ -669,63 +715,11 @@ def _g4_rule11(c: Clause) -> Rule:
     triples = [l for l in c.sorted_literals() if c.occ[l] == 3]
     if triples:
         x3 = triples[0]
-        delta = _delta_of(c, x3, 3)
-        lits = _sorted_lits(delta)
-        singles = [l for l in lits if delta[l] == 1]
-        doubles = [l for l in lits if delta[l] == 2]
-        inner_triples = [l for l in lits if delta[l] == 3]
-        prof = _mult_profile(delta)
-        size = sum(delta.values())
-        if size == 1:
-            return _simp("g4.11.thrice.all1", [("true", x3), ("true", singles[0])])
-        if prof == (1, 1):
-            return _simp("g4.11.thrice.pair", [("true", x3), ("link", singles[0], -singles[1])])
-        if prof == (3,):
-            return _unsat("g4.11.thrice.unsat")
-        if prof == (2, 1):
-            return _simp("g4.11.thrice.force", [("true", x3), ("true", singles[0]), ("false", doubles[0])])
-        if prof == (1, 1, 1):
-            return _simp("g4.11.thrice.x1", [("true", x3)])
-        if prof == (3, 1):
-            return _simp("g4.11.thrice.linkneg", [("true", singles[0]), ("link", x3, -inner_triples[0])])
-        if prof == (2, 2):
-            return _simp("g4.11.thrice.x0", [("false", x3), ("true", doubles[0]), ("true", doubles[1])])
-        if prof in ((3, 2), (3, 3)):
-            return _unsat("g4.11.thrice.unsat")
-        if len(delta) >= 3:
-            return _branch_lit("g4.11.thrice.branch", abs(x3))
-        return _branch_lit("g4.11.thrice.fallback", abs(x3), fallback=True)
+        return _repeated_rule("g4.11.thrice", _C4_THRICE, _C4_THRICE_WIDTH,
+                              x3, _delta_of(c, x3, 3))
     x2 = next(l for l in c.sorted_literals() if c.occ[l] == 2)
-    delta = _delta_of(c, x2, 2)
-    lits = _sorted_lits(delta)
-    singles = [l for l in lits if delta[l] == 1]
-    doubles = [l for l in lits if delta[l] == 2]
-    prof = _mult_profile(delta)
-    if prof == (1, 1):
-        return _simp("g4.11.twice.all1", [("true", x2), ("true", singles[0]), ("true", singles[1])])
-    if prof == (2, 1):
-        return _simp("g4.11.twice.force", [("true", x2), ("true", doubles[0]), ("false", singles[0])])
-    if prof == (1, 1, 1):
-        return _simp("g4.11.twice.x1", [("true", x2)])
-    if prof == (2, 1, 1):
-        return _simp("g4.11.twice.linkpair", [("link", singles[0], singles[1])])
-    if prof == (2, 2, 1):
-        return _simp("g4.11.twice.even0", [("false", singles[0])])
-    if prof == (2, 2, 1, 1):
-        return _simp("g4.11.twice.linkpair", [("link", singles[0], singles[1])])
-    if prof == (2, 2, 2, 1):
-        return _simp("g4.11.twice.even0", [("false", singles[0])])
-    if prof == (2, 1, 1, 1, 1):
-        return _branch_pair3("g4.11.twice.pair3", x2, doubles[0])
-    if prof == (2, 2, 1, 1, 1):
-        return _branch_pair3("g4.11.twice.pair3", x2, doubles[0])
-    if prof == (2, 2, 2, 1, 1):
-        return _simp("g4.11.twice.linkpair", [("link", singles[0], singles[1])])
-    if prof == (2, 2, 2, 2, 1):
-        return _simp("g4.11.twice.even0", [("false", singles[0])])
-    if prof in ((1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)) or len(delta) >= 6:
-        return _branch_lit("g4.11.twice.branch", abs(x2))
-    return _branch_lit("g4.11.twice.fallback", abs(x2), fallback=True)
+    return _repeated_rule("g4.11.twice", _C4_TWICE, _C4_TWICE_WIDTH,
+                          x2, _delta_of(c, x2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -786,23 +780,12 @@ def _solve_component(f: Formula, order: list[int]) -> Optional[dict]:
             cached = memo[key]
             return None if cached is None else dict(cached)
         c = clauses[i]
-        fixed = 0
-        for lit, m in c.occ.items():
-            v = abs(lit)
-            if v in assignment:
-                truth = assignment[v] if lit > 0 else 1 - assignment[v]
-                fixed += m * truth
+        fixed = true_count(c, assignment)
         unfixed = sorted(v for v in varsets[i] if v not in assignment)
         found = None
         for combo in product((0, 1), repeat=len(unfixed)):
             ext = dict(zip(unfixed, combo))
-            cnt = fixed
-            for lit, m in c.occ.items():
-                v = abs(lit)
-                if v in ext:
-                    truth = ext[v] if lit > 0 else 1 - ext[v]
-                    cnt += m * truth
-            if cnt != c.target:
+            if fixed + true_count(c, ext) != c.target:
                 continue
             sub = rec(i + 1, {**assignment, **ext})
             if sub is not None:
@@ -889,12 +872,11 @@ def _search(f, trail, stats, scheme, depth, instrument, parent_mu, parent_tag):
         # branching rule
         mu_here = measure(f, scheme) if instrument else None
         for branch in rule.branches:
-            f2 = f.copy()
             t2 = trail.copy()
-            f3 = _apply_actions(f2, t2, branch)
-            if f3 is None:
+            f2 = _apply_actions(f, t2, branch)
+            if f2 is None:
                 continue
-            res = _search(f3, t2, stats, scheme, depth + 1, instrument, mu_here, rule.tag)
+            res = _search(f2, t2, stats, scheme, depth + 1, instrument, mu_here, rule.tag)
             if res is not None:
                 return res
         return None

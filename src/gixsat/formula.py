@@ -6,9 +6,9 @@ assignment satisfies it when exactly ``target`` of its literals, counted with
 multiplicity, evaluate to true. A formula is a positional list of clauses
 over variables 1..num_vars (duplicate clauses are legal and preserved).
 
-Search state lives in a Trail: per variable either a constant, a link to a
-surviving literal, or a resolution record that lets the variable's value be
-recovered from any total assignment of the survivors.
+Search state lives in a Trail: per variable either a constant or a link to
+a surviving literal, so the variable's value can be recovered from any total
+assignment of the survivors.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from typing import Iterable, Mapping, Optional
 
 def negate(lit: int) -> int:
     return -lit
-
-
-def var_of(lit: int) -> int:
-    return abs(lit)
 
 
 def lit_key(lit: int):
@@ -97,12 +93,27 @@ class Clause:
         return f"C{self.target}({' '.join(map(str, self.expanded()))})"
 
 
+def true_count(clause: Clause, values: Mapping[int, int]) -> int:
+    """Literals of clause made true by values, with multiplicity.
+
+    Variables missing from values count as making no literal true.
+    """
+    count = 0
+    for lit, m in clause.occ.items():
+        if lit > 0:
+            if values.get(lit) == 1:
+                count += m
+        elif values.get(-lit) == 0:
+            count += m
+    return count
+
+
 class Formula:
     """Clause list over variables 1..num_vars."""
 
-    __slots__ = ("num_vars", "clauses", "max_target")
+    __slots__ = ("num_vars", "clauses")
 
-    def __init__(self, num_vars: int, clauses: Iterable[Clause] = (), max_target: Optional[int] = None):
+    def __init__(self, num_vars: int, clauses: Iterable[Clause] = ()):
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         self.num_vars = num_vars
@@ -113,15 +124,11 @@ class Formula:
             for lit in c.occ:
                 if not (1 <= abs(lit) <= num_vars):
                     raise ValueError(f"literal {lit} out of range 1..{num_vars}")
-        if max_target is None:
-            max_target = max((c.target for c in self.clauses), default=0)
-        self.max_target = max_target
 
     def copy(self) -> "Formula":
         f = Formula.__new__(Formula)
         f.num_vars = self.num_vars
         f.clauses = [c.copy() for c in self.clauses]
-        f.max_target = self.max_target
         return f
 
     def total_occurrences(self) -> int:
@@ -141,10 +148,8 @@ class Formula:
 class Trail:
     """Per-variable search state plus the chronological event list.
 
-    States: absent (unassigned), ("const", 0/1), ("link", lit) meaning the
-    variable equals the value of lit, or ("res", alpha, beta) where alpha and
-    beta are literal multisets recorded by resolution; the variable is 1 iff
-    exactly one literal of beta is true under the surviving assignment.
+    States: absent (unassigned), ("const", 0/1), or ("link", lit) meaning
+    the variable equals the value of lit.
     """
 
     __slots__ = ("num_vars", "entries", "events")
@@ -162,24 +167,18 @@ class Trail:
 
     def record_const(self, var: int, value: int) -> None:
         if var in self.entries:
-            raise ValueError(f"variable {var} already resolved")
+            raise ValueError(f"variable {var} already eliminated")
         self.entries[var] = ("const", value)
         self.events.append(var)
 
     def record_link(self, var: int, partner: int) -> None:
         if var in self.entries:
-            raise ValueError(f"variable {var} already resolved")
+            raise ValueError(f"variable {var} already eliminated")
         if abs(partner) == var:
             raise ValueError("cannot link a variable to itself")
         if abs(partner) in self.entries:
             raise ValueError("link partner must be unassigned")
         self.entries[var] = ("link", partner)
-        self.events.append(var)
-
-    def record_resolution(self, var: int, alpha: tuple, beta: tuple) -> None:
-        if var in self.entries:
-            raise ValueError(f"variable {var} already resolved")
-        self.entries[var] = ("res", alpha, beta)
         self.events.append(var)
 
     def copy(self) -> "Trail":
@@ -199,8 +198,8 @@ class Trail:
                 model[v] = root_values[v]
             elif st[0] == "const":
                 model[v] = st[1]
-        # Links and resolutions refer to variables that were alive at record
-        # time, so replay newest first.
+        # Links refer to variables that were alive at record time, so replay
+        # newest first.
         for v in reversed(self.events):
             st = self.entries[v]
             if st[0] == "link":
@@ -208,10 +207,6 @@ class Trail:
                 if abs(partner) not in model:
                     raise ValueError("link chain reached an unvalued variable")
                 model[v] = lit_value(partner, model)
-            elif st[0] == "res":
-                beta = st[2]
-                true_count = sum(m for lit, m in beta if lit_value(lit, model))
-                model[v] = 1 if true_count == 1 else 0
         return model
 
 
@@ -233,7 +228,7 @@ def assign(formula: Formula, trail: Trail, var: int, value: int) -> Optional[For
     should be discarded by the caller.
     """
     if not trail.is_unassigned(var):
-        raise ValueError(f"variable {var} already resolved")
+        raise ValueError(f"variable {var} already eliminated")
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
     new_clauses = []
@@ -254,7 +249,6 @@ def assign(formula: Formula, trail: Trail, var: int, value: int) -> Optional[For
     out = Formula.__new__(Formula)
     out.num_vars = formula.num_vars
     out.clauses = new_clauses
-    out.max_target = formula.max_target
     return out
 
 
@@ -266,7 +260,7 @@ def link(formula: Formula, trail: Trail, var: int, partner: int) -> Optional[For
     target. Returns None on conflict (trail untouched).
     """
     if not trail.is_unassigned(var):
-        raise ValueError(f"variable {var} already resolved")
+        raise ValueError(f"variable {var} already eliminated")
     if abs(partner) == var:
         raise ValueError("cannot link a variable to itself")
     if not trail.is_unassigned(abs(partner)):
@@ -302,18 +296,20 @@ def link(formula: Formula, trail: Trail, var: int, partner: int) -> Optional[For
     out = Formula.__new__(Formula)
     out.num_vars = formula.num_vars
     out.clauses = new_clauses
-    out.max_target = formula.max_target
     return out
 
 
 def evaluate(formula: Formula, model: Mapping[int, int]) -> bool:
-    """True iff every clause has exactly target true literals (with multiplicity)."""
+    """True iff every clause has exactly target true literals (with multiplicity).
+
+    Strict: a clause variable without a value raises KeyError, so a partial
+    model is never accepted.
+    """
     for c in formula.clauses:
-        count = 0
-        for lit, m in c.occ.items():
-            if lit_value(lit, model):
-                count += m
-        if count != c.target:
+        missing = c.variables().difference(model)
+        if missing:
+            raise KeyError(min(missing))
+        if true_count(c, model) != c.target:
             return False
     return True
 

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .analysis import alpha_for
-from .formula import Clause, Formula, SolveResult, evaluate
+from .formula import Clause, Formula, SolveResult, evaluate, true_count
 
 
 class ResourceLimitError(RuntimeError):
@@ -126,20 +126,11 @@ def _clause_extensions(clause: Clause, fixed: dict):
 
     Yields (extension dict, true-literal count over fixed plus extension).
     """
-    base = sum(
-        m * (fixed[abs(lit)] if lit > 0 else 1 - fixed[abs(lit)])
-        for lit, m in clause.occ.items()
-        if abs(lit) in fixed
-    )
+    base = true_count(clause, fixed)
     unfixed = sorted(v for v in clause.variables() if v not in fixed)
     for combo in product((0, 1), repeat=len(unfixed)):
         ext = dict(zip(unfixed, combo))
-        cnt = base
-        for lit, m in clause.occ.items():
-            v = abs(lit)
-            if v in ext:
-                cnt += m * (ext[v] if lit > 0 else 1 - ext[v])
-        yield ext, cnt
+        yield ext, base + true_count(clause, ext)
 
 
 def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[dict, tuple]]:
@@ -172,11 +163,7 @@ def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[di
         vec = []
         ok = True
         for c in watch:
-            cnt = 0
-            for lit, m in c.occ.items():
-                v = abs(lit)
-                if v in assignment:
-                    cnt += m * (assignment[v] if lit > 0 else 1 - assignment[v])
+            cnt = true_count(c, assignment)
             if cnt > c.target:
                 ok = False
                 break
@@ -222,12 +209,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
         need = []
         ok = True
         for c in watch_clauses:
-            cnt = 0
-            for lit, m in c.occ.items():
-                v = abs(lit)
-                if v in values:
-                    cnt += m * (values[v] if lit > 0 else 1 - values[v])
-            want = c.target - cnt
+            want = c.target - true_count(c, values)
             if want < 0:
                 ok = False
                 break

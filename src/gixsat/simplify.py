@@ -1,4 +1,4 @@
-"""Shared polynomial-time simplification rules and resolution.
+"""Shared polynomial-time simplification rules.
 
 simplify_to_fixpoint applies, in a fixed priority order, every reduction that
 is forced regardless of branching:
@@ -166,53 +166,3 @@ def simplify_to_fixpoint(formula: Formula, trail: Trail) -> Optional[tuple[Formu
         cur = _bound(f, trail)
         assert prev is None or cur < prev, "simplification failed to make progress"
         prev = cur
-
-
-def resolve(formula: Formula, trail: Trail, var: int) -> Formula:
-    """Eliminate var, which must occur in an exactly-1 clause per polarity.
-
-    With C = (alpha v var) and C' = (beta v -var) both of target 1, every
-    occurrence of var is replaced by a copy of beta and every occurrence of
-    -var by a copy of alpha. Satisfiability is preserved and the trail gains
-    a resolution record sufficient to recover var from any surviving model.
-    """
-    pos_idx = neg_idx = None
-    for i, c in enumerate(formula.clauses):
-        if pos_idx is None and c.target == 1 and c.occ.get(var, 0) >= 1:
-            pos_idx = i
-        if neg_idx is None and c.target == 1 and c.occ.get(-var, 0) >= 1:
-            neg_idx = i
-    if pos_idx is None or neg_idx is None or pos_idx == neg_idx:
-        raise ValueError(f"resolution needs var {var} positive and negative in distinct exactly-1 clauses")
-
-    alpha = dict(formula.clauses[pos_idx].occ)
-    alpha[var] -= 1
-    if alpha[var] == 0:
-        del alpha[var]
-    beta = dict(formula.clauses[neg_idx].occ)
-    beta[-var] -= 1
-    if beta[-var] == 0:
-        del beta[-var]
-
-    new_clauses = []
-    for c in formula.clauses:
-        p = c.occ.get(var, 0)
-        q = c.occ.get(-var, 0)
-        if p == 0 and q == 0:
-            new_clauses.append(c)
-            continue
-        occ = dict(c.occ)
-        occ.pop(var, None)
-        occ.pop(-var, None)
-        for sub, times in ((beta, p), (alpha, q)):
-            if times:
-                for lit, m in sub.items():
-                    occ[lit] = occ.get(lit, 0) + m * times
-        new_clauses.append(Clause(c.target, occ))
-
-    trail.record_resolution(var, tuple(sorted(alpha.items())), tuple(sorted(beta.items())))
-    out = Formula.__new__(Formula)
-    out.num_vars = formula.num_vars
-    out.clauses = new_clauses
-    out.max_target = formula.max_target
-    return out

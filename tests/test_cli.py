@@ -118,8 +118,3 @@ def test_verify_planted_only(capsys):
 
 def test_verify_zero_instances(capsys):
     assert main(["verify", "--count", "0"]) == 0
-
-
-def test_bench_smoke(capsys):
-    assert main(["bench", "--n", "24", "--m", "18", "--count", "1", "--seed", "0"]) == 0
-    assert "status=SAT" in capsys.readouterr().out

@@ -64,7 +64,7 @@ def test_target_caps():
         solve_g3(F(4, C(4, 1, 2, 3, 4)))
     assert solve_g4(F(5, C(4, 1, 2, 3, 4), C(0, 5))).sat
     with pytest.raises(ValueError):
-        solve_g4(Formula(5, [Clause(5, [1, 2, 3, 4, 5])], max_target=5))
+        solve_g4(Formula(5, [Clause(5, [1, 2, 3, 4, 5])]))
 
 
 def test_solve_auto_dispatch():
@@ -72,7 +72,7 @@ def test_solve_auto_dispatch():
     assert solve_auto(F(3, C(3, 1, 2, 3))).sat
     assert solve_auto(F(4, C(4, 1, 2, 3, 4))).sat
     with pytest.raises(ValueError):
-        solve_auto(Formula(5, [Clause(5, [1, 2, 3, 4, 5])], max_target=5))
+        solve_auto(Formula(5, [Clause(5, [1, 2, 3, 4, 5])]))
 
 
 def test_empty_formula_sat():

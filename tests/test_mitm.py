@@ -143,7 +143,7 @@ def test_free_variables_in_witness():
 
 def test_rejects_large_targets():
     with pytest.raises(ValueError):
-        solve_mitm(Formula(5, [Clause(5, [1, 2, 3, 4, 5])], max_target=5))
+        solve_mitm(Formula(5, [Clause(5, [1, 2, 3, 4, 5])]))
 
 
 def test_memory_exhaustion_is_a_resource_error(monkeypatch):

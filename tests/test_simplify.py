@@ -1,12 +1,11 @@
 """Fixpoint rules: every reduction is forced, terminating, and idempotent."""
 
-import pytest
 from hypothesis import given, settings
 
 from conftest import C, F, formulas, random_formula
-from gixsat.formula import Clause, Formula, Trail, evaluate, reconstruct_model
+from gixsat.formula import Trail, evaluate, reconstruct_model
 from gixsat.oracle import brute_solve
-from gixsat.simplify import resolve, simplify_to_fixpoint
+from gixsat.simplify import simplify_to_fixpoint
 
 
 def fixpoint(f):
@@ -130,39 +129,3 @@ def test_equisatisfiability_property(f):
         assert before is False
     else:
         assert brute_solve(out[0]).sat == before
-
-
-def test_resolution_example():
-    # (a b x), (c d -x) both exactly-1, plus an exactly-2 clause through x
-    f = F(6, C(1, 1, 2, 5), C(1, 3, 4, -5), C(2, 5, 6, 1))
-    t = Trail(6)
-    g = resolve(f, t, 5)
-    assert g.clauses[0] == C(1, 1, 2, 3, 4)
-    assert g.clauses[1] == C(1, 1, 2, 3, 4)
-    assert g.clauses[2] == C(2, 3, 4, 6, 1)
-    assert brute_solve(g).sat == brute_solve(f).sat
-
-
-def test_resolution_requires_both_polarities():
-    f = F(3, C(1, 1, 2), C(1, 1, 3))
-    with pytest.raises(ValueError):
-        resolve(f, Trail(3), 1)
-
-
-def test_resolution_preserves_satisfiability(rng):
-    for _ in range(300):
-        n = 8
-        clauses = [
-            Clause(1, [1] + [rng.choice([1, -1]) * v for v in rng.sample(range(2, n + 1), rng.randint(1, 3))]),
-            Clause(1, [-1] + [rng.choice([1, -1]) * v for v in rng.sample(range(2, n + 1), rng.randint(1, 3))]),
-        ]
-        for _ in range(rng.randint(0, 3)):
-            clauses.append(
-                Clause(
-                    rng.randint(1, 3),
-                    [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(rng.randint(1, 5))],
-                )
-            )
-        f = Formula(n, clauses)
-        g = resolve(f, Trail(n), 1)
-        assert brute_solve(g).sat == brute_solve(f).sat
