@@ -110,24 +110,33 @@ def measure(formula: Formula, scheme: str) -> float:
     if scheme not in MEASURE_SCHEMES:
         raise ValueError(f"unknown measure scheme {scheme!r}")
     weights = MEASURE_SCHEMES[scheme]
-    total = 0.0
+    # one pass over the clauses gives each occurring variable its weight;
+    # the sum then runs over variables in ascending order
+    weight_of: dict[int, float] = {}
     if scheme == "g2":
+        # low weight when some clause that depends on v is not a
+        # 4+-literal exactly-2 clause, high weight otherwise
         low, high = weights[1], weights[2]
-        for v in range(1, formula.num_vars + 1):
-            strong = [c for c in formula.clauses if clause_depends_on(c, v)]
-            occurs = any(v in c.variables() for c in formula.clauses)
-            if not occurs:
-                continue
-            if strong and not all(c.target == 2 and c.size() >= 4 for c in strong):
-                total += low
-            else:
-                total += high
-        return total
-    for v in range(1, formula.num_vars + 1):
-        targets = [c.target for c in formula.clauses if v in c.variables() and c.target >= 1]
-        if not targets:
-            continue
-        total += weights[min(min(targets), max(weights))]
+        for c in formula.clauses:
+            wide2 = c.target == 2 and c.size() >= 4
+            for v in c.variables():
+                if not wide2 and clause_depends_on(c, v):
+                    weight_of[v] = low
+                else:
+                    weight_of.setdefault(v, high)
+    else:
+        # weight by the smallest positive target among v's clauses
+        min_target: dict[int, int] = {}
+        for c in formula.clauses:
+            if c.target >= 1:
+                for v in c.variables():
+                    if c.target < min_target.get(v, c.target + 1):
+                        min_target[v] = c.target
+        top = max(weights)
+        weight_of = {v: weights[min(t, top)] for v, t in min_target.items()}
+    total = 0.0
+    for v in sorted(weight_of):
+        total += weight_of[v]
     return total
 
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes follow solver-community convention: 10 satisfiable, 20
-unsatisfiable, 1 input error, 2 resource or timeout. Output is line
+unsatisfiable, 1 input error, 2 resource or timeout. An internal error in
+a solver (RuntimeError, AssertionError or RecursionError) exits 3 and prints
+"c internal <Type>: <message>" to stderr. Output is line
 oriented: "s ..." for status, "v ..." for a witness, "c key value" for
 diagnostics. GIXSAT_ORACLE_LIMIT overrides the brute-force variable cap.
 """
@@ -20,6 +22,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_INPUT = 1
 EXIT_RESOURCE = 2
+EXIT_INTERNAL = 3
 
 
 class _Timeout(Exception):
@@ -69,6 +72,10 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (RuntimeError, AssertionError) as exc:
+        # RecursionError is a RuntimeError
+        print(f"c internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if args.timeout:
             signal.setitimer(signal.ITIMER_REAL, 0)

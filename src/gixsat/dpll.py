@@ -34,7 +34,7 @@ from .formula import (
     SolveResult,
     Trail,
     assign,
-    degree,
+    degrees,
     evaluate,
     link_literals,
     lit_key,
@@ -263,7 +263,7 @@ def _select_g2(f: Formula) -> Rule:
                 return _g2_rule15(f, i, ci, j, cj, shared)
 
     # rules 16/17: heavy variables
-    heavies = [v for v in range(1, f.num_vars + 1) if degree(f, v) >= 3]
+    heavies = sorted(v for v, d in degrees(f).items() if d >= 3)
     if heavies:
         rule = _g2_rule16(f, heavies)
         if rule is not None:
@@ -487,9 +487,11 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
 
 
 def _g2_rule16(f, heavies) -> Optional[Rule]:
-    occs = {}
-    for v in heavies:
-        occs[v] = [(idx, _lit_of(c, v)) for idx, c in enumerate(f.clauses) if v in c.variables()]
+    hs = set(heavies)
+    occs = {v: [] for v in heavies}
+    for idx, c in enumerate(f.clauses):
+        for v in c.variables() & hs:
+            occs[v].append((idx, _lit_of(c, v)))
     for v in heavies:
         if len(occs[v]) == 3:
             pos = sum(1 for _, l in occs[v] if l > 0)
@@ -502,7 +504,6 @@ def _g2_rule16(f, heavies) -> Optional[Rule]:
                 rests = sorted(f.clauses[idx].size() - 1 for idx, _ in occs[v])
                 if rests[0] == 4 or rests[2] >= 6:
                     return _branch_lit("g2.16.samepol", v)
-    hs = set(heavies)
     for idx, c in enumerate(f.clauses):
         hv = sorted(c.variables() & hs)
         if len(hv) >= 2:
@@ -799,9 +800,9 @@ def _solve_component(f: Formula, order: list[int]) -> Optional[dict]:
 
 def endgame_low_degree(formula: Formula) -> SolveResult:
     """Decide a formula in which every variable has degree at most 2."""
-    for v in range(1, formula.num_vars + 1):
-        if degree(formula, v) >= 3:
-            raise ValueError(f"variable {v} is heavy; endgame needs degrees <= 2")
+    heavy = [v for v, d in degrees(formula).items() if d >= 3]
+    if heavy:
+        raise ValueError(f"variable {min(heavy)} is heavy; endgame needs degrees <= 2")
     part = _low_degree_model(formula)
     if part is None:
         return SolveResult(False, None)
@@ -853,12 +854,12 @@ def _search(f, trail, stats, scheme, depth, instrument, parent_mu, parent_tag):
             part = _low_degree_model(f)
             if part is None:
                 return None
+            # part values every clause variable, so it settles every clause
+            assert all(true_count(c, part) == c.target for c in f.clauses), \
+                "endgame model conflicts with formula"
             for v in sorted(part):
-                f = assign(f, trail, v, part[v])
-                assert f is not None, "endgame model conflicts with formula"
-            out = simplify_to_fixpoint(f, trail)
-            assert out is not None
-            f, trail = out
+                trail.record_const(v, part[v])
+            f = Formula(f.num_vars)
             continue
         if rule.kind == "simp":
             f2 = _apply_actions(f, trail, rule.actions)

@@ -221,6 +221,59 @@ class SolveResult:
         return "SAT" if self.sat else "UNSAT"
 
 
+def substitute(clause: Clause, var: int, state: tuple) -> Optional[Clause]:
+    """The clause with var replaced as a Trail state says, or None on conflict.
+
+    state is ("const", value) or ("link", partner). Occurrences of var and
+    -var are removed; a constant lowers the target by the literals it makes
+    true, and a link moves them onto partner / -partner, where any pairs
+    created this way cancel against the target. A conflict is a target
+    below 0 or above the remaining size. The input clause is not mutated.
+    """
+    occ = dict(clause.occ)
+    p = occ.pop(var, 0)
+    q = occ.pop(-var, 0)
+    target = clause.target
+    kind, arg = state
+    if kind == "const":
+        target -= p if arg == 1 else q
+    else:
+        if p:
+            occ[arg] = occ.get(arg, 0) + p
+        if q:
+            occ[-arg] = occ.get(-arg, 0) + q
+        pos = occ.get(arg, 0)
+        neg = occ.get(-arg, 0)
+        cancel = min(pos, neg)
+        if cancel:
+            target -= cancel
+            for l, m in ((arg, pos - cancel), (-arg, neg - cancel)):
+                if m:
+                    occ[l] = m
+                else:
+                    occ.pop(l, None)
+    if target < 0 or target > sum(occ.values()):
+        return None
+    nc = Clause.__new__(Clause)
+    nc.target = target
+    nc.occ = occ
+    return nc
+
+
+def _substituted(formula: Formula, var: int, state: tuple) -> Optional[Formula]:
+    new_clauses = []
+    for c in formula.clauses:
+        if var in c.occ or -var in c.occ:
+            c = substitute(c, var, state)
+            if c is None:
+                return None
+        new_clauses.append(c)
+    out = Formula.__new__(Formula)
+    out.num_vars = formula.num_vars
+    out.clauses = new_clauses
+    return out
+
+
 def assign(formula: Formula, trail: Trail, var: int, value: int) -> Optional[Formula]:
     """Substitute var := value. Returns the new formula, or None on conflict.
 
@@ -231,24 +284,9 @@ def assign(formula: Formula, trail: Trail, var: int, value: int) -> Optional[For
         raise ValueError(f"variable {var} already eliminated")
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
-    new_clauses = []
-    for c in formula.clauses:
-        p = c.occ.get(var, 0)
-        q = c.occ.get(-var, 0)
-        if p == 0 and q == 0:
-            new_clauses.append(c)
-            continue
-        nc = c.copy()
-        nc.occ.pop(var, None)
-        nc.occ.pop(-var, None)
-        nc.target -= p if value == 1 else q
-        if nc.target < 0 or nc.target > nc.size():
-            return None
-        new_clauses.append(nc)
-    trail.record_const(var, value)
-    out = Formula.__new__(Formula)
-    out.num_vars = formula.num_vars
-    out.clauses = new_clauses
+    out = _substituted(formula, var, ("const", value))
+    if out is not None:
+        trail.record_const(var, value)
     return out
 
 
@@ -265,37 +303,9 @@ def link(formula: Formula, trail: Trail, var: int, partner: int) -> Optional[For
         raise ValueError("cannot link a variable to itself")
     if not trail.is_unassigned(abs(partner)):
         raise ValueError("link partner must be unassigned")
-    new_clauses = []
-    for c in formula.clauses:
-        p = c.occ.get(var, 0)
-        q = c.occ.get(-var, 0)
-        if p == 0 and q == 0:
-            new_clauses.append(c)
-            continue
-        nc = c.copy()
-        nc.occ.pop(var, None)
-        nc.occ.pop(-var, None)
-        if p:
-            nc.occ[partner] = nc.occ.get(partner, 0) + p
-        if q:
-            nc.occ[-partner] = nc.occ.get(-partner, 0) + q
-        pos = nc.occ.get(partner, 0)
-        neg = nc.occ.get(-partner, 0)
-        cancel = min(pos, neg)
-        if cancel:
-            nc.target -= cancel
-            for l, m in ((partner, pos - cancel), (-partner, neg - cancel)):
-                if m:
-                    nc.occ[l] = m
-                else:
-                    nc.occ.pop(l, None)
-        if nc.target < 0 or nc.target > nc.size():
-            return None
-        new_clauses.append(nc)
-    trail.record_link(var, partner)
-    out = Formula.__new__(Formula)
-    out.num_vars = formula.num_vars
-    out.clauses = new_clauses
+    out = _substituted(formula, var, ("link", partner))
+    if out is not None:
+        trail.record_link(var, partner)
     return out
 
 
@@ -324,13 +334,18 @@ def degree(formula: Formula, var: int) -> int:
     return sum(c.occ.get(var, 0) + c.occ.get(-var, 0) for c in formula.clauses)
 
 
+def degrees(formula: Formula) -> dict[int, int]:
+    """degree() of every variable that occurs in formula, in one pass."""
+    table: dict[int, int] = {}
+    for c in formula.clauses:
+        for lit, m in c.occ.items():
+            v = abs(lit)
+            table[v] = table.get(v, 0) + m
+    return table
+
+
 def is_heavy(formula: Formula, var: int) -> bool:
     return degree(formula, var) >= 3
-
-
-def apply_literal(formula: Formula, trail: Trail, lit: int, value: int) -> Optional[Formula]:
-    """Make literal lit take truth value `value` (assign on the variable)."""
-    return assign(formula, trail, abs(lit), value if lit > 0 else 1 - value)
 
 
 def link_literals(formula: Formula, trail: Trail, lit_a: int, lit_b: int) -> Optional[Formula]:

@@ -12,134 +12,226 @@ is forced regardless of branching:
   (g) negate clauses whose target exceeds half their length
   (h) drop satisfied empty clauses
 
+Whether a rule applies is a property of one clause, so the fixpoint runs as
+a worklist. Each clause is classified once into a bitmask of the rules that
+apply to it, and one set per rule holds the indices of the clauses carrying
+that rule. A step fires the highest-priority rule on the lowest-index clause
+that carries it, the clause a rescan of the whole formula in priority order
+would pick, and applies the rule there directly. Afterwards only the clauses
+the step changed are classified again: the clause edited in place, or the
+clauses that held the variable an assignment or link eliminated. Those are
+found through a variable -> clause-index occurrence map built for the call;
+it may still list clauses that have since lost the variable, and
+substitution skips them. A deleted clause leaves an empty slot, so indices
+and clause order stay fixed until the result is built.
+
+The progress bound (alive variables, total occurrences, clause count, target
+sum) is kept as running counters and must fall lexicographically with every
+step, which bounds the number of steps.
+
 The result is a fixpoint: none of the rules applies to it. Unsatisfiability
-is a normal outcome (returned as None), never an exception.
+is a normal outcome (returned as None), never an exception. The input
+formula and its clauses are never mutated: every edit builds a new Clause.
 """
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Optional
 
-from .formula import (
-    Clause,
-    Formula,
-    Trail,
-    apply_literal,
-    link_literals,
-)
+from .formula import Clause, Formula, Trail, substitute
 
-_UNSAT = "unsat"
-_NOFIRE = "nofire"
+_A, _B, _C, _D, _E, _F, _G, _H = (1 << r for r in range(8))
 
 
-def _rule_a(f: Formula, trail: Trail):
-    for c in f.clauses:
-        if c.target < 0 or c.target > c.size():
-            return _UNSAT
-        if c.occ and len(c.variables()) == 1:
-            v = next(iter(c.variables()))
-            p = c.occ.get(v, 0)
-            q = c.occ.get(-v, 0)
-            if c.target not in (p, q):
-                return _UNSAT
-    return _NOFIRE
+def _classify(c: Clause) -> tuple[int, int]:
+    """Bitmask of the rules (a)-(h) that apply to c, and the size of c.
+
+    A clause rule (a) rejects gets bit (a) alone, since it ends the fixpoint.
+    """
+    occ = c.occ
+    t = c.target
+    if not occ:
+        return (_H if t == 0 else _A), 0
+    mults = occ.values()
+    k = sum(mults)
+    if t < 0 or t > k:
+        return _A, k
+    paired = any(map(occ.__contains__, map(neg, occ)))
+    if len(occ) == 1:
+        if t != k and t != 0:
+            return _A, k
+    elif len(occ) == 2 and paired and t not in mults:
+        return _A, k
+    hi = max(mults)
+    mask = _B if paired else 0
+    if hi > t:
+        mask |= _C
+    if hi >= 2 and t % hi == 0 and min(mults) == hi:
+        mask |= _D
+    if t == 1 and k == 2 and len(occ) == 2:
+        mask |= _E
+    if t == 0 or t == k:
+        mask |= _F
+    if hi == 1 and 2 * t > k:
+        mask |= _G
+    return mask, k
 
 
-def _rule_b(f: Formula, trail: Trail):
-    for i, c in enumerate(f.clauses):
-        for v in sorted(c.variables()):
-            p = c.occ.get(v, 0)
-            q = c.occ.get(-v, 0)
-            if p and q:
-                cancel = min(p, q)
-                nc = c.copy()
-                nc.target -= cancel
-                for lit, m in ((v, p - cancel), (-v, q - cancel)):
-                    if m:
-                        nc.occ[lit] = m
-                    else:
-                        nc.occ.pop(lit, None)
-                f.clauses[i] = nc
-                return f
-    return _NOFIRE
+class _Worklist:
+    """Clause slots, per-rule index sets, occurrence map and bound counters."""
 
+    __slots__ = ("trail", "num_vars", "slots", "masks", "sizes", "pending",
+                 "occ", "occurrences", "targets", "count")
 
-def _rule_c(f: Formula, trail: Trail):
-    for c in f.clauses:
-        for lit in c.sorted_literals():
-            if c.occ[lit] > c.target:
-                nf = apply_literal(f, trail, lit, 0)
-                return _UNSAT if nf is None else nf
-    return _NOFIRE
+    def __init__(self, formula: Formula, trail: Trail):
+        self.trail = trail
+        self.num_vars = formula.num_vars
+        self.slots: list[Optional[Clause]] = list(formula.clauses)
+        n = len(self.slots)
+        self.masks = [0] * n
+        self.sizes = [0] * n
+        self.pending: list[set[int]] = [set() for _ in range(8)]
+        self.occ: dict[int, set[int]] = {}
+        self.occurrences = 0
+        self.targets = 0
+        self.count = n
+        occ = self.occ
+        for i, c in enumerate(self.slots):
+            for lit in c.occ:
+                v = abs(lit)
+                held = occ.get(v)
+                if held is None:
+                    occ[v] = {i}
+                else:
+                    held.add(i)
+            mask, size = _classify(c)
+            self.sizes[i] = size
+            self.occurrences += size
+            self.targets += c.target
+            self._remask(i, mask)
 
+    def _remask(self, i: int, mask: int) -> None:
+        changed = self.masks[i] ^ mask
+        self.masks[i] = mask
+        r = 0
+        while changed:
+            if changed & 1:
+                if mask >> r & 1:
+                    self.pending[r].add(i)
+                else:
+                    self.pending[r].discard(i)
+            changed >>= 1
+            r += 1
 
-def _rule_d(f: Formula, trail: Trail):
-    for i, c in enumerate(f.clauses):
-        if not c.occ:
-            continue
-        mults = set(c.occ.values())
-        if len(mults) != 1:
-            continue
-        m = next(iter(mults))
-        if m >= 2 and c.target % m == 0:
-            nc = Clause(c.target // m, {lit: 1 for lit in c.occ})
-            f.clauses[i] = nc
-            return f
-    return _NOFIRE
+    def put(self, i: int, c: Clause) -> None:
+        """Replace clause i and classify it again."""
+        mask, size = _classify(c)
+        self.occurrences += size - self.sizes[i]
+        self.targets += c.target - self.slots[i].target
+        self.sizes[i] = size
+        self.slots[i] = c
+        self._remask(i, mask)
 
+    def delete(self, i: int) -> None:
+        self.occurrences -= self.sizes[i]
+        self.targets -= self.slots[i].target
+        self.count -= 1
+        self.slots[i] = None
+        self._remask(i, 0)
 
-def _rule_e(f: Formula, trail: Trail):
-    for c in f.clauses:
-        if c.target == 1 and c.size() == 2 and len(c.occ) == 2:
-            l1, l2 = c.sorted_literals()
-            nf = link_literals(f, trail, l1, -l2)
-            return _UNSAT if nf is None else nf
-    return _NOFIRE
+    def eliminate(self, var: int, state: tuple) -> bool:
+        """Substitute var by a Trail state in the clauses that hold it.
 
-
-def _rule_f(f: Formula, trail: Trail):
-    for c in f.clauses:
-        if not c.occ:
-            continue
-        if c.target == 0:
-            value = 0
-        elif c.target == c.size():
-            value = 1
+        Records state on the trail and returns True, or returns False on a
+        conflict (nothing recorded).
+        """
+        slots = self.slots
+        changed = []
+        for i in self.occ.pop(var, ()):
+            c = slots[i]
+            if c is not None and (var in c.occ or -var in c.occ):
+                nc = substitute(c, var, state)
+                if nc is None:
+                    return False
+                changed.append((i, nc))
+        kind, arg = state
+        if kind == "const":
+            self.trail.record_const(var, arg)
         else:
-            continue
-        cur = f
-        for lit in c.sorted_literals():
-            cur = apply_literal(cur, trail, lit, value)
-            if cur is None:
-                return _UNSAT
-        return cur
-    return _NOFIRE
+            self.trail.record_link(var, arg)
+            held = self.occ.setdefault(abs(arg), set())
+            held.update(i for i, _ in changed)
+        for i, nc in changed:
+            self.put(i, nc)
+        return True
+
+    def assign_literal(self, lit: int, value: int) -> bool:
+        return self.eliminate(abs(lit), ("const", value if lit > 0 else 1 - value))
+
+    def bound(self) -> tuple:
+        alive = self.num_vars - len(self.trail.entries)
+        return (alive, self.occurrences, self.count, self.targets)
+
+    def formula(self) -> Formula:
+        out = Formula.__new__(Formula)
+        out.num_vars = self.num_vars
+        out.clauses = [c for c in self.slots if c is not None]
+        return out
 
 
-def _rule_g(f: Formula, trail: Trail):
-    for i, c in enumerate(f.clauses):
-        k = c.size()
-        if k and all(m == 1 for m in c.occ.values()) and 2 * c.target > k:
-            nc = Clause(k - c.target, [-lit for lit in c.occ])
-            f.clauses[i] = nc
-            return f
-    return _NOFIRE
+# Each rule's step at clause i, which carries the rule; False means
+# unsatisfiable. Rule (a) has no step: it ends the fixpoint.
 
 
-def _rule_h(f: Formula, trail: Trail):
-    for i, c in enumerate(f.clauses):
-        if c.target == 0 and not c.occ:
-            del f.clauses[i]
-            return f
-    return _NOFIRE
+def _step_b(w: _Worklist, i: int, c: Clause) -> bool:
+    v = next(v for v in sorted(c.variables()) if v in c.occ and -v in c.occ)
+    p, q = c.occ[v], c.occ[-v]
+    cancel = min(p, q)
+    nc = c.copy()
+    nc.target -= cancel
+    for lit, m in ((v, p - cancel), (-v, q - cancel)):
+        if m:
+            nc.occ[lit] = m
+        else:
+            del nc.occ[lit]
+    w.put(i, nc)
+    return True
 
 
-_RULES = (_rule_a, _rule_b, _rule_c, _rule_d, _rule_e, _rule_f, _rule_g, _rule_h)
+def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
+    lit = next(lit for lit in c.sorted_literals() if c.occ[lit] > c.target)
+    return w.assign_literal(lit, 0)
 
 
-def _bound(f: Formula, trail: Trail):
-    alive = f.num_vars - len(trail.entries)
-    return (alive, f.total_occurrences(), len(f.clauses), sum(c.target for c in f.clauses))
+def _step_d(w: _Worklist, i: int, c: Clause) -> bool:
+    m = next(iter(c.occ.values()))
+    w.put(i, Clause(c.target // m, {lit: 1 for lit in c.occ}))
+    return True
+
+
+def _step_e(w: _Worklist, i: int, c: Clause) -> bool:
+    l1, l2 = c.sorted_literals()
+    # value(l1) = value(-l2), eliminating var(l1)
+    return w.eliminate(abs(l1), ("link", -l2 if l1 > 0 else l2))
+
+
+def _step_f(w: _Worklist, i: int, c: Clause) -> bool:
+    value = 0 if c.target == 0 else 1
+    return all(w.assign_literal(lit, value) for lit in c.sorted_literals())
+
+
+def _step_g(w: _Worklist, i: int, c: Clause) -> bool:
+    w.put(i, Clause(w.sizes[i] - c.target, [-lit for lit in c.occ]))
+    return True
+
+
+def _step_h(w: _Worklist, i: int, c: Clause) -> bool:
+    w.delete(i)
+    return True
+
+
+_STEPS = (None, _step_b, _step_c, _step_d, _step_e, _step_f, _step_g, _step_h)
 
 
 def simplify_to_fixpoint(formula: Formula, trail: Trail) -> Optional[tuple[Formula, Trail]]:
@@ -149,20 +241,17 @@ def simplify_to_fixpoint(formula: Formula, trail: Trail) -> Optional[tuple[Formu
     forced assignments and links; on an unsatisfiable outcome the pair must
     be discarded by the caller.
     """
-    f = formula.copy()
-    prev = None
+    w = _Worklist(formula, trail)
+    prev = w.bound()
     while True:
-        fired = False
-        for rule in _RULES:
-            out = rule(f, trail)
-            if out is _UNSAT:
-                return None
-            if out is not _NOFIRE:
-                f = out
-                fired = True
-                break
-        if not fired:
-            return f, trail
-        cur = _bound(f, trail)
-        assert prev is None or cur < prev, "simplification failed to make progress"
+        rule = next((r for r, held in enumerate(w.pending) if held), None)
+        if rule is None:
+            return w.formula(), trail
+        if rule == 0:
+            return None
+        i = min(w.pending[rule])
+        if not _STEPS[rule](w, i, w.slots[i]):
+            return None
+        cur = w.bound()
+        assert cur < prev, "simplification failed to make progress"
         prev = cur

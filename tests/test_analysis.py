@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import C, F
+from conftest import C, F, formulas
 from gixsat import analysis
 from gixsat.analysis import (
     alpha_for,
@@ -138,6 +138,34 @@ def test_measure_g3_g4_lowest_target():
     assert measure(f, "g3") == pytest.approx(0.6985 * 3 + 1.0)
     f4 = F(3, C(2, 1, 2), C(4, 2, 3, 3, 3))
     assert measure(f4, "g4") == pytest.approx(0.8376 * 2 + 1.0)
+
+
+def _measure_per_variable(formula, scheme):
+    # reference: one scan of all clauses per variable, summed in ascending order
+    weights = analysis.MEASURE_SCHEMES[scheme]
+    total = 0.0
+    for v in range(1, formula.num_vars + 1):
+        holding = [c for c in formula.clauses if v in c.variables()]
+        if scheme == "g2":
+            if not holding:
+                continue
+            strong = [c for c in holding if analysis.clause_depends_on(c, v)]
+            if strong and not all(c.target == 2 and c.size() >= 4 for c in strong):
+                total += weights[1]
+            else:
+                total += weights[2]
+            continue
+        targets = [c.target for c in holding if c.target >= 1]
+        if targets:
+            total += weights[min(min(targets), max(weights))]
+    return total
+
+
+@given(formulas(n_max=8, m_max=6, k_max=6))
+@settings(max_examples=200, deadline=None)
+def test_measure_matches_per_variable_reference(f):
+    for scheme in ("g2", "g3", "g4"):
+        assert measure(f, scheme) == _measure_per_variable(f, scheme)
 
 
 def test_measure_bounded_by_n(rng):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gixsat import dpll
 from gixsat.cli import main
 from gixsat.textio import parse
 
@@ -55,6 +56,17 @@ def test_solve_input_error(tmp_path, capsys):
     bad.write_text("p gxsat 2 1\n9 1 2 0\n")
     assert main(["solve", str(bad)]) == 1
     assert main(["solve", str(tmp_path / "missing.gxsat")]) == 1
+
+
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+def test_solve_internal_error_exit_code(error, sat_path, monkeypatch, capsys):
+    def broken(formula, instrument=False):
+        raise error("solver broke")
+
+    monkeypatch.setattr(dpll, "solve_auto", broken)
+    assert main(["solve", sat_path]) == 3
+    err = capsys.readouterr().err
+    assert f"c internal {error.__name__}: solver broke" in err
 
 
 def test_solve_mitm_alpha_flag(sat_path):

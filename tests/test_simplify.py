@@ -1,9 +1,17 @@
 """Fixpoint rules: every reduction is forced, terminating, and idempotent."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import C, F, formulas, random_formula
-from gixsat.formula import Trail, evaluate, reconstruct_model
+from gixsat.formula import (
+    Clause,
+    Trail,
+    assign,
+    evaluate,
+    link_literals,
+    reconstruct_model,
+)
 from gixsat.oracle import brute_solve
 from gixsat.simplify import simplify_to_fixpoint
 
@@ -129,3 +137,138 @@ def test_equisatisfiability_property(f):
         assert before is False
     else:
         assert brute_solve(out[0]).sat == before
+
+
+# Reference: the fixpoint as a full rescan. Each step tries the rules in
+# priority order, each rule scanning the clauses in index order, and applies
+# the first match through the public assign / link on a deep copy.
+
+
+def _set_literal(f, trail, lit, value):
+    return assign(f, trail, abs(lit), value if lit > 0 else 1 - value)
+
+
+def _ref_step(f, trail):
+    """(rule letter, new formula or None), or None when no rule applies."""
+    cls = f.clauses
+    for c in cls:
+        if c.target < 0 or c.target > c.size():
+            return "a", None
+        if c.occ and len(c.variables()) == 1:
+            v = next(iter(c.variables()))
+            if c.target not in (c.mult(v), c.mult(-v)):
+                return "a", None
+    for i, c in enumerate(cls):
+        for v in sorted(c.variables()):
+            p, q = c.mult(v), c.mult(-v)
+            if p and q:
+                cancel = min(p, q)
+                nc = c.copy()
+                nc.target -= cancel
+                for lit, m in ((v, p - cancel), (-v, q - cancel)):
+                    if m:
+                        nc.occ[lit] = m
+                    else:
+                        nc.occ.pop(lit, None)
+                cls[i] = nc
+                return "b", f
+    for c in cls:
+        for lit in c.sorted_literals():
+            if c.occ[lit] > c.target:
+                return "c", _set_literal(f, trail, lit, 0)
+    for i, c in enumerate(cls):
+        mults = set(c.occ.values())
+        if len(mults) == 1:
+            m = next(iter(mults))
+            if m >= 2 and c.target % m == 0:
+                cls[i] = Clause(c.target // m, {lit: 1 for lit in c.occ})
+                return "d", f
+    for c in cls:
+        if c.target == 1 and c.size() == 2 and len(c.occ) == 2:
+            l1, l2 = c.sorted_literals()
+            return "e", link_literals(f, trail, l1, -l2)
+    for c in cls:
+        if c.occ and c.target in (0, c.size()):
+            value = 0 if c.target == 0 else 1
+            for lit in c.sorted_literals():
+                f = _set_literal(f, trail, lit, value)
+                if f is None:
+                    break
+            return "f", f
+    for i, c in enumerate(cls):
+        k = c.size()
+        if k and all(m == 1 for m in c.occ.values()) and 2 * c.target > k:
+            cls[i] = Clause(k - c.target, [-lit for lit in c.occ])
+            return "g", f
+    for i, c in enumerate(cls):
+        if c.target == 0 and not c.occ:
+            del cls[i]
+            return "h", f
+    return None
+
+
+def reference_fixpoint(formula, trail):
+    f = formula.copy()
+    while True:
+        step = _ref_step(f, trail)
+        if step is None:
+            return f, trail
+        f = step[1]
+        if f is None:
+            return None
+
+
+def _clause_view(c):
+    # literal order matters: the solvers read it through dict iteration
+    return c.target, list(c.occ.items())
+
+
+@st.composite
+def crowded_formulas(draw):
+    """Small formulas with x / -x pairs, multiplicities up to 4, targets 0-5
+    and duplicate clauses, biased towards the shapes rules (d)-(g) act on."""
+    n = draw(st.integers(2, 7))
+    clauses = []
+    for _ in range(draw(st.integers(1, 5))):
+        variables = draw(st.lists(st.integers(1, n), min_size=1, max_size=5, unique=True))
+        lits = [draw(st.sampled_from([v, -v])) for v in variables]
+        mult = draw(st.sampled_from([1, 1, 2, 3, 4]))
+        occ = {lit: mult for lit in lits}
+        if draw(st.booleans()):
+            occ[draw(st.sampled_from(lits))] = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            occ[-draw(st.sampled_from(lits))] = draw(st.integers(1, 2))
+        size = sum(occ.values())
+        target = draw(st.sampled_from([1, mult, 2 * mult, size, size // 2 + 1, draw(st.integers(0, 5))]))
+        clauses.append(Clause(min(target, 5), occ))
+    for j in draw(st.lists(st.integers(0, len(clauses) - 1), max_size=2)):
+        clauses.insert(draw(st.integers(0, len(clauses))), clauses[j].copy())
+    return F(n, *clauses)
+
+
+# each tells apart two adjacent rules of the priority order: (b)/(c),
+# (d)/(e), (e)/(f), (f)/(g)
+@example(F(2, C(0, -1, 2, -2)))
+@example(F(3, C(2, 1, 1, -3, -3), C(2, 1, -1, -1, -2)))
+@example(F(5, C(1, -5), C(1, 1, 4)))
+@example(F(3, C(1, 1, 2, -3), C(2, 2, 3)))
+@given(crowded_formulas())
+@settings(max_examples=500, deadline=None)
+def test_fixpoint_matches_rescan_reference(f):
+    before = [_clause_view(c) for c in f.clauses]
+    objects = list(f.clauses)
+    trail = Trail(f.num_vars)
+    out = simplify_to_fixpoint(f, trail)
+    assert [_clause_view(c) for c in f.clauses] == before
+    assert all(a is b for a, b in zip(f.clauses, objects)) and len(f.clauses) == len(objects)
+
+    ref_trail = Trail(f.num_vars)
+    ref = reference_fixpoint(f, ref_trail)
+    assert (out is None) == (ref is None)
+    assert trail.entries == ref_trail.entries
+    assert trail.events == ref_trail.events
+    if out is not None:
+        assert [_clause_view(c) for c in out[0].clauses] == [
+            _clause_view(c) for c in ref[0].clauses
+        ]
+
