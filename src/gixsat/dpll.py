@@ -859,8 +859,7 @@ def _search(f, trail, stats, scheme, depth, instrument, parent_mu, parent_tag):
                 "endgame model conflicts with formula"
             for v in sorted(part):
                 trail.record_const(v, part[v])
-            f = Formula(f.num_vars)
-            continue
+            return Formula(f.num_vars), trail
         if rule.kind == "simp":
             f2 = _apply_actions(f, trail, rule.actions)
             if f2 is None:
