@@ -3,7 +3,8 @@
 Exit codes follow solver-community convention: 10 satisfiable, 20
 unsatisfiable, 1 input error, 2 resource or timeout. An internal error in
 a solver (RuntimeError, AssertionError or RecursionError) exits 3 and prints
-"c internal <Type>: <message>" to stderr. Output is line
+"c internal <Type>: <message>" to stderr; "verify" also exits 3 when a
+solver disagrees with the brute-force oracle. Output is line
 oriented: "s ..." for status, "v ..." for a witness, "c key value" for
 diagnostics. GIXSAT_ORACLE_LIMIT overrides the brute-force variable cap.
 """
@@ -208,7 +209,7 @@ def _cmd_verify(args) -> int:
             print(f"c mismatch instance {k}: oracle={truth} {wrong}")
             sys.stdout.write(textio.serialize(formula))
     print(f"c verified {args.count} instances, {mismatches} mismatches")
-    return 0 if mismatches == 0 else EXIT_INPUT
+    return 0 if mismatches == 0 else EXIT_INTERNAL
 
 
 def build_parser() -> argparse.ArgumentParser:

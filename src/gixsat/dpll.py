@@ -11,7 +11,11 @@ Three rule sets share the engine:
 
   g2 (targets <= 2): rules 8..18; rules 16/17 isolate and brute-force heavy
       variables (degree >= 3), rule 18 finishes the degree <= 2 remainder by
-      component decomposition.
+      component decomposition. Selection and the endgame read one
+      occurrence map per call (_overlaps): each variable's clauses, and
+      for each clause the clauses it shares variables with. The pair rules
+      9, 12, 14 and 15 scan it by (i, j) in ascending order, so the
+      lowest-index pair still wins, as in a pairwise scan.
   g3 (targets <= 3): rules 6..10, clearing exactly-1, then exactly-2, then
       exactly-3 clauses.
   g4 (targets <= 4): rules 6..12, extending g3 by exactly-4 handling.
@@ -153,8 +157,25 @@ def _mult_profile(occ: dict) -> tuple:
     return tuple(sorted(occ.values(), reverse=True))
 
 
-def _c1_3lits(f: Formula):
-    return [(i, c) for i, c in enumerate(f.clauses) if c.target == 1 and c.size() == 3]
+def _overlaps(f: Formula) -> tuple[dict, list]:
+    """The occurrence map of f and the clause overlaps read from it.
+
+    occurrences maps each variable to the ascending indices of the clauses
+    holding it. shared[i] maps every other clause j holding a variable of
+    clause i, in ascending j, to those variables in ascending order.
+    """
+    varlists = [sorted(c.variables()) for c in f.clauses]
+    occurrences: dict[int, list[int]] = {}
+    for idx, vs in enumerate(varlists):
+        for v in vs:
+            occurrences.setdefault(v, []).append(idx)
+    shared: list[dict[int, list[int]]] = [{} for _ in varlists]
+    for j, vs in enumerate(varlists):
+        for v in vs:
+            for i in occurrences[v]:
+                if i != j:
+                    shared[i].setdefault(j, []).append(v)
+    return occurrences, shared
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +191,15 @@ def _select_g2(f: Formula) -> Rule:
             x, y = c.sorted_literals()[:2]
             return _branch_pair2("g2.8", x, y)
 
-    c1s = _c1_3lits(f)
+    c1s = [(i, c) for i, c in enumerate(cls) if c.target == 1 and c.size() == 3]
+    occurrences, shared = _overlaps(f)
 
     # rule 9: overlapping 3-literal exactly-1 clauses
-    for ai in range(len(c1s)):
-        for bi in range(ai + 1, len(c1s)):
-            i, ci = c1s[ai]
-            j, cj = c1s[bi]
-            shared = sorted(ci.variables() & cj.variables())
-            if not shared:
-                continue
-            rule = _g2_rule9(i, ci, j, cj, shared)
-            if rule is not None:
-                return rule
+    for i, ci in c1s:
+        for j, common in shared[i].items():
+            cj = cls[j]
+            if j > i and cj.target == 1 and cj.size() == 3:
+                return _g2_rule9(i, ci, j, cj, common)
 
     # rule 10: exactly-2 clause with two doubled literals
     for i, c in enumerate(cls):
@@ -215,17 +232,14 @@ def _select_g2(f: Formula) -> Rule:
         if sz == 4:
             return _simp("g2.11.len4", [("link", singles[0], singles[1])])
         if sz == 5:
-            return _g2_rule11_len5(f, x2, singles, c1s)
+            return _g2_rule11_len5(x2, singles, c1s)
         return _branch_lit("g2.11.long", x2)
 
     # rule 12: exactly-1 clause sharing >= 2 variables with an exactly-2 clause
     for i, ci in c1s:
-        for j, cj in enumerate(cls):
-            if cj.target != 2:
-                continue
-            shared = sorted(ci.variables() & cj.variables())
-            if len(shared) >= 2:
-                return _g2_rule12(i, ci, j, cj, shared)
+        for j, common in shared[i].items():
+            if cls[j].target == 2 and len(common) >= 2:
+                return _g2_rule12(i, ci, j, cls[j], common)
 
     # rule 13: 4-literal exactly-2 clause
     for i, c in enumerate(cls):
@@ -243,29 +257,22 @@ def _select_g2(f: Formula) -> Rule:
 
     # rule 14: exactly-1 clause sharing one variable with an exactly-2 clause
     for i, ci in c1s:
-        for j, cj in enumerate(cls):
-            if cj.target != 2:
-                continue
-            shared = sorted(ci.variables() & cj.variables())
-            if len(shared) == 1:
-                return _branch_lit("g2.14", shared[0])
+        for j, common in shared[i].items():
+            if cls[j].target == 2 and len(common) == 1:
+                return _branch_lit("g2.14", common[0])
 
     # rule 15: overlapping exactly-2 clauses
     for i, ci in enumerate(cls):
         if ci.target != 2:
             continue
-        for j in range(i + 1, len(cls)):
-            cj = cls[j]
-            if cj.target != 2:
-                continue
-            shared = sorted(ci.variables() & cj.variables())
-            if len(shared) >= 2:
-                return _g2_rule15(f, i, ci, j, cj, shared)
+        for j, common in shared[i].items():
+            if j > i and cls[j].target == 2 and len(common) >= 2:
+                return _g2_rule15(f, i, ci, j, cls[j], common)
 
     # rules 16/17: heavy variables
     heavies = sorted(v for v, d in degrees(f).items() if d >= 3)
     if heavies:
-        rule = _g2_rule16(f, heavies)
+        rule = _g2_rule16(f, heavies, occurrences)
         if rule is not None:
             return rule
         return _branch_lit("g2.17", heavies[0])
@@ -273,7 +280,7 @@ def _select_g2(f: Formula) -> Rule:
     return Rule("g2.18", "endgame")
 
 
-def _g2_rule9(i, ci, j, cj, shared) -> Optional[Rule]:
+def _g2_rule9(i, ci, j, cj, shared) -> Rule:
     li = {v: _lit_of(ci, v) for v in ci.variables()}
     lj = {v: _lit_of(cj, v) for v in cj.variables()}
     if len(shared) == 1:
@@ -302,10 +309,9 @@ def _g2_rule9(i, ci, j, cj, shared) -> Optional[Rule]:
     )
 
 
-def _g2_rule11_len5(f, x2, singles, c1s) -> Rule:
+def _g2_rule11_len5(x2, singles, c1s) -> Rule:
     # C = (x2 x2 s1 s2 s3) with target 2; scan 3-literal exactly-1 clauses
     # for the shapes that force something, in priority order.
-    sset = set(singles)
     for _, c1 in c1s:
         if c1.occ.get(-x2, 0):
             return _branch_lit("g2.11.len5.negdup", abs(x2))
@@ -486,12 +492,8 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
     return _branch_lit("g2.15.fallback", shared[0], fallback=True)
 
 
-def _g2_rule16(f, heavies) -> Optional[Rule]:
-    hs = set(heavies)
-    occs = {v: [] for v in heavies}
-    for idx, c in enumerate(f.clauses):
-        for v in c.variables() & hs:
-            occs[v].append((idx, _lit_of(c, v)))
+def _g2_rule16(f, heavies, occurrences) -> Optional[Rule]:
+    occs = {v: [(idx, _lit_of(f.clauses[idx], v)) for idx in occurrences[v]] for v in heavies}
     for v in heavies:
         if len(occs[v]) == 3:
             pos = sum(1 for _, l in occs[v] if l > 0)
@@ -504,6 +506,7 @@ def _g2_rule16(f, heavies) -> Optional[Rule]:
                 rests = sorted(f.clauses[idx].size() - 1 for idx, _ in occs[v])
                 if rests[0] == 4 or rests[2] >= 6:
                     return _branch_lit("g2.16.samepol", v)
+    hs = set(heavies)
     for idx, c in enumerate(f.clauses):
         hv = sorted(c.variables() & hs)
         if len(hv) >= 2:
@@ -729,15 +732,7 @@ def _g4_rule11(c: Clause) -> Rule:
 
 def _low_degree_model(f: Formula) -> Optional[dict]:
     """Satisfying values for all clause variables, or None; degrees <= 2."""
-    var2cl: dict[int, list[int]] = {}
-    for idx, c in enumerate(f.clauses):
-        for v in c.variables():
-            var2cl.setdefault(v, []).append(idx)
-    adj: dict[int, set[int]] = {i: set() for i in range(len(f.clauses))}
-    for v, idxs in var2cl.items():
-        if len(idxs) == 2:
-            adj[idxs[0]].add(idxs[1])
-            adj[idxs[1]].add(idxs[0])
+    _, shared = _overlaps(f)
     seen = set()
     model: dict[int, int] = {}
     for start in range(len(f.clauses)):
@@ -747,55 +742,59 @@ def _low_degree_model(f: Formula) -> Optional[dict]:
         seen.add(start)
         qi = 0
         while qi < len(order):
-            for nxt in sorted(adj[order[qi]]):
+            for nxt in shared[order[qi]]:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
             qi += 1
-        sub = _solve_component(f, order)
-        if sub is None:
+        if not _solve_component([f.clauses[i] for i in order], model):
             return None
-        model.update(sub)
     return model
 
 
-def _solve_component(f: Formula, order: list[int]) -> Optional[dict]:
-    clauses = [f.clauses[i] for i in order]
-    n = len(clauses)
-    varsets = [c.variables() for c in clauses]
-    future = [set() for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        future[i] = future[i + 1] | varsets[i]
-    frontiers = []
-    prefix: set[int] = set()
-    for i in range(n):
-        frontiers.append(tuple(sorted(prefix & future[i])))
-        prefix |= varsets[i]
-    memo: dict = {}
+def _solve_component(clauses: list[Clause], model: dict) -> bool:
+    """Extend model over one component, clauses in BFS order; False if UNSAT.
 
-    def rec(i: int, assignment: dict) -> Optional[dict]:
-        if i == n:
-            return {}
-        key = (i, tuple(assignment[v] for v in frontiers[i]))
-        if key in memo:
-            cached = memo[key]
-            return None if cached is None else dict(cached)
-        c = clauses[i]
-        fixed = true_count(c, assignment)
-        unfixed = sorted(v for v in varsets[i] if v not in assignment)
-        found = None
-        for combo in product((0, 1), repeat=len(unfixed)):
-            ext = dict(zip(unfixed, combo))
+    Depth-first, one frame per clause, trying the values of a clause's fresh
+    variables in product order. The frontier of position pos holds the
+    variables of earlier clauses that occur again at pos or later; a position
+    whose frontier values failed once is not searched again.
+    """
+    varlists = [sorted(c.variables()) for c in clauses]
+    last = {v: pos for pos, vs in enumerate(varlists) for v in vs}
+    frontiers = []
+    live: set[int] = set()
+    for pos, vs in enumerate(varlists):
+        frontiers.append(tuple(sorted(live)))
+        for v in vs:
+            if last[v] > pos:
+                live.add(v)
+            else:
+                live.discard(v)
+    failed = set()
+
+    def extend(pos: int) -> bool:
+        if pos == len(clauses):
+            return True
+        key = (pos, tuple(model[v] for v in frontiers[pos]))
+        if key in failed:
+            return False
+        c = clauses[pos]
+        fixed = true_count(c, model)
+        fresh = [v for v in varlists[pos] if v not in model]
+        for combo in product((0, 1), repeat=len(fresh)):
+            ext = dict(zip(fresh, combo))
             if fixed + true_count(c, ext) != c.target:
                 continue
-            sub = rec(i + 1, {**assignment, **ext})
-            if sub is not None:
-                found = {**ext, **sub}
-                break
-        memo[key] = None if found is None else dict(found)
-        return found
+            model.update(ext)
+            if extend(pos + 1):
+                return True
+            for v in fresh:
+                del model[v]
+        failed.add(key)
+        return False
 
-    return rec(0, {})
+    return extend(0)
 
 
 def endgame_low_degree(formula: Formula) -> SolveResult:

@@ -58,9 +58,6 @@ class Clause:
     def variables(self) -> set[int]:
         return {abs(l) for l in self.occ}
 
-    def mult(self, lit: int) -> int:
-        return self.occ.get(lit, 0)
-
     def sorted_literals(self) -> list[int]:
         """Distinct literals in canonical order."""
         return sorted(self.occ, key=lit_key)

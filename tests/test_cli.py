@@ -4,6 +4,7 @@ import pytest
 
 from gixsat import dpll
 from gixsat.cli import main
+from gixsat.oracle import brute_solve
 from gixsat.textio import parse
 
 SAT_FILE = "p gxsat 3 1\n2 1 2 3 0\n"
@@ -126,6 +127,15 @@ def test_verify_random(capsys):
 def test_verify_planted_only(capsys):
     assert main(["verify", "--count", "25", "--n", "8", "--seed", "2", "--planted"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_verify_mismatch_is_an_internal_error(monkeypatch, capsys):
+    def wrong(formula, instrument=False):
+        return dpll.SolveResult(not brute_solve(formula).sat)
+
+    monkeypatch.setattr(dpll, "solve_auto", wrong)
+    assert main(["verify", "--count", "3", "--n", "6", "--seed", "1"]) == 3
+    assert "3 mismatches" in capsys.readouterr().out
 
 
 def test_verify_zero_instances(capsys):

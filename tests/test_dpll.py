@@ -1,14 +1,19 @@
 """Branch-and-bound solvers against the brute-force reference."""
 
 import random
+import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import C, F, formulas, random_formula
+from gixsat import dpll
 from gixsat.dpll import endgame_low_degree, solve_auto, solve_g2, solve_g3, solve_g4
-from gixsat.formula import Clause, Formula, evaluate
+from gixsat.formula import Clause, Formula, Trail, degrees, evaluate, lit_key, true_count
 from gixsat.oracle import brute_solve
+from gixsat.simplify import simplify_to_fixpoint
 
 
 def check_against_oracle(f, solver):
@@ -252,3 +257,269 @@ def test_deep_instance_planted():
     assert evaluate(f, hidden)
     result = solve_g2(f)
     assert result.sat and evaluate(f, result.model)
+
+
+# Reference: g2 selection as a pairwise clause scan. Rules 9, 12, 14 and 15
+# intersect the variable sets of every candidate clause pair in (i, j) order,
+# and rule 16 collects the heavy variables' occurrences by scanning clauses.
+# The prescriptions themselves come from the solver's rule builders.
+
+
+def _ref_rule16(f, heavies):
+    hs = set(heavies)
+    occs = {v: [] for v in heavies}
+    for idx, c in enumerate(f.clauses):
+        for v in c.variables() & hs:
+            occs[v].append((idx, dpll._lit_of(c, v)))
+    for v in heavies:
+        if len(occs[v]) == 3 and sum(1 for _, l in occs[v] if l > 0) in (1, 2):
+            return dpll._branch_lit("g2.16.mixed", v)
+    for v in heavies:
+        if len(occs[v]) == 3 and sum(1 for _, l in occs[v] if l > 0) in (0, 3):
+            rests = sorted(f.clauses[idx].size() - 1 for idx, _ in occs[v])
+            if rests[0] == 4 or rests[2] >= 6:
+                return dpll._branch_lit("g2.16.samepol", v)
+    for c in f.clauses:
+        hv = sorted(c.variables() & hs)
+        if len(hv) >= 2:
+            x, y = hv[:2]
+            return dpll._branch("g2.16.pair", [
+                [("true", x), ("true", y)],
+                [("true", x), ("false", y)],
+                [("false", x), ("true", y)],
+                [("false", x), ("false", y)],
+            ])
+    return None
+
+
+def reference_select_g2(f):
+    cls = f.clauses
+    for c in cls:
+        if c.target == 1 and c.size() >= 4:
+            x, y = c.sorted_literals()[:2]
+            return dpll._branch_pair2("g2.8", x, y)
+    c1s = [(i, c) for i, c in enumerate(cls) if c.target == 1 and c.size() == 3]
+    for ai in range(len(c1s)):
+        for bi in range(ai + 1, len(c1s)):
+            (i, ci), (j, cj) = c1s[ai], c1s[bi]
+            shared = sorted(ci.variables() & cj.variables())
+            if shared:
+                return dpll._g2_rule9(i, ci, j, cj, shared)
+    for c in cls:
+        twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
+        if c.target != 2 or len(twos) < 2:
+            continue
+        ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
+        if len(twos) in (2, 3) and len(ones) == 1:
+            return dpll._simp("g2.10.single0", [("false", ones[0])])
+        if len(twos) == 2 and len(ones) == 2:
+            return dpll._simp("g2.10.link", [("link", ones[0], ones[1])])
+        return dpll._branch_pair2("g2.10.branch", twos[0], twos[1])
+    for c in cls:
+        twos = [l for l, m in c.occ.items() if m == 2]
+        if c.target != 2 or len(twos) != 1:
+            continue
+        singles = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
+        if c.size() == 3:
+            return dpll._simp("g2.11.len3", [("true", twos[0]), ("false", singles[0])])
+        if c.size() == 4:
+            return dpll._simp("g2.11.len4", [("link", singles[0], singles[1])])
+        if c.size() == 5:
+            return dpll._g2_rule11_len5(twos[0], singles, c1s)
+        return dpll._branch_lit("g2.11.long", twos[0])
+    for i, ci in c1s:
+        for j, cj in enumerate(cls):
+            shared = sorted(ci.variables() & cj.variables())
+            if cj.target == 2 and len(shared) >= 2:
+                return dpll._g2_rule12(i, ci, j, cj, shared)
+    for c in cls:
+        if c.target == 2 and c.size() == 4 and len(c.occ) == 4:
+            lits = c.sorted_literals()
+            c1_vars = set().union(*(c1.variables() for _, c1 in c1s))
+            weighted = [l for l in lits if abs(l) in c1_vars]
+            if len(weighted) >= 2:
+                return dpll._branch_pair3("g2.13.two_weighted", *weighted[:2])
+            order = [l for l in lits if l not in weighted] + weighted
+            return dpll._branch_4lit("g2.13.pairs", order)
+    for i, ci in c1s:
+        for j, cj in enumerate(cls):
+            shared = sorted(ci.variables() & cj.variables())
+            if cj.target == 2 and len(shared) == 1:
+                return dpll._branch_lit("g2.14", shared[0])
+    for i, ci in enumerate(cls):
+        for j in range(i + 1, len(cls)):
+            cj = cls[j]
+            shared = sorted(ci.variables() & cj.variables())
+            if ci.target == cj.target == 2 and len(shared) >= 2:
+                return dpll._g2_rule15(f, i, ci, j, cj, shared)
+    heavies = sorted(v for v, d in degrees(f).items() if d >= 3)
+    if heavies:
+        return _ref_rule16(f, heavies) or dpll._branch_lit("g2.17", heavies[0])
+    return dpll.Rule("g2.18", "endgame")
+
+
+def g2_fixpoint(rng):
+    """A g2 fixpoint of 3-literal exactly-1 and 4-6-literal exactly-2 clauses,
+    or None. "dense" formulas overlap freely; "sparse" ones keep clause
+    overlaps to one variable; "hub" ones are sparse exactly-2 clauses, half of
+    them through variable 1, which leaves heavy variables for rules 16/17."""
+    mode = rng.choice(["dense", "sparse", "hub"])
+    n = rng.randint(6, 16) if mode == "dense" else rng.randint(12, 20)
+    want = rng.randint(2, 8)
+    sets = []
+    for _ in range(60):
+        if mode == "hub" and rng.random() < 0.5:
+            vs = {1} | set(rng.sample(range(2, n + 1), rng.choice([4, 5])))
+        else:
+            sizes = [5, 6] if mode == "hub" else [3, 3, 4, 5, 5, 6]
+            vs = set(rng.sample(range(1, n + 1), rng.choice(sizes)))
+        if mode == "dense" or all(len(vs & s) <= 1 for s in sets):
+            sets.append(vs)
+        if len(sets) >= want:
+            break
+    clauses = []
+    for vs in sets:
+        lits = [v if rng.random() < 0.7 else -v for v in sorted(vs)]
+        if rng.random() < 0.1:
+            lits.append(lits[0])
+        clauses.append(Clause(1 if len(vs) == 3 else 2, lits))
+    out = simplify_to_fixpoint(Formula(n, clauses), Trail(n))
+    return out[0] if out is not None and out[0].clauses else None
+
+
+def check_g2_selection(f):
+    got = dpll._select(f, "g2")
+    want = reference_select_g2(f)
+    assert (got.tag, got.kind, got.actions, got.branches, got.fallback) == (
+        want.tag, want.kind, want.actions, want.branches, want.fallback
+    ), f"selection differs on {f!r}"
+    return got.tag
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_g2_selection_matches_pairwise_reference(rng):
+    f = g2_fixpoint(rng)
+    if f is not None:
+        check_g2_selection(f)
+
+
+def test_g2_selection_corpus_reaches_the_pair_rules():
+    rules = set()
+    for seed in range(600):
+        f = g2_fixpoint(random.Random(seed))
+        if f is not None:
+            rules.add(check_g2_selection(f).split(".")[1])
+    assert {"9", "12", "14", "15", "16"} <= rules
+
+
+# Reference: the rule-18 endgame with its own occurrence lists and a
+# recursive search that copies the assignment per level and memoises every
+# (position, frontier values) result.
+
+
+def reference_low_degree_model(f):
+    var2cl = {}
+    for idx, c in enumerate(f.clauses):
+        for v in c.variables():
+            var2cl.setdefault(v, []).append(idx)
+    adj = {i: set() for i in range(len(f.clauses))}
+    for idxs in var2cl.values():
+        if len(idxs) == 2:
+            adj[idxs[0]].add(idxs[1])
+            adj[idxs[1]].add(idxs[0])
+    seen, model = set(), {}
+    for start in range(len(f.clauses)):
+        if start in seen:
+            continue
+        order, qi = [start], 0
+        seen.add(start)
+        while qi < len(order):
+            for nxt in sorted(adj[order[qi]]):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+            qi += 1
+        clauses = [f.clauses[i] for i in order]
+        varsets = [c.variables() for c in clauses]
+        frontiers = []
+        for i in range(len(clauses)):
+            before = set().union(*varsets[:i])
+            after = set().union(*varsets[i:])
+            frontiers.append(tuple(sorted(before & after)))
+        memo = {}
+
+        def rec(i, assignment):
+            if i == len(clauses):
+                return {}
+            key = (i, tuple(assignment[v] for v in frontiers[i]))
+            if key in memo:
+                return None if memo[key] is None else dict(memo[key])
+            c = clauses[i]
+            fixed = true_count(c, assignment)
+            unfixed = sorted(v for v in varsets[i] if v not in assignment)
+            found = None
+            for combo in product((0, 1), repeat=len(unfixed)):
+                ext = dict(zip(unfixed, combo))
+                if fixed + true_count(c, ext) == c.target:
+                    sub = rec(i + 1, {**assignment, **ext})
+                    if sub is not None:
+                        found = {**ext, **sub}
+                        break
+            memo[key] = None if found is None else dict(found)
+            return found
+
+        sub = rec(0, {})
+        if sub is None:
+            return None
+        model.update(sub)
+    return model
+
+
+def random_low_degree(rng):
+    n = rng.randint(3, 30)
+    budget = {v: 2 for v in range(1, n + 1)}
+    clauses = []
+    for _ in range(rng.randint(1, 14)):
+        avail = [v for v, b in budget.items() if b > 0]
+        if not avail:
+            break
+        variables = rng.sample(avail, rng.randint(1, min(6, len(avail))))
+        lits = []
+        for v in variables:
+            budget[v] -= 1
+            lits.append(v if rng.random() < 0.6 else -v)
+        if budget[variables[0]] and rng.random() < 0.1:
+            budget[variables[0]] -= 1
+            lits.append(lits[0])
+        clauses.append(Clause(rng.randint(0, 3), lits))
+    return Formula(n, clauses)
+
+
+def test_endgame_matches_memo_reference(rng):
+    outcomes = set()
+    for _ in range(800):
+        f = random_low_degree(rng)
+        ref = reference_low_degree_model(f)
+        result = endgame_low_degree(f)
+        assert result.sat == (ref is not None)
+        if ref is not None:
+            assert result.model == {v: ref.get(v, 0) for v in range(1, f.num_vars + 1)}
+        outcomes.add(result.sat)
+    assert outcomes == {True, False}
+
+
+def test_long_chain_decided_in_one_node_at_default_recursion_limit():
+    # 600 exactly-2 clauses of 5 literals, each sharing one variable with the
+    # next; the endgame searches one frame per clause
+    assert sys.getrecursionlimit() <= 1000
+    rng = random.Random(600)
+    clauses = [
+        Clause(2, [v if rng.random() < 0.5 else -v for v in range(4 * k + 1, 4 * k + 6)])
+        for k in range(600)
+    ]
+    f = Formula(4 * 600 + 1, clauses)
+    result = solve_auto(f)
+    assert result.sat and evaluate(f, result.model)
+    assert result.stats.nodes_expanded == 1
+    assert result.stats.rule_fires == {"g2.18": 1}

@@ -156,11 +156,11 @@ def _ref_step(f, trail):
             return "a", None
         if c.occ and len(c.variables()) == 1:
             v = next(iter(c.variables()))
-            if c.target not in (c.mult(v), c.mult(-v)):
+            if c.target not in (c.occ.get(v, 0), c.occ.get(-v, 0)):
                 return "a", None
     for i, c in enumerate(cls):
         for v in sorted(c.variables()):
-            p, q = c.mult(v), c.mult(-v)
+            p, q = c.occ.get(v, 0), c.occ.get(-v, 0)
             if p and q:
                 cancel = min(p, q)
                 nc = c.copy()

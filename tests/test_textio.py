@@ -29,7 +29,7 @@ def test_parse_clause_spanning_lines():
 
 def test_parse_multiplicity():
     f = parse("p gxsat 2 1\n2 1 1 2 0\n")
-    assert f.clauses[0].mult(1) == 2
+    assert f.clauses[0].occ[1] == 2
 
 
 def test_error_target_too_large():
