@@ -101,8 +101,12 @@ def _cmd_solve(args) -> int:
             print(f"c cover_size {st.cover_size}")
             print(f"c covered_vars {st.covered_vars}")
             print(f"c complement_vars {st.complement_vars}")
+            print(f"c emitted {st.emitted}")
             print(f"c index_size {st.index_size}")
             print(f"c sweep_count {st.sweep_count}")
+            print(f"c cover_s {st.cover_s:.6f}")
+            print(f"c enumerate_s {st.enumerate_s:.6f}")
+            print(f"c sweep_s {st.sweep_s:.6f}")
     return EXIT_SAT if result.sat else EXIT_UNSAT
 
 

@@ -11,11 +11,11 @@ Three rule sets share the engine:
 
   g2 (targets <= 2): rules 8..18; rules 16/17 isolate and brute-force heavy
       variables (degree >= 3), rule 18 finishes the degree <= 2 remainder by
-      component decomposition. Selection and the endgame read one
-      occurrence map per call (_overlaps): each variable's clauses, and
-      for each clause the clauses it shares variables with. The pair rules
-      9, 12, 14 and 15 scan it by (i, j) in ascending order, so the
-      lowest-index pair still wins, as in a pairwise scan.
+      component decomposition. Selection builds one occurrence map per
+      call (_overlaps): each variable's clauses, and for each clause the
+      clauses it shares variables with; the rule-18 endgame reuses it. The
+      pair rules 9, 12, 14 and 15 scan it by (i, j) in ascending order, so
+      the lowest-index pair still wins, as in a pairwise scan.
   g3 (targets <= 3): rules 6..10, clearing exactly-1, then exactly-2, then
       exactly-3 clauses.
   g4 (targets <= 4): rules 6..12, extending g3 by exactly-4 handling.
@@ -72,6 +72,8 @@ class Rule:
     actions: tuple = ()
     branches: tuple = ()
     fallback: bool = False
+    # endgame: the clause overlaps selection built, so they are built once
+    shared: Optional[list] = field(default=None, compare=False, repr=False)
 
 
 def _simp(tag, actions, fallback=False):
@@ -277,7 +279,7 @@ def _select_g2(f: Formula) -> Rule:
             return rule
         return _branch_lit("g2.17", heavies[0])
 
-    return Rule("g2.18", "endgame")
+    return Rule("g2.18", "endgame", shared=shared)
 
 
 def _g2_rule9(i, ci, j, cj, shared) -> Rule:
@@ -730,9 +732,11 @@ def _g4_rule11(c: Clause) -> Rule:
 # rule 18: residual formulas without heavy variables
 
 
-def _low_degree_model(f: Formula) -> Optional[dict]:
-    """Satisfying values for all clause variables, or None; degrees <= 2."""
-    _, shared = _overlaps(f)
+def _low_degree_model(f: Formula, shared: list) -> Optional[dict]:
+    """Satisfying values for all clause variables, or None; degrees <= 2.
+
+    shared is the clause-overlap table of f, as _overlaps returns it.
+    """
     seen = set()
     model: dict[int, int] = {}
     for start in range(len(f.clauses)):
@@ -802,7 +806,7 @@ def endgame_low_degree(formula: Formula) -> SolveResult:
     heavy = [v for v, d in degrees(formula).items() if d >= 3]
     if heavy:
         raise ValueError(f"variable {min(heavy)} is heavy; endgame needs degrees <= 2")
-    part = _low_degree_model(formula)
+    part = _low_degree_model(formula, _overlaps(formula)[1])
     if part is None:
         return SolveResult(False, None)
     model = {v: part.get(v, 0) for v in range(1, formula.num_vars + 1)}
@@ -850,7 +854,7 @@ def _search(f, trail, stats, scheme, depth, instrument, parent_mu, parent_tag):
         if rule.kind == "unsat":
             return None
         if rule.kind == "endgame":
-            part = _low_degree_model(f)
+            part = _low_degree_model(f, rule.shared)
             if part is None:
                 return None
             # part values every clause variable, so it settles every clause

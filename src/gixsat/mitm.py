@@ -1,14 +1,24 @@
 """Exponential-space solver: asymmetric split plus vector matching.
 
-One side of the variable split is a union of whole clauses (the cover) and
-is enumerated clause by clause, generating only assignments that satisfy
-every covered clause exactly. Each survivor is summarised by its
-contribution vector: per remaining clause, how many literals it makes true.
-Vectors index representative assignments in a table; a brute-force sweep of
-the complement side then looks up the complementary vector it needs. One
-clause may straddle the cut, in which case its inside part is enumerated
-like a cover clause but only capped by the target, exactly as for the other
-straddling clauses.
+One side of the variable split is a union of whole clauses (the cover),
+tabulated so that only assignments satisfying every covered clause exactly
+survive. Each survivor is summarised by its contribution vector: per
+remaining (watched) clause, how many literals it makes true. One clause may
+straddle the cut; its inside part is tabulated like a cover clause but only
+capped by the target, exactly as for the other watched clauses, so a wide
+exactly-1 boundary clause keeps 1 + |inside| rows, not 2^|inside|.
+
+The table is grown in numpy one covered variable at a time, in the order a
+clause-by-clause depth-first search fixes them: every row is repeated for
+the values 0 and 1, the variable's literals are added to its clauses'
+counts, and rows whose counts pass a target (or miss a completed cover
+clause's target) are dropped. Rows stay in that search's order, so the first
+row with a given vector is its representative. The distinct vectors, as
+fixed-width byte strings, are sorted once; the complement is then swept in
+blocks of 2^18 assignments (complement variable k is bit k), each block's
+need vectors are matched with np.searchsorted, and the first match in
+ascending assignment order gives the model, which is verified before it is
+returned.
 
 The cover fraction alpha defaults to the value balancing the per-variable
 enumeration cost of the worst clause against the 2^((1-alpha) n) sweep.
@@ -18,11 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from time import perf_counter
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .analysis import alpha_for
-from .formula import Clause, Formula, SolveResult, evaluate, true_count
+from .formula import Formula, SolveResult, evaluate
+
+_BLOCK_BITS = 18
 
 
 class ResourceLimitError(RuntimeError):
@@ -56,8 +70,12 @@ class MitmStats:
     cover_size: int = 0
     covered_vars: int = 0
     complement_vars: int = 0
-    index_size: int = 0
-    sweep_count: int = 0
+    emitted: int = 0        # rows of the cover table
+    index_size: int = 0     # distinct contribution vectors among them
+    sweep_count: int = 0    # complement assignments tried
+    cover_s: float = 0.0    # choose_cover
+    enumerate_s: float = 0.0  # cover table and its index
+    sweep_s: float = 0.0    # complement sweep
 
 
 def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
@@ -121,16 +139,83 @@ def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
     )
 
 
-def _clause_extensions(clause: Clause, fixed: dict):
-    """Assignments of the clause's unfixed variables and the resulting counts.
 
-    Yields (extension dict, true-literal count over fixed plus extension).
+
+def _watched(plan: SplitPlan) -> list[int]:
+    """Clause indices of the contribution vector: shared, then the boundary."""
+    return plan.shared + ([plan.boundary] if plan.boundary is not None else [])
+
+
+def _cover_table(formula: Formula, plan: SplitPlan):
+    """The cover side as arrays: (fixing order, value rows, contribution rows).
+
+    Covered variables are fixed in the order of the clause-by-clause search:
+    cover clauses in plan order, each one's not yet fixed variables
+    ascending, then the remaining (boundary-inside) variables ascending. Each
+    step repeats every row twice, the variable 0 then 1, and adds its
+    literals' multiplicities to the counts of its clauses; a row whose count
+    passes a target is dropped, and a cover clause must meet its target once
+    its last variable is fixed. Survivors stay in lexicographic order of
+    their values along the fixing order.
+
+    Returns the order, an int8 matrix of values (one column per variable of
+    the order) and the watched-clause counts (one column per entry of the
+    contribution vector).
     """
-    base = true_count(clause, fixed)
-    unfixed = sorted(v for v in clause.variables() if v not in fixed)
-    for combo in product((0, 1), repeat=len(unfixed)):
-        ext = dict(zip(unfixed, combo))
-        yield ext, base + true_count(clause, ext)
+    cover = [formula.clauses[i] for i in plan.cover]
+    clauses = [formula.clauses[i] for i in _watched(plan)] + cover
+    order: list[int] = []
+    fixed: set[int] = set()
+    for c in cover:
+        fresh = sorted(c.variables() - fixed)
+        order.extend(fresh)
+        fixed.update(fresh)
+    order.extend(v for v in plan.covered_vars if v not in fixed)
+    pos = {v: k for k, v in enumerate(order)}
+
+    targets = np.array([c.target for c in clauses], dtype=np.int64)
+    # a multiplicity past target + 1 prunes like target + 1, so every count
+    # stays within 2 * target + 1 and a narrow dtype cannot overflow
+    dt = np.min_scalar_type(-(2 * int(targets.max(initial=0)) + 1))
+    steps = [([], [], []) for _ in order]   # per variable: columns, 0-adds, 1-adds
+    last = [-1] * len(clauses)
+    for j, c in enumerate(clauses):
+        for v in c.variables() & pos.keys():
+            cols, neg, posv = steps[pos[v]]
+            cols.append(j)
+            neg.append(min(c.occ.get(-v, 0), c.target + 1))
+            posv.append(min(c.occ.get(v, 0), c.target + 1))
+            last[j] = max(last[j], pos[v])
+    n_watch = len(clauses) - len(cover)
+
+    values = np.zeros((1, len(order)), dtype=np.int8)
+    counts = np.zeros((1, len(clauses)), dtype=dt)
+    if any(targets[j] != 0 for j in range(n_watch, len(clauses)) if last[j] < 0):
+        values, counts = values[:0], counts[:0]
+    for k, (cols, neg, posv) in enumerate(steps):
+        values = np.repeat(values, 2, axis=0)
+        values[1::2, k] = 1
+        counts = np.repeat(counts, 2, axis=0)
+        sub = counts[:, cols]
+        sub[0::2] += np.array(neg, dtype=dt)
+        sub[1::2] += np.array(posv, dtype=dt)
+        cap = targets[cols]
+        ok = (sub <= cap).all(axis=1)
+        done = [a for a, j in enumerate(cols) if j >= n_watch and last[j] == k]
+        if done:
+            ok &= (sub[:, done] == cap[done]).all(axis=1)
+        counts[:, cols] = sub
+        keep = np.flatnonzero(ok)
+        values, counts = values[keep], counts[keep]
+    return tuple(order), values, np.ascontiguousarray(counts[:, :n_watch])
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one fixed-width byte string, sortable and comparable."""
+    if rows.shape[1] == 0:
+        rows = np.zeros((len(rows), 1), dtype=rows.dtype)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[dict, tuple]]:
@@ -139,37 +224,12 @@ def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[di
     Each yield is (assignment over covered_vars, contribution vector). The
     vector lists, for every non-cover clause (straddling clause last), how
     many of its literals the assignment makes true; assignments pushing any
-    entry past the clause target are discarded.
+    entry past the clause target are discarded. Assignments come in the
+    order of a clause-by-clause depth-first search (see _cover_table).
     """
-    covered = set(plan.covered_vars)
-    cover_clauses = [formula.clauses[i] for i in plan.cover]
-
-    def emit(k: int, fixed: dict) -> Iterator[dict]:
-        if k == len(cover_clauses):
-            # give values to covered vars no cover clause mentions (boundary-only vars)
-            rest = [v for v in plan.covered_vars if v not in fixed]
-            for combo in product((0, 1), repeat=len(rest)):
-                yield {**fixed, **dict(zip(rest, combo))}
-            return
-        c = cover_clauses[k]
-        for ext, cnt in _clause_extensions(c, fixed):
-            if cnt == c.target:
-                yield from emit(k + 1, {**fixed, **ext})
-
-    watch = [formula.clauses[i] for i in plan.shared]
-    if plan.boundary is not None:
-        watch.append(formula.clauses[plan.boundary])
-    for assignment in emit(0, {}):
-        vec = []
-        ok = True
-        for c in watch:
-            cnt = true_count(c, assignment)
-            if cnt > c.target:
-                ok = False
-                break
-            vec.append(cnt)
-        if ok:
-            yield assignment, tuple(vec)
+    order, values, vectors = _cover_table(formula, plan)
+    for row, vec in zip(values.tolist(), vectors.tolist()):
+        yield dict(zip(order, row)), tuple(vec)
 
 
 def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
@@ -179,50 +239,77 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
             raise ValueError(f"solve_mitm handles targets up to 4, got {c.target}")
     if alpha is None:
         alpha = default_alpha(max((c.target for c in formula.clauses), default=1))
+    started = perf_counter()
     plan = choose_cover(formula, alpha)
+    planned = perf_counter()
     stats = MitmStats(
         alpha=alpha,
         cover_size=len(plan.cover) + (plan.boundary is not None),
         covered_vars=len(plan.covered_vars),
         complement_vars=len(plan.complement_vars),
+        cover_s=planned - started,
     )
 
-    index: dict[tuple, dict] = {}
     try:
-        for assignment, vec in enumerate_cover_side(formula, plan):
-            if vec not in index:
-                index[vec] = assignment
+        order, values, vectors = _cover_table(formula, plan)
+        # distinct vectors, sorted, each with its first (representative) row
+        keys, first = np.unique(_row_keys(vectors), return_index=True)
     except MemoryError as exc:
         raise ResourceLimitError("vector table exceeded available memory") from exc
-    stats.index_size = len(index)
-    if not index:
+    stats.emitted = len(values)
+    stats.index_size = len(keys)
+    indexed = perf_counter()
+    stats.enumerate_s = indexed - planned
+    if not len(keys):
         return SolveResult(False, None, stats)
 
-    watch = list(plan.shared)
-    if plan.boundary is not None:
-        watch.append(plan.boundary)
-    watch_clauses = [formula.clauses[i] for i in watch]
-    comp = list(plan.complement_vars)
-    for bits in range(1 << len(comp)):
-        stats.sweep_count += 1
-        values = {v: (bits >> k) & 1 for k, v in enumerate(comp)}
-        need = []
-        ok = True
-        for c in watch_clauses:
-            want = c.target - true_count(c, values)
-            if want < 0:
-                ok = False
-                break
-            need.append(want)
-        if not ok:
+    hit = _sweep(formula, plan, keys, vectors.dtype)
+    stats.sweep_s = perf_counter() - indexed
+    if hit is None:
+        stats.sweep_count = 1 << len(plan.complement_vars)
+        return SolveResult(False, None, stats)
+    bits, at = hit
+    stats.sweep_count = bits + 1
+    model = {v: 0 for v in plan.free_vars}
+    model.update(zip(order, values[first[at]].tolist()))
+    model.update((v, (bits >> k) & 1) for k, v in enumerate(plan.complement_vars))
+    if not evaluate(formula, model):
+        raise RuntimeError("internal error: matched vectors gave a bad model")
+    return SolveResult(True, model, stats)
+
+
+def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Optional[tuple]:
+    """First complement assignment whose need vector is in keys, or None.
+
+    Complement variable k is bit k of the assignment number; assignments are
+    tried in ascending number, in blocks over the low bits. Returns (the
+    assignment number, the position of its need vector in keys).
+    """
+    clauses = [formula.clauses[i] for i in _watched(plan)]
+    comp = plan.complement_vars
+    targets = np.array([c.target for c in clauses], dtype=np.int16)
+
+    # per variable and value, the literals made true in each watched clause,
+    # capped at target + 1, which rules the entry out just the same
+    adds = [[np.array([min(c.occ.get(lit, 0), c.target + 1) for c in clauses], dtype=np.int16)
+             for lit in (-v, v)] for v in comp]
+    low_bits = min(len(comp), _BLOCK_BITS)
+    low = np.zeros((1, len(clauses)), dtype=np.int16)
+    for neg, pos in adds[:low_bits]:
+        low = np.concatenate([low + neg, low + pos])
+    high = adds[low_bits:]
+    for block in range(1 << len(high)):
+        base = targets.copy()
+        for k, by_value in enumerate(high):
+            base -= by_value[(block >> k) & 1]
+        need = base - low
+        cand = np.flatnonzero((need >= 0).all(axis=1))
+        if not len(cand):
             continue
-        rep = index.get(tuple(need))
-        if rep is None:
-            continue
-        model = {v: 0 for v in plan.free_vars}
-        model.update(rep)
-        model.update(values)
-        if not evaluate(formula, model):
-            raise RuntimeError("internal error: matched vectors gave a bad model")
-        return SolveResult(True, model, stats)
-    return SolveResult(False, None, stats)
+        wanted = _row_keys(need[cand].astype(dtype))
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        found = np.flatnonzero(keys[at] == wanted)
+        if len(found):
+            i = found[0]
+            return (block << low_bits) + int(cand[i]), int(at[i])
+    return None

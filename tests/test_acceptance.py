@@ -24,7 +24,7 @@ from gixsat.analysis import (
 from gixsat.dpll import solve_auto, solve_g2, solve_g3, solve_g4
 from gixsat.formula import Clause, Formula, evaluate
 from gixsat.generator import GenSpec, generate
-from gixsat.mitm import choose_cover, enumerate_cover_side, solve_mitm
+from gixsat.mitm import choose_cover, default_alpha, enumerate_cover_side, solve_mitm
 from gixsat.oracle import brute_solve, count_clause_solutions
 
 
@@ -263,8 +263,22 @@ def test_criterion_mitm_structural_bound():
             bound *= math.comb(len(c.variables()), c.target)
         assert emitted <= bound, f"emitted {emitted} exceeds {bound} on {f!r}"
         done += 1
-    _report("cover-side emission bound (100 covered instances)", True,
-            "emitted count never exceeded the per-clause binomial product")
+    # one wide exactly-1 clause straddles the cut: its inside part is capped
+    # at the target, so at most one inside literal is true per emitted row
+    for width in (30, 40):
+        lits = [v if rng.random() < 0.5 else -v for v in range(1, width + 1)]
+        assert min(lits) < 0 < max(lits)
+        rng.shuffle(lits)
+        f = Formula(width, [Clause(1, lits)])
+        plan = choose_cover(f, default_alpha(1))
+        assert plan.boundary == 0
+        emitted = sum(1 for _ in enumerate_cover_side(f, plan))
+        assert emitted <= 1 + len(plan.boundary_inside), f"width {width}: emitted {emitted}"
+        result = solve_mitm(f)
+        assert result.sat and evaluate(f, result.model)
+    _report("cover-side emission bound (100 covered instances, 2 wide boundaries)", True,
+            "emitted count never exceeded the per-clause binomial product, "
+            "nor 1 + |inside| for a boundary exactly-1 clause")
 
 
 def test_criterion_measure_decrease_and_smoke():

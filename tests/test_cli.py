@@ -52,6 +52,21 @@ def test_solve_stats(sat_path, capsys):
     assert any(l.startswith("c cover_size ") for l in out.splitlines())
 
 
+def test_solve_mitm_stats_keys(sat_path, capsys):
+    assert main(["solve", sat_path, "--algo", "mitm", "--stats"]) == 10
+    stats = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("c "):
+            key, value = line[2:].split()
+            stats[key] = float(value)
+    assert set(stats) == {"time", "alpha", "cover_size", "covered_vars", "complement_vars",
+                          "emitted", "index_size", "sweep_count",
+                          "cover_s", "enumerate_s", "sweep_s"}
+    assert stats["emitted"] >= stats["index_size"] >= 1
+    assert stats["sweep_count"] >= 1
+    assert all(stats[key] >= 0 for key in ("cover_s", "enumerate_s", "sweep_s"))
+
+
 def test_solve_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.gxsat"
     bad.write_text("p gxsat 2 1\n9 1 2 0\n")

@@ -509,17 +509,39 @@ def test_endgame_matches_memo_reference(rng):
     assert outcomes == {True, False}
 
 
-def test_long_chain_decided_in_one_node_at_default_recursion_limit():
-    # 600 exactly-2 clauses of 5 literals, each sharing one variable with the
-    # next; the endgame searches one frame per clause
-    assert sys.getrecursionlimit() <= 1000
+def chain_600():
+    """600 exactly-2 clauses of 5 literals, each sharing one variable with the next."""
     rng = random.Random(600)
     clauses = [
         Clause(2, [v if rng.random() < 0.5 else -v for v in range(4 * k + 1, 4 * k + 6)])
         for k in range(600)
     ]
-    f = Formula(4 * 600 + 1, clauses)
+    return Formula(4 * 600 + 1, clauses)
+
+
+def test_long_chain_decided_in_one_node_at_default_recursion_limit():
+    # the endgame searches one frame per clause of the chain
+    assert sys.getrecursionlimit() <= 1000
+    f = chain_600()
     result = solve_auto(f)
     assert result.sat and evaluate(f, result.model)
     assert result.stats.nodes_expanded == 1
     assert result.stats.rule_fires == {"g2.18": 1}
+
+
+def test_endgame_reuses_the_selection_overlap_map(monkeypatch):
+    # the chain goes straight to rule 18; the endgame must not build the
+    # overlap map selection has just built
+    f = chain_600()
+    calls = []
+    original = dpll._overlaps
+
+    def counting(formula):
+        calls.append(len(formula.clauses))
+        return original(formula)
+
+    monkeypatch.setattr(dpll, "_overlaps", counting)
+    result = solve_auto(f)
+    assert result.sat and evaluate(f, result.model)
+    assert result.stats.rule_fires == {"g2.18": 1}
+    assert calls == [600]

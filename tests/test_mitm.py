@@ -1,12 +1,14 @@
 """Cover split, clause-by-clause enumeration, and the full two-sided solver."""
 
 import math
+import random
+from itertools import product
 
 import pytest
 
 from conftest import C, F, random_formula
 from gixsat.dpll import solve_auto
-from gixsat.formula import Clause, Formula, evaluate
+from gixsat.formula import Clause, Formula, evaluate, true_count
 from gixsat.mitm import (
     choose_cover,
     default_alpha,
@@ -151,9 +153,8 @@ def test_memory_exhaustion_is_a_resource_error(monkeypatch):
 
     def boom(formula, plan):
         raise MemoryError("table full")
-        yield  # pragma: no cover
 
-    monkeypatch.setattr(mitm_module, "enumerate_cover_side", boom)
+    monkeypatch.setattr(mitm_module, "_cover_table", boom)
     with pytest.raises(mitm_module.ResourceLimitError):
         mitm_module.solve_mitm(F(4, C(2, 1, 2, 3, 4)))
 
@@ -171,3 +172,106 @@ def test_agreement_with_custom_alpha(rng):
         for _ in range(40):
             f = random_formula(rng, n_max=9, m_max=4)
             assert solve_mitm(f, alpha=alpha).sat == brute_solve(f).sat
+
+
+# Reference: the cover side as a clause-by-clause depth-first search over
+# Python dicts, one representative per vector in a dict index, and a sweep
+# of the complement one assignment at a time.
+
+
+def reference_enumerate(formula, plan):
+    def extensions(clause, fixed):
+        base = true_count(clause, fixed)
+        unfixed = sorted(v for v in clause.variables() if v not in fixed)
+        for combo in product((0, 1), repeat=len(unfixed)):
+            ext = dict(zip(unfixed, combo))
+            yield ext, base + true_count(clause, ext)
+
+    cover_clauses = [formula.clauses[i] for i in plan.cover]
+
+    def emit(k, fixed):
+        if k == len(cover_clauses):
+            rest = [v for v in plan.covered_vars if v not in fixed]
+            for combo in product((0, 1), repeat=len(rest)):
+                yield {**fixed, **dict(zip(rest, combo))}
+            return
+        c = cover_clauses[k]
+        for ext, cnt in extensions(c, fixed):
+            if cnt == c.target:
+                yield from emit(k + 1, {**fixed, **ext})
+
+    watch = [formula.clauses[i] for i in plan.shared]
+    if plan.boundary is not None:
+        watch.append(formula.clauses[plan.boundary])
+    for assignment in emit(0, {}):
+        vec = tuple(true_count(c, assignment) for c in watch)
+        if all(cnt <= c.target for cnt, c in zip(vec, watch)):
+            yield assignment, vec
+
+
+def reference_solve(formula, plan):
+    """(sat, model, index_size, sweep_count) of the one-at-a-time solver."""
+    index = {}
+    for assignment, vec in reference_enumerate(formula, plan):
+        index.setdefault(vec, assignment)
+    if not index:
+        return False, None, 0, 0
+    watch = [formula.clauses[i] for i in plan.shared]
+    if plan.boundary is not None:
+        watch.append(formula.clauses[plan.boundary])
+    comp = plan.complement_vars
+    for bits in range(1 << len(comp)):
+        values = {v: (bits >> k) & 1 for k, v in enumerate(comp)}
+        rep = index.get(tuple(c.target - true_count(c, values) for c in watch))
+        if rep is not None:
+            model = {v: 0 for v in plan.free_vars}
+            model.update(rep)
+            model.update(values)
+            return True, model, len(index), bits + 1
+    return False, None, len(index), 1 << len(comp)
+
+
+def planted_wide(rng, n, m):
+    """m short clauses over n variables, targets from a hidden assignment."""
+    hidden = {v: rng.randint(0, 1) for v in range(1, n + 1)}
+    clauses = []
+    for _ in range(m):
+        lits = [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+        clauses.append(Clause(true_count(Clause(0, lits), hidden), lits))
+    return Formula(n, clauses)
+
+
+def reference_corpus():
+    """Seeded (formula, alpha) pairs: multiplicities, x/-x pairs, target 0,
+    empty clauses, the empty and the full cover, and over 27 watched clauses."""
+    rng = random.Random(20211)
+    for alpha in (0.05, 0.3, 0.6, 0.8, 0.99, None):
+        for bias in (0.0, 0.6, 1.0):
+            for _ in range(50):
+                f = random_formula(rng, n_max=10, m_max=6, k_max=7, t_max=4, distinct_bias=bias)
+                if rng.random() < 0.15:
+                    f.clauses.insert(rng.randint(0, len(f.clauses)), Clause(rng.randint(0, 1), []))
+                yield f, alpha
+    for _ in range(6):
+        yield planted_wide(rng, 12, 36), 0.3
+
+
+def test_kernel_matches_the_one_at_a_time_reference():
+    seen = set()
+    for f, alpha in reference_corpus():
+        result = solve_mitm(f, alpha=alpha)
+        plan = choose_cover(f, result.stats.alpha)
+        emitted = list(enumerate_cover_side(f, plan))
+        assert emitted == list(reference_enumerate(f, plan)), f
+        got = (result.sat, result.model, result.stats.index_size, result.stats.sweep_count)
+        assert got == reference_solve(f, plan), f
+        assert result.stats.emitted == len(emitted)
+        watched = len(plan.shared) + (plan.boundary is not None)
+        seen.add(("sat", result.sat))
+        seen.add(("empty cover", not plan.covered_vars))
+        seen.add(("all covered", not plan.complement_vars))
+        seen.add(("boundary", plan.boundary is not None))
+        seen.add(("empty clause", any(not c.occ for c in f.clauses)))
+        seen.add(("wide", watched > 27 and result.sat and result.stats.index_size > 1))
+    assert all((name, True) in seen for name, _ in seen)
+    assert ("sat", False) in seen
