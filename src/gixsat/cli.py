@@ -92,6 +92,8 @@ def _cmd_solve(args) -> int:
             print(f"c nodes {st.nodes_expanded}")
             print(f"c max_depth {st.max_depth}")
             print(f"c root_measure {st.measure_at_root:.4f}")
+            print(f"c fixpoint_calls {st.fixpoint_calls}")
+            print(f"c fixpoint_unsat {st.fixpoint_unsat}")
             for tag in sorted(st.rule_fires):
                 print(f"c rule {tag} {st.rule_fires[tag]}")
             for tag in sorted(st.fallback_fires):

@@ -1,11 +1,12 @@
 """Polynomial-space branch-and-bound solvers for targets up to 4.
 
-Each solver interleaves simplify_to_fixpoint with a fixed priority list of
-rules. A rule is either a forced simplification (a list of assignments,
-links, or clause edits) or a branching whose branch prescriptions are
-mutually exclusive and jointly cover every satisfying extension of the
-touched variables. Rule selection always picks the lowest applicable rule;
-inside a rule, ties break on lowest clause index, then lowest variable.
+Each solver interleaves the simplification fixpoint with a fixed priority
+list of rules. A rule is either a forced simplification (a list of
+assignments, links, or clause edits) or a branching whose branch
+prescriptions are mutually exclusive and jointly cover every satisfying
+extension of the touched variables. Rule selection always picks the lowest
+applicable rule; inside a rule, ties break on lowest clause index, then
+lowest variable.
 
 Three rule sets share the engine:
 
@@ -23,6 +24,14 @@ Three rule sets share the engine:
 Where a clause shape has no specific prescription, the engine falls back to
 branching the lowest relevant variable 0/1 and records the event in
 SearchStats.fallback_fires for audit.
+
+A solve keeps one simplification worklist (simplify._Worklist) as its
+search state, built once from the input formula. Rule actions edit it in
+place and it is settled to a fixpoint after each one; at a branching rule
+each branch gets a fork of it (its own copies of the flat clause lists and
+trail, sharing the occurrence map), so backtracking just drops the fork.
+Selection reads the compact formula the worklist lists, whose clause j is
+the worklist's j-th live slot.
 """
 
 from __future__ import annotations
@@ -37,15 +46,13 @@ from .formula import (
     Formula,
     SolveResult,
     Trail,
-    assign,
     degrees,
     evaluate,
-    link_literals,
     lit_key,
     reconstruct_model,
     true_count,
 )
-from .simplify import simplify_to_fixpoint
+from .simplify import _Worklist
 
 
 @dataclass
@@ -57,6 +64,8 @@ class SearchStats:
     measure_at_root: float = 0.0
     measure_checks: int = 0
     measure_violations: list = field(default_factory=list)
+    fixpoint_calls: int = 0
+    fixpoint_unsat: int = 0
 
     def fire(self, tag: str) -> None:
         self.rule_fires[tag] = self.rule_fires.get(tag, 0) + 1
@@ -113,7 +122,9 @@ def _branch_4lit(tag, lits):
     ])
 
 
-def _apply_actions(f: Formula, trail: Trail, actions) -> Optional[Formula]:
+def _apply_actions(w: _Worklist, actions) -> bool:
+    """Apply a rule's actions to w; False on a conflict."""
+    entries = w.trail.entries
     for act in actions:
         kind = act[0]
         if kind in ("true", "false"):
@@ -121,30 +132,33 @@ def _apply_actions(f: Formula, trail: Trail, actions) -> Optional[Formula]:
             want = 1 if kind == "true" else 0
             v = abs(lit)
             val = want if lit > 0 else 1 - want
-            st = trail.entries.get(v)
+            st = entries.get(v)
             if st is not None:
                 if st[0] == "const":
                     if st[1] == val:
                         continue
-                    return None
+                    return False
                 raise RuntimeError("prescription touches an eliminated variable")
-            f = assign(f, trail, v, val)
+            if not w.eliminate(v, ("const", val)):
+                return False
         elif kind == "link":
-            f = link_literals(f, trail, act[1], act[2])
+            # value(lit_a) = value(lit_b), eliminating var(lit_a)
+            lit_a, lit_b = act[1], act[2]
+            v = abs(lit_a)
+            partner = lit_b if lit_a > 0 else -lit_b
+            w.trail.check_link(v, partner)
+            if not w.eliminate(v, ("link", partner)):
+                return False
         elif kind == "add":
-            f = f.copy()
-            f.clauses.append(Clause(act[1], act[2]))
+            w.add(Clause(act[1], act[2]))
         elif kind == "replace":
-            f = f.copy()
-            f.clauses[act[1]] = Clause(act[2], act[3])
+            w.replace(w.slot(act[1]), Clause(act[2], act[3]))
         elif kind == "remove":
-            f = f.copy()
-            del f.clauses[act[1]]
+            assert len(actions) == 1, "remove must be a rule's only action"
+            w.delete(w.slot(act[1]))
         else:
             raise RuntimeError(f"unknown action {act!r}")
-        if f is None:
-            return None
-    return f
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -825,28 +839,36 @@ def _select(f: Formula, scheme: str) -> Rule:
     return _select_g34(f, scheme)
 
 
-def _search(f, trail, stats, scheme, depth, instrument, parent_mu, parent_tag):
-    out = simplify_to_fixpoint(f, trail)
-    if out is None:
+def _settle(w: _Worklist, stats: SearchStats) -> bool:
+    stats.fixpoint_calls += 1
+    if w.settle():
+        return True
+    stats.fixpoint_unsat += 1
+    return False
+
+
+def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
+    """Settle w and search below it; the final trail, or None if UNSAT."""
+    if not _settle(w, stats):
         return None
-    f, trail = out
     stats.nodes_expanded += 1
     stats.max_depth = max(stats.max_depth, depth)
     if instrument and parent_mu is not None:
-        mu = measure(f, scheme)
+        mu = measure(w.formula(), scheme)
         stats.measure_checks += 1
         if not mu < parent_mu - 1e-9:
             stats.measure_violations.append((parent_tag, parent_mu, mu))
     # every simplification chain eliminates a variable within a few steps;
     # a generous cap turns any selection bug into a loud failure, not a hang
-    guard = 50 * (f.num_vars + len(f.clauses) + f.total_occurrences()) + 100
+    guard = 50 * (w.num_vars + w.count + w.occurrences) + 100
     steps = 0
     while True:
-        if not f.clauses:
-            return f, trail
+        if not w.count:
+            return w.trail
         steps += 1
         if steps > guard:
             raise RuntimeError("rule selection stopped making progress")
+        f = w.formula()
         rule = _select(f, scheme)
         stats.fire(rule.tag)
         if rule.fallback:
@@ -861,25 +883,19 @@ def _search(f, trail, stats, scheme, depth, instrument, parent_mu, parent_tag):
             assert all(true_count(c, part) == c.target for c in f.clauses), \
                 "endgame model conflicts with formula"
             for v in sorted(part):
-                trail.record_const(v, part[v])
-            return Formula(f.num_vars), trail
+                w.trail.record_const(v, part[v])
+            return w.trail
         if rule.kind == "simp":
-            f2 = _apply_actions(f, trail, rule.actions)
-            if f2 is None:
+            if not (_apply_actions(w, rule.actions) and _settle(w, stats)):
                 return None
-            out = simplify_to_fixpoint(f2, trail)
-            if out is None:
-                return None
-            f, trail = out
             continue
         # branching rule
         mu_here = measure(f, scheme) if instrument else None
         for branch in rule.branches:
-            t2 = trail.copy()
-            f2 = _apply_actions(f, t2, branch)
-            if f2 is None:
+            child = w.fork()
+            if not _apply_actions(child, branch):
                 continue
-            res = _search(f2, t2, stats, scheme, depth + 1, instrument, mu_here, rule.tag)
+            res = _search(child, stats, scheme, depth + 1, instrument, mu_here, rule.tag)
             if res is not None:
                 return res
         return None
@@ -887,11 +903,10 @@ def _search(f, trail, stats, scheme, depth, instrument, parent_mu, parent_tag):
 
 def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
     stats = SearchStats(measure_at_root=measure(formula, scheme))
-    trail = Trail(formula.num_vars)
-    res = _search(formula, trail, stats, scheme, 0, instrument, None, None)
-    if res is None:
+    w = _Worklist(formula, Trail(formula.num_vars))
+    t_end = _search(w, stats, scheme, 0, instrument, None, None)
+    if t_end is None:
         return SolveResult(False, None, stats)
-    _, t_end = res
     roots = {v: 0 for v in t_end.unassigned_vars()}
     model = reconstruct_model(t_end, roots)
     if not evaluate(formula, model):

@@ -168,13 +168,17 @@ class Trail:
         self.entries[var] = ("const", value)
         self.events.append(var)
 
-    def record_link(self, var: int, partner: int) -> None:
+    def check_link(self, var: int, partner: int) -> None:
+        """Raise ValueError unless var may be linked to the literal partner."""
         if var in self.entries:
             raise ValueError(f"variable {var} already eliminated")
         if abs(partner) == var:
             raise ValueError("cannot link a variable to itself")
         if abs(partner) in self.entries:
             raise ValueError("link partner must be unassigned")
+
+    def record_link(self, var: int, partner: int) -> None:
+        self.check_link(var, partner)
         self.entries[var] = ("link", partner)
         self.events.append(var)
 
@@ -294,12 +298,7 @@ def link(formula: Formula, trail: Trail, var: int, partner: int) -> Optional[For
     and any partner/-partner pairs created this way cancel against the
     target. Returns None on conflict (trail untouched).
     """
-    if not trail.is_unassigned(var):
-        raise ValueError(f"variable {var} already eliminated")
-    if abs(partner) == var:
-        raise ValueError("cannot link a variable to itself")
-    if not trail.is_unassigned(abs(partner)):
-        raise ValueError("link partner must be unassigned")
+    trail.check_link(var, partner)
     out = _substituted(formula, var, ("link", partner))
     if out is not None:
         trail.record_link(var, partner)
@@ -344,8 +343,3 @@ def degrees(formula: Formula) -> dict[int, int]:
 def is_heavy(formula: Formula, var: int) -> bool:
     return degree(formula, var) >= 3
 
-
-def link_literals(formula: Formula, trail: Trail, lit_a: int, lit_b: int) -> Optional[Formula]:
-    """Record the deduction value(lit_a) = value(lit_b), eliminating var(lit_a)."""
-    partner = lit_b if lit_a > 0 else -lit_b
-    return link(formula, trail, abs(lit_a), partner)

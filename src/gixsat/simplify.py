@@ -20,10 +20,18 @@ that carries it, the clause a rescan of the whole formula in priority order
 would pick, and applies the rule there directly. Afterwards only the clauses
 the step changed are classified again: the clause edited in place, or the
 clauses that held the variable an assignment or link eliminated. Those are
-found through a variable -> clause-index occurrence map built for the call;
-it may still list clauses that have since lost the variable, and
-substitution skips them. A deleted clause leaves an empty slot, so indices
-and clause order stay fixed until the result is built.
+found through a variable -> clause-index occurrence map. A deleted clause
+leaves an empty slot, so indices and clause order stay fixed.
+
+The worklist (_Worklist) also serves as the search state of a whole
+branch-and-bound solve: the solver applies rule actions to it, settles it
+to a fixpoint, and forks it at each branch. A fork copies the flat slot and
+size lists and the trail, but shares the occurrence map, which is built
+once per solve and only grows: every clause that gains a variable (by a
+link, an added clause or a replaced clause) is registered under it, and
+nothing is ever removed. The map may therefore name clauses that have lost
+the variable, or slots that another branch added, and substitution skips
+both.
 
 The progress bound (alive variables, total occurrences, clause count, target
 sum) is kept as running counters and must fall lexicographically with every
@@ -79,7 +87,12 @@ def _classify(c: Clause) -> tuple[int, int]:
 
 
 class _Worklist:
-    """Clause slots, per-rule index sets, occurrence map and bound counters."""
+    """Clause slots, per-rule index sets, occurrence map and bound counters.
+
+    A worklist can be the search state of a whole solve: callers edit it
+    through add, replace, delete and eliminate, run settle to reach a
+    fixpoint, and fork it at a branch point.
+    """
 
     __slots__ = ("trail", "num_vars", "slots", "masks", "sizes", "pending",
                  "occ", "occurrences", "targets", "count")
@@ -87,29 +100,26 @@ class _Worklist:
     def __init__(self, formula: Formula, trail: Trail):
         self.trail = trail
         self.num_vars = formula.num_vars
-        self.slots: list[Optional[Clause]] = list(formula.clauses)
-        n = len(self.slots)
-        self.masks = [0] * n
-        self.sizes = [0] * n
+        self.slots: list[Optional[Clause]] = []
+        self.masks: list[int] = []
+        self.sizes: list[int] = []
         self.pending: list[set[int]] = [set() for _ in range(8)]
         self.occ: dict[int, set[int]] = {}
         self.occurrences = 0
         self.targets = 0
-        self.count = n
+        self.count = 0
+        for c in formula.clauses:
+            self.add(c)
+
+    def _register(self, i: int, c: Clause) -> None:
         occ = self.occ
-        for i, c in enumerate(self.slots):
-            for lit in c.occ:
-                v = abs(lit)
-                held = occ.get(v)
-                if held is None:
-                    occ[v] = {i}
-                else:
-                    held.add(i)
-            mask, size = _classify(c)
-            self.sizes[i] = size
-            self.occurrences += size
-            self.targets += c.target
-            self._remask(i, mask)
+        for lit in c.occ:
+            v = abs(lit)
+            held = occ.get(v)
+            if held is None:
+                occ[v] = {i}
+            else:
+                held.add(i)
 
     def _remask(self, i: int, mask: int) -> None:
         changed = self.masks[i] ^ mask
@@ -124,14 +134,35 @@ class _Worklist:
             changed >>= 1
             r += 1
 
+    def add(self, c: Clause) -> None:
+        """Append c as a new clause and classify it."""
+        i = len(self.slots)
+        mask, size = _classify(c)
+        self.slots.append(c)
+        self.masks.append(0)
+        self.sizes.append(size)
+        self.occurrences += size
+        self.targets += c.target
+        self.count += 1
+        self._register(i, c)
+        self._remask(i, mask)
+
     def put(self, i: int, c: Clause) -> None:
-        """Replace clause i and classify it again."""
+        """Replace clause i by c and classify it again.
+
+        Every variable of c must already be registered under i.
+        """
         mask, size = _classify(c)
         self.occurrences += size - self.sizes[i]
         self.targets += c.target - self.slots[i].target
         self.sizes[i] = size
         self.slots[i] = c
         self._remask(i, mask)
+
+    def replace(self, i: int, c: Clause) -> None:
+        """Replace clause i by c, which may hold variables clause i lacks."""
+        self._register(i, c)
+        self.put(i, c)
 
     def delete(self, i: int) -> None:
         self.occurrences -= self.sizes[i]
@@ -147,9 +178,12 @@ class _Worklist:
         conflict (nothing recorded).
         """
         slots = self.slots
+        n = len(slots)
         changed = []
-        for i in self.occ.pop(var, ()):
-            c = slots[i]
+        # the map never shrinks and forks share it, so it may name slots this
+        # worklist lacks and clauses that no longer hold var
+        for i in self.occ.get(var, ()):
+            c = slots[i] if i < n else None
             if c is not None and (var in c.occ or -var in c.occ):
                 nc = substitute(c, var, state)
                 if nc is None:
@@ -172,6 +206,50 @@ class _Worklist:
     def bound(self) -> tuple:
         alive = self.num_vars - len(self.trail.entries)
         return (alive, self.occurrences, self.count, self.targets)
+
+    def settle(self) -> bool:
+        """Apply rules until none fires. False means unsatisfiable.
+
+        After False the worklist is not a fixpoint and must be discarded.
+        """
+        pending = self.pending
+        prev = self.bound()
+        while True:
+            rule = next((r for r, held in enumerate(pending) if held), None)
+            if rule is None:
+                return True
+            if rule == 0:
+                return False
+            i = min(pending[rule])
+            if not _STEPS[rule](self, i, self.slots[i]):
+                return False
+            cur = self.bound()
+            assert cur < prev, "simplification failed to make progress"
+            prev = cur
+
+    def fork(self) -> "_Worklist":
+        """A copy to branch on, with its own trail; the occurrence map is shared.
+
+        Only a fixpoint is forked, so the copy starts with every mask 0 and
+        every rule set empty.
+        """
+        assert not any(self.pending) and not any(self.masks), "fork outside a fixpoint"
+        w = _Worklist.__new__(_Worklist)
+        w.trail = self.trail.copy()
+        w.num_vars = self.num_vars
+        w.slots = self.slots.copy()
+        w.masks = [0] * len(self.slots)
+        w.sizes = self.sizes.copy()
+        w.pending = [set() for _ in range(8)]
+        w.occ = self.occ
+        w.occurrences = self.occurrences
+        w.targets = self.targets
+        w.count = self.count
+        return w
+
+    def slot(self, j: int) -> int:
+        """The slot of clause j of formula()."""
+        return [i for i, c in enumerate(self.slots) if c is not None][j]
 
     def formula(self) -> Formula:
         out = Formula.__new__(Formula)
@@ -242,16 +320,6 @@ def simplify_to_fixpoint(formula: Formula, trail: Trail) -> Optional[tuple[Formu
     be discarded by the caller.
     """
     w = _Worklist(formula, trail)
-    prev = w.bound()
-    while True:
-        rule = next((r for r, held in enumerate(w.pending) if held), None)
-        if rule is None:
-            return w.formula(), trail
-        if rule == 0:
-            return None
-        i = min(w.pending[rule])
-        if not _STEPS[rule](w, i, w.slots[i]):
-            return None
-        cur = w.bound()
-        assert cur < prev, "simplification failed to make progress"
-        prev = cur
+    if not w.settle():
+        return None
+    return w.formula(), trail

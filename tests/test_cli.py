@@ -67,6 +67,19 @@ def test_solve_mitm_stats_keys(sat_path, capsys):
     assert all(stats[key] >= 0 for key in ("cover_s", "enumerate_s", "sweep_s"))
 
 
+def test_solve_dpll_stats_keys(sat_path, capsys):
+    assert main(["solve", sat_path, "--stats"]) == 10
+    stats = {}
+    for line in capsys.readouterr().out.splitlines():
+        fields = line.split()
+        if fields[0] == "c" and fields[1] not in ("rule", "fallback"):
+            stats[fields[1]] = float(fields[2])
+    assert set(stats) == {"time", "nodes", "max_depth", "root_measure",
+                          "fixpoint_calls", "fixpoint_unsat"}
+    assert stats["fixpoint_calls"] >= stats["nodes"] >= 1
+    assert 0 <= stats["fixpoint_unsat"] <= stats["fixpoint_calls"]
+
+
 def test_solve_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.gxsat"
     bad.write_text("p gxsat 2 1\n9 1 2 0\n")

@@ -4,16 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import C, F, formulas, random_formula
+from gixsat.dpll import _apply_actions
 from gixsat.formula import (
     Clause,
     Trail,
     assign,
     evaluate,
-    link_literals,
+    link,
     reconstruct_model,
 )
 from gixsat.oracle import brute_solve
-from gixsat.simplify import simplify_to_fixpoint
+from gixsat.simplify import _Worklist, simplify_to_fixpoint
 
 
 def fixpoint(f):
@@ -186,7 +187,8 @@ def _ref_step(f, trail):
     for c in cls:
         if c.target == 1 and c.size() == 2 and len(c.occ) == 2:
             l1, l2 = c.sorted_literals()
-            return "e", link_literals(f, trail, l1, -l2)
+            # value(l1) = value(-l2), eliminating var(l1)
+            return "e", link(f, trail, abs(l1), -l2 if l1 > 0 else l2)
     for c in cls:
         if c.occ and c.target in (0, c.size()):
             value = 0 if c.target == 0 else 1
@@ -272,3 +274,167 @@ def test_fixpoint_matches_rescan_reference(f):
             _clause_view(c) for c in ref[0].clauses
         ]
 
+
+
+# Reference for the solver's persistent worklist: a rule's actions applied to
+# the compact formula through the public assign / link on copies, then a
+# fresh fixpoint of the result.
+
+
+def reference_apply(f, trail, actions):
+    for act in actions:
+        kind = act[0]
+        if kind in ("true", "false"):
+            lit = act[1]
+            want = 1 if kind == "true" else 0
+            v = abs(lit)
+            val = want if lit > 0 else 1 - want
+            state = trail.entries.get(v)
+            if state is not None:
+                if state[0] == "const":
+                    if state[1] == val:
+                        continue
+                    return None
+                raise RuntimeError("prescription touches an eliminated variable")
+            f = assign(f, trail, v, val)
+        elif kind == "link":
+            f = link(f, trail, abs(act[1]), act[2] if act[1] > 0 else -act[2])
+        elif kind == "add":
+            f = f.copy()
+            f.clauses.append(Clause(act[1], act[2]))
+        elif kind == "replace":
+            f = f.copy()
+            f.clauses[act[1]] = Clause(act[2], act[3])
+        else:
+            f = f.copy()
+            del f.clauses[act[1]]
+        if f is None:
+            return None
+    return f
+
+
+def _reference_outcome(f, trail, actions):
+    """(outcome, next formula): outcome is an error, None, or the fixpoint
+    clauses with the trail."""
+    trail = trail.copy()
+    try:
+        g = reference_apply(f, trail, actions)
+        out = None if g is None else simplify_to_fixpoint(g, trail)
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc), str(exc)), None
+    if out is None:
+        return None, None
+    return ([_clause_view(c) for c in out[0].clauses], trail.entries, trail.events), out[0]
+
+
+def _worklist_outcome(w, actions):
+    try:
+        ok = _apply_actions(w, actions) and w.settle()
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc), str(exc))
+    if not ok:
+        return None
+    return [_clause_view(c) for c in w.formula().clauses], w.trail.entries, w.trail.events
+
+
+def _snapshot(w):
+    return (list(w.slots), list(w.sizes), w.occurrences, w.targets, w.count,
+            dict(w.trail.entries), list(w.trail.events))
+
+
+def _assert_occurrence_superset(w):
+    for i, c in enumerate(w.slots):
+        if c is not None:
+            for lit in c.occ:
+                assert i in w.occ.get(abs(lit), ()), (abs(lit), i)
+
+
+@st.composite
+def action_lists(draw, f, trail):
+    """1-4 rule actions on fixpoint f: true / false / link / add / replace, or
+    a lone remove. Literals mostly use variables alive in f."""
+    alive = [v for v in range(1, f.num_vars + 1) if trail.is_unassigned(v)]
+    pool = st.sampled_from(2 * alive + list(range(1, f.num_vars + 1)))
+    sign = st.sampled_from([1, -1])
+
+    def lit():
+        return draw(pool) * draw(sign)
+
+    def lits():
+        return tuple(lit() for _ in range(draw(st.integers(1, 4))))
+
+    m = len(f.clauses)
+    if m and draw(st.integers(0, 9)) == 0:
+        return [("remove", draw(st.integers(0, m - 1)))]
+    kinds = ["true", "false", "link", "add"] + (["replace"] if m else [])
+    actions = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("true", "false"):
+            actions.append((kind, lit()))
+        elif kind == "link":
+            actions.append((kind, lit(), lit()))
+        elif kind == "add":
+            actions.append((kind, draw(st.integers(0, 3)), lits()))
+        else:
+            j = draw(st.integers(0, m - 1))
+            actions.append((kind, j, draw(st.integers(0, 3)), lits()))
+    return actions
+
+
+@st.composite
+def settled_formulas(draw):
+    """Formulas no simplification rule touches: distinct literals, targets
+    from 1 to half the clause length, so exactly-1 clauses of length >= 3."""
+    n = draw(st.integers(3, 8))
+    clauses = []
+    for _ in range(draw(st.integers(1, 4))):
+        variables = draw(st.lists(st.integers(1, n), min_size=3, max_size=min(n, 6), unique=True))
+        lits = [v * draw(st.sampled_from([1, -1])) for v in variables]
+        clauses.append(Clause(draw(st.integers(1, len(lits) // 2)), lits))
+    return F(n, *clauses)
+
+
+@given(st.one_of(crowded_formulas(), settled_formulas()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_persistent_worklist_matches_fresh_fixpoints(f, data):
+    """Actions applied to forks of one settled worklist give what applying
+    them to the compact formula and simplifying afresh gives, and forks
+    leave their parent alone."""
+    # the longest clause prefix with a satisfiable fixpoint, so that every
+    # example starts from a settled worklist
+    for k in range(len(f.clauses), -1, -1):
+        root = _Worklist(F(f.num_vars, *f.clauses[:k]), Trail(f.num_vars))
+        if root.settle():
+            break
+    g = root.formula()
+    before = _snapshot(root)
+    settled = [root]
+
+    first = data.draw(action_lists(g, root.trail))
+    a = root.fork()
+    expect, g_a = _reference_outcome(g, root.trail, first)
+    assert _worklist_outcome(a, first) == expect
+    if g_a is not None:
+        settled.append(a)
+        # a fork of a fork, whose slots may hold holes and added clauses
+        second = data.draw(action_lists(g_a, a.trail))
+        ab = a.fork()
+        expect, g_ab = _reference_outcome(g_a, a.trail, second)
+        assert _worklist_outcome(ab, second) == expect
+        if g_ab is not None:
+            settled.append(ab)
+
+    # a sibling sees none of the first branch's edits
+    third = data.draw(action_lists(g, root.trail))
+    c = root.fork()
+    expect, g_c = _reference_outcome(g, root.trail, third)
+    assert _worklist_outcome(c, third) == expect
+    if g_c is not None:
+        settled.append(c)
+
+    after = _snapshot(root)
+    assert all(x is y for x, y in zip(before[0], after[0])) and len(before[0]) == len(after[0])
+    assert before[1:] == after[1:]
+    for w in settled:
+        _assert_occurrence_superset(w)
