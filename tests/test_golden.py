@@ -4,7 +4,10 @@ Rule selection is pinned for a single exactly-3 clause with a repeated
 literal (g3/g4 rule 9) and a single exactly-4 clause with a repeated literal
 (g4 rule 11), over every occurrence profile of one to six distinct literals
 with multiplicities up to the target, plus seven doubled or single literals.
-Search counts are pinned for seeded hard instances, since node counts are
+It is also pinned for the other g3/g4 clause classes: an exactly-1 clause of
+3 to 6 literals (rule 6), an exactly-2 clause with a doubled literal and one
+to five singles or doubles (rule 7), and a single-occurrence exactly-t clause
+of 2t to 2t + 3 literals (rules 8, 10 and 12). Search counts are pinned for seeded hard instances, since node counts are
 the main regression signal.
 
 The data in tests/data was recorded by running this module as a script:
@@ -51,19 +54,33 @@ def _profiles(target):
                 yield mults
 
 
-def selection_cases():
-    """(scheme, target, occ pairs) for every profile in two literal orders."""
+def _class_profiles():
+    """(schemes, target, multiplicities) for every pinned clause shape."""
     for target, schemes in ((3, ("g3", "g4")), (4, ("g4",))):
         for mults in _profiles(target):
-            # descending multiplicities on positive literals, and ascending
-            # ones with every even variable negated
-            arrangements = (
-                [(v, m) for v, m in enumerate(mults, 1)],
-                [(v if v % 2 else -v, m) for v, m in enumerate(reversed(mults), 1)],
-            )
-            for occ in arrangements:
-                for scheme in schemes:
-                    yield scheme, target, occ
+            yield schemes, target, mults
+    for size in range(3, 7):
+        yield ("g3", "g4"), 1, (1,) * size
+    for size in range(1, 6):
+        for rest in combinations_with_replacement((2, 1), size):
+            yield ("g3", "g4"), 2, (2,) + rest
+    for target, schemes in ((2, ("g3", "g4")), (3, ("g3", "g4")), (4, ("g4",))):
+        for size in range(2 * target, 2 * target + 4):
+            yield schemes, target, (1,) * size
+
+
+def selection_cases():
+    """(scheme, target, occ pairs) for every shape in two literal orders."""
+    for schemes, target, mults in _class_profiles():
+        # descending multiplicities on positive literals, and ascending
+        # ones with every even variable negated
+        arrangements = (
+            [(v, m) for v, m in enumerate(mults, 1)],
+            [(v if v % 2 else -v, m) for v, m in enumerate(reversed(mults), 1)],
+        )
+        for occ in arrangements:
+            for scheme in schemes:
+                yield scheme, target, occ
 
 
 def _selection_entry(scheme, target, occ):
@@ -108,6 +125,10 @@ def test_selection_golden_covers_every_profile():
     assert any(t.startswith("g4.11.thrice.") for t in tags)
     assert any(t.startswith("g4.11.twice.") for t in tags)
     assert "g4.11.quad" in tags
+    for tag in ("g3.6", "g4.6", "g3.7.len3", "g3.7.odd0", "g3.7.branch", "g4.7.len3",
+                "g4.7.pair", "g4.7.odd0", "g4.7.branch", "g3.8.len4", "g4.8.len5",
+                "g3.8.long", "g4.10.len6", "g3.10.long", "g4.12.len8", "g4.12.long"):
+        assert tag in tags
 
 
 def test_selection_matches_golden():
