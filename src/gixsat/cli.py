@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes follow solver-community convention: 10 satisfiable, 20
-unsatisfiable, 1 input error, 2 resource or timeout. An internal error in
-a solver (RuntimeError, AssertionError or RecursionError) exits 3 and prints
-"c internal <Type>: <message>" to stderr; "verify" also exits 3 when a
-solver disagrees with the brute-force oracle. Output is line
+unsatisfiable, 1 input error, 2 resource or timeout. Any other exception
+from a solver is an internal error: it exits 3 and prints
+"c internal <Type>: <message>" to stderr. "verify" counts a solver that
+raises, or disagrees with the brute-force oracle, as a mismatch and exits 3
+when there is one. Output is line
 oriented: "s ..." for status, "v ..." for a witness, "c key value" for
 diagnostics. GIXSAT_ORACLE_LIMIT overrides the brute-force variable cap.
 """
@@ -32,6 +33,10 @@ class _Timeout(Exception):
 
 def _alarm(signum, frame):
     raise _Timeout()
+
+
+def _internal(exc: Exception) -> None:
+    print(f"c internal {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 def _read_formula(path: str) -> Formula:
@@ -73,9 +78,8 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (RuntimeError, AssertionError) as exc:
-        # RecursionError is a RuntimeError
-        print(f"c internal {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        _internal(exc)
         return EXIT_INTERNAL
     finally:
         if args.timeout:
@@ -205,10 +209,14 @@ def _cmd_verify(args) -> int:
         )
         formula, _ = generator.generate(spec)
         truth = oracle.brute_solve(formula).sat
-        answers = {
-            "dpll": dpll.solve_auto(formula).sat,
-            "mitm": mitm.solve_mitm(formula).sat,
-        }
+        answers = {}
+        for name, solve in (("dpll", dpll.solve_auto), ("mitm", mitm.solve_mitm)):
+            try:
+                answers[name] = solve(formula).sat
+            except Exception as exc:
+                _internal(exc)
+                # never equal to the oracle's bool, so it counts as a mismatch
+                answers[name] = type(exc).__name__
         wrong = {name: got for name, got in answers.items() if got != truth}
         if wrong:
             mismatches += 1

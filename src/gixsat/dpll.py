@@ -17,9 +17,13 @@ Three rule sets share the engine:
       clauses it shares variables with; the rule-18 endgame reuses it. The
       pair rules 9, 12, 14 and 15 scan it by (i, j) in ascending order, so
       the lowest-index pair still wins, as in a pairwise scan.
-  g3 (targets <= 3): rules 6..10, clearing exactly-1, then exactly-2, then
-      exactly-3 clauses.
-  g4 (targets <= 4): rules 6..12, extending g3 by exactly-4 handling.
+  g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
+      Selection passes over the clauses once. The first exactly-1 clause
+      takes rule 6; every other clause class (target t, has a repeated
+      literal) keeps its lowest-index clause. For t = 2 up to the scheme's
+      top target, a repeated-literal clause takes rule 2t + 3 (7, 9, 11),
+      looked up in a profile table, and a single-occurrence one rule 2t + 4
+      (8, 10, 12).
 
 Where a clause shape has no specific prescription, the engine falls back to
 branching the lowest relevant variable 0/1 and records the event in
@@ -225,12 +229,10 @@ def _select_g2(f: Formula) -> Rule:
         if len(twos) < 2:
             continue
         ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
-        if len(twos) == 2 and len(ones) == 1:
+        if len(twos) in (2, 3) and len(ones) == 1:
             return _simp("g2.10.single0", [("false", ones[0])])
         if len(twos) == 2 and len(ones) == 2:
             return _simp("g2.10.link", [("link", ones[0], ones[1])])
-        if len(twos) == 3 and len(ones) == 1:
-            return _simp("g2.10.single0", [("false", ones[0])])
         return _branch_pair2("g2.10.branch", twos[0], twos[1])
 
     # rule 11: exactly-2 clause with one doubled literal
@@ -296,13 +298,20 @@ def _select_g2(f: Formula) -> Rule:
     return Rule("g2.18", "endgame", shared=shared)
 
 
-def _g2_rule9(i, ci, j, cj, shared) -> Rule:
+def _pair_view(ci, cj, shared):
+    """Each clause's literal by variable, and the shared variables (given in
+    ascending order) split into those of equal and of opposite sign."""
     li = {v: _lit_of(ci, v) for v in ci.variables()}
     lj = {v: _lit_of(cj, v) for v in cj.variables()}
+    sames = [v for v in shared if li[v] == lj[v]]
+    flips = [v for v in shared if li[v] == -lj[v]]
+    return li, lj, sames, flips
+
+
+def _g2_rule9(i, ci, j, cj, shared) -> Rule:
     if len(shared) == 1:
         return _branch_lit("g2.9.share1", shared[0])
-    flips = [v for v in shared if li[v] == -lj[v]]
-    sames = [v for v in shared if li[v] == lj[v]]
+    li, lj, sames, flips = _pair_view(ci, cj, shared)
     if len(shared) == 2:
         r = next(li[v] for v in sorted(ci.variables()) if v not in shared)
         s = next(lj[v] for v in sorted(cj.variables()) if v not in shared)
@@ -376,10 +385,7 @@ def _g2_rule11_len5(x2, singles, c1s) -> Rule:
 
 
 def _g2_rule12(i, ci, j, cj, shared) -> Rule:
-    li = {v: _lit_of(ci, v) for v in ci.variables()}
-    lj = {v: _lit_of(cj, v) for v in cj.variables()}
-    flips = [v for v in shared if li[v] == -lj[v]]
-    sames = [v for v in shared if li[v] == lj[v]]
+    li, lj, sames, flips = _pair_view(ci, cj, shared)
     rest = [lj[v] for v in sorted(cj.variables()) if v not in shared]
     if len(shared) == 3:
         k = len(flips)
@@ -406,10 +412,7 @@ def _g2_rule12(i, ci, j, cj, shared) -> Rule:
 
 
 def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
-    li = {v: _lit_of(ci, v) for v in ci.variables()}
-    lj = {v: _lit_of(cj, v) for v in cj.variables()}
-    sames = sorted(v for v in shared if li[v] == lj[v])
-    flips = sorted(v for v in shared if li[v] == -lj[v])
+    li, lj, sames, flips = _pair_view(ci, cj, shared)
     a_vars = sorted(ci.variables() - cj.variables())
     b_vars = sorted(cj.variables() - ci.variables())
     a_lits = [li[v] for v in a_vars]
@@ -540,16 +543,6 @@ def _g2_rule16(f, heavies, occurrences) -> Optional[Rule]:
 # g3 / g4 rule selection
 
 
-def _first_clause(f, want_target, multi):
-    for i, c in enumerate(f.clauses):
-        if c.target != want_target:
-            continue
-        has_multi = max(c.occ.values()) >= 2
-        if multi == has_multi:
-            return i, c
-    return None
-
-
 def _delta_of(c: Clause, lit: int, copies: int) -> dict:
     delta = dict(c.occ)
     delta[lit] -= copies
@@ -558,16 +551,30 @@ def _delta_of(c: Clause, lit: int, copies: int) -> dict:
     return delta
 
 
-# Rules 9 and 11 on a clause (x..x delta), x its first literal of the given
-# repeat count: each table maps the occurrence profile of delta to a tag
+# Rules 7, 9 and 11 on a clause (x..x delta), x its first literal of highest
+# multiplicity: each table maps the occurrence profile of delta to a tag
 # suffix and a rule. "unsat" rejects, "branch" branches x, and "pair3"
 # branches x against d0; otherwise the entry's actions are forced. Actions
 # name literals of delta by multiplicity and canonical order: singles s0,
 # s1, ..., doubles d0, ..., triples t0 ("-" negates). An unlisted profile
 # branches x when delta has at least the table's width distinct literals,
-# and falls back to that branch otherwise.
+# and falls back to that branch otherwise; rule 7 and the rule-9 "thrice"
+# case have width 0, so they always branch.
 
-_C3_TWICE_WIDTH = 5
+_G3_DOUBLED = {
+    (1,): ("len3", [("true", "x"), ("false", "s0")]),
+    (2, 1): ("odd0", [("false", "s0")]),
+}
+
+_G4_DOUBLED = {
+    (1,): ("len3", [("true", "x")]),
+    (1, 1): ("pair", [("link", "s0", "s1")]),
+    (2, 1): ("odd0", [("false", "s0")]),
+}
+
+# at most two literals besides the three copies of x force x true
+_C3_THRICE = {prof: ("force", [("true", "x")]) for prof in ((), (1,), (1, 1), (2,))}
+
 _C3_TWICE = {
     (1,): ("all1", [("true", "x"), ("true", "s0")]),
     (1, 1): ("pair", [("true", "x"), ("link", "s0", "-s1")]),
@@ -586,7 +593,6 @@ _C3_TWICE = {
     (1, 1, 1, 1, 1): "branch",
 }
 
-_C4_THRICE_WIDTH = 3
 _C4_THRICE = {
     (1,): ("all1", [("true", "x"), ("true", "s0")]),
     (1, 1): ("pair", [("true", "x"), ("link", "s0", "-s1")]),
@@ -599,7 +605,6 @@ _C4_THRICE = {
     (3, 3): "unsat",
 }
 
-_C4_TWICE_WIDTH = 6
 _C4_TWICE = {
     (1, 1): ("all1", [("true", "x"), ("true", "s0"), ("true", "s1")]),
     (2, 1): ("force", [("true", "x"), ("true", "d0"), ("false", "s0")]),
@@ -616,6 +621,21 @@ _C4_TWICE = {
     (2, 1, 1, 1): "branch",
     (1, 1, 1, 1, 1): "branch",
 }
+
+# (scheme, target, multiplicity of x) -> (tag, table, width)
+_REPEATED = {
+    ("g3", 2, 2): ("g3.7", _G3_DOUBLED, 0),
+    ("g4", 2, 2): ("g4.7", _G4_DOUBLED, 0),
+    **{(s, 3, 3): (f"{s}.9.thrice", _C3_THRICE, 0) for s in ("g3", "g4")},
+    **{(s, 3, 2): (f"{s}.9.twice", _C3_TWICE, 5) for s in ("g3", "g4")},
+    ("g4", 4, 3): ("g4.11.thrice", _C4_THRICE, 3),
+    ("g4", 4, 2): ("g4.11.twice", _C4_TWICE, 6),
+}
+
+# rules 8/10/12 on a single-occurrence exactly-t clause: the sizes below
+# the long pair branch; size 4 at target 2 splits into two linked pairs,
+# the others branch the first literal
+_SINGLE_SHORT = {2: (4, 5), 3: (6,), 4: (8,)}
 
 
 def _repeated_rule(tag, table, width, x, delta) -> Rule:
@@ -641,105 +661,42 @@ def _repeated_rule(tag, table, width, x, delta) -> Rule:
 
 
 def _select_g34(f: Formula, scheme: str) -> Rule:
-    # rule 6: any exactly-1 clause
-    hit = None
-    for i, c in enumerate(f.clauses):
+    # one pass: rule 6 takes the first exactly-1 clause; every other class
+    # (target, has a repeated literal) keeps its lowest-index clause
+    first = {}
+    for c in f.clauses:
         if c.target == 1:
-            hit = (i, c)
-            break
-    if hit is not None:
-        i, c = hit
-        x, y = c.sorted_literals()[:2]
-        return _branch_pair2(f"{scheme}.6", x, y)
+            x, y = c.sorted_literals()[:2]
+            return _branch_pair2(f"{scheme}.6", x, y)
+        first.setdefault((c.target, max(c.occ.values()) > 1), c)
 
-    # rule 7: exactly-2 clause with a doubled literal
-    hit = _first_clause(f, 2, multi=True)
-    if hit is not None:
-        i, c = hit
-        x2 = next(l for l in c.sorted_literals() if c.occ[l] == 2)
-        delta = _delta_of(c, x2, 2)
-        singles = [l for l in sorted(delta, key=lit_key) if delta[l] == 1]
-        prof = _mult_profile(delta)
-        if scheme == "g3":
-            if c.size() == 3:
-                return _simp("g3.7.len3", [("true", x2), ("false", singles[0])])
-            if prof == (2, 1):
-                return _simp("g3.7.odd0", [("false", singles[0])])
-            return _branch_lit("g3.7.branch", abs(x2))
-        if c.size() == 3:
-            return _simp("g4.7.len3", [("true", x2)])
-        if prof == (1, 1):
-            return _simp("g4.7.pair", [("link", singles[0], singles[1])])
-        if prof == (2, 1):
-            return _simp("g4.7.odd0", [("false", singles[0])])
-        return _branch_lit("g4.7.branch", abs(x2))
+    for t in range(2, 5 if scheme == "g4" else 4):
+        # rules 7/9/11: exactly-t clause with a repeated literal
+        c = first.get((t, True))
+        if c is not None:
+            m = max(c.occ.values())
+            x = next(l for l in c.sorted_literals() if c.occ[l] == m)
+            if m == 4:
+                return _branch_lit("g4.11.quad", abs(x))
+            tag, table, width = _REPEATED[scheme, t, m]
+            return _repeated_rule(tag, table, width, x, _delta_of(c, x, m))
 
-    # rule 8: single-occurrence exactly-2 clause
-    hit = _first_clause(f, 2, multi=False)
-    if hit is not None:
-        i, c = hit
-        lits = c.sorted_literals()
-        if c.size() == 4:
-            return _branch_4lit(f"{scheme}.8.len4", lits)
-        if c.size() == 5:
-            return _branch_lit(f"{scheme}.8.len5", lits[0])
-        return _branch_pair3(f"{scheme}.8.long", lits[0], lits[1])
+        # rules 8/10/12: single-occurrence exactly-t clause
+        c = first.get((t, False))
+        if c is not None:
+            short = _SINGLE_SHORT[t]
+            size = c.size()
+            assert t == 2 or size >= short[0], \
+                f"short exactly-{t} clauses are removed by simplification"
+            lits = c.sorted_literals()
+            tag = f"{scheme}.{2 * t + 4}"
+            if t == 2 and size == 4:
+                return _branch_4lit(f"{tag}.len4", lits)
+            if size in short:
+                return _branch_lit(f"{tag}.len{size}", lits[0])
+            return _branch_pair3(f"{tag}.long", lits[0], lits[1])
 
-    # rule 9: exactly-3 clause with repeated literal
-    hit = _first_clause(f, 3, multi=True)
-    if hit is not None:
-        i, c = hit
-        triples = [l for l in c.sorted_literals() if c.occ[l] == 3]
-        if triples:
-            x3 = triples[0]
-            if c.size() - 3 <= 2:
-                return _simp(f"{scheme}.9.thrice.force", [("true", x3)])
-            return _branch_lit(f"{scheme}.9.thrice.branch", abs(x3))
-        x2 = next(l for l in c.sorted_literals() if c.occ[l] == 2)
-        return _repeated_rule(f"{scheme}.9.twice", _C3_TWICE, _C3_TWICE_WIDTH,
-                              x2, _delta_of(c, x2, 2))
-
-    # rule 10: single-occurrence exactly-3 clause
-    hit = _first_clause(f, 3, multi=False)
-    if hit is not None:
-        i, c = hit
-        lits = c.sorted_literals()
-        assert c.size() >= 6, "short exactly-3 clauses are removed by simplification"
-        if c.size() == 6:
-            return _branch_lit(f"{scheme}.10.len6", lits[0])
-        return _branch_pair3(f"{scheme}.10.long", lits[0], lits[1])
-
-    assert scheme == "g4", "g3 selection exhausted with clauses remaining"
-
-    # rule 11: exactly-4 clause with repeated literal
-    hit = _first_clause(f, 4, multi=True)
-    if hit is not None:
-        i, c = hit
-        return _g4_rule11(c)
-
-    # rule 12: single-occurrence exactly-4 clause
-    hit = _first_clause(f, 4, multi=False)
-    assert hit is not None, "g4 selection exhausted with clauses remaining"
-    i, c = hit
-    lits = c.sorted_literals()
-    assert c.size() >= 8, "short exactly-4 clauses are removed by simplification"
-    if c.size() == 8:
-        return _branch_lit("g4.12.len8", lits[0])
-    return _branch_pair3("g4.12.long", lits[0], lits[1])
-
-
-def _g4_rule11(c: Clause) -> Rule:
-    quads = [l for l in c.sorted_literals() if c.occ[l] == 4]
-    if quads:
-        return _branch_lit("g4.11.quad", abs(quads[0]))
-    triples = [l for l in c.sorted_literals() if c.occ[l] == 3]
-    if triples:
-        x3 = triples[0]
-        return _repeated_rule("g4.11.thrice", _C4_THRICE, _C4_THRICE_WIDTH,
-                              x3, _delta_of(c, x3, 3))
-    x2 = next(l for l in c.sorted_literals() if c.occ[l] == 2)
-    return _repeated_rule("g4.11.twice", _C4_TWICE, _C4_TWICE_WIDTH,
-                          x2, _delta_of(c, x2, 2))
+    raise AssertionError(f"{scheme} selection exhausted with clauses remaining")
 
 
 # ---------------------------------------------------------------------------

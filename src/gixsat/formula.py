@@ -128,9 +128,6 @@ class Formula:
         f.clauses = [c.copy() for c in self.clauses]
         return f
 
-    def total_occurrences(self) -> int:
-        return sum(c.size() for c in self.clauses)
-
     def __eq__(self, other):
         return (
             isinstance(other, Formula)

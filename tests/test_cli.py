@@ -87,7 +87,7 @@ def test_solve_input_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.gxsat")]) == 1
 
 
-@pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError, KeyError, IndexError])
 def test_solve_internal_error_exit_code(error, sat_path, monkeypatch, capsys):
     def broken(formula, instrument=False):
         raise error("solver broke")
@@ -95,7 +95,8 @@ def test_solve_internal_error_exit_code(error, sat_path, monkeypatch, capsys):
     monkeypatch.setattr(dpll, "solve_auto", broken)
     assert main(["solve", sat_path]) == 3
     err = capsys.readouterr().err
-    assert f"c internal {error.__name__}: solver broke" in err
+    # str(KeyError("m")) quotes its message
+    assert f"c internal {error.__name__}: {error('solver broke')}" in err
 
 
 def test_solve_mitm_alpha_flag(sat_path):
@@ -164,6 +165,17 @@ def test_verify_mismatch_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(dpll, "solve_auto", wrong)
     assert main(["verify", "--count", "3", "--n", "6", "--seed", "1"]) == 3
     assert "3 mismatches" in capsys.readouterr().out
+
+
+def test_verify_solver_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(formula, instrument=False):
+        raise RuntimeError("solver broke")
+
+    monkeypatch.setattr(dpll, "solve_auto", broken)
+    assert main(["verify", "--count", "2", "--n", "6", "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert "2 mismatches" in out
+    assert err.count("c internal RuntimeError: solver broke") == 2
 
 
 def test_verify_zero_instances(capsys):

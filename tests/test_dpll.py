@@ -396,10 +396,10 @@ def check_g2_selection(f):
     return got.tag
 
 
-@given(st.randoms(use_true_random=False))
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_g2_selection_matches_pairwise_reference(rng):
-    f = g2_fixpoint(rng)
+def test_g2_selection_matches_pairwise_reference(seed):
+    f = g2_fixpoint(random.Random(seed))
     if f is not None:
         check_g2_selection(f)
 
