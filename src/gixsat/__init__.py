@@ -6,11 +6,8 @@ from .formula import (
     SolveResult,
     Trail,
     assign,
-    degree,
     evaluate,
-    is_heavy,
     link,
-    negate,
     reconstruct_model,
 )
 from .oracle import OracleReport, brute_solve, count_clause_solutions
@@ -22,11 +19,8 @@ __all__ = [
     "SolveResult",
     "Trail",
     "assign",
-    "degree",
     "evaluate",
-    "is_heavy",
     "link",
-    "negate",
     "reconstruct_model",
     "OracleReport",
     "brute_solve",

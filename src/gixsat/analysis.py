@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -169,70 +168,23 @@ class OccurrenceProfile:
         return Clause(target, lits)
 
 
-@lru_cache(maxsize=None)
-def f1(ell: int) -> int:
-    return ell
-
-
-@lru_cache(maxsize=None)
-def f2(ell: int, a: int, b: int) -> int:
-    assert a + b == ell and a >= 0 and b >= 0
-    if ell == 0:
-        return 0
-    if ell == 1:
-        return 1 if b == 1 else 0
-    if b > 0:
-        return f2(ell - 1, a, b - 1) + 1
-    return math.comb(a, 2)
-
-
-@lru_cache(maxsize=None)
-def f3(ell: int, a: int, b: int, c: int) -> int:
-    assert a + b + c == ell and min(a, b, c) >= 0
-    if ell == 0:
-        return 0
-    if ell == 1:
-        return 1 if c == 1 else 0
-    if c > 0:
-        return f3(ell - 1, a, b, c - 1) + 1
-    if b > 0:
-        return f3(ell - 1, a, b - 1, c) + a
-    return math.comb(a, 3)
-
-
-@lru_cache(maxsize=None)
-def f4(ell: int, a: int, b: int, c: int, d: int) -> int:
-    assert a + b + c + d == ell and min(a, b, c, d) >= 0
-    if ell == 0:
-        return 0
-    if ell == 1:
-        return 1 if d == 1 else 0
-    if d > 0:
-        return f4(ell - 1, a, b, c, d - 1) + 1
-    if c > 0:
-        return f4(ell - 1, a, b, c - 1, d) + a
-    if b > 0:
-        return f4(ell - 1, a, b - 1, c, d) + (b - 1) + math.comb(a, 2)
-    return math.comb(a, 4)
-
-
 def profile_count(profile: OccurrenceProfile, target: int) -> int:
-    """Exact satisfying-assignment count for the canonical profile clause."""
-    if target == 1:
-        if profile.twice or profile.thrice or profile.quad:
-            raise ValueError("multiplicities above 1 need a matching target")
-        return f1(profile.ell)
-    if target == 2:
-        if profile.thrice or profile.quad:
-            raise ValueError("multiplicity exceeds target")
-        return f2(profile.ell, profile.once, profile.twice)
-    if target == 3:
-        if profile.quad:
-            raise ValueError("multiplicity exceeds target")
-        return f3(profile.ell, profile.once, profile.twice, profile.thrice)
-    if target == 4:
-        return f4(profile.ell, profile.once, profile.twice, profile.thrice, profile.quad)
-    raise ValueError("target must be 1..4")
+    """Exact satisfying-assignment count for the canonical profile clause.
+
+    A variable of multiplicity m makes m literals true or none, so the count
+    is the coefficient of z^target in
+    (1+z)^once (1+z^2)^twice (1+z^3)^thrice (1+z^4)^quad.
+    """
+    if not 1 <= target <= 4:
+        raise ValueError("target must be 1..4")
+    counts = (profile.once, profile.twice, profile.thrice, profile.quad)
+    if any(counts[target:]):
+        raise ValueError("multiplicity exceeds target")
+    poly = [1] + [0] * target  # coefficients of z^0 .. z^target
+    for m, count in enumerate(counts[:target], start=1):
+        poly = [sum(math.comb(count, r) * poly[k - m * r] for r in range(k // m + 1))
+                for k in range(target + 1)]
+    return poly[target]
 
 
 def _profiles(ell: int, max_mult: int) -> Iterable[tuple[int, ...]]:
@@ -250,12 +202,11 @@ def big_f(ell: int, h: int) -> int:
         raise ValueError("h must be 1..4")
     if ell == 0:
         return 1
-    best = f1(ell)
-    for j in range(2, h + 1):
-        fj = {2: f2, 3: f3, 4: f4}[j]
-        for parts in _profiles(ell, j):
-            best = max(best, fj(ell, *parts))
-    return best
+    return max(
+        profile_count(OccurrenceProfile(ell, *parts, *(0,) * (4 - j)), j)
+        for j in range(1, h + 1)
+        for parts in _profiles(ell, j)
+    )
 
 
 def big_g(ell: int, h: int) -> int:
@@ -281,7 +232,7 @@ def verify_f_le_g(ell_max: int, oracle_ell_max: int = 8) -> CountingReport:
     """Check F(ell,h) <= G(ell,h) everywhere, and F against brute counts.
 
     The brute cross-check enumerates every occurrence profile up to
-    oracle_ell_max and compares the recursion with exhaustive counting of the
+    oracle_ell_max and compares profile_count with exhaustive counting of the
     canonical clause.
     """
     from .oracle import count_clause_solutions

@@ -12,11 +12,11 @@ Three rule sets share the engine:
 
   g2 (targets <= 2): rules 8..18; rules 16/17 isolate and brute-force heavy
       variables (degree >= 3), rule 18 finishes the degree <= 2 remainder by
-      component decomposition. Selection builds one occurrence map per
-      call (_overlaps): each variable's clauses, and for each clause the
-      clauses it shares variables with; the rule-18 endgame reuses it. The
-      pair rules 9, 12, 14 and 15 scan it by (i, j) in ascending order, so
-      the lowest-index pair still wins, as in a pairwise scan.
+      component decomposition. Selection makes one clause pass (a long
+      exactly-1 clause takes rule 8 at once; rules 10, 11 and 13 keep their
+      first clause) and one pair pass over the occurrence map (_overlaps) in
+      ascending (i, j) (rules 9, 12, 14 and 15 keep their first pair), then
+      walks the priority list. The rule-18 endgame reuses the map.
   g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
       Selection passes over the clauses once. The first exactly-1 clause
       takes rule 6; every other clause class (target t, has a repeated
@@ -205,87 +205,72 @@ def _overlaps(f: Formula) -> tuple[dict, list]:
 def _select_g2(f: Formula) -> Rule:
     cls = f.clauses
 
-    # rule 8: long exactly-1 clauses
+    # clause pass: rule 8 at once; rules 10, 11 and 13 keep their first clause
+    c1s = {}  # the 3-literal exactly-1 clauses by index
+    first: dict = {}  # rule -> its first clause, or first pair (i, ci, j, cj, common)
     for i, c in enumerate(cls):
-        if c.target == 1 and c.size() >= 4:
-            x, y = c.sorted_literals()[:2]
-            return _branch_pair2("g2.8", x, y)
+        if c.target == 1:
+            if c.size() >= 4:
+                x, y = c.sorted_literals()[:2]
+                return _branch_pair2("g2.8", x, y)
+            if c.size() == 3:
+                c1s[i] = c
+        elif c.target == 2:
+            doubled = sum(1 for m in c.occ.values() if m == 2)
+            if doubled >= 2:
+                first.setdefault(10, c)
+            elif doubled == 1:
+                first.setdefault(11, c)
+            elif c.size() == 4 and len(c.occ) == 4:
+                first.setdefault(13, c)
 
-    c1s = [(i, c) for i, c in enumerate(cls) if c.target == 1 and c.size() == 3]
+    # pair pass in ascending (i, j): rules 9, 12, 14 and 15 keep their first pair
     occurrences, shared = _overlaps(f)
+    for i, row in enumerate(shared):
+        for j, common in row.items():
+            if i in c1s and cls[j].target == 2:
+                first.setdefault(12 if len(common) >= 2 else 14, (i, cls[i], j, cls[j], common))
+            elif j > i and i in c1s and j in c1s:
+                first.setdefault(9, (i, cls[i], j, cls[j], common))
+            elif j > i and cls[i].target == cls[j].target == 2 and len(common) >= 2:
+                first.setdefault(15, (i, cls[i], j, cls[j], common))
 
-    # rule 9: overlapping 3-literal exactly-1 clauses
-    for i, ci in c1s:
-        for j, common in shared[i].items():
-            cj = cls[j]
-            if j > i and cj.target == 1 and cj.size() == 3:
-                return _g2_rule9(i, ci, j, cj, common)
-
-    # rule 10: exactly-2 clause with two doubled literals
-    for i, c in enumerate(cls):
-        if c.target != 2:
-            continue
+    # the priority walk
+    if 9 in first:
+        return _g2_rule9(*first[9])
+    if 10 in first:
+        c = first[10]
         twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
-        if len(twos) < 2:
-            continue
         ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
         if len(twos) in (2, 3) and len(ones) == 1:
             return _simp("g2.10.single0", [("false", ones[0])])
         if len(twos) == 2 and len(ones) == 2:
             return _simp("g2.10.link", [("link", ones[0], ones[1])])
         return _branch_pair2("g2.10.branch", twos[0], twos[1])
-
-    # rule 11: exactly-2 clause with one doubled literal
-    for i, c in enumerate(cls):
-        if c.target != 2:
-            continue
-        twos = [l for l, m in c.occ.items() if m == 2]
-        if len(twos) != 1:
-            continue
-        x2 = twos[0]
+    if 11 in first:
+        c = first[11]
+        x2 = next(l for l, m in c.occ.items() if m == 2)
         singles = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
-        sz = c.size()
-        if sz == 3:
+        if c.size() == 3:
             return _simp("g2.11.len3", [("true", x2), ("false", singles[0])])
-        if sz == 4:
+        if c.size() == 4:
             return _simp("g2.11.len4", [("link", singles[0], singles[1])])
-        if sz == 5:
-            return _g2_rule11_len5(x2, singles, c1s)
+        if c.size() == 5:
+            return _g2_rule11_len5(x2, singles, c1s.items())
         return _branch_lit("g2.11.long", x2)
-
-    # rule 12: exactly-1 clause sharing >= 2 variables with an exactly-2 clause
-    for i, ci in c1s:
-        for j, common in shared[i].items():
-            if cls[j].target == 2 and len(common) >= 2:
-                return _g2_rule12(i, ci, j, cls[j], common)
-
-    # rule 13: 4-literal exactly-2 clause
-    for i, c in enumerate(cls):
-        if c.target == 2 and c.size() == 4 and len(c.occ) == 4:
-            lits = c.sorted_literals()
-            c1_vars = set()
-            for _, c1 in c1s:
-                c1_vars |= c1.variables()
-            weighted = [l for l in lits if abs(l) in c1_vars]
-            if len(weighted) >= 2:
-                x, y = weighted[:2]
-                return _branch_pair3("g2.13.two_weighted", x, y)
-            order = [l for l in lits if l not in weighted] + weighted
-            return _branch_4lit("g2.13.pairs", order)
-
-    # rule 14: exactly-1 clause sharing one variable with an exactly-2 clause
-    for i, ci in c1s:
-        for j, common in shared[i].items():
-            if cls[j].target == 2 and len(common) == 1:
-                return _branch_lit("g2.14", common[0])
-
-    # rule 15: overlapping exactly-2 clauses
-    for i, ci in enumerate(cls):
-        if ci.target != 2:
-            continue
-        for j, common in shared[i].items():
-            if j > i and cls[j].target == 2 and len(common) >= 2:
-                return _g2_rule15(f, i, ci, j, cls[j], common)
+    if 12 in first:
+        return _g2_rule12(*first[12])
+    if 13 in first:
+        lits = first[13].sorted_literals()
+        c1_vars = set().union(*(c1.variables() for c1 in c1s.values()))
+        weighted = [l for l in lits if abs(l) in c1_vars]
+        if len(weighted) >= 2:
+            return _branch_pair3("g2.13.two_weighted", *weighted[:2])
+        return _branch_4lit("g2.13.pairs", [l for l in lits if l not in weighted] + weighted)
+    if 14 in first:
+        return _branch_lit("g2.14", first[14][4][0])
+    if 15 in first:
+        return _g2_rule15(f, *first[15])
 
     # rules 16/17: heavy variables
     heavies = sorted(v for v, d in degrees(f).items() if d >= 3)

@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 
-def negate(lit: int) -> int:
-    return -lit
-
-
 def lit_key(lit: int):
     """Sort key: by variable, positive polarity first."""
     return (abs(lit), lit < 0)
@@ -322,21 +318,12 @@ def reconstruct_model(trail: Trail, root_values: Mapping[int, int]) -> dict[int,
     return trail.reconstruct(root_values)
 
 
-def degree(formula: Formula, var: int) -> int:
-    """Total occurrences of var and -var across all clauses, with multiplicity."""
-    return sum(c.occ.get(var, 0) + c.occ.get(-var, 0) for c in formula.clauses)
-
-
 def degrees(formula: Formula) -> dict[int, int]:
-    """degree() of every variable that occurs in formula, in one pass."""
+    """Each occurring variable's total occurrences across all clauses, counting
+    both polarities with multiplicity."""
     table: dict[int, int] = {}
     for c in formula.clauses:
         for lit, m in c.occ.items():
             v = abs(lit)
             table[v] = table.get(v, 0) + m
     return table
-
-
-def is_heavy(formula: Formula, var: int) -> bool:
-    return degree(formula, var) >= 3
-

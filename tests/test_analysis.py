@@ -1,4 +1,4 @@
-"""Branching-factor roots, measures, counting recursions, split fractions."""
+"""Branching-factor roots, measures, clause counts, split fractions."""
 
 import math
 
@@ -197,7 +197,7 @@ def test_big_g_values():
 
 
 def test_f_equals_brute_force_counts():
-    # the recursions are exact, not just bounds
+    # the counts are exact, not just bounds
     for ell in range(1, 7):
         for j in (2, 3, 4):
             for parts in analysis._profiles(ell, j):

@@ -111,13 +111,15 @@ def test_gen_round_trip(tmp_path, capsys):
     assert f.num_vars == 8 and len(f.clauses) == 5
 
 
-def test_gen_planted_comment(capsys):
+def test_gen_planted_comment(tmp_path, capsys):
     assert main(["gen", "--n", "6", "--m", "4", "--planted", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("c planted ")
     f = parse(out)
-    assert main(["solve", "-"]) in (10, 20) or True  # parse suffices; solver covered elsewhere
     assert f.num_vars == 6
+    path = tmp_path / "planted.gxsat"
+    path.write_text(out)
+    assert main(["solve", str(path)]) == 10  # planted, so SAT
 
 
 def test_analyze_tau(capsys):

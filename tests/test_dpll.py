@@ -410,7 +410,23 @@ def test_g2_selection_corpus_reaches_the_pair_rules():
         f = g2_fixpoint(random.Random(seed))
         if f is not None:
             rules.add(check_g2_selection(f).split(".")[1])
-    assert {"9", "12", "14", "15", "16"} <= rules
+    assert {"8", "9", "11", "12", "13", "14", "15", "16", "18"} <= rules
+
+
+# The corpus above never reaches rules 10 and 17; these fixpoints do.
+@pytest.mark.parametrize("f, tag", [
+    (F(5, C(2, 1, 1, 2, 2, 3)), "g2.10.single0"),
+    (F(6, C(2, 1, 1, 2, 2, 3, 3, 4)), "g2.10.single0"),
+    (F(6, C(2, -1, -1, 2, 2, 3), C(1, 4, 5, 6)), "g2.10.single0"),
+    (F(6, C(2, 1, 1, 2, 2, 3, 4)), "g2.10.link"),
+    (F(7, C(2, 1, 1, 2, 2, 3, 4, 5)), "g2.10.branch"),
+    # four 5-literal exactly-2 clauses sharing only variable 1
+    (F(17, C(2, 1, 2, 3, 4, 5), C(2, 1, 6, 7, 8, 9), C(2, 1, 10, 11, 12, 13),
+       C(2, 1, 14, 15, 16, 17)), "g2.17"),
+])
+def test_g2_selection_reaches_rules_10_and_17(f, tag):
+    assert simplify_to_fixpoint(f, Trail(f.num_vars))[0] == f
+    assert check_g2_selection(f) == tag
 
 
 # Reference: the rule-18 endgame with its own occurrence lists and a

@@ -10,19 +10,12 @@ from gixsat.formula import (
     Formula,
     Trail,
     assign,
-    degree,
+    degrees,
     evaluate,
-    is_heavy,
     link,
-    negate,
     reconstruct_model,
 )
 from gixsat.oracle import brute_solve
-
-
-def test_negate_involution():
-    for lit in (1, -1, 7, -42):
-        assert negate(negate(lit)) == lit
 
 
 def test_assign_decrements_target_exactly_once():
@@ -124,23 +117,24 @@ def test_reconstruct_requires_root_values():
         reconstruct_model(t, {})
 
 
+# a variable is heavy when its degree is at least 3
+
+
 def test_degree_counts_multiplicity():
-    f = F(3, C(2, 1, 1, 2), C(1, -1, 3))
-    assert degree(f, 1) == 3
-    assert is_heavy(f, 1)
-    assert degree(f, 2) == 1
-    assert degree(f, 3) == 1
-    assert not is_heavy(f, 3)
+    d = degrees(F(3, C(2, 1, 1, 2), C(1, -1, 3)))
+    assert d[1] == 3  # heavy
+    assert d[2] == 1
+    assert d[3] == 1  # light
 
 
 def test_degree_absent_variable():
     f = F(3, C(1, 1, 2))
-    assert degree(f, 3) == 0
+    assert degrees(f).get(3, 0) == 0
 
 
 def test_heavy_three_single_occurrences():
-    f = F(5, C(1, 1, 2), C(1, 1, 3), C(2, 1, 4, 5))
-    assert degree(f, 1) == 3 and is_heavy(f, 1)
+    d = degrees(F(5, C(1, 1, 2), C(1, 1, 3), C(2, 1, 4, 5)))
+    assert d[1] == 3  # heavy
 
 
 @given(formulas(n_max=5, m_max=3, k_max=4))
