@@ -102,6 +102,8 @@ def _cmd_solve(args) -> int:
                 print(f"c rule {tag} {st.rule_fires[tag]}")
             for tag in sorted(st.fallback_fires):
                 print(f"c fallback {tag} {st.fallback_fires[tag]}")
+            for letter, count in st.simplify_fires.items():
+                print(f"c simplify {letter} {count}")
         elif isinstance(st, mitm.MitmStats):
             print(f"c alpha {st.alpha:.6f}")
             print(f"c cover_size {st.cover_size}")

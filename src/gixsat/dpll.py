@@ -32,8 +32,11 @@ SearchStats.fallback_fires for audit.
 A solve keeps one simplification worklist (simplify._Worklist) as its
 search state, built once from the input formula. Rule actions edit it in
 place and it is settled to a fixpoint after each one; at a branching rule
-each branch gets a fork of it (its own copies of the flat clause lists and
-trail, sharing the occurrence map), so backtracking just drops the fork.
+each branch but the last gets a fork of it (its own copies of the flat
+clause lists and trail, sharing the occurrence map), so backtracking just
+drops the fork; the last branch takes the worklist itself, which nothing
+reads afterwards. The worklist counts the simplification steps of each rule
+(a)-(h) across the whole search, reported as SearchStats.simplify_fires.
 Selection reads the compact formula the worklist lists, whose clause j is
 the worklist's j-th live slot.
 """
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import neg
 from typing import Optional
 
 from .analysis import measure
@@ -56,7 +60,7 @@ from .formula import (
     reconstruct_model,
     true_count,
 )
-from .simplify import _Worklist
+from .simplify import RULE_LETTERS, _Worklist
 
 
 @dataclass
@@ -70,6 +74,8 @@ class SearchStats:
     measure_violations: list = field(default_factory=list)
     fixpoint_calls: int = 0
     fixpoint_unsat: int = 0
+    # steps of each simplification rule, by letter (a)-(h)
+    simplify_fires: dict = field(default_factory=dict)
 
     def fire(self, tag: str) -> None:
         self.rule_fires[tag] = self.rule_fires.get(tag, 0) + 1
@@ -210,10 +216,14 @@ def _select_g2(f: Formula) -> Rule:
     first: dict = {}  # rule -> its first clause, or first pair (i, ci, j, cj, common)
     for i, c in enumerate(cls):
         if c.target == 1:
-            if c.size() >= 4:
+            size = c.size()
+            assert size == len(c.occ) and c.occ.keys().isdisjoint(map(neg, c.occ)), \
+                "g2 selection needs a simplification fixpoint: an exactly-1 clause " \
+                "must hold distinct, unpaired literals"
+            if size >= 4:
                 x, y = c.sorted_literals()[:2]
                 return _branch_pair2("g2.8", x, y)
-            if c.size() == 3:
+            if size == 3:
                 c1s[i] = c
         elif c.target == 2:
             doubled = sum(1 for m in c.occ.values() if m == 2)
@@ -833,8 +843,10 @@ def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
             continue
         # branching rule
         mu_here = measure(f, scheme) if instrument else None
-        for branch in rule.branches:
-            child = w.fork()
+        last = len(rule.branches) - 1
+        for b, branch in enumerate(rule.branches):
+            # the last branch takes w itself: nothing reads w after it
+            child = w if b == last else w.fork()
             if not _apply_actions(child, branch):
                 continue
             res = _search(child, stats, scheme, depth + 1, instrument, mu_here, rule.tag)
@@ -847,6 +859,7 @@ def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
     stats = SearchStats(measure_at_root=measure(formula, scheme))
     w = _Worklist(formula, Trail(formula.num_vars))
     t_end = _search(w, stats, scheme, 0, instrument, None, None)
+    stats.simplify_fires = dict(zip(RULE_LETTERS, w.fires))
     if t_end is None:
         return SolveResult(False, None, stats)
     roots = {v: 0 for v in t_end.unassigned_vars()}

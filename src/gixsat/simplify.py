@@ -23,6 +23,19 @@ clauses that held the variable an assignment or link eliminated. Those are
 found through a variable -> clause-index occurrence map. A deleted clause
 leaves an empty slot, so indices and clause order stay fixed.
 
+Two shortcuts make a step cheaper without changing which steps run or in
+what order. Most clauses a constant reaches are plain: k distinct literals,
+each once, no variable in both signs. A plain clause's mask depends only on
+its target t and size k, so eliminating a constant from one drops the
+literal, lowers the target, checks for a conflict and takes the new mask
+from _plain_mask(t, k), a memo of _classify on a canonical plain clause;
+links and clauses that are not plain go through substitute and _classify.
+And rule (c) on a target-0 clause zeroes its literals in canonical order
+within one step, stopping as soon as an (a) or (b) step is pending or the
+clause is no longer the lowest-index one carrying (c). Each literal is
+exactly the step a rescan would take next, so the trail, the literal order
+of every clause and the point of any conflict stay the same.
+
 The worklist (_Worklist) also serves as the search state of a whole
 branch-and-bound solve: the solver applies rule actions to it, settles it
 to a fixpoint, and forks it at each branch. A fork copies the flat slot and
@@ -44,12 +57,14 @@ formula and its clauses are never mutated: every edit builds a new Clause.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import neg
 from typing import Optional
 
-from .formula import Clause, Formula, Trail, substitute
+from .formula import Clause, Formula, Trail, lit_key, substitute
 
 _A, _B, _C, _D, _E, _F, _G, _H = (1 << r for r in range(8))
+RULE_LETTERS = "abcdefgh"
 
 
 def _classify(c: Clause) -> tuple[int, int]:
@@ -86,16 +101,27 @@ def _classify(c: Clause) -> tuple[int, int]:
     return mask, k
 
 
+@cache
+def _plain_mask(t: int, k: int) -> int:
+    """The rule mask of every plain clause of target t and size k.
+
+    A plain clause holds k distinct literals, each once, and no variable in
+    both signs, so _classify reads nothing of it but t and k.
+    """
+    return _classify(Clause(t, range(1, k + 1)))[0]
+
+
 class _Worklist:
     """Clause slots, per-rule index sets, occurrence map and bound counters.
 
     A worklist can be the search state of a whole solve: callers edit it
     through add, replace, delete and eliminate, run settle to reach a
-    fixpoint, and fork it at a branch point.
+    fixpoint, and fork it at a branch point. fires counts the steps of each
+    rule (a)-(h); forks share it, so it counts the steps of a whole search.
     """
 
     __slots__ = ("trail", "num_vars", "slots", "masks", "sizes", "pending",
-                 "occ", "occurrences", "targets", "count")
+                 "occ", "occurrences", "targets", "count", "fires")
 
     def __init__(self, formula: Formula, trail: Trail):
         self.trail = trail
@@ -108,6 +134,7 @@ class _Worklist:
         self.occurrences = 0
         self.targets = 0
         self.count = 0
+        self.fires = [0] * 8
         for c in formula.clauses:
             self.add(c)
 
@@ -147,17 +174,19 @@ class _Worklist:
         self._register(i, c)
         self._remask(i, mask)
 
-    def put(self, i: int, c: Clause) -> None:
-        """Replace clause i by c and classify it again.
+    def put(self, i: int, c: Clause, classified: Optional[tuple] = None) -> None:
+        """Replace clause i by c and classify it again, unless the caller
+        passes the (mask, size) that _classify(c) returns.
 
         Every variable of c must already be registered under i.
         """
-        mask, size = _classify(c)
+        mask, size = classified or _classify(c)
         self.occurrences += size - self.sizes[i]
         self.targets += c.target - self.slots[i].target
         self.sizes[i] = size
         self.slots[i] = c
-        self._remask(i, mask)
+        if mask != self.masks[i]:
+            self._remask(i, mask)
 
     def replace(self, i: int, c: Clause) -> None:
         """Replace clause i by c, which may hold variables clause i lacks."""
@@ -178,26 +207,49 @@ class _Worklist:
         conflict (nothing recorded).
         """
         slots = self.slots
+        sizes = self.sizes
+        masks = self.masks
         n = len(slots)
+        kind, arg = state
+        const = kind == "const"
         changed = []
         # the map never shrinks and forks share it, so it may name slots this
         # worklist lacks and clauses that no longer hold var
         for i in self.occ.get(var, ()):
             c = slots[i] if i < n else None
-            if c is not None and (var in c.occ or -var in c.occ):
+            if c is None:
+                continue
+            occ = c.occ
+            if var in occ:
+                lit = var
+            elif -var in occ:
+                lit = -var
+            else:
+                continue
+            k = sizes[i] - 1
+            if const and k + 1 == len(occ) and not masks[i] & (_A | _B):
+                # plain: lit occurs once and var in one sign only
+                t = c.target - (arg if lit > 0 else 1 - arg)
+                if t < 0 or t > k:
+                    return False
+                nc = Clause.__new__(Clause)
+                nc.target = t
+                nc.occ = occ.copy()
+                del nc.occ[lit]
+                changed.append((i, nc, (_plain_mask(t, k), k)))
+            else:
                 nc = substitute(c, var, state)
                 if nc is None:
                     return False
-                changed.append((i, nc))
-        kind, arg = state
-        if kind == "const":
+                changed.append((i, nc, None))
+        if const:
             self.trail.record_const(var, arg)
         else:
             self.trail.record_link(var, arg)
             held = self.occ.setdefault(abs(arg), set())
-            held.update(i for i, _ in changed)
-        for i, nc in changed:
-            self.put(i, nc)
+            held.update(i for i, _, _ in changed)
+        for i, nc, classified in changed:
+            self.put(i, nc, classified)
         return True
 
     def assign_literal(self, lit: int, value: int) -> bool:
@@ -213,11 +265,15 @@ class _Worklist:
         After False the worklist is not a fixpoint and must be discarded.
         """
         pending = self.pending
+        fires = self.fires
         prev = self.bound()
         while True:
-            rule = next((r for r, held in enumerate(pending) if held), None)
-            if rule is None:
+            for rule, held in enumerate(pending):
+                if held:
+                    break
+            else:
                 return True
+            fires[rule] += 1
             if rule == 0:
                 return False
             i = min(pending[rule])
@@ -245,6 +301,7 @@ class _Worklist:
         w.occurrences = self.occurrences
         w.targets = self.targets
         w.count = self.count
+        w.fires = self.fires
         return w
 
     def slot(self, j: int) -> int:
@@ -278,8 +335,20 @@ def _step_b(w: _Worklist, i: int, c: Clause) -> bool:
 
 
 def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
-    lit = next(lit for lit in c.sorted_literals() if c.occ[lit] > c.target)
-    return w.assign_literal(lit, 0)
+    if c.target:
+        lit = next(lit for lit in c.sorted_literals() if c.occ[lit] > c.target)
+        return w.assign_literal(lit, 0)
+    # Target 0: every literal exceeds the target, so a rescan would step here
+    # again, zeroing the next literal in canonical order, for as long as no
+    # (a) or (b) step is pending and clause i stays the lowest-index clause
+    # carrying (c).
+    pending = w.pending
+    while w.assign_literal(min(c.occ, key=lit_key), 0):
+        if pending[0] or pending[1] or min(pending[2], default=-1) != i:
+            return True
+        w.fires[2] += 1
+        c = w.slots[i]
+    return False
 
 
 def _step_d(w: _Worklist, i: int, c: Clause) -> bool:

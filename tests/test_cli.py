@@ -70,14 +70,19 @@ def test_solve_mitm_stats_keys(sat_path, capsys):
 def test_solve_dpll_stats_keys(sat_path, capsys):
     assert main(["solve", sat_path, "--stats"]) == 10
     stats = {}
+    simplify = {}
     for line in capsys.readouterr().out.splitlines():
         fields = line.split()
-        if fields[0] == "c" and fields[1] not in ("rule", "fallback"):
+        if fields[0] == "c" and fields[1] == "simplify":
+            simplify[fields[2]] = int(fields[3])
+        elif fields[0] == "c" and fields[1] not in ("rule", "fallback"):
             stats[fields[1]] = float(fields[2])
     assert set(stats) == {"time", "nodes", "max_depth", "root_measure",
                           "fixpoint_calls", "fixpoint_unsat"}
     assert stats["fixpoint_calls"] >= stats["nodes"] >= 1
     assert 0 <= stats["fixpoint_unsat"] <= stats["fixpoint_calls"]
+    # one step: rule (g) negates the exactly-2 clause over three literals
+    assert simplify == {**dict.fromkeys("abcdefgh", 0), "g": 1}
 
 
 def test_solve_input_error(tmp_path, capsys):

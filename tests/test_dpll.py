@@ -429,6 +429,12 @@ def test_g2_selection_reaches_rules_10_and_17(f, tag):
     assert check_g2_selection(f) == tag
 
 
+def test_g2_selection_names_the_fixpoint_invariant():
+    # rule (c) would falsify the doubled literal before selection sees it
+    with pytest.raises(AssertionError, match="g2 selection needs a simplification fixpoint"):
+        dpll._select_g2(F(3, C(1, 1, 1, 2, 3)))
+
+
 # Reference: the rule-18 endgame with its own occurrence lists and a
 # recursive search that copies the assignment per level and memoises every
 # (position, frontier values) result.

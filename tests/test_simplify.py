@@ -1,5 +1,8 @@
 """Fixpoint rules: every reduction is forced, terminating, and idempotent."""
 
+from collections import Counter
+from itertools import product
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +15,16 @@ from gixsat.formula import (
     evaluate,
     link,
     reconstruct_model,
+    substitute,
 )
 from gixsat.oracle import brute_solve
-from gixsat.simplify import _Worklist, simplify_to_fixpoint
+from gixsat.simplify import (
+    RULE_LETTERS,
+    _classify,
+    _plain_mask,
+    _Worklist,
+    simplify_to_fixpoint,
+)
 
 
 def fixpoint(f):
@@ -209,12 +219,15 @@ def _ref_step(f, trail):
     return None
 
 
-def reference_fixpoint(formula, trail):
+def reference_fixpoint(formula, trail, letters=None):
+    """The rescan fixpoint; each step's rule letter goes to letters if given."""
     f = formula.copy()
     while True:
         step = _ref_step(f, trail)
         if step is None:
             return f, trail
+        if letters is not None:
+            letters.append(step[0])
         f = step[1]
         if f is None:
             return None
@@ -254,6 +267,16 @@ def crowded_formulas(draw):
 @example(F(3, C(2, 1, 1, -3, -3), C(2, 1, -1, -1, -2)))
 @example(F(5, C(1, -5), C(1, 1, 4)))
 @example(F(3, C(1, 1, 2, -3), C(2, 2, 3)))
+# zeroing a target-0 clause stops when a lower-index clause gains (c), or
+# when a rule-(a) clause appears, here before variable 3 is assigned
+@example(F(5, C(2, -1, 2, 2, 3, 4), C(0, 1, 5)))
+@example(F(3, C(0, 1, 3), C(1, 1, 2, 2)))
+# a plain clause conflicts: its target falls below 0, or above its size
+@example(F(3, C(0, 1, 2), C(0, -1, 3)))
+@example(F(3, C(0, 1, 3), C(2, 1, 2)))
+# a constant reaches a doubled literal, or a clause that was paired before (b)
+@example(F(4, C(0, 1, 3), C(2, 1, 2, 2, 4)))
+@example(F(4, C(0, 1, 4), C(2, 1, -2, 2, 3, 4)))
 @given(crowded_formulas())
 @settings(max_examples=500, deadline=None)
 def test_fixpoint_matches_rescan_reference(f):
@@ -274,6 +297,51 @@ def test_fixpoint_matches_rescan_reference(f):
             _clause_view(c) for c in ref[0].clauses
         ]
 
+
+@example(F(3, C(0, 1, 3), C(1, 1, 2, 2)))
+@example(F(5, C(2, -1, 2, 2, 3, 4), C(0, 1, 5)))
+@given(crowded_formulas())
+@settings(max_examples=200, deadline=None)
+def test_fires_count_the_rescan_steps(f):
+    """Each rule's step count is the number of times the rescan steps
+    through its letter; a batched zeroing counts one (c) per literal."""
+    letters = []
+    reference_fixpoint(f, Trail(f.num_vars), letters)
+    w = _Worklist(f, Trail(f.num_vars))
+    w.settle()
+    counts = Counter(letters)
+    assert dict(zip(RULE_LETTERS, w.fires)) == {r: counts[r] for r in RULE_LETTERS}
+
+
+def test_plain_mask_is_the_classification_of_every_plain_clause():
+    for k in range(11):
+        for signs in product((1, -1), repeat=k):
+            lits = [s * v for s, v in zip(signs, range(1, k + 1))]
+            for t in range(k + 1):
+                c = Clause(t, lits)
+                assert _plain_mask(t, k) == _classify(c)[0], c
+
+
+@given(crowded_formulas(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_eliminate_constant_matches_substitute(f, data):
+    """A constant eliminated from an unsettled worklist, whose clauses may be
+    paired, repeat a literal or carry rule (a), leaves each clause as
+    substitute leaves it, classified as _classify classifies it."""
+    w = _Worklist(f, Trail(f.num_vars))
+    var = data.draw(st.integers(1, f.num_vars))
+    value = data.draw(st.integers(0, 1))
+    expect = []
+    for c in f.clauses:
+        if var in c.occ or -var in c.occ:
+            c = substitute(c, var, ("const", value))
+        expect.append(c)
+    ok = w.eliminate(var, ("const", value))
+    assert ok == (None not in expect)
+    if ok:
+        assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
+        assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
+        assert w.trail.entries == {var: ("const", value)}
 
 
 # Reference for the solver's persistent worklist: a rule's actions applied to
