@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Exit codes follow solver-community convention: 10 satisfiable, 20
-unsatisfiable, 1 input error, 2 resource or timeout. Any other exception
-from a solver is an internal error: it exits 3 and prints
-"c internal <Type>: <message>" to stderr. "verify" counts a solver that
-raises, or disagrees with the brute-force oracle, as a mismatch and exits 3
-when there is one. Output is line
+unsatisfiable, 0 for the other commands' success. main() maps every failure
+to one code: a usage error, ValueError or OSError is an input error (exit 1,
+"error: <message>" on stderr); a mitm.ResourceLimitError, the --timeout
+alarm included, is a resource limit (exit 2, "c resource <message>"); any
+other exception is an internal error (exit 3, "c internal <Type>: <message>").
+"verify" counts a solver that raises, or disagrees with the brute-force
+oracle, as a mismatch and exits 3 when there is one. Output is line
 oriented: "s ..." for status, "v ..." for a witness, "c key value" for
 diagnostics. GIXSAT_ORACLE_LIMIT overrides the brute-force variable cap.
 """
@@ -27,12 +29,16 @@ EXIT_RESOURCE = 2
 EXIT_INTERNAL = 3
 
 
-class _Timeout(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _alarm(signum, frame):
-    raise _Timeout()
+    raise mitm.ResourceLimitError("timeout")
 
 
 def _internal(exc: Exception) -> None:
@@ -47,12 +53,7 @@ def _read_formula(path: str) -> Formula:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        formula = _read_formula(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    formula = _read_formula(args.file)
     if args.timeout:
         signal.signal(signal.SIGALRM, _alarm)
         signal.setitimer(signal.ITIMER_REAL, args.timeout)
@@ -63,24 +64,10 @@ def _cmd_solve(args) -> int:
             result = dpll.SolveResult(report.sat, report.first_model)
         elif args.algo == "mitm":
             result = mitm.solve_mitm(formula, alpha=args.alpha)
-        elif args.algo == "auto":
-            result = dpll.solve_auto(formula, instrument=args.stats)
         else:
-            solver = {"g2": dpll.solve_g2, "g3": dpll.solve_g3, "g4": dpll.solve_g4}[args.algo]
+            solver = getattr(dpll, f"solve_{args.algo}")
             result = solver(formula, instrument=args.stats)
         elapsed = time.monotonic() - started
-    except _Timeout:
-        print("c timeout", file=sys.stderr)
-        return EXIT_RESOURCE
-    except mitm.ResourceLimitError as exc:
-        print(f"c resource {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:
-        _internal(exc)
-        return EXIT_INTERNAL
     finally:
         if args.timeout:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -106,35 +93,27 @@ def _cmd_solve(args) -> int:
                 print(f"c simplify {letter} {count}")
         elif isinstance(st, mitm.MitmStats):
             print(f"c alpha {st.alpha:.6f}")
-            print(f"c cover_size {st.cover_size}")
-            print(f"c covered_vars {st.covered_vars}")
-            print(f"c complement_vars {st.complement_vars}")
-            print(f"c emitted {st.emitted}")
-            print(f"c index_size {st.index_size}")
-            print(f"c sweep_count {st.sweep_count}")
-            print(f"c cover_s {st.cover_s:.6f}")
-            print(f"c enumerate_s {st.enumerate_s:.6f}")
-            print(f"c sweep_s {st.sweep_s:.6f}")
+            for key in ("cover_size", "covered_vars", "complement_vars",
+                        "emitted", "index_size", "sweep_count"):
+                print(f"c {key} {getattr(st, key)}")
+            for key in ("cover_s", "enumerate_s", "sweep_s"):
+                print(f"c {key} {getattr(st, key):.6f}")
     return EXIT_SAT if result.sat else EXIT_UNSAT
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = generator.GenSpec(
-            num_vars=args.n,
-            num_clauses=args.m,
-            min_len=args.min_len,
-            max_len=args.max_len,
-            max_target=args.max_target,
-            neg_prob=args.neg_prob,
-            max_repeat=args.max_repeat,
-            planted=args.planted,
-            seed=args.seed,
-        )
-        formula, hidden = generator.generate(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = generator.GenSpec(
+        num_vars=args.n,
+        num_clauses=args.m,
+        min_len=args.min_len,
+        max_len=args.max_len,
+        max_target=args.max_target,
+        neg_prob=args.neg_prob,
+        max_repeat=args.max_repeat,
+        planted=args.planted,
+        seed=args.seed,
+    )
+    formula, hidden = generator.generate(spec)
     text = textio.serialize(formula)
     if hidden is not None:
         lits = " ".join(str(v if hidden[v] else -v) for v in sorted(hidden))
@@ -149,20 +128,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.tau:
-        try:
-            vector = tuple(float(t) for t in args.tau.split(","))
-            value = analysis.branching_factor(vector)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        value = analysis.branching_factor(tuple(float(t) for t in args.tau.split(",")))
         print(f"tau({args.tau}) = {value:.6f}")
         return 0
     if args.alpha_for is not None:
-        try:
-            alpha, base = analysis.alpha_for(args.alpha_for)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        alpha, base = analysis.alpha_for(args.alpha_for)
         print(f"alpha = {alpha:.6f}")
         print(f"base = {base:.6f}")
         return 0
@@ -187,8 +157,7 @@ def _cmd_analyze(args) -> int:
             print(f"{mark} tau({vec}) = {got:.5f} expected {expected} ({note})")
         print(f"c {len(results)} entries, {bad} failures")
         return 0 if bad == 0 else EXIT_INPUT
-    print("error: nothing to analyze (see --help)", file=sys.stderr)
-    return EXIT_INPUT
+    raise ValueError("nothing to analyze (see --help)")
 
 
 def _cmd_verify(args) -> int:
@@ -229,7 +198,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gixsat")
+    parser = _Parser(prog="gixsat")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="decide an instance")
@@ -273,7 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except mitm.ResourceLimitError as exc:
+        print(f"c resource {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:
+        _internal(exc)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":
