@@ -15,6 +15,7 @@ diagnostics. GIXSAT_ORACLE_LIMIT overrides the brute-force variable cap.
 from __future__ import annotations
 
 import argparse
+import random
 import signal
 import sys
 import time
@@ -53,6 +54,8 @@ def _read_formula(path: str) -> Formula:
 
 
 def _cmd_solve(args) -> int:
+    if args.timeout < 0:
+        raise ValueError(f"--timeout must not be negative, got {args.timeout:g}")
     formula = _read_formula(args.file)
     if args.timeout:
         signal.signal(signal.SIGALRM, _alarm)
@@ -85,6 +88,8 @@ def _cmd_solve(args) -> int:
             print(f"c root_measure {st.measure_at_root:.4f}")
             print(f"c fixpoint_calls {st.fixpoint_calls}")
             print(f"c fixpoint_unsat {st.fixpoint_unsat}")
+            print(f"c measure_checks {st.measure_checks}")
+            print(f"c measure_violations {len(st.measure_violations)}")
             for tag in sorted(st.rule_fires):
                 print(f"c rule {tag} {st.rule_fires[tag]}")
             for tag in sorted(st.fallback_fires):
@@ -156,14 +161,18 @@ def _cmd_analyze(args) -> int:
             vec = ",".join(f"{t:g}" for t in vector)
             print(f"{mark} tau({vec}) = {got:.5f} expected {expected} ({note})")
         print(f"c {len(results)} entries, {bad} failures")
-        return 0 if bad == 0 else EXIT_INPUT
+        # the fixture ships with the package, so a failing entry is an internal fault
+        return 0 if bad == 0 else EXIT_INTERNAL
     raise ValueError("nothing to analyze (see --help)")
 
 
 def _cmd_verify(args) -> int:
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    limit = oracle.env_limit()
+    if not 3 <= args.n <= limit:
+        raise ValueError(f"--n must lie in 3..{limit} (the oracle's cap), got {args.n}")
+    if args.count < 0:
+        raise ValueError(f"--count must not be negative, got {args.count}")
+    rng = random.Random(args.seed)
     mismatches = 0
     for k in range(args.count):
         n = rng.randint(3, args.n)

@@ -226,6 +226,10 @@ def _select_g2(f: Formula) -> Rule:
             if size == 3:
                 c1s[i] = c
         elif c.target == 2:
+            assert max(c.occ.values(), default=0) <= 2 \
+                and c.occ.keys().isdisjoint(map(neg, c.occ)), \
+                "g2 selection needs a simplification fixpoint: an exactly-2 clause " \
+                "must hold unpaired literals, each at most twice"
             doubled = sum(1 for m in c.occ.values() if m == 2)
             if doubled >= 2:
                 first.setdefault(10, c)
@@ -812,7 +816,7 @@ def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
             stats.measure_violations.append((parent_tag, parent_mu, mu))
     # every simplification chain eliminates a variable within a few steps;
     # a generous cap turns any selection bug into a loud failure, not a hang
-    guard = 50 * (w.num_vars + w.count + w.occurrences) + 100
+    guard = 50 * (w.trail.num_vars + w.count + w.occurrences) + 100
     steps = 0
     while True:
         if not w.count:

@@ -136,18 +136,18 @@ class Formula:
 
 
 class Trail:
-    """Per-variable search state plus the chronological event list.
+    """Per-variable search state, in the order the variables were eliminated.
 
     States: absent (unassigned), ("const", 0/1), or ("link", lit) meaning
-    the variable equals the value of lit.
+    the variable equals the value of lit. A variable enters entries once and
+    never leaves, so the dict's insertion order is the event order.
     """
 
-    __slots__ = ("num_vars", "entries", "events")
+    __slots__ = ("num_vars", "entries")
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
         self.entries: dict[int, tuple] = {}
-        self.events: list[int] = []
 
     def is_unassigned(self, var: int) -> bool:
         return var not in self.entries
@@ -159,7 +159,6 @@ class Trail:
         if var in self.entries:
             raise ValueError(f"variable {var} already eliminated")
         self.entries[var] = ("const", value)
-        self.events.append(var)
 
     def check_link(self, var: int, partner: int) -> None:
         """Raise ValueError unless var may be linked to the literal partner."""
@@ -173,13 +172,11 @@ class Trail:
     def record_link(self, var: int, partner: int) -> None:
         self.check_link(var, partner)
         self.entries[var] = ("link", partner)
-        self.events.append(var)
 
     def copy(self) -> "Trail":
         t = Trail.__new__(Trail)
         t.num_vars = self.num_vars
         t.entries = dict(self.entries)
-        t.events = list(self.events)
         return t
 
     def reconstruct(self, root_values: Mapping[int, int]) -> dict[int, int]:
@@ -194,8 +191,7 @@ class Trail:
                 model[v] = st[1]
         # Links refer to variables that were alive at record time, so replay
         # newest first.
-        for v in reversed(self.events):
-            st = self.entries[v]
+        for v, st in reversed(self.entries.items()):
             if st[0] == "link":
                 partner = st[1]
                 if abs(partner) not in model:

@@ -35,7 +35,8 @@ class OracleReport:
         return "SAT" if self.sat else "UNSAT"
 
 
-def _env_limit() -> int:
+def env_limit() -> int:
+    """The variable cap: GIXSAT_ORACLE_LIMIT, or DEFAULT_LIMIT when unset."""
     raw = os.environ.get("GIXSAT_ORACLE_LIMIT")
     if raw is None:
         return DEFAULT_LIMIT
@@ -45,7 +46,7 @@ def _env_limit() -> int:
 def brute_solve(formula: Formula, limit: Optional[int] = None) -> OracleReport:
     """Count satisfying assignments by checking all 2^n of them."""
     if limit is None:
-        limit = _env_limit()
+        limit = env_limit()
     n = formula.num_vars
     if n > limit:
         raise ValueError(f"oracle refuses n={n} > limit {limit}")

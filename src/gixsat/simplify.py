@@ -120,12 +120,12 @@ class _Worklist:
     rule (a)-(h); forks share it, so it counts the steps of a whole search.
     """
 
-    __slots__ = ("trail", "num_vars", "slots", "masks", "sizes", "pending",
+    __slots__ = ("trail", "slots", "masks", "sizes", "pending",
                  "occ", "occurrences", "targets", "count", "fires")
 
     def __init__(self, formula: Formula, trail: Trail):
+        assert trail.num_vars == formula.num_vars, "trail and formula differ in variables"
         self.trail = trail
-        self.num_vars = formula.num_vars
         self.slots: list[Optional[Clause]] = []
         self.masks: list[int] = []
         self.sizes: list[int] = []
@@ -256,7 +256,8 @@ class _Worklist:
         return self.eliminate(abs(lit), ("const", value if lit > 0 else 1 - value))
 
     def bound(self) -> tuple:
-        alive = self.num_vars - len(self.trail.entries)
+        trail = self.trail
+        alive = trail.num_vars - len(trail.entries)
         return (alive, self.occurrences, self.count, self.targets)
 
     def settle(self) -> bool:
@@ -292,7 +293,6 @@ class _Worklist:
         assert not any(self.pending) and not any(self.masks), "fork outside a fixpoint"
         w = _Worklist.__new__(_Worklist)
         w.trail = self.trail.copy()
-        w.num_vars = self.num_vars
         w.slots = self.slots.copy()
         w.masks = [0] * len(self.slots)
         w.sizes = self.sizes.copy()
@@ -310,7 +310,7 @@ class _Worklist:
 
     def formula(self) -> Formula:
         out = Formula.__new__(Formula)
-        out.num_vars = self.num_vars
+        out.num_vars = self.trail.num_vars
         out.clauses = [c for c in self.slots if c is not None]
         return out
 

