@@ -35,7 +35,7 @@ def branching_factor(decreases: Sequence[float], tol: float = 1e-9) -> float:
     ts = tuple(float(t) for t in decreases)
     if len(ts) < 2:
         raise ValueError("need at least two branches")
-    if any(t <= 0 for t in ts):
+    if not all(t > 0 for t in ts):  # also rejects NaN
         raise ValueError("branching vector entries must be positive")
 
     def residual(x: float) -> float:
@@ -274,7 +274,7 @@ def alpha_for(c: float) -> tuple[float, float]:
     alpha n variables enumerated at cost c per variable balance against a
     2**((1-alpha) n) sweep of the rest.
     """
-    if c <= 1.0:
+    if not c > 1.0:  # also rejects NaN
         raise ValueError("base must exceed 1")
     alpha = math.log(2.0) / (math.log(2.0) + math.log(c))
     return alpha, c ** alpha

@@ -28,6 +28,8 @@ EXIT_UNSAT = 20
 EXIT_INPUT = 1
 EXIT_RESOURCE = 2
 EXIT_INTERNAL = 3
+# setitimer overflows a little above 9.2e9 seconds
+MAX_TIMEOUT_S = 1e9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,8 +56,9 @@ def _read_formula(path: str) -> Formula:
 
 
 def _cmd_solve(args) -> int:
-    if args.timeout < 0:
-        raise ValueError(f"--timeout must not be negative, got {args.timeout:g}")
+    if not 0 <= args.timeout <= MAX_TIMEOUT_S:
+        raise ValueError(f"--timeout must lie in 0..{MAX_TIMEOUT_S:g} seconds, "
+                         f"got {args.timeout:g}")
     formula = _read_formula(args.file)
     if args.timeout:
         signal.signal(signal.SIGALRM, _alarm)

@@ -224,9 +224,13 @@ FAILURES = {
                                "error: --n must lie in 3..8"),
     "verify-negative-count": (["verify", "--count", "-1"], None, None, 1, "error: --count"),
     "negative-timeout": (["solve", "{sat}", "--timeout", "-1"], None, None, 1,
-                         "error: --timeout must not be negative"),
+                         "error: --timeout must lie in 0..1e+09 seconds, got -1"),
+    "nan-timeout": (["solve", "{sat}", "--timeout", "nan"], None, None, 1, "error: --timeout"),
+    "huge-timeout": (["solve", "{sat}", "--timeout", "1e300"], None, None, 1, "error: --timeout"),
     "nothing-to-analyze": (["analyze"], None, None, 1, "error: nothing to analyze"),
     "bad-tau": (["analyze", "--tau", "2,x"], None, None, 1, "error: "),
+    "nan-tau": (["analyze", "--tau", "2,nan"], None, None, 1, "error: branching vector entries"),
+    "nan-alpha-for": (["analyze", "--alpha-for", "nan"], None, None, 1, "error: base must exceed 1"),
     "solver-value-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(ValueError("no"))),
                            None, 1, "error: no"),
     "solver-resource-limit": (["solve", "{sat}", "--algo", "mitm"],
@@ -236,8 +240,8 @@ FAILURES = {
                        None, 2, "c resource timeout"),
     "solver-runtime-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(RuntimeError("x"))),
                              None, 3, "c internal RuntimeError: x"),
-    "solver-key-error": (["solve", "{sat}", "--algo", "g2"], (dpll, "solve_g2", _raising(KeyError(2))),
-                         None, 3, "c internal KeyError: 2"),
+    "solver-key-error": (["solve", "{sat}", "--algo", "g2"],
+                         (dpll, "solve_g2", _raising(KeyError(2))), None, 3, "c internal KeyError: 2"),
     "gen-internal-error": (["gen", "--n", "5", "--m", "2"],
                            (generator, "generate", _raising(RuntimeError("gen broke"))),
                            None, 3, "c internal RuntimeError: gen broke"),
