@@ -30,6 +30,9 @@ TAU_FIXTURE = _DATA_DIR / "tau_values.txt"
 # branching vectors
 
 
+MAX_BRANCHING_FACTOR = 1e300  # larger roots are rejected as bad input
+
+
 def branching_factor(decreases: Sequence[float], tol: float = 1e-9) -> float:
     """Unique beta > 1 with sum(beta**-t) == 1, found by bisection."""
     ts = tuple(float(t) for t in decreases)
@@ -42,10 +45,14 @@ def branching_factor(decreases: Sequence[float], tol: float = 1e-9) -> float:
         return sum(x ** -t for t in ts) - 1.0
 
     # residual is strictly decreasing on (1, inf) with residual(1+) = r-1 > 0,
-    # and it is negative at r**(1/min t); grow a tight bracket by doubling
+    # and it is negative at r**(1/min t); grow a tight bracket by doubling,
+    # which must stop short of inf, where every entry's term is 0
     lo = 1.0 + 1e-12
     hi = 2.0
     while residual(hi) > 0.0:
+        if hi > MAX_BRANCHING_FACTOR:
+            raise ValueError(f"branching vector entries too small: the factor exceeds "
+                             f"{MAX_BRANCHING_FACTOR:g}")
         lo = hi
         hi *= 2.0
     for _ in range(200):

@@ -36,8 +36,12 @@ class GenSpec:
             raise ValueError("max_target must be 1..4")
         if self.max_repeat < 1:
             raise ValueError("max_repeat must be >= 1")
-        if self.num_vars < 1 or self.num_clauses < 0:
+        if self.num_vars < 1:
             raise ValueError("need at least one variable")
+        if self.num_clauses < 0:
+            raise ValueError("num_clauses must not be negative")
+        if not (0.0 <= self.neg_prob <= 1.0):  # also rejects NaN
+            raise ValueError("neg_prob must lie in [0, 1]")
         if self.max_repeat == 1 and self.max_len > self.num_vars:
             raise ValueError("distinct literals require max_len <= num_vars")
 

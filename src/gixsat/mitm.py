@@ -9,12 +9,14 @@ capped by the target, exactly as for the other watched clauses, so a wide
 exactly-1 boundary clause keeps 1 + |inside| rows, not 2^|inside|.
 
 The table is grown in numpy one covered variable at a time, in the order a
-clause-by-clause depth-first search fixes them: every row is repeated for
-the values 0 and 1, the variable's literals are added to its clauses'
-counts, and rows whose counts pass a target (or miss a completed cover
-clause's target) are dropped. Rows stay in that search's order, so the first
-row with a given vector is its representative. The distinct vectors, as
-fixed-width byte strings, are sorted once; the complement is then swept in
+clause-by-clause depth-first search fixes them: one broadcast add gives every
+row two children, the variable 0 then 1, with its literals added to the
+clause counts, and children whose counts pass a target (or miss a completed
+cover clause's target) are dropped. The table holds counts only; each step
+keeps its survivors' child indices, through which a row's values are read
+back. Rows stay in that search's order, so the first row with a given vector
+is its representative. The distinct vectors, as fixed-width byte strings,
+are sorted once; the complement is then swept in
 blocks of 2^18 assignments (complement variable k is bit k), each block's
 need vectors are matched with np.searchsorted, and the first match in
 ascending assignment order gives the model, which is verified before it is
@@ -88,9 +90,8 @@ def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be strictly between 0 and 1")
-    constrained = set()
-    for c in formula.clauses:
-        constrained |= c.variables()
+    var_sets = [c.variables() for c in formula.clauses]
+    constrained = set().union(*var_sets)
     goal = alpha * len(constrained)
     covered: set[int] = set()
     cover: list[int] = []
@@ -98,11 +99,8 @@ def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
     boundary_inside: frozenset = frozenset()
     remaining = set(range(len(formula.clauses)))
     while remaining and len(covered) < goal:
-        pick = max(
-            remaining,
-            key=lambda i: (len(formula.clauses[i].variables() - covered), -i),
-        )
-        new_vars = sorted(formula.clauses[pick].variables() - covered)
+        pick = max(remaining, key=lambda i: (len(var_sets[i] - covered), -i))
+        new_vars = sorted(var_sets[pick] - covered)
         if len(covered) + len(new_vars) >= goal:
             best_h = min(
                 range(len(new_vars) + 1),
@@ -114,10 +112,7 @@ def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
                 remaining.remove(pick)
             elif best_h > 0:
                 boundary = pick
-                inside = set(new_vars[:best_h]) | (
-                    formula.clauses[pick].variables() & covered
-                )
-                boundary_inside = frozenset(inside)
+                boundary_inside = frozenset(new_vars[:best_h]) | (var_sets[pick] & covered)
                 covered |= set(new_vars[:best_h])
                 remaining.remove(pick)
             break
@@ -146,21 +141,43 @@ def _watched(plan: SplitPlan) -> list[int]:
     return plan.shared + ([plan.boundary] if plan.boundary is not None else [])
 
 
+def _step_table(clauses: list, order, dtype):
+    """Per step, the counts each value of order[k] adds to every clause.
+
+    Returns a (len(order), 2, len(clauses)) array whose [k, b, j] entry is
+    the number of clause j's literals that variable order[k] = b makes true,
+    capped at the target + 1, which rules a row out just the same; and, per
+    clause, the last step touching it (-1 if none).
+    """
+    pos = {v: k for k, v in enumerate(order)}
+    width = len(clauses)
+    table = [0] * (2 * len(order) * width)
+    last = [-1] * width
+    for j, c in enumerate(clauses):
+        for lit, mult in c.occ.items():
+            k = pos.get(abs(lit))
+            if k is not None:
+                table[(2 * k + (lit > 0)) * width + j] = min(mult, c.target + 1)
+                if k > last[j]:
+                    last[j] = k
+    return np.array(table, dtype=dtype).reshape(len(order), 2, width), last
+
+
 def _cover_table(formula: Formula, plan: SplitPlan):
-    """The cover side as arrays: (fixing order, value rows, contribution rows).
+    """The cover side as arrays: (fixing order, survivors per step, contribution rows).
 
     Covered variables are fixed in the order of the clause-by-clause search:
     cover clauses in plan order, each one's not yet fixed variables
-    ascending, then the remaining (boundary-inside) variables ascending. Each
-    step repeats every row twice, the variable 0 then 1, and adds its
-    literals' multiplicities to the counts of its clauses; a row whose count
+    ascending, then the remaining (boundary-inside) variables ascending. Step
+    k extends every row by the variable 0 then 1 (child 2 * i + b of row i)
+    and adds that value's literals to the clause counts; a row whose count
     passes a target is dropped, and a cover clause must meet its target once
     its last variable is fixed. Survivors stay in lexicographic order of
     their values along the fixing order.
 
-    Returns the order, an int8 matrix of values (one column per variable of
-    the order) and the watched-clause counts (one column per entry of the
-    contribution vector).
+    Returns the order, each step's surviving child indices (parent idx >> 1,
+    value idx & 1; _values reads them back) and the watched-clause counts
+    (one column per entry of the contribution vector).
     """
     cover = [formula.clauses[i] for i in plan.cover]
     clauses = [formula.clauses[i] for i in _watched(plan)] + cover
@@ -171,43 +188,39 @@ def _cover_table(formula: Formula, plan: SplitPlan):
         order.extend(fresh)
         fixed.update(fresh)
     order.extend(v for v in plan.covered_vars if v not in fixed)
-    pos = {v: k for k, v in enumerate(order)}
 
-    targets = np.array([c.target for c in clauses], dtype=np.int64)
     # a multiplicity past target + 1 prunes like target + 1, so every count
     # stays within 2 * target + 1 and a narrow dtype cannot overflow
-    dt = np.min_scalar_type(-(2 * int(targets.max(initial=0)) + 1))
-    steps = [([], [], []) for _ in order]   # per variable: columns, 0-adds, 1-adds
-    last = [-1] * len(clauses)
-    for j, c in enumerate(clauses):
-        for v in c.variables() & pos.keys():
-            cols, neg, posv = steps[pos[v]]
-            cols.append(j)
-            neg.append(min(c.occ.get(-v, 0), c.target + 1))
-            posv.append(min(c.occ.get(v, 0), c.target + 1))
-            last[j] = max(last[j], pos[v])
-    n_watch = len(clauses) - len(cover)
+    dt = np.min_scalar_type(-(2 * max((c.target for c in clauses), default=0) + 1))
+    targets = np.array([c.target for c in clauses], dtype=dt)
+    delta, last = _step_table(clauses, order, dt)
+    n_watch, width = len(clauses) - len(cover), len(clauses)
+    done: list[list[int]] = [[] for _ in order]   # cover clauses completed per step
+    for j in range(n_watch, width):
+        if last[j] >= 0:
+            done[last[j]].append(j)
+    empty = any(c.target != 0 for j, c in enumerate(cover, n_watch) if last[j] < 0)
+    counts = np.zeros((0 if empty else 1, width), dtype=dt)
+    kept = []
+    for k in range(len(order)):
+        rows = (counts[:, None, :] + delta[k]).reshape(2 * len(counts), width)
+        ok = (rows <= targets).all(axis=1)
+        if done[k]:
+            ok &= (rows[:, done[k]] == targets[done[k]]).all(axis=1)
+        kept.append(np.flatnonzero(ok))
+        counts = rows[kept[-1]]
+    return tuple(order), kept, np.ascontiguousarray(counts[:, :n_watch])
 
-    values = np.zeros((1, len(order)), dtype=np.int8)
-    counts = np.zeros((1, len(clauses)), dtype=dt)
-    if any(targets[j] != 0 for j in range(n_watch, len(clauses)) if last[j] < 0):
-        values, counts = values[:0], counts[:0]
-    for k, (cols, neg, posv) in enumerate(steps):
-        values = np.repeat(values, 2, axis=0)
-        values[1::2, k] = 1
-        counts = np.repeat(counts, 2, axis=0)
-        sub = counts[:, cols]
-        sub[0::2] += np.array(neg, dtype=dt)
-        sub[1::2] += np.array(posv, dtype=dt)
-        cap = targets[cols]
-        ok = (sub <= cap).all(axis=1)
-        done = [a for a, j in enumerate(cols) if j >= n_watch and last[j] == k]
-        if done:
-            ok &= (sub[:, done] == cap[done]).all(axis=1)
-        counts[:, cols] = sub
-        keep = np.flatnonzero(ok)
-        values, counts = values[keep], counts[keep]
-    return tuple(order), values, np.ascontiguousarray(counts[:, :n_watch])
+
+def _values(kept: list, rows) -> np.ndarray:
+    """Values along the fixing order of final cover-table rows (one index or
+    an index array), read back through each step's survivor indices."""
+    values = np.zeros(np.shape(rows) + (len(kept),), dtype=np.int8)
+    for k in reversed(range(len(kept))):
+        child = kept[k][rows]
+        values[..., k] = child & 1
+        rows = child >> 1
+    return values
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -227,7 +240,8 @@ def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[di
     entry past the clause target are discarded. Assignments come in the
     order of a clause-by-clause depth-first search (see _cover_table).
     """
-    order, values, vectors = _cover_table(formula, plan)
+    order, kept, vectors = _cover_table(formula, plan)
+    values = _values(kept, np.arange(len(vectors)))
     for row, vec in zip(values.tolist(), vectors.tolist()):
         yield dict(zip(order, row)), tuple(vec)
 
@@ -251,19 +265,22 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     )
 
     try:
-        order, values, vectors = _cover_table(formula, plan)
+        order, kept, vectors = _cover_table(formula, plan)
         # distinct vectors, sorted, each with its first (representative) row
         keys, first = np.unique(_row_keys(vectors), return_index=True)
     except MemoryError as exc:
         raise ResourceLimitError("vector table exceeded available memory") from exc
-    stats.emitted = len(values)
+    stats.emitted = len(vectors)
     stats.index_size = len(keys)
     indexed = perf_counter()
     stats.enumerate_s = indexed - planned
     if not len(keys):
         return SolveResult(False, None, stats)
 
-    hit = _sweep(formula, plan, keys, vectors.dtype)
+    try:
+        hit = _sweep(formula, plan, keys, vectors.dtype)
+    except MemoryError as exc:
+        raise ResourceLimitError("sweep table exceeded available memory") from exc
     stats.sweep_s = perf_counter() - indexed
     if hit is None:
         stats.sweep_count = 1 << len(plan.complement_vars)
@@ -271,7 +288,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     bits, at = hit
     stats.sweep_count = bits + 1
     model = {v: 0 for v in plan.free_vars}
-    model.update(zip(order, values[first[at]].tolist()))
+    model.update(zip(order, _values(kept, first[at]).tolist()))
     model.update((v, (bits >> k) & 1) for k, v in enumerate(plan.complement_vars))
     if not evaluate(formula, model):
         raise RuntimeError("internal error: matched vectors gave a bad model")
@@ -287,16 +304,13 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
     """
     clauses = [formula.clauses[i] for i in _watched(plan)]
     comp = plan.complement_vars
+    width = len(clauses)
     targets = np.array([c.target for c in clauses], dtype=np.int16)
-
-    # per variable and value, the literals made true in each watched clause,
-    # capped at target + 1, which rules the entry out just the same
-    adds = [[np.array([min(c.occ.get(lit, 0), c.target + 1) for c in clauses], dtype=np.int16)
-             for lit in (-v, v)] for v in comp]
+    adds = _step_table(clauses, comp, np.int16)[0]
     low_bits = min(len(comp), _BLOCK_BITS)
-    low = np.zeros((1, len(clauses)), dtype=np.int16)
-    for neg, pos in adds[:low_bits]:
-        low = np.concatenate([low + neg, low + pos])
+    low = np.zeros((1, width), dtype=np.int16)
+    for k in range(low_bits):   # row b * len(low) + i is row i with bit k = b
+        low = (adds[k][:, None, :] + low).reshape(2 * len(low), width)
     high = adds[low_bits:]
     for block in range(1 << len(high)):
         base = targets.copy()

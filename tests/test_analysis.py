@@ -53,6 +53,19 @@ def test_rejects_bad_vectors():
         branching_factor((0.0, 1.0))
 
 
+@pytest.mark.parametrize("vector", [(1e-300, 1e-300), (1e-3, 1e-3), (1e-300,) * 3])
+def test_rejects_entries_too_small_to_bracket(vector):
+    # the root is 2**(1/t) or beyond: past MAX_BRANCHING_FACTOR, or past any float
+    with pytest.raises(ValueError, match="too small"):
+        branching_factor(vector)
+
+
+def test_largest_bracketed_factor():
+    # 2**(1/t) for t = 1/990 is about 1e298, still below MAX_BRANCHING_FACTOR
+    t = 1.0 / 990.0
+    assert branching_factor((t, t)) == pytest.approx(2.0 ** 990.0, rel=1e-9)
+
+
 def test_many_way_bracket():
     # r equal entries of 1 have root exactly r
     for r in (2, 3, 4, 5, 8):

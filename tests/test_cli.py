@@ -230,6 +230,14 @@ FAILURES = {
     "nothing-to-analyze": (["analyze"], None, None, 1, "error: nothing to analyze"),
     "bad-tau": (["analyze", "--tau", "2,x"], None, None, 1, "error: "),
     "nan-tau": (["analyze", "--tau", "2,nan"], None, None, 1, "error: branching vector entries"),
+    "tiny-tau": (["analyze", "--tau", "1e-300,1e-300"], None, None, 1,
+                 "error: branching vector entries too small"),
+    "gen-negative-m": (["gen", "--n", "5", "--m", "-1"], None, None, 1,
+                       "error: num_clauses must not be negative"),
+    "gen-neg-prob-above-1": (["gen", "--n", "5", "--m", "2", "--neg-prob", "2"], None, None, 1,
+                             "error: neg_prob must lie in [0, 1]"),
+    "gen-nan-neg-prob": (["gen", "--n", "5", "--m", "2", "--neg-prob", "nan"], None, None, 1,
+                         "error: neg_prob must lie in [0, 1]"),
     "nan-alpha-for": (["analyze", "--alpha-for", "nan"], None, None, 1, "error: base must exceed 1"),
     "solver-value-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(ValueError("no"))),
                            None, 1, "error: no"),

@@ -57,6 +57,27 @@ def test_infeasible_spec_rejected():
         GenSpec(num_vars=3, num_clauses=1, max_target=5)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"num_vars": 0, "num_clauses": 1}, "need at least one variable"),
+        ({"num_vars": 5, "num_clauses": -1}, "num_clauses must not be negative"),
+        ({"num_vars": 5, "num_clauses": 2, "neg_prob": 2.0}, "neg_prob must lie in"),
+        ({"num_vars": 5, "num_clauses": 2, "neg_prob": -0.1}, "neg_prob must lie in"),
+        ({"num_vars": 5, "num_clauses": 2, "neg_prob": float("nan")}, "neg_prob must lie in"),
+    ],
+)
+def test_spec_errors_name_their_field(fields, message):
+    with pytest.raises(ValueError, match=message):
+        GenSpec(**fields)
+
+
+@pytest.mark.parametrize("neg_prob", [0.0, 1.0])
+def test_neg_prob_end_points(neg_prob):
+    f, _ = generate(GenSpec(num_vars=6, num_clauses=4, neg_prob=neg_prob, seed=3))
+    assert all((lit < 0) == (neg_prob == 1.0) for c in f.clauses for lit in c.occ)
+
+
 def test_round_trip_through_text():
     for seed in range(30):
         f, _ = generate(GenSpec(num_vars=7, num_clauses=5, max_target=4, max_repeat=2, seed=seed))

@@ -9,7 +9,9 @@ import pytest
 from conftest import C, F, random_formula
 from gixsat.dpll import solve_auto
 from gixsat.formula import Clause, Formula, evaluate, true_count
+from gixsat.generator import GenSpec, generate
 from gixsat.mitm import (
+    SplitPlan,
     choose_cover,
     default_alpha,
     enumerate_cover_side,
@@ -159,6 +161,17 @@ def test_memory_exhaustion_is_a_resource_error(monkeypatch):
         mitm_module.solve_mitm(F(4, C(2, 1, 2, 3, 4)))
 
 
+def test_sweep_memory_exhaustion_is_a_resource_error(monkeypatch):
+    import gixsat.mitm as mitm_module
+
+    def boom(formula, plan, keys, dtype):
+        raise MemoryError("low table full")
+
+    monkeypatch.setattr(mitm_module, "_sweep", boom)
+    with pytest.raises(mitm_module.ResourceLimitError, match="sweep table"):
+        mitm_module.solve_mitm(F(4, C(2, 1, 2, 3, 4), C(1, 1, 4)), alpha=0.05)
+
+
 def test_three_way_agreement(rng):
     for _ in range(400):
         f = random_formula(rng, n_max=11, m_max=6, k_max=7, t_max=4)
@@ -275,3 +288,101 @@ def test_kernel_matches_the_one_at_a_time_reference():
         seen.add(("wide", watched > 27 and result.sat and result.stats.index_size > 1))
     assert all((name, True) in seen for name, _ in seen)
     assert ("sat", False) in seen
+
+
+def reference_choose_cover(formula, alpha):
+    """The greedy cover plan, rebuilding each clause's variable set per pick."""
+    constrained = set()
+    for c in formula.clauses:
+        constrained |= c.variables()
+    goal = alpha * len(constrained)
+    covered = set()
+    cover = []
+    boundary = None
+    boundary_inside = frozenset()
+    remaining = set(range(len(formula.clauses)))
+    while remaining and len(covered) < goal:
+        pick = max(
+            remaining,
+            key=lambda i: (len(formula.clauses[i].variables() - covered), -i),
+        )
+        new_vars = sorted(formula.clauses[pick].variables() - covered)
+        if len(covered) + len(new_vars) >= goal:
+            best_h = min(
+                range(len(new_vars) + 1),
+                key=lambda h: (abs(len(covered) + h - goal), -h),
+            )
+            if best_h == len(new_vars):
+                cover.append(pick)
+                covered |= set(new_vars)
+                remaining.remove(pick)
+            elif best_h > 0:
+                boundary = pick
+                inside = set(new_vars[:best_h]) | (
+                    formula.clauses[pick].variables() & covered
+                )
+                boundary_inside = frozenset(inside)
+                covered |= set(new_vars[:best_h])
+                remaining.remove(pick)
+            break
+        cover.append(pick)
+        covered |= set(new_vars)
+        remaining.remove(pick)
+    shared = [i for i in range(len(formula.clauses)) if i not in cover and i != boundary]
+    return SplitPlan(
+        alpha=alpha,
+        cover=cover,
+        shared=shared,
+        boundary=boundary,
+        boundary_inside=boundary_inside,
+        covered_vars=tuple(sorted(covered)),
+        complement_vars=tuple(sorted(constrained - covered)),
+        free_vars=tuple(v for v in range(1, formula.num_vars + 1) if v not in constrained),
+    )
+
+
+def split_shaped_corpus():
+    """200 seeded formulas shaped like the benchmark's MITM split family:
+    n 30..34, clause lengths 4..6, targets up to 4, planted and unplanted."""
+    rng = random.Random(20260)
+    for seed in range(200):
+        n = rng.randint(30, 34)
+        spec = GenSpec(num_vars=n, num_clauses=n // 2, min_len=4, max_len=6,
+                       max_target=rng.randint(1, 4), planted=seed % 2 == 0, seed=seed)
+        yield generate(spec)[0]
+
+
+def test_cover_plan_matches_the_greedy_reference():
+    cases = [(f, alpha) for f, alpha in reference_corpus()]
+    cases += [(f, None) for f in split_shaped_corpus()]
+    boundaries = 0
+    for f, alpha in cases:
+        if alpha is None:
+            alpha = default_alpha(max((c.target for c in f.clauses), default=1))
+        plan = choose_cover(f, alpha)
+        assert plan == reference_choose_cover(f, alpha), f
+        boundaries += plan.boundary is not None
+    assert 0 < boundaries < len(cases)
+
+
+@pytest.mark.parametrize(
+    "formula,plan,rows",
+    [
+        # empty cover: one row, no covered variable, every clause watched
+        (F(4, C(2, 1, 2, 3, 4), C(1, 1, 4)),
+         SplitPlan(0.05, [], [0, 1], complement_vars=(1, 2, 3, 4)), 1),
+        # a cover clause with no variable and target 1 can never be met
+        (F(3, C(1, 1, 2, 3), Clause(1, [])),
+         SplitPlan(0.5, [0, 1], [], covered_vars=(1, 2, 3)), 0),
+        # boundary only: its 6 inside variables with at most 2 of them true
+        (F(10, C(2, *range(1, 11))), None, 1 + 6 + 15),
+    ],
+    ids=["empty-cover", "empty-table", "boundary-only"],
+)
+def test_enumerate_edges_match_the_reference(formula, plan, rows):
+    if plan is None:
+        plan = choose_cover(formula, 0.6)
+        assert plan.cover == [] and plan.boundary == 0
+    emitted = list(enumerate_cover_side(formula, plan))
+    assert len(emitted) == rows
+    assert emitted == list(reference_enumerate(formula, plan))
