@@ -41,8 +41,11 @@ def branching_factor(decreases: Sequence[float], tol: float = 1e-9) -> float:
     if not all(t > 0 for t in ts):  # also rejects NaN
         raise ValueError("branching vector entries must be positive")
 
+    # expm1: a plain x**-t - 1 rounds to 0 once t * ln x < 2**-53, and the other terms with it
+    t_min, *rest = sorted(ts)
+
     def residual(x: float) -> float:
-        return sum(x ** -t for t in ts) - 1.0
+        return math.expm1(-t_min * math.log(x)) + sum(x ** -t for t in rest)
 
     # residual is strictly decreasing on (1, inf) with residual(1+) = r-1 > 0,
     # and it is negative at r**(1/min t); grow a tight bracket by doubling,

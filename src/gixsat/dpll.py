@@ -16,7 +16,7 @@ Three rule sets share the engine:
       exactly-1 clause takes rule 8 at once; rules 10, 11 and 13 keep their
       first clause) and one pair pass over the occurrence map (_overlaps) in
       ascending (i, j) (rules 9, 12, 14 and 15 keep their first pair), then
-      walks the priority list. The rule-18 endgame reuses the map.
+      walks the priority list. The rule-18 endgame reuses the map and variable lists.
   g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
       Selection passes over the clauses once. The first exactly-1 clause
       takes rule 6; every other clause class (target t, has a repeated
@@ -44,7 +44,8 @@ the worklist's j-th live slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate
 from operator import neg
 from typing import Optional
 
@@ -91,8 +92,8 @@ class Rule:
     actions: tuple = ()
     branches: tuple = ()
     fallback: bool = False
-    # endgame: the clause overlaps selection built, so they are built once
-    shared: Optional[list] = field(default=None, compare=False, repr=False)
+    # endgame: (shared, varlists) as selection built them, so they are built once
+    overlaps: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def _simp(tag, actions, fallback=False):
@@ -183,12 +184,13 @@ def _mult_profile(occ: dict) -> tuple:
     return tuple(sorted(occ.values(), reverse=True))
 
 
-def _overlaps(f: Formula) -> tuple[dict, list]:
-    """The occurrence map of f and the clause overlaps read from it.
+def _overlaps(f: Formula) -> tuple[dict, list, list]:
+    """The occurrence map of f, the clause overlaps read from it, and varlists.
 
     occurrences maps each variable to the ascending indices of the clauses
     holding it. shared[i] maps every other clause j holding a variable of
     clause i, in ascending j, to those variables in ascending order.
+    varlists[i] lists the variables of clause i in ascending order.
     """
     varlists = [sorted(c.variables()) for c in f.clauses]
     occurrences: dict[int, list[int]] = {}
@@ -201,7 +203,7 @@ def _overlaps(f: Formula) -> tuple[dict, list]:
             for i in occurrences[v]:
                 if i != j:
                     shared[i].setdefault(j, []).append(v)
-    return occurrences, shared
+    return occurrences, shared, varlists
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def _select_g2(f: Formula) -> Rule:
                 first.setdefault(13, c)
 
     # pair pass in ascending (i, j): rules 9, 12, 14 and 15 keep their first pair
-    occurrences, shared = _overlaps(f)
+    occurrences, shared, varlists = _overlaps(f)
     for i, row in enumerate(shared):
         for j, common in row.items():
             if i in c1s and cls[j].target == 2:
@@ -294,7 +296,7 @@ def _select_g2(f: Formula) -> Rule:
             return rule
         return _branch_lit("g2.17", heavies[0])
 
-    return Rule("g2.18", "endgame", shared=shared)
+    return Rule("g2.18", "endgame", overlaps=(shared, varlists))
 
 
 def _pair_view(ci, cj, shared):
@@ -702,10 +704,10 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
 # rule 18: residual formulas without heavy variables
 
 
-def _low_degree_model(f: Formula, shared: list) -> Optional[dict]:
+def _low_degree_model(f: Formula, shared: list, varlists: list) -> Optional[dict]:
     """Satisfying values for all clause variables, or None; degrees <= 2.
 
-    shared is the clause-overlap table of f, as _overlaps returns it.
+    shared and varlists are those _overlaps returns for f.
     """
     seen = set()
     model: dict[int, int] = {}
@@ -714,53 +716,79 @@ def _low_degree_model(f: Formula, shared: list) -> Optional[dict]:
             continue
         order = [start]
         seen.add(start)
-        qi = 0
-        while qi < len(order):
-            for nxt in shared[order[qi]]:
+        for i in order:  # visits what the loop appends, so breadth first
+            for nxt in shared[i]:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-            qi += 1
-        if not _solve_component([f.clauses[i] for i in order], model):
+        if not _solve_component([f.clauses[i] for i in order], [varlists[i] for i in order], model):
             return None
     return model
 
 
-def _solve_component(clauses: list[Clause], model: dict) -> bool:
+def _fresh_values(weights: tuple, need: int):
+    """In product order, the values of fresh variables that make exactly need
+    literals true, where variable i makes weights[i][x] true at value x. Only
+    prefixes that can be completed are pushed (reach[i] has bit s set when the
+    variables from i on can make s true), so each tuple costs O(width)."""
+    reach = list(accumulate(reversed(weights), lambda r, w: r << w[0] | r << w[1], initial=1))
+    reach.reverse()
+    values, stack, left = [], [], need  # stack: (position, value, what is left after it)
+    while True:
+        i = len(values)
+        if i == len(weights):
+            if not left:
+                yield tuple(values)
+        else:
+            for x in (1, 0):  # 0 is popped first
+                rest = left - weights[i][x]
+                if rest >= 0 and reach[i + 1] >> rest & 1:
+                    stack.append((i, x, rest))
+        if not stack:
+            return
+        i, x, left = stack.pop()
+        del values[i:]
+        values.append(x)
+
+
+@lru_cache(maxsize=1024)  # bounded: a list holds up to 70 tuples of 8
+def _fresh_table(weights: tuple, need: int) -> tuple:
+    return tuple(_fresh_values(weights, need))
+
+
+def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool:
     """Extend model over one component, clauses in BFS order; False if UNSAT.
 
-    Depth-first, one frame per clause, trying the values of a clause's fresh
-    variables in product order. The frontier of position pos holds the
-    variables of earlier clauses that occur again at pos or later; a position
-    whose frontier values failed once is not searched again.
+    varlists holds each clause's variables in ascending order. Depth-first,
+    one frame per clause, trying in product order only the values of the
+    clause's fresh variables that meet its target, given their weights (the
+    literals each makes true at 0 and at 1); the lists are memoised for up to
+    8 fresh variables. The frontier of position pos holds the variables of
+    earlier clauses that occur again at pos or later; a position whose
+    frontier values failed once is not searched again.
     """
-    varlists = [sorted(c.variables()) for c in clauses]
     last = {v: pos for pos, vs in enumerate(varlists) for v in vs}
-    frontiers = []
+    steps = []
     live: set[int] = set()
-    for pos, vs in enumerate(varlists):
-        frontiers.append(tuple(sorted(live)))
-        for v in vs:
-            if last[v] > pos:
-                live.add(v)
-            else:
-                live.discard(v)
+    for pos, (c, vs) in enumerate(zip(clauses, varlists)):
+        frontier = tuple(sorted(live))
+        fresh = [v for v in vs if v not in live]
+        weights = tuple([(c.occ.get(-v, 0), c.occ.get(v, 0)) for v in fresh])
+        live.difference_update(vs)
+        live.update(v for v in vs if last[v] > pos)
+        steps.append((frontier, fresh, weights, _fresh_table if len(fresh) <= 8 else _fresh_values))
     failed = set()
 
     def extend(pos: int) -> bool:
-        if pos == len(clauses):
+        if pos == len(steps):
             return True
-        key = (pos, tuple(model[v] for v in frontiers[pos]))
+        frontier, fresh, weights, listing = steps[pos]
+        key = (pos, tuple(map(model.__getitem__, frontier)))
         if key in failed:
             return False
         c = clauses[pos]
-        fixed = true_count(c, model)
-        fresh = [v for v in varlists[pos] if v not in model]
-        for combo in product((0, 1), repeat=len(fresh)):
-            ext = dict(zip(fresh, combo))
-            if fixed + true_count(c, ext) != c.target:
-                continue
-            model.update(ext)
+        for values in listing(weights, c.target - true_count(c, model)):
+            model.update(zip(fresh, values))
             if extend(pos + 1):
                 return True
             for v in fresh:
@@ -776,7 +804,7 @@ def endgame_low_degree(formula: Formula) -> SolveResult:
     heavy = [v for v, d in degrees(formula).items() if d >= 3]
     if heavy:
         raise ValueError(f"variable {min(heavy)} is heavy; endgame needs degrees <= 2")
-    part = _low_degree_model(formula, _overlaps(formula)[1])
+    part = _low_degree_model(formula, *_overlaps(formula)[1:])
     if part is None:
         return SolveResult(False, None)
     model = {v: part.get(v, 0) for v in range(1, formula.num_vars + 1)}
@@ -832,7 +860,7 @@ def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
         if rule.kind == "unsat":
             return None
         if rule.kind == "endgame":
-            part = _low_degree_model(f, rule.shared)
+            part = _low_degree_model(f, *rule.overlaps)
             if part is None:
                 return None
             # part values every clause variable, so it settles every clause

@@ -10,6 +10,8 @@ files with every target 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .formula import Clause, Formula
 
 MAX_TARGET = 4
@@ -22,9 +24,10 @@ class ParseError(ValueError):
 
 
 def parse(text: str) -> Formula:
-    header = None
-    tokens: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    header = bad = None  # bad: (line, text) of the first token that is not an int
+    ints, marks = [], []  # clause tokens; (offset of its first token, line) per data line
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -43,49 +46,60 @@ def parse(text: str) -> Formula:
             continue
         if header is None:
             raise ParseError("clause data before 'p gxsat' header", lineno)
-        for tok in line.split():
-            tokens.append((lineno, tok))
+        if bad is None:  # clause parsing stops at the bad token
+            marks.append((len(ints), lineno))
+            parts = line.split()
+            try:
+                ints += list(map(int, parts))
+            except ValueError:
+                for tok in parts:
+                    try:
+                        ints.append(int(tok))
+                    except ValueError:
+                        bad = (lineno, tok)
+                        break
     if header is None:
-        raise ParseError("missing 'p gxsat' header", len(text.splitlines()) or 1)
+        raise ParseError("missing 'p gxsat' header", len(lines) or 1)
     num_vars, num_clauses, _ = header
 
+    def line_of(pos: int) -> int:
+        return marks[bisect_right(marks, pos, key=lambda mark: mark[0]) - 1][1]
+
     clauses = []
-    pos = 0
-    while pos < len(tokens):
-        lineno, tok = tokens[pos]
-        try:
-            target = int(tok)
-        except ValueError:
-            raise ParseError(f"expected clause target, got {tok!r}", lineno) from None
+    pos, end = 0, len(ints)
+    ints.append(0)  # an unterminated clause ends at end
+    while pos < end:
+        target = ints[pos]
         if target < 0:
-            raise ParseError(f"clause target {target} is negative", lineno)
+            raise ParseError(f"clause target {target} is negative", line_of(pos))
         if target > MAX_TARGET:
-            raise ParseError(f"clause target {target} exceeds {MAX_TARGET}", lineno)
-        pos += 1
-        lits = []
-        closed = False
-        while pos < len(tokens):
-            lineno, tok = tokens[pos]
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"expected literal, got {tok!r}", lineno) from None
-            pos += 1
-            if lit == 0:
-                closed = True
-                break
-            if not (1 <= abs(lit) <= num_vars):
-                raise ParseError(f"literal {lit} out of range 1..{num_vars}", lineno)
-            lits.append(lit)
-        if not closed:
-            raise ParseError("clause missing its 0 terminator", tokens[-1][0])
-        clauses.append(Clause(target, lits))
+            raise ParseError(f"clause target {target} exceeds {MAX_TARGET}", line_of(pos))
+        stop = ints.index(0, pos + 1)
+        lits = ints[pos + 1:stop]
+        if lits and (min(lits) < -num_vars or max(lits) > num_vars):
+            k = next(k for k, lit in enumerate(lits) if not -num_vars <= lit <= num_vars)
+            raise ParseError(f"literal {lits[k]} out of range 1..{num_vars}", line_of(pos + 1 + k))
+        if stop == end:
+            if bad is not None:
+                raise ParseError(f"expected literal, got {bad[1]!r}", bad[0])
+            raise ParseError("clause missing its 0 terminator", line_of(end - 1))
+        occ = {}
+        for lit in lits:
+            occ[lit] = occ.get(lit, 0) + 1
+        c = Clause.__new__(Clause)
+        c.target, c.occ = target, occ
+        clauses.append(c)
+        pos = stop + 1
+    if bad is not None:
+        raise ParseError(f"expected clause target, got {bad[1]!r}", bad[0])
     if len(clauses) != num_clauses:
         raise ParseError(
             f"header declared {num_clauses} clauses, found {len(clauses)}",
-            tokens[-1][0] if tokens else header[2],
+            line_of(end - 1) if end else header[2],
         )
-    return Formula(num_vars, clauses)
+    f = Formula.__new__(Formula)  # every literal is in range: skip Formula's check
+    f.num_vars, f.clauses = num_vars, clauses
+    return f
 
 
 def serialize(formula: Formula) -> str:

@@ -60,6 +60,29 @@ def test_rejects_entries_too_small_to_bracket(vector):
         branching_factor(vector)
 
 
+@pytest.mark.parametrize("vector", [(1e-20, 1.0), (1e-30, 1.0, 2.0)])
+def test_tiny_entry_moves_the_root(vector):
+    # written as sum(x**-t) - 1 the residual reads 0 from 2**53 on, and the
+    # bisection stops there; the root of (1e-20, 1) is about 2.4e18
+    t_min, *rest = vector
+
+    def residual(x):
+        return math.expm1(-t_min * math.log(x)) + sum(x ** -t for t in rest)
+
+    beta = branching_factor(vector)
+    assert abs(residual(beta)) <= 1e-9
+    assert residual(beta * (1 - 1e-9)) > 0 > residual(beta * (1 + 1e-9))
+    # near the root x**-t_min - 1 is about -t_min * ln x, which the 1/x term
+    # (with 1/x**2, negligible) must cancel
+    assert beta * math.log(beta) == pytest.approx(1 / t_min, rel=1e-9)
+
+
+def test_subnormal_entry_is_too_small():
+    # the root of (5e-324, 1) is past 1e320
+    with pytest.raises(ValueError, match="too small"):
+        branching_factor((5e-324, 1.0))
+
+
 def test_largest_bracketed_factor():
     # 2**(1/t) for t = 1/990 is about 1e298, still below MAX_BRANCHING_FACTOR
     t = 1.0 / 990.0

@@ -48,6 +48,21 @@ def test_solve_witness_line(sat_path, capsys):
     assert sum(model[v] for v in (1, 2, 3)) == 2
 
 
+def test_solve_wide_clause(tmp_path, capsys):
+    # one exactly-2 clause over -1..-40: the endgame finds its one witness
+    # with 1 and 2 false without filtering 2**38 product entries first
+    text = "p gxsat 40 1\n2 " + " ".join(str(-v) for v in range(1, 41)) + " 0\n"
+    path = tmp_path / "wide.gxsat"
+    path.write_text(text)
+    assert main(["solve", str(path), "--witness", "--stats"]) == 10
+    out = capsys.readouterr().out
+    assert "c rule g2.18 1" in out.splitlines()
+    vline = next(l for l in out.splitlines() if l.startswith("v "))
+    lits = [int(t) for t in vline[2:].split()]
+    assert lits[-1] == 0
+    assert [-l for l in lits[:-1] if l < 0] == [1, 2]
+
+
 def test_solve_stats(sat_path, capsys):
     assert main(["solve", sat_path, "--stats"]) == 10
     out = capsys.readouterr().out
@@ -137,6 +152,14 @@ def test_analyze_tau(capsys):
     assert main(["analyze", "--tau", "2,3"]) == 0
     value = float(capsys.readouterr().out.split("=")[1])
     assert value == pytest.approx(1.3248, abs=1e-4)
+
+
+def test_analyze_tau_with_a_tiny_entry(capsys):
+    # the root of (1e-20, 1) satisfies x ln x = 1e20, far past 2**53
+    assert main(["analyze", "--tau", "1e-20,1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("tau(1e-20,1) = ")
+    assert float(out.split("=")[1]) == pytest.approx(2.3636887249603e18, rel=1e-12)
 
 
 def test_analyze_alpha(capsys):

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -521,10 +521,15 @@ def random_low_degree(rng):
     return Formula(n, clauses)
 
 
+def all_negative_exactly2(width):
+    """One exactly-2 clause over -1..-width: only variables 1 and 2 are 0, so
+    2**(width - 2) - 1 product entries come before the first valid one."""
+    return Formula(width, [Clause(2, [-v for v in range(1, width + 1)])])
+
+
 def test_endgame_matches_memo_reference(rng):
     outcomes = set()
-    for _ in range(800):
-        f = random_low_degree(rng)
+    for f in chain((random_low_degree(rng) for _ in range(800)), [all_negative_exactly2(16)]):
         ref = reference_low_degree_model(f)
         result = endgame_low_degree(f)
         assert result.sat == (ref is not None)
@@ -552,6 +557,38 @@ def test_long_chain_decided_in_one_node_at_default_recursion_limit():
     assert result.sat and evaluate(f, result.model)
     assert result.stats.nodes_expanded == 1
     assert result.stats.rule_fires == {"g2.18": 1}
+
+
+@pytest.mark.parametrize("width", [40, 2000])
+def test_wide_clause_decided_by_the_endgame(width):
+    # the endgame lists only the fresh values that make exactly 2 literals
+    # true, so the first one costs O(width), not 2**(width - 2) - 1 failures
+    assert sys.getrecursionlimit() <= 1000
+    f = all_negative_exactly2(width)
+    result = solve_auto(f)
+    assert result.sat and evaluate(f, result.model)
+    assert result.stats.rule_fires == {"g2.18": 1}
+    assert [v for v, x in result.model.items() if x == 0] == [1, 2]
+
+
+def test_wide_clause_out_of_reach_fails_at_once():
+    # doubled literals only make even counts true: no prefix can reach 3, so
+    # none is extended, where a bound on the sum alone walks width**2 of them
+    f = Formula(2000, [Clause(3, [v for v in range(1, 2001) for _ in (0, 1)])])
+    assert not endgame_low_degree(f).sat
+
+
+def test_fresh_values_in_product_order(rng):
+    # every tuple the product gives that makes exactly need true, in its order
+    for _ in range(300):
+        weights = tuple((rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(0, 6)))
+        for need in range(-1, 2 * len(weights) + 2):
+            listed = list(dpll._fresh_values(weights, need))
+            assert listed == [
+                values for values in product((0, 1), repeat=len(weights))
+                if sum(w[x] for w, x in zip(weights, values)) == need
+            ]
+            assert list(dpll._fresh_table(weights, need)) == listed
 
 
 def test_endgame_reuses_the_selection_overlap_map(monkeypatch):

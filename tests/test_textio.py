@@ -1,9 +1,14 @@
 """Extended DIMACS dialect: grammar, diagnostics, round trips."""
 
+import random
+import re
+
 import pytest
 
 from conftest import C, F
-from gixsat.textio import ParseError, parse, serialize
+from gixsat.formula import Clause, Formula
+from gixsat.generator import GenSpec, generate
+from gixsat.textio import MAX_TARGET, ParseError, parse, serialize
 
 
 def test_parse_basic():
@@ -87,3 +92,162 @@ def test_serialize_parse_identity(rng):
         g = parse(serialize(f))
         assert g == f
         assert serialize(g) == serialize(f)
+
+
+# Reference: the two-pass parser, which collects (line, token) pairs first
+# and then converts and checks each token on its own.
+
+
+def reference_parse(text: str) -> Formula:
+    header = None
+    tokens: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if header is not None:
+                raise ParseError("duplicate header", lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "gxsat":
+                raise ParseError("header must be 'p gxsat <vars> <clauses>'", lineno)
+            try:
+                header = (int(parts[2]), int(parts[3]), lineno)
+            except ValueError:
+                raise ParseError("header counts must be integers", lineno) from None
+            if header[0] < 0 or header[1] < 0:
+                raise ParseError("header counts must be nonnegative", lineno)
+            continue
+        if header is None:
+            raise ParseError("clause data before 'p gxsat' header", lineno)
+        for tok in line.split():
+            tokens.append((lineno, tok))
+    if header is None:
+        raise ParseError("missing 'p gxsat' header", len(text.splitlines()) or 1)
+    num_vars, num_clauses, _ = header
+
+    clauses = []
+    pos = 0
+    while pos < len(tokens):
+        lineno, tok = tokens[pos]
+        try:
+            target = int(tok)
+        except ValueError:
+            raise ParseError(f"expected clause target, got {tok!r}", lineno) from None
+        if target < 0:
+            raise ParseError(f"clause target {target} is negative", lineno)
+        if target > MAX_TARGET:
+            raise ParseError(f"clause target {target} exceeds {MAX_TARGET}", lineno)
+        pos += 1
+        lits = []
+        closed = False
+        while pos < len(tokens):
+            lineno, tok = tokens[pos]
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ParseError(f"expected literal, got {tok!r}", lineno) from None
+            pos += 1
+            if lit == 0:
+                closed = True
+                break
+            if not (1 <= abs(lit) <= num_vars):
+                raise ParseError(f"literal {lit} out of range 1..{num_vars}", lineno)
+            lits.append(lit)
+        if not closed:
+            raise ParseError("clause missing its 0 terminator", tokens[-1][0])
+        clauses.append(Clause(target, lits))
+    if len(clauses) != num_clauses:
+        raise ParseError(
+            f"header declared {num_clauses} clauses, found {len(clauses)}",
+            tokens[-1][0] if tokens else header[2],
+        )
+    return Formula(num_vars, clauses)
+
+
+
+def _mutate(rng, text, num_vars):
+    """text with one seeded edit: a token deleted, duplicated or replaced, a
+    clause split across lines, CRLF line ends, a comment line, a missing or
+    duplicated header, or a wrong clause count."""
+    lines = text.split("\n")
+    kind = rng.randrange(8)
+    if kind < 3:  # a token deleted, duplicated or replaced
+        # mostly clause tokens: a broken header hides every later error
+        header_too = rng.random() < 0.1
+        spots = [(i, k) for i, line in enumerate(lines) if header_too or not line.startswith("p")
+                 for k in range(len(line.split()))]
+        if not spots:
+            return text
+        i, k = rng.choice(spots)
+        toks = lines[i].split()
+        if kind == 0:
+            del toks[k]
+        elif kind == 1:
+            toks.insert(k, toks[k])
+        else:
+            toks[k] = rng.choice(["0", "-0", "x", "5", "-1", str(num_vars + 1),
+                                  str(-num_vars - 1)])
+        lines[i] = " ".join(toks)
+    elif kind == 3:  # a clause split across lines
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        cut = rng.randint(0, len(toks))
+        lines[i:i + 1] = [" ".join(toks[:cut]), " ".join(toks[cut:])]
+    elif kind == 4:
+        return text.replace("\n", "\r\n")
+    elif kind == 5:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["c note", "c", "  c 1 0"]))
+    elif kind == 6:  # a missing or duplicated header
+        header = lines.pop(0)
+        if rng.random() < 0.5:
+            lines.insert(rng.randint(0, len(lines)), header)
+            lines.insert(0, header)
+    else:  # a wrong clause count
+        for i, line in enumerate(lines):
+            parts = line.split()
+            if parts[:2] == ["p", "gxsat"] and parts[-1].isdigit():
+                parts[-1] = str(int(parts[-1]) + rng.choice([-1, 1]))
+                lines[i] = " ".join(parts)
+                break
+    return "\n".join(lines)
+
+
+def parse_corpus(count=2400, seed=12):
+    """Seeded serialize output of GenSpec formulas, most with 1-3 mutations."""
+    rng = random.Random(seed)
+    texts = []
+    for i in range(count):
+        n = rng.randint(1, 12)
+        max_len = rng.randint(1, n)
+        spec = GenSpec(n, rng.randint(0, 8), min_len=rng.randint(1, max_len), max_len=max_len,
+                       max_target=rng.randint(1, MAX_TARGET), neg_prob=rng.random(),
+                       max_repeat=rng.randint(1, 2), planted=rng.random() < 0.5, seed=i)
+        text = serialize(generate(spec)[0])
+        for _ in range(rng.randint(0, 3)):
+            text = _mutate(rng, text, n)
+        texts.append(text)
+    return texts
+
+
+def _outcome(parser, text):
+    try:
+        f = parser(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    # the literal order of each clause is kept too: selection reads it
+    return "formula", f, [list(c.occ.items()) for c in f.clauses]
+
+
+def test_parse_matches_the_two_pass_reference():
+    formulas, messages = 0, set()
+    for text in parse_corpus():
+        got = _outcome(parse, text)
+        assert got == _outcome(reference_parse, text), text
+        if got[0] == "formula":
+            formulas += 1
+        else:
+            messages.add(re.sub(r"-?\d+|'.*'", "#", got[1]))
+    assert formulas >= 600
+    # the corpus reaches all 12 messages parse can raise
+    assert len(messages) == 12, messages
