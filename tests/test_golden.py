@@ -7,8 +7,10 @@ with multiplicities up to the target, plus seven doubled or single literals.
 It is also pinned for the other g3/g4 clause classes: an exactly-1 clause of
 3 to 6 literals (rule 6), an exactly-2 clause with a doubled literal and one
 to five singles or doubles (rule 7), and a single-occurrence exactly-t clause
-of 2t to 2t + 3 literals (rules 8, 10 and 12). Search counts are pinned for seeded hard instances, since node counts are
-the main regression signal.
+of 2t to 2t + 3 literals (rules 8, 10 and 12). Search counts are pinned for
+seeded hard instances, since node counts are the main regression signal:
+status, nodes, rule fires, simplification fires, fixpoint calls and a hash of
+the model.
 
 The data in tests/data was recorded by running this module as a script:
 
@@ -18,6 +20,7 @@ Re-recording it changes what the solvers are held to, so only do it for an
 intended behaviour change and say why.
 """
 
+import hashlib
 import json
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -102,12 +105,18 @@ def _selection_entry(scheme, target, occ):
 def _search_entry(family, seed):
     formula, _ = generate(GenSpec(seed=seed, **SEARCH_SPECS[family]))
     result = solve_auto(formula)
+    stats = result.stats
+    model = sorted(result.model.items()) if result.sat else None
     return {
         "family": family,
         "seed": seed,
         "status": result.status,
-        "nodes_expanded": result.stats.nodes_expanded,
-        "rule_fires": dict(sorted(result.stats.rule_fires.items())),
+        "nodes_expanded": stats.nodes_expanded,
+        "rule_fires": dict(sorted(stats.rule_fires.items())),
+        "simplify_fires": stats.simplify_fires,
+        "fixpoint_calls": stats.fixpoint_calls,
+        "fixpoint_unsat": stats.fixpoint_unsat,
+        "model_sha256": hashlib.sha256(json.dumps(model).encode()).hexdigest(),
     }
 
 
