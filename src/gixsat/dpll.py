@@ -16,7 +16,8 @@ Three rule sets share the engine:
       exactly-1 clause takes rule 8 at once; rules 10, 11 and 13 keep their
       first clause) and one pair pass over the occurrence map (_overlaps) in
       ascending (i, j) (rules 9, 12, 14 and 15 keep their first pair), then
-      walks the priority list. The rule-18 endgame reuses the map and variable lists.
+      walks the priority list. Rules 16/17 read their heavy variables from
+      the map, and the rule-18 endgame reuses the map and variable lists.
   g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
       Selection passes over the clauses once. The first exactly-1 clause
       takes rule 6; every other clause class (target t, has a repeated
@@ -157,7 +158,6 @@ def _apply_actions(w: _Worklist, actions) -> bool:
             lit_a, lit_b = act[1], act[2]
             v = abs(lit_a)
             partner = lit_b if lit_a > 0 else -lit_b
-            w.trail.check_link(v, partner)
             if not w.eliminate(v, ("link", partner)):
                 return False
         elif kind == "add":
@@ -239,6 +239,8 @@ def _select_g2(f: Formula) -> Rule:
                 first.setdefault(11, c)
             elif c.size() == 4 and len(c.occ) == 4:
                 first.setdefault(13, c)
+        else:
+            raise AssertionError("g2 selection needs clause targets of 1 or 2")
 
     # pair pass in ascending (i, j): rules 9, 12, 14 and 15 keep their first pair
     occurrences, shared, varlists = _overlaps(f)
@@ -288,8 +290,11 @@ def _select_g2(f: Formula) -> Rule:
     if 15 in first:
         return _g2_rule15(f, *first[15])
 
-    # rules 16/17: heavy variables
-    heavies = sorted(v for v, d in degrees(f).items() if d >= 3)
+    # rules 16/17: heavy variables, of degree >= 3 counting multiplicity.
+    # Rules 10 and 11 take every clause with a doubled literal, and the clause
+    # pass checked that no other literal repeats, so every multiplicity is 1
+    # here and a variable's degree is the number of clauses holding it.
+    heavies = sorted(v for v, held in occurrences.items() if len(held) >= 3)
     if heavies:
         rule = _g2_rule16(f, heavies, occurrences)
         if rule is not None:

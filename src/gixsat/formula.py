@@ -155,23 +155,30 @@ class Trail:
     def unassigned_vars(self) -> list[int]:
         return [v for v in range(1, self.num_vars + 1) if v not in self.entries]
 
-    def record_const(self, var: int, value: int) -> None:
+    def check(self, var: int, state: tuple) -> None:
+        """Raise ValueError unless var may take the state."""
         if var in self.entries:
             raise ValueError(f"variable {var} already eliminated")
-        self.entries[var] = ("const", value)
+        if state[0] == "link":
+            partner = state[1]
+            if abs(partner) == var:
+                raise ValueError("cannot link a variable to itself")
+            if abs(partner) in self.entries:
+                raise ValueError("link partner must be unassigned")
 
-    def check_link(self, var: int, partner: int) -> None:
-        """Raise ValueError unless var may be linked to the literal partner."""
-        if var in self.entries:
-            raise ValueError(f"variable {var} already eliminated")
-        if abs(partner) == var:
-            raise ValueError("cannot link a variable to itself")
-        if abs(partner) in self.entries:
-            raise ValueError("link partner must be unassigned")
+    def record(self, var: int, state: tuple) -> None:
+        """Record the state of var, which check(var, state) has passed."""
+        self.entries[var] = state
+
+    def record_const(self, var: int, value: int) -> None:
+        state = ("const", value)
+        self.check(var, state)
+        self.record(var, state)
 
     def record_link(self, var: int, partner: int) -> None:
-        self.check_link(var, partner)
-        self.entries[var] = ("link", partner)
+        state = ("link", partner)
+        self.check(var, state)
+        self.record(var, state)
 
     def copy(self) -> "Trail":
         t = Trail.__new__(Trail)
@@ -287,10 +294,11 @@ def link(formula: Formula, trail: Trail, var: int, partner: int) -> Optional[For
     and any partner/-partner pairs created this way cancel against the
     target. Returns None on conflict (trail untouched).
     """
-    trail.check_link(var, partner)
-    out = _substituted(formula, var, ("link", partner))
+    state = ("link", partner)
+    trail.check(var, state)
+    out = _substituted(formula, var, state)
     if out is not None:
-        trail.record_link(var, partner)
+        trail.record(var, state)
     return out
 
 

@@ -23,18 +23,28 @@ clauses that held the variable an assignment or link eliminated. Those are
 found through a variable -> clause-index occurrence map. A deleted clause
 leaves an empty slot, so indices and clause order stay fixed.
 
+Eliminating a variable is one pass over the clauses that hold it: each
+clause's new state is computed and written at once, and the counters are
+updated once at the end, where the trail entry is also written. A conflict
+returns False at the clause where it shows, leaving the worklist half
+edited, so a worklist that returned False must be discarded, as every
+caller does. A clause whose rule mask changes moves between the per-rule
+sets for the changed bits only, read from a table of set bits.
+
 Two shortcuts make a step cheaper without changing which steps run or in
 what order. Most clauses a constant reaches are plain: k distinct literals,
 each once, no variable in both signs. A plain clause's mask depends only on
 its target t and size k, so eliminating a constant from one drops the
 literal, lowers the target, checks for a conflict and takes the new mask
-from _plain_mask(t, k), a memo of _classify on a canonical plain clause;
-links and clauses that are not plain go through substitute and _classify.
-And rule (c) on a target-0 clause zeroes its literals in canonical order
-within one step, stopping as soon as an (a) or (b) step is pending or the
-clause is no longer the lowest-index one carrying (c). Each literal is
-exactly the step a rescan would take next, so the trail, the literal order
-of every clause and the point of any conflict stay the same.
+from a (t, k) memo of _classify on a canonical plain clause; links and
+clauses that are not plain go through substitute and _classify. And rule
+(c) on a target-0 clause sorts its literals once, in canonical order, and
+zeroes them one by one within one step, stopping as soon as an (a) or (b)
+step is pending or the clause is no longer the lowest-index one carrying
+(c). The clause is unpaired and zeroing a literal changes only the clauses
+holding its variable, so each literal is exactly the step a rescan would
+take next, and the trail, the literal order of every clause and the point
+of any conflict stay the same.
 
 The worklist (_Worklist) also serves as the search state of a whole
 branch-and-bound solve: the solver applies rule actions to it, settles it
@@ -44,7 +54,9 @@ once per solve and only grows: every clause that gains a variable (by a
 link, an added clause or a replaced clause) is registered under it, and
 nothing is ever removed. The map may therefore name clauses that have lost
 the variable, or slots that another branch added, and substitution skips
-both.
+both. A per-worklist map that dropped each eliminated variable skipped far
+fewer entries but was no faster: the time goes to the clauses that still
+hold the variable.
 
 The progress bound (alive variables, total occurrences, clause count, target
 sum) is kept as running counters and must fall lexicographically with every
@@ -111,6 +123,10 @@ def _plain_mask(t: int, k: int) -> int:
     return _classify(Clause(t, range(1, k + 1)))[0]
 
 
+# _SET_BITS[m] lists the rules whose bits m sets, in ascending order
+_SET_BITS = tuple(tuple(r for r in range(8) if m >> r & 1) for m in range(256))
+
+
 class _Worklist:
     """Clause slots, per-rule index sets, occurrence map and bound counters.
 
@@ -149,17 +165,13 @@ class _Worklist:
                 held.add(i)
 
     def _remask(self, i: int, mask: int) -> None:
-        changed = self.masks[i] ^ mask
+        old = self.masks[i]
         self.masks[i] = mask
-        r = 0
-        while changed:
-            if changed & 1:
-                if mask >> r & 1:
-                    self.pending[r].add(i)
-                else:
-                    self.pending[r].discard(i)
-            changed >>= 1
-            r += 1
+        pending = self.pending
+        for r in _SET_BITS[mask & ~old]:
+            pending[r].add(i)
+        for r in _SET_BITS[old & ~mask]:
+            pending[r].discard(i)
 
     def add(self, c: Clause) -> None:
         """Append c as a new clause and classify it."""
@@ -172,15 +184,15 @@ class _Worklist:
         self.targets += c.target
         self.count += 1
         self._register(i, c)
-        self._remask(i, mask)
+        if mask:
+            self._remask(i, mask)
 
-    def put(self, i: int, c: Clause, classified: Optional[tuple] = None) -> None:
-        """Replace clause i by c and classify it again, unless the caller
-        passes the (mask, size) that _classify(c) returns.
+    def put(self, i: int, c: Clause) -> None:
+        """Replace clause i by c and classify it again.
 
         Every variable of c must already be registered under i.
         """
-        mask, size = classified or _classify(c)
+        mask, size = _classify(c)
         self.occurrences += size - self.sizes[i]
         self.targets += c.target - self.slots[i].target
         self.sizes[i] = size
@@ -203,16 +215,22 @@ class _Worklist:
     def eliminate(self, var: int, state: tuple) -> bool:
         """Substitute var by a Trail state in the clauses that hold it.
 
-        Records state on the trail and returns True, or returns False on a
-        conflict (nothing recorded).
+        Each clause takes its new state where it is computed, so the edit is
+        one pass. Records state on the trail and returns True, or returns
+        False on a conflict, leaving the worklist half edited: after False it
+        must be discarded. Raises ValueError, before any edit, if var is
+        already eliminated or the link is not allowed.
         """
+        trail = self.trail
+        trail.check(var, state)
+        kind, arg = state
+        const = kind == "const"
         slots = self.slots
         sizes = self.sizes
         masks = self.masks
         n = len(slots)
-        kind, arg = state
-        const = kind == "const"
-        changed = []
+        occurrences = targets = 0
+        linked = []
         # the map never shrinks and forks share it, so it may name slots this
         # worklist lacks and clauses that no longer hold var
         for i in self.occ.get(var, ()):
@@ -227,38 +245,40 @@ class _Worklist:
             else:
                 continue
             k = sizes[i] - 1
-            if const and k + 1 == len(occ) and not masks[i] & (_A | _B):
+            old = masks[i]
+            if const and k + 1 == len(occ) and not old & (_A | _B):
                 # plain: lit occurs once and var in one sign only
                 t = c.target - (arg if lit > 0 else 1 - arg)
                 if t < 0 or t > k:
                     return False
                 nc = Clause.__new__(Clause)
                 nc.target = t
-                nc.occ = occ.copy()
-                del nc.occ[lit]
-                changed.append((i, nc, (_plain_mask(t, k), k)))
+                nc.occ = occ = occ.copy()
+                del occ[lit]
+                mask = _plain_mask(t, k)
+                size = k
             else:
                 nc = substitute(c, var, state)
                 if nc is None:
                     return False
-                changed.append((i, nc, None))
-        if const:
-            self.trail.record_const(var, arg)
-        else:
-            self.trail.record_link(var, arg)
-            held = self.occ.setdefault(abs(arg), set())
-            held.update(i for i, _, _ in changed)
-        for i, nc, classified in changed:
-            self.put(i, nc, classified)
+                mask, size = _classify(nc)
+                if not const:
+                    linked.append(i)
+            slots[i] = nc
+            occurrences += size - sizes[i]
+            targets += nc.target - c.target
+            sizes[i] = size
+            if mask != old:
+                self._remask(i, mask)
+        self.occurrences += occurrences
+        self.targets += targets
+        if linked:
+            self.occ.setdefault(abs(arg), set()).update(linked)
+        trail.record(var, state)
         return True
 
     def assign_literal(self, lit: int, value: int) -> bool:
         return self.eliminate(abs(lit), ("const", value if lit > 0 else 1 - value))
-
-    def bound(self) -> tuple:
-        trail = self.trail
-        alive = trail.num_vars - len(trail.entries)
-        return (alive, self.occurrences, self.count, self.targets)
 
     def settle(self) -> bool:
         """Apply rules until none fires. False means unsatisfiable.
@@ -267,8 +287,13 @@ class _Worklist:
         """
         pending = self.pending
         fires = self.fires
-        prev = self.bound()
+        num_vars = self.trail.num_vars
+        entries = self.trail.entries
+        prev = None
         while True:
+            cur = (num_vars - len(entries), self.occurrences, self.count, self.targets)
+            assert prev is None or cur < prev, "simplification failed to make progress"
+            prev = cur
             for rule, held in enumerate(pending):
                 if held:
                     break
@@ -280,9 +305,6 @@ class _Worklist:
             i = min(pending[rule])
             if not _STEPS[rule](self, i, self.slots[i]):
                 return False
-            cur = self.bound()
-            assert cur < prev, "simplification failed to make progress"
-            prev = cur
 
     def fork(self) -> "_Worklist":
         """A copy to branch on, with its own trail; the occurrence map is shared.
@@ -341,14 +363,18 @@ def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
     # Target 0: every literal exceeds the target, so a rescan would step here
     # again, zeroing the next literal in canonical order, for as long as no
     # (a) or (b) step is pending and clause i stays the lowest-index clause
-    # carrying (c).
+    # carrying (c). No (b) step is pending now, so clause i is unpaired, and
+    # zeroing a literal edits only the clauses holding its variable: the
+    # literals can be sorted once. After the last one clause i is empty.
     pending = w.pending
-    while w.assign_literal(min(c.occ, key=lit_key), 0):
-        if pending[0] or pending[1] or min(pending[2], default=-1) != i:
-            return True
-        w.fires[2] += 1
-        c = w.slots[i]
-    return False
+    for n, lit in enumerate(sorted(c.occ, key=lit_key)):
+        if n:
+            if pending[0] or pending[1] or min(pending[2], default=-1) != i:
+                return True
+            w.fires[2] += 1
+        if not w.assign_literal(lit, 0):
+            return False
+    return True
 
 
 def _step_d(w: _Worklist, i: int, c: Clause) -> bool:

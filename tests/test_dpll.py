@@ -436,6 +436,10 @@ def test_g2_selection_names_the_fixpoint_invariant():
     # rule (b) would cancel 2 / -2 first; rule 11 used to fail with KeyError: 2
     with pytest.raises(AssertionError, match="g2 selection needs a simplification fixpoint"):
         dpll._select_g2(F(5, C(2, 1, 1, 2, -2, 3), C(1, 2, 4, 5)))
+    # a fixpoint outside g2: a target-3 clause may repeat a literal, which
+    # the heavy-variable count of rules 16/17 assumes away
+    with pytest.raises(AssertionError, match="g2 selection needs clause targets of 1 or 2"):
+        dpll._select_g2(F(6, C(3, 1, 2, 3, 4, 5, 6)))
 
 
 # Reference: the rule-18 endgame with its own occurrence lists and a

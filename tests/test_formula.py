@@ -70,6 +70,23 @@ def test_link_rejects_self():
         link(f, Trail(2), 1, -1)
 
 
+def test_trail_check_rejects_without_recording():
+    t = Trail(3)
+    t.record_const(3, 1)
+    for var, state, message in (
+        (3, ("const", 0), "already eliminated"),
+        (3, ("link", 1), "already eliminated"),
+        (1, ("link", -1), "itself"),
+        (1, ("link", 3), "partner must be unassigned"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            t.check(var, state)
+    assert t.entries == {3: ("const", 1)}
+    t.check(1, ("link", -2))
+    t.record(1, ("link", -2))
+    assert list(t.entries.items()) == [(3, ("const", 1)), (1, ("link", -2))]
+
+
 def test_link_dissolves_two_literal_clause():
     f = F(3, C(1, 2, 3))
     t = Trail(3)

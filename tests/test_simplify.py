@@ -3,6 +3,7 @@
 from collections import Counter
 from itertools import product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -277,6 +278,8 @@ def crowded_formulas(draw):
 # a constant reaches a doubled literal, or a clause that was paired before (b)
 @example(F(4, C(0, 1, 3), C(2, 1, 2, 2, 4)))
 @example(F(4, C(0, 1, 4), C(2, 1, -2, 2, 3, 4)))
+# zeroing clause 1 stops after literal 2, when clause 0 gains (c)
+@example(F(5, C(2, -2, 3, 3, 5), C(0, 1, 2, 4)))
 @given(crowded_formulas())
 @settings(max_examples=500, deadline=None)
 def test_fixpoint_matches_rescan_reference(f):
@@ -300,6 +303,7 @@ def test_fixpoint_matches_rescan_reference(f):
 
 @example(F(3, C(0, 1, 3), C(1, 1, 2, 2)))
 @example(F(5, C(2, -1, 2, 2, 3, 4), C(0, 1, 5)))
+@example(F(5, C(2, -2, 3, 3, 5), C(0, 1, 2, 4)))
 @given(crowded_formulas())
 @settings(max_examples=200, deadline=None)
 def test_fires_count_the_rescan_steps(f):
@@ -322,6 +326,19 @@ def test_plain_mask_is_the_classification_of_every_plain_clause():
                 assert _plain_mask(t, k) == _classify(c)[0], c
 
 
+def test_eliminate_classifies_long_plain_clauses():
+    for size in (15, 16, 17, 18, 60):
+        for target in (0, 1, 2, size // 2, size // 2 + 1, size - 1, size):
+            for value in (0, 1):
+                c = Clause(target, [-1] + list(range(2, size + 1)))
+                expect = substitute(c, 1, ("const", value))
+                w = _Worklist(F(size, c), Trail(size))
+                assert w.eliminate(1, ("const", value)) == (expect is not None)
+                if expect is not None:
+                    assert (_clause_view(w.slots[0]), w.masks[0], w.sizes[0]) == (
+                        _clause_view(expect), *_classify(expect))
+
+
 @given(crowded_formulas(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_eliminate_constant_matches_substitute(f, data):
@@ -342,6 +359,44 @@ def test_eliminate_constant_matches_substitute(f, data):
         assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
         assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
         assert w.trail.entries == {var: ("const", value)}
+
+
+@given(crowded_formulas(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_eliminate_link_matches_substitute(f, data):
+    """A variable linked to a literal of another variable in an unsettled
+    worklist leaves each clause as substitute leaves it, classified as
+    _classify classifies it, and every clause that gains the partner is
+    registered under it."""
+    w = _Worklist(f, Trail(f.num_vars))
+    var = data.draw(st.integers(1, f.num_vars))
+    other = data.draw(st.integers(1, f.num_vars - 1))
+    partner = data.draw(st.sampled_from([1, -1])) * (other if other < var else other + 1)
+    expect = []
+    for c in f.clauses:
+        if var in c.occ or -var in c.occ:
+            c = substitute(c, var, ("link", partner))
+        expect.append(c)
+    ok = w.eliminate(var, ("link", partner))
+    assert ok == (None not in expect)
+    if ok:
+        assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
+        assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
+        assert w.trail.entries == {var: ("link", partner)}
+        _assert_occurrence_superset(w)
+
+
+def test_eliminate_an_eliminated_variable_raises_before_any_edit():
+    w = _Worklist(F(3, C(1, 1, 2, 3), C(1, -1, 2, 3)), Trail(3))
+    assert w.eliminate(1, ("const", 0))
+    # a clause holding the eliminated variable again, which an edit would reach
+    w.add(Clause(1, [1, 2]))
+    before = (list(w.slots), list(w.masks), list(w.sizes), dict(w.trail.entries))
+    for state in (("const", 0), ("const", 1), ("link", 2), ("link", -3)):
+        with pytest.raises(ValueError, match="already eliminated"):
+            w.eliminate(1, state)
+        after = (list(w.slots), list(w.masks), list(w.sizes), dict(w.trail.entries))
+        assert all(a is b for a, b in zip(before[0], after[0])) and before[1:] == after[1:]
 
 
 # Reference for the solver's persistent worklist: a rule's actions applied to
