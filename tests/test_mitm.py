@@ -290,6 +290,51 @@ def test_kernel_matches_the_one_at_a_time_reference():
     assert ("sat", False) in seen
 
 
+@pytest.mark.parametrize("block_bits", [1, 2, 3, 5])
+def test_kernel_matches_the_reference_across_sweep_blocks(monkeypatch, block_bits):
+    # the corpus has at most 12 variables, so only narrow blocks and a small
+    # first check reach the high-bit blocks and the half-by-half checks
+    import gixsat.mitm as mitm_module
+
+    monkeypatch.setattr(mitm_module, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(mitm_module, "_FIRST_CHECK", 4)
+    test_kernel_matches_the_one_at_a_time_reference()
+
+
+def _deep_need(*extra):
+    """Target 4 over x1..x18 negated, each 5 times, and x19 four times: true
+    only with x1..x18 = 1 and x19 = 1. With every low bit 0 the 18 low
+    variables each add target + 1 = 5, so the need reaches 4 - 90 = -86
+    in the first sweep block and 0 - 90 = -90 in the one with x19 = 1."""
+    occ = {-v: 5 for v in range(1, 19)}
+    occ[19] = 4
+    clauses = [Clause(4, occ), *extra]
+    return Formula(max([19, *(v for c in extra for v in c.variables())]), clauses)
+
+
+@pytest.mark.parametrize(
+    "formula,complement",
+    [
+        (_deep_need(), 19),
+        # x19 and x20 both 1 overshoots the second clause from the high bits
+        # alone, so blocks 3 and 7 are skipped; the model lies in block 5
+        (_deep_need(C(1, 19, 20), C(1, 21)), 21),
+    ],
+    ids=["int8-floor", "skipped-block"],
+)
+def test_sweep_at_the_int8_floor_and_past_skipped_blocks(formula, complement):
+    result = solve_mitm(formula, alpha=0.02)
+    assert result.stats.cover_size == 0
+    assert result.stats.complement_vars == complement
+    truth = brute_solve(formula)
+    assert result.sat == truth.sat
+    assert evaluate(formula, result.model)
+    # with an empty cover the first hit is the lowest satisfying assignment
+    assert result.model == truth.first_model
+    first = sum(b << (v - 1) for v, b in truth.first_model.items())
+    assert result.stats.sweep_count == first + 1
+
+
 def reference_choose_cover(formula, alpha):
     """The greedy cover plan, rebuilding each clause's variable set per pick."""
     constrained = set()
