@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import analysis, dpll, generator, mitm, oracle, textio
-from .formula import Formula
+from .formula import MAX_TARGET, Formula
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -184,7 +184,7 @@ def _cmd_verify(args) -> int:
             num_clauses=rng.randint(1, max(2, (2 * n) // 3)),
             min_len=1,
             max_len=min(6, n),
-            max_target=rng.randint(1, 4),
+            max_target=rng.randint(1, MAX_TARGET),
             neg_prob=0.5,
             max_repeat=rng.choice([1, 1, 2]),
             planted=args.planted,

@@ -8,7 +8,8 @@ extension of the touched variables. Rule selection always picks the lowest
 applicable rule; inside a rule, ties break on lowest clause index, then
 lowest variable.
 
-Three rule sets share the engine:
+Three rule sets share the engine; _TARGET_CAPS holds the largest clause
+target of each (2, 3 and 4):
 
   g2 (targets <= 2): rules 8..18; rules 16/17 isolate and brute-force heavy
       variables (degree >= 3), rule 18 finishes the degree <= 2 remainder by
@@ -28,7 +29,8 @@ Three rule sets share the engine:
 
 Where a clause shape has no specific prescription, the engine falls back to
 branching the lowest relevant variable 0/1 and records the event in
-SearchStats.fallback_fires for audit.
+SearchStats.fallback_fires for audit. A fallback is the rule whose tag ends
+in ".fallback"; Rule.fallback reads it from the tag.
 
 A solve keeps one simplification worklist (simplify._Worklist) as its
 search state, built once from the input formula. Rule actions edit it in
@@ -56,13 +58,15 @@ from .formula import (
     Formula,
     SolveResult,
     Trail,
-    degrees,
     evaluate,
     lit_key,
     reconstruct_model,
     true_count,
 )
 from .simplify import RULE_LETTERS, _Worklist
+
+# each scheme's largest clause target
+_TARGET_CAPS = {"g2": 2, "g3": 3, "g4": 4}
 
 
 @dataclass
@@ -92,25 +96,28 @@ class Rule:
     kind: str  # "simp" | "branch" | "unsat" | "endgame"
     actions: tuple = ()
     branches: tuple = ()
-    fallback: bool = False
     # endgame: (shared, varlists) as selection built them, so they are built once
     overlaps: Optional[tuple] = field(default=None, compare=False, repr=False)
 
+    @property
+    def fallback(self) -> bool:
+        return self.tag.endswith(".fallback")
 
-def _simp(tag, actions, fallback=False):
-    return Rule(tag, "simp", actions=tuple(actions), fallback=fallback)
+
+def _simp(tag, actions):
+    return Rule(tag, "simp", actions=tuple(actions))
 
 
-def _branch(tag, branches, fallback=False):
-    return Rule(tag, "branch", branches=tuple(tuple(b) for b in branches), fallback=fallback)
+def _branch(tag, branches):
+    return Rule(tag, "branch", branches=tuple(tuple(b) for b in branches))
 
 
 def _unsat(tag):
     return Rule(tag, "unsat")
 
 
-def _branch_lit(tag, lit, fallback=False):
-    return _branch(tag, [[("true", lit)], [("false", lit)]], fallback=fallback)
+def _branch_lit(tag, lit):
+    return _branch(tag, [[("true", lit)], [("false", lit)]])
 
 
 def _branch_pair2(tag, x, y):
@@ -140,18 +147,14 @@ def _apply_actions(w: _Worklist, actions) -> bool:
     for act in actions:
         kind = act[0]
         if kind in ("true", "false"):
-            lit = act[1]
-            want = 1 if kind == "true" else 0
-            v = abs(lit)
-            val = want if lit > 0 else 1 - want
-            st = entries.get(v)
-            if st is not None:
-                if st[0] == "const":
-                    if st[1] == val:
-                        continue
+            lit, value = act[1], 1 if kind == "true" else 0
+            st = entries.get(abs(lit))
+            if st is None:
+                if not w.assign_literal(lit, value):
                     return False
+            elif st[0] != "const":
                 raise RuntimeError("prescription touches an eliminated variable")
-            if not w.eliminate(v, ("const", val)):
+            elif st[1] != (value if lit > 0 else 1 - value):
                 return False
         elif kind == "link":
             # value(lit_a) = value(lit_b), eliminating var(lit_a)
@@ -174,10 +177,6 @@ def _apply_actions(w: _Worklist, actions) -> bool:
 
 # ---------------------------------------------------------------------------
 # shared per-clause views
-
-
-def _lit_of(c: Clause, v: int) -> int:
-    return v if c.occ.get(v, 0) else -v
 
 
 def _mult_profile(occ: dict) -> tuple:
@@ -296,7 +295,7 @@ def _select_g2(f: Formula) -> Rule:
     # here and a variable's degree is the number of clauses holding it.
     heavies = sorted(v for v, held in occurrences.items() if len(held) >= 3)
     if heavies:
-        rule = _g2_rule16(f, heavies, occurrences)
+        rule = _g2_rule16(cls, heavies, occurrences, varlists)
         if rule is not None:
             return rule
         return _branch_lit("g2.17", heavies[0])
@@ -305,22 +304,25 @@ def _select_g2(f: Formula) -> Rule:
 
 
 def _pair_view(ci, cj, shared):
-    """Each clause's literal by variable, and the shared variables (given in
-    ascending order) split into those of equal and of opposite sign."""
-    li = {v: _lit_of(ci, v) for v in ci.variables()}
-    lj = {v: _lit_of(cj, v) for v in cj.variables()}
+    """Each clause's literal by variable, the shared variables (given in
+    ascending order) split into those of equal and of opposite sign, and each
+    clause's own literals, over the variables the other lacks, in ascending
+    variable order. At a g2 fixpoint no clause holds both signs of a variable."""
+    li = {abs(l): l for l in ci.occ}
+    lj = {abs(l): l for l in cj.occ}
     sames = [v for v in shared if li[v] == lj[v]]
     flips = [v for v in shared if li[v] == -lj[v]]
-    return li, lj, sames, flips
+    own_i = [li[v] for v in sorted(li) if v not in lj]
+    own_j = [lj[v] for v in sorted(lj) if v not in li]
+    return li, lj, sames, flips, own_i, own_j
 
 
 def _g2_rule9(i, ci, j, cj, shared) -> Rule:
     if len(shared) == 1:
         return _branch_lit("g2.9.share1", shared[0])
-    li, lj, sames, flips = _pair_view(ci, cj, shared)
+    li, lj, sames, flips, own_i, own_j = _pair_view(ci, cj, shared)
     if len(shared) == 2:
-        r = next(li[v] for v in sorted(ci.variables()) if v not in shared)
-        s = next(lj[v] for v in sorted(cj.variables()) if v not in shared)
+        r, s = own_i[0], own_j[0]
         if len(flips) == 0:
             return _simp("g2.9.share2.link", [("link", r, s)])
         if len(flips) == 1:
@@ -354,15 +356,11 @@ def _g2_rule11_len5(x2, singles, c1s) -> Rule:
     for idx, c1, negs, poss in views:
         if len(negs) >= 2:
             return _simp("g2.11.len5.negpair", [("false", x2)])
+    # each c1 holds three distinct literals, so u below is the third one
     for idx, c1, negs, poss in views:
         if len(negs) == 1 and len(poss) >= 1:
             ny, pz = negs[0], poss[0]
-            rest = dict(c1.occ)
-            for l in (-ny, pz):
-                rest[l] -= 1
-                if rest[l] == 0:
-                    del rest[l]
-            u = next(iter(rest))
+            u = next(l for l in c1.occ if l not in (-ny, pz))
             w = next(s for s in singles if s not in (ny, pz))
             # u == -w cannot happen here: it would be a second negated single
             if u == w:
@@ -379,20 +377,14 @@ def _g2_rule11_len5(x2, singles, c1s) -> Rule:
             return _simp("g2.11.len5.posneg", [("false", x2)])
     for idx, c1, negs, poss in views:
         if c1.occ.get(x2, 0) and len(poss) == 1 and len(negs) == 0:
-            rest = dict(c1.occ)
-            for l in (x2, poss[0]):
-                rest[l] -= 1
-                if rest[l] == 0:
-                    del rest[l]
-            u = next(iter(rest))
+            u = next(l for l in c1.occ if l not in (x2, poss[0]))
             if abs(u) != abs(x2) and abs(u) not in {abs(s) for s in singles}:
                 return _branch_lit("g2.11.len5.fresh", u)
     return _branch_lit("g2.11.len5.branch", abs(x2))
 
 
 def _g2_rule12(i, ci, j, cj, shared) -> Rule:
-    li, lj, sames, flips = _pair_view(ci, cj, shared)
-    rest = [lj[v] for v in sorted(cj.variables()) if v not in shared]
+    li, lj, sames, flips, own_i, rest = _pair_view(ci, cj, shared)
     if len(shared) == 3:
         k = len(flips)
         if k == 0:
@@ -407,7 +399,7 @@ def _g2_rule12(i, ci, j, cj, shared) -> Rule:
             return _simp("g2.12.share3.flip2", [("false", li[sames[0]])])
         assert rest, "flipped subset clause cannot be this short"
         return _simp("g2.12.share3.flip3", [("false", t) for t in rest])
-    r = next(li[v] for v in sorted(ci.variables()) if v not in shared)
+    r = own_i[0]
     k = len(flips)
     if k == 0:
         return _simp("g2.12.share2.flip0", [("replace", j, 2, tuple([-r] + rest))])
@@ -418,11 +410,7 @@ def _g2_rule12(i, ci, j, cj, shared) -> Rule:
 
 
 def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
-    li, lj, sames, flips = _pair_view(ci, cj, shared)
-    a_vars = sorted(ci.variables() - cj.variables())
-    b_vars = sorted(cj.variables() - ci.variables())
-    a_lits = [li[v] for v in a_vars]
-    b_lits = [lj[v] for v in b_vars]
+    li, lj, sames, flips, a_lits, b_lits = _pair_view(ci, cj, shared)
     t_lits = [li[v] for v in sames]
 
     if ci.key() == cj.key():
@@ -456,8 +444,8 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
         break
 
     # one private variable on some side
-    if len(a_vars) == 1 or len(b_vars) == 1:
-        if len(a_vars) == 1:
+    if len(a_lits) == 1 or len(b_lits) == 1:
+        if len(a_lits) == 1:
             x, other_extra = a_lits[0], b_lits
         else:
             x, other_extra = b_lits[0], a_lits
@@ -514,26 +502,27 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
             [("false", x), ("false", y)],
         ])
 
-    return _branch_lit("g2.15.fallback", shared[0], fallback=True)
+    return _branch_lit("g2.15.fallback", shared[0])
 
 
-def _g2_rule16(f, heavies, occurrences) -> Optional[Rule]:
-    occs = {v: [(idx, _lit_of(f.clauses[idx], v)) for idx in occurrences[v]] for v in heavies}
+def _g2_rule16(cls, heavies, occurrences, varlists) -> Optional[Rule]:
+    # one scan of the variables in three clauses: the first of mixed sign
+    # wins at once, else the first of one sign with a qualifying size
+    samepol = None
     for v in heavies:
-        if len(occs[v]) == 3:
-            pos = sum(1 for _, l in occs[v] if l > 0)
-            if pos in (1, 2):
+        held = occurrences[v]
+        if len(held) == 3:
+            if sum(v in cls[idx].occ for idx in held) in (1, 2):
                 return _branch_lit("g2.16.mixed", v)
-    for v in heavies:
-        if len(occs[v]) == 3:
-            pos = sum(1 for _, l in occs[v] if l > 0)
-            if pos in (0, 3):
-                rests = sorted(f.clauses[idx].size() - 1 for idx, _ in occs[v])
+            if samepol is None:
+                rests = sorted(cls[idx].size() - 1 for idx in held)
                 if rests[0] == 4 or rests[2] >= 6:
-                    return _branch_lit("g2.16.samepol", v)
+                    samepol = v
+    if samepol is not None:
+        return _branch_lit("g2.16.samepol", samepol)
     hs = set(heavies)
-    for idx, c in enumerate(f.clauses):
-        hv = sorted(c.variables() & hs)
+    for vs in varlists:
+        hv = [v for v in vs if v in hs]
         if len(hv) >= 2:
             x, y = hv[:2]
             return _branch("g2.16.pair", [
@@ -656,7 +645,7 @@ def _repeated_rule(tag, table, width, x, delta) -> Rule:
     if entry == "unsat":
         return _unsat(tag + ".unsat")
     if entry in ("branch", "fallback"):
-        return _branch_lit(f"{tag}.{entry}", abs(x), fallback=entry == "fallback")
+        return _branch_lit(f"{tag}.{entry}", abs(x))
     if entry == "pair3":
         return _branch_pair3(tag + ".pair3", x, lits["d0"])
     suffix, template = entry
@@ -676,7 +665,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
             return _branch_pair2(f"{scheme}.6", x, y)
         first.setdefault((c.target, max(c.occ.values()) > 1), c)
 
-    for t in range(2, 5 if scheme == "g4" else 4):
+    for t in range(2, _TARGET_CAPS[scheme] + 1):
         # rules 7/9/11: exactly-t clause with a repeated literal
         c = first.get((t, True))
         if c is not None:
@@ -804,20 +793,6 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
     return extend(0)
 
 
-def endgame_low_degree(formula: Formula) -> SolveResult:
-    """Decide a formula in which every variable has degree at most 2."""
-    heavy = [v for v, d in degrees(formula).items() if d >= 3]
-    if heavy:
-        raise ValueError(f"variable {min(heavy)} is heavy; endgame needs degrees <= 2")
-    part = _low_degree_model(formula, *_overlaps(formula)[1:])
-    if part is None:
-        return SolveResult(False, None)
-    model = {v: part.get(v, 0) for v in range(1, formula.num_vars + 1)}
-    if not evaluate(formula, model):
-        raise RuntimeError("internal error: endgame produced a bad model")
-    return SolveResult(True, model)
-
-
 # ---------------------------------------------------------------------------
 # search engine
 
@@ -893,6 +868,10 @@ def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
 
 
 def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
+    cap = _TARGET_CAPS[scheme]
+    for c in formula.clauses:
+        if c.target > cap:
+            raise ValueError(f"solve_{scheme} handles targets up to {cap}, got {c.target}")
     stats = SearchStats(measure_at_root=measure(formula, scheme))
     w = _Worklist(formula, Trail(formula.num_vars))
     t_end = _search(w, stats, scheme, 0, instrument, None, None)
@@ -906,27 +885,18 @@ def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
     return SolveResult(True, model, stats)
 
 
-def _check_targets(formula: Formula, cap: int, name: str) -> None:
-    for c in formula.clauses:
-        if c.target > cap:
-            raise ValueError(f"{name} handles targets up to {cap}, got {c.target}")
-
-
 def solve_g2(formula: Formula, instrument: bool = False) -> SolveResult:
     """Decide a formula whose clause targets are all at most 2."""
-    _check_targets(formula, 2, "solve_g2")
     return _solve(formula, "g2", instrument)
 
 
 def solve_g3(formula: Formula, instrument: bool = False) -> SolveResult:
     """Decide a formula whose clause targets are all at most 3."""
-    _check_targets(formula, 3, "solve_g3")
     return _solve(formula, "g3", instrument)
 
 
 def solve_g4(formula: Formula, instrument: bool = False) -> SolveResult:
     """Decide a formula whose clause targets are all at most 4."""
-    _check_targets(formula, 4, "solve_g4")
     return _solve(formula, "g4", instrument)
 
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+# the largest clause target of the G2XSAT/G3XSAT/G4XSAT family
+MAX_TARGET = 4
+
 
 def lit_key(lit: int):
     """Sort key: by variable, positive polarity first."""
@@ -165,6 +168,8 @@ class Trail:
                 raise ValueError("cannot link a variable to itself")
             if abs(partner) in self.entries:
                 raise ValueError("link partner must be unassigned")
+        elif state[1] not in (0, 1):
+            raise ValueError("value must be 0 or 1")
 
     def record(self, var: int, state: tuple) -> None:
         """Record the state of var, which check(var, state) has passed."""
@@ -257,34 +262,30 @@ def substitute(clause: Clause, var: int, state: tuple) -> Optional[Clause]:
     return nc
 
 
-def _substituted(formula: Formula, var: int, state: tuple) -> Optional[Formula]:
-    new_clauses = []
+def _eliminate(formula: Formula, trail: Trail, var: int, state: tuple) -> Optional[Formula]:
+    """Check var may take the Trail state, substitute it, record it.
+
+    Returns the new formula, or None on conflict, leaving the trail untouched;
+    the (formula, trail) pair should then be discarded by the caller.
+    """
+    trail.check(var, state)
+    clauses = []
     for c in formula.clauses:
         if var in c.occ or -var in c.occ:
             c = substitute(c, var, state)
             if c is None:
                 return None
-        new_clauses.append(c)
+        clauses.append(c)
+    trail.record(var, state)
     out = Formula.__new__(Formula)
     out.num_vars = formula.num_vars
-    out.clauses = new_clauses
+    out.clauses = clauses
     return out
 
 
 def assign(formula: Formula, trail: Trail, var: int, value: int) -> Optional[Formula]:
-    """Substitute var := value. Returns the new formula, or None on conflict.
-
-    On conflict the trail is left untouched and the (formula, trail) pair
-    should be discarded by the caller.
-    """
-    if not trail.is_unassigned(var):
-        raise ValueError(f"variable {var} already eliminated")
-    if value not in (0, 1):
-        raise ValueError("value must be 0 or 1")
-    out = _substituted(formula, var, ("const", value))
-    if out is not None:
-        trail.record_const(var, value)
-    return out
+    """Substitute var := value. Returns the new formula, or None on conflict."""
+    return _eliminate(formula, trail, var, ("const", value))
 
 
 def link(formula: Formula, trail: Trail, var: int, partner: int) -> Optional[Formula]:
@@ -292,14 +293,9 @@ def link(formula: Formula, trail: Trail, var: int, partner: int) -> Optional[For
 
     Occurrences of var become partner, occurrences of -var become -partner,
     and any partner/-partner pairs created this way cancel against the
-    target. Returns None on conflict (trail untouched).
+    target. Returns None on conflict.
     """
-    state = ("link", partner)
-    trail.check(var, state)
-    out = _substituted(formula, var, state)
-    if out is not None:
-        trail.record(var, state)
-    return out
+    return _eliminate(formula, trail, var, ("link", partner))
 
 
 def evaluate(formula: Formula, model: Mapping[int, int]) -> bool:
@@ -320,14 +316,3 @@ def evaluate(formula: Formula, model: Mapping[int, int]) -> bool:
 def reconstruct_model(trail: Trail, root_values: Mapping[int, int]) -> dict[int, int]:
     """Extend values of the surviving variables to a total assignment."""
     return trail.reconstruct(root_values)
-
-
-def degrees(formula: Formula) -> dict[int, int]:
-    """Each occurring variable's total occurrences across all clauses, counting
-    both polarities with multiplicity."""
-    table: dict[int, int] = {}
-    for c in formula.clauses:
-        for lit, m in c.occ.items():
-            v = abs(lit)
-            table[v] = table.get(v, 0) + m
-    return table

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Clause, Formula
+from .formula import MAX_TARGET, Clause, Formula
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class GenSpec:
     def __post_init__(self):
         if self.min_len < 1 or self.max_len < self.min_len:
             raise ValueError("bad clause length range")
-        if not (1 <= self.max_target <= 4):
-            raise ValueError("max_target must be 1..4")
+        if not (1 <= self.max_target <= MAX_TARGET):
+            raise ValueError(f"max_target must be 1..{MAX_TARGET}")
         if self.max_repeat < 1:
             raise ValueError("max_repeat must be >= 1")
         if self.num_vars < 1:

@@ -31,22 +31,20 @@ enumeration cost of the worst clause against the 2^((1-alpha) n) sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .analysis import alpha_for
-from .formula import Formula, SolveResult, evaluate
+from .analysis import alpha_for, binom_branching
+from .formula import MAX_TARGET, Formula, SolveResult, evaluate
 
-_MAX_TARGET = 4
 _BLOCK_BITS = 18
 # A variable adds at most target + 1 to a clause (_step_table caps it), so in
 # a sweep block that is not skipped every need entry lies in
-# [-(_MAX_TARGET + 1) * _BLOCK_BITS, _MAX_TARGET] and fits the int8 cover vectors.
-assert -(_MAX_TARGET + 1) * _BLOCK_BITS >= np.iinfo(np.int8).min
+# [-(MAX_TARGET + 1) * _BLOCK_BITS, MAX_TARGET] and fits the int8 cover vectors.
+assert -(MAX_TARGET + 1) * _BLOCK_BITS >= np.iinfo(np.int8).min
 # Rows of a sweep block matched at once before the half-by-half checks; on
 # mitm_split, 2^8 and 2^12 each measured 3-7% slower than 2^10.
 _FIRST_CHECK = 1 << 10
@@ -57,12 +55,13 @@ class ResourceLimitError(RuntimeError):
 
 
 def default_alpha(max_target: int) -> float:
-    """Split fraction for the worst single-occurrence clause of the class."""
-    worst = {1: 3 ** (1.0 / 3.0),        # k-literal exactly-1: k^(1/k), peak k=3
-             2: math.comb(5, 2) ** 0.2,  # exactly-2 peak at 5 literals
-             3: math.comb(7, 3) ** (1.0 / 7.0),
-             4: math.comb(9, 4) ** (1.0 / 9.0)}
-    return alpha_for(worst[max(1, min(4, max_target))])[0]
+    """Split fraction for the worst single-occurrence clause of the class.
+
+    Targets clamp to 1..MAX_TARGET. The worst exactly-t clause has 2t + 1
+    literals, where C(k, t)^(1/k) peaks.
+    """
+    t = max(1, min(MAX_TARGET, max_target))
+    return alpha_for(binom_branching(2 * t + 1, t))[0]
 
 
 @dataclass
@@ -262,8 +261,8 @@ def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[di
 def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     """Decide by cover-side enumeration against a complement sweep."""
     for c in formula.clauses:
-        if c.target > _MAX_TARGET:
-            raise ValueError(f"solve_mitm handles targets up to {_MAX_TARGET}, got {c.target}")
+        if c.target > MAX_TARGET:
+            raise ValueError(f"solve_mitm handles targets up to {MAX_TARGET}, got {c.target}")
     if alpha is None:
         alpha = default_alpha(max((c.target for c in formula.clauses), default=1))
     started = perf_counter()

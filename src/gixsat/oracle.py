@@ -40,7 +40,13 @@ def env_limit() -> int:
     raw = os.environ.get("GIXSAT_ORACLE_LIMIT")
     if raw is None:
         return DEFAULT_LIMIT
-    return int(raw)
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"GIXSAT_ORACLE_LIMIT must be a non-negative integer, got {raw!r}")
+    return limit
 
 
 def brute_solve(formula: Formula, limit: Optional[int] = None) -> OracleReport:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .formula import Clause, Formula
-
-MAX_TARGET = 4
+from .formula import MAX_TARGET, Clause, Formula
 
 
 class ParseError(ValueError):

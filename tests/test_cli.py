@@ -246,6 +246,12 @@ FAILURES = {
     "verify-n-above-env-cap": (["verify", "--n", "10"], None, "8", 1,
                                "error: --n must lie in 3..8"),
     "verify-negative-count": (["verify", "--count", "-1"], None, None, 1, "error: --count"),
+    "verify-oracle-limit-not-int": (["verify"], None, "abc", 1, "error: GIXSAT_ORACLE_LIMIT "
+                                    "must be a non-negative integer, got 'abc'"),
+    "verify-oracle-limit-negative": (["verify"], None, "-5", 1, "error: GIXSAT_ORACLE_LIMIT "
+                                     "must be a non-negative integer, got '-5'"),
+    "brute-oracle-limit-not-int": (["solve", "{sat}", "--algo", "brute"], None, "abc", 1,
+                                   "error: GIXSAT_ORACLE_LIMIT must be a non-negative integer"),
     "negative-timeout": (["solve", "{sat}", "--timeout", "-1"], None, None, 1,
                          "error: --timeout must lie in 0..1e+09 seconds, got -1"),
     "nan-timeout": (["solve", "{sat}", "--timeout", "nan"], None, None, 1, "error: --timeout"),

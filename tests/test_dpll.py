@@ -1,19 +1,25 @@
 """Branch-and-bound solvers against the brute-force reference."""
 
+import json
 import random
+import re
 import sys
 from itertools import chain, product
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import C, F, formulas, random_formula
 from gixsat import dpll
-from gixsat.dpll import endgame_low_degree, solve_auto, solve_g2, solve_g3, solve_g4
-from gixsat.formula import Clause, Formula, Trail, degrees, evaluate, lit_key, true_count
+from gixsat.dpll import solve_auto, solve_g2, solve_g3, solve_g4
+from gixsat.formula import Clause, Formula, SolveResult, Trail, evaluate, lit_key, true_count
 from gixsat.oracle import brute_solve
 from gixsat.simplify import simplify_to_fixpoint
+
+DATA = Path(__file__).parent / "data"
 
 
 def check_against_oracle(f, solver):
@@ -172,29 +178,34 @@ def test_measure_strictly_decreases_along_branches():
     assert viol == 0
 
 
+def endgame(f):
+    """The rule-18 endgame on f, which must have no variable of degree 3 or
+    more, with every variable valued and the witness checked."""
+    part = dpll._low_degree_model(f, *dpll._overlaps(f)[1:])
+    if part is None:
+        return SolveResult(False, None)
+    model = {v: part.get(v, 0) for v in range(1, f.num_vars + 1)}
+    assert evaluate(f, model)
+    return SolveResult(True, model)
+
+
 def test_endgame_empty():
-    assert endgame_low_degree(F(4)).sat
+    assert endgame(F(4)).sat
 
 
 def test_endgame_disjoint_clauses():
     f = F(6, C(2, 1, 2, 3), C(1, 4, 5, 6))
-    result = endgame_low_degree(f)
+    result = endgame(f)
     assert result.sat and evaluate(f, result.model)
     # a doubled literal can never hit an odd target: that component fails
-    assert not endgame_low_degree(F(2, C(1, 1, 1), C(1, 2))).sat
+    assert not endgame(F(2, C(1, 1, 1), C(1, 2))).sat
 
 
 def test_endgame_chain():
     f = F(7, C(2, 1, 2, 3), C(2, 3, 4, 5), C(2, 5, 6, 7))
-    result = endgame_low_degree(f)
+    result = endgame(f)
     assert result.sat == brute_solve(f).sat  # frozen: satisfiable, 8 models
     assert evaluate(f, result.model)
-
-
-def test_endgame_rejects_heavy():
-    f = F(4, C(1, 1, 2), C(1, 1, 3), C(1, 1, 4))
-    with pytest.raises(ValueError):
-        endgame_low_degree(f)
 
 
 def test_endgame_random_low_degree(rng):
@@ -217,7 +228,7 @@ def test_endgame_random_low_degree(rng):
             continue
         f = Formula(n, clauses)
         truth = brute_solve(f)
-        result = endgame_low_degree(f)
+        result = endgame(f)
         assert result.sat == truth.sat
         if result.sat:
             assert evaluate(f, result.model)
@@ -270,7 +281,7 @@ def _ref_rule16(f, heavies):
     occs = {v: [] for v in heavies}
     for idx, c in enumerate(f.clauses):
         for v in c.variables() & hs:
-            occs[v].append((idx, dpll._lit_of(c, v)))
+            occs[v].append((idx, v if v in c.occ else -v))
     for v in heavies:
         if len(occs[v]) == 3 and sum(1 for _, l in occs[v] if l > 0) in (1, 2):
             return dpll._branch_lit("g2.16.mixed", v)
@@ -352,7 +363,11 @@ def reference_select_g2(f):
             shared = sorted(ci.variables() & cj.variables())
             if ci.target == cj.target == 2 and len(shared) >= 2:
                 return dpll._g2_rule15(f, i, ci, j, cj, shared)
-    heavies = sorted(v for v, d in degrees(f).items() if d >= 3)
+    degree = {}
+    for c in f.clauses:
+        for lit, m in c.occ.items():
+            degree[abs(lit)] = degree.get(abs(lit), 0) + m
+    heavies = sorted(v for v, d in degree.items() if d >= 3)
     if heavies:
         return _ref_rule16(f, heavies) or dpll._branch_lit("g2.17", heavies[0])
     return dpll.Rule("g2.18", "endgame")
@@ -440,6 +455,133 @@ def test_g2_selection_names_the_fixpoint_invariant():
     # the heavy-variable count of rules 16/17 assumes away
     with pytest.raises(AssertionError, match="g2 selection needs clause targets of 1 or 2"):
         dpll._select_g2(F(6, C(3, 1, 2, 3, 4, 5, 6)))
+
+
+# One hand-built fixpoint per g2 rule tag, in rule order. Selection picks the
+# tag at the root, its prescription keeps exactly the models of the formula,
+# and the solve fires it and agrees with the oracle.
+G2_TAG_FIXPOINTS = [
+    ("g2.8", F(4, C(1, 1, -2, -3, -4))),
+    ("g2.9.share1", F(5, C(1, 2, -3, 5), C(1, 1, 2, -4))),
+    ("g2.9.share2.flip2", F(4, C(1, -1, -2, 3), C(1, 1, 2, -4))),
+    ("g2.9.share2.force", F(4, C(1, 1, 2, -3), C(1, 1, 3, -4))),
+    ("g2.9.share2.link", F(4, C(1, 1, 3, 4), C(1, -2, 3, 4))),
+    ("g2.9.share3.dup", F(3, C(1, -1, 2, -3), C(1, -1, 2, -3))),
+    ("g2.9.share3.flip2", F(3, C(1, -1, -2, 3), C(1, -1, 2, -3))),
+    ("g2.9.share3.unsat", F(3, C(1, -1, -2, -3), C(1, -1, -2, 3))),
+    ("g2.10.branch", F(5, C(2, -1, 2, 3, 4, 4, -5, -5))),
+    ("g2.10.link", F(4, C(2, 1, 2, 2, -3, -4, -4))),
+    ("g2.10.single0", F(3, C(2, 1, -2, -2, 3, 3))),
+    ("g2.11.len3", F(2, C(2, -1, 2, 2))),
+    ("g2.11.len4", F(3, C(2, -1, 2, -3, -3))),
+    ("g2.11.len5.branch", F(4, C(2, 1, 1, 2, -3, 4))),
+    ("g2.11.len5.fresh", F(5, C(2, -1, 2, 2, 3, 4), C(1, -1, 2, -5))),
+    ("g2.11.len5.mixed.link", F(4, C(1, 1, -3, -4), C(2, -1, 2, -3, -3, -4))),
+    ("g2.11.len5.mixed.same", F(4, C(2, 1, 1, 2, 3, 4), C(1, -2, 3, 4))),
+    ("g2.11.len5.negdup", F(4, C(2, 1, -2, 3, 3, -4), C(1, -1, -2, -3))),
+    ("g2.11.len5.negpair", F(5, C(2, 1, 1, 2, 3, 4), C(1, -2, -3, 5))),
+    ("g2.11.len5.posneg", F(5, C(1, -1, -2, 3), C(2, -1, -1, -3, 4, -5))),
+    ("g2.11.len5.sub", F(4, C(2, 1, 2, -3, -4, -4), C(1, 1, 2, -4))),
+    ("g2.11.len5.sub.unsat", F(4, C(2, 1, 1, 2, 3, 4), C(1, 2, 3, 4))),
+    ("g2.11.long", F(5, C(2, -1, -2, -2, -3, 4, -5))),
+    ("g2.12.share2.flip0", F(5, C(1, 1, -2, 3), C(2, 1, 3, -4, 5))),
+    ("g2.12.share2.flip1", F(5, C(1, 1, -2, 5), C(2, 2, 3, 4, 5))),
+    ("g2.12.share2.flip2", F(5, C(1, 2, -3, 4), C(2, -1, 3, -4, 5))),
+    ("g2.12.share3.flip1", F(4, C(1, 2, 3, 4), C(2, 1, 2, -3, 4))),
+    ("g2.12.share3.flip2", F(4, C(2, -1, 2, 3, 4), C(1, -1, -2, -3))),
+    ("g2.12.share3.flip3", F(4, C(1, -2, -3, -4), C(2, 1, 2, 3, 4))),
+    ("g2.12.share3.sub", F(4, C(2, 1, -2, -3, -4), C(1, 1, -2, -3))),
+    ("g2.13.pairs", F(4, C(2, -1, -2, -3, 4))),
+    ("g2.13.two_weighted", F(8, C(1, 1, 6, -7), C(2, -2, 3, 4, -7), C(1, -4, 5, 8))),
+    ("g2.14", F(7, C(2, -1, -3, 4, 6, 7), C(1, 1, 2, 5))),
+    ("g2.15.dup", F(5, C(2, 1, 2, 3, 4, 5), C(2, 1, 2, 3, 4, 5))),
+    ("g2.15.fallback", F(5, C(2, -1, -2, 3, 4, 5), C(2, 1, 2, 3, -4, -5))),
+    ("g2.15.flip1", F(6, C(2, 1, 2, 3, 4, 5), C(2, 1, 2, 3, 4, -5, 6))),
+    ("g2.15.flip2", F(6, C(2, 1, 2, 3, 4, 5), C(2, 1, 2, 3, -4, -5, 6))),
+    ("g2.15.flip3", F(6, C(2, 1, 2, 3, -4, 5, -6), C(2, 1, -2, 4, 5, 6))),
+    ("g2.15.flip3.unsat", F(5, C(2, 1, -2, 3, -4, -5), C(2, 1, 2, 3, 4, 5))),
+    ("g2.15.one_extra.add", F(6, C(2, 1, 2, 4, -5, 6), C(2, 1, 2, 3, 4, 6))),
+    ("g2.15.one_extra.flip1", F(6, C(2, 1, -2, 4, 5, 6), C(2, -1, 3, 4, 5, 6))),
+    ("g2.15.one_extra.flip2", F(6, C(2, 1, -3, -4, 5, 6), C(2, -1, 2, 3, -4, 5))),
+    ("g2.15.one_extra.flip3", F(6, C(2, 1, 2, -4, 5, 6), C(2, -1, -2, 3, 4, 5))),
+    ("g2.15.one_extra.flip4", F(7, C(2, 1, 2, 3, 4, 5), C(2, -1, -2, -3, -4, 6, 7))),
+    ("g2.15.share2", F(8, C(2, 2, 3, 6, 7, 8), C(2, -1, 3, 4, 5, 8))),
+    ("g2.15.share2.mixed", F(8, C(2, -1, 2, 4, 7, -8), C(2, 3, 5, -6, 7, 8))),
+    ("g2.15.share3.common", F(7, C(2, -1, -2, -3, 4, 5), C(2, -1, -2, 5, -6, 7))),
+    ("g2.15.share3.mixed", F(7, C(2, 2, 3, 4, 6, 7), C(2, 1, 2, -3, 4, 5))),
+    ("g2.15.subset", F(6, C(2, 1, 2, 3, 4, 5), C(2, 1, 2, 3, 4, 5, 6))),
+    ("g2.16.mixed", F(13, C(2, 1, -5, 6, 7, 12), C(2, -3, -5, -8, 9, 10), C(2, 2, -4, 5, 11, 13))),
+    ("g2.16.pair", F(22, C(2, 1, 2, 3, 4, 5, 6), C(2, 1, 7, 12, 17, 18, 19),
+       C(2, 1, 8, 13, 20, 21, 22), C(2, 2, 7, 8, 9, 10, 11), C(2, 2, 12, 13, 14, 15, 16))),
+    ("g2.16.samepol", F(13, C(2, 1, 2, 9, 10, 12), C(2, 1, 6, 7, 11, -13), C(2, 1, -3, 4, -5, 8))),
+    ("g2.17", F(16, C(2, 1, 3, 9, 13, 15, -16), C(2, 1, 2, -4, -6, 7, -11),
+       C(2, 1, 5, 8, 10, 12, -14))),
+    ("g2.18", F(3, C(1, -1, 2, 3))),
+]
+
+
+def models(f):
+    """The models of f as assignment numbers, variable v at bit v - 1."""
+    found, total = [], 1 << f.num_vars
+    for start in range(0, total, 1 << 18):
+        idx = np.arange(start, min(start + (1 << 18), total))
+        ok = np.ones(len(idx), dtype=bool)
+        for c in f.clauses:
+            ok &= sum(m * ((idx >> (abs(l) - 1) & 1) == (l > 0)) for l, m in c.occ.items()) \
+                == c.target
+        found += idx[ok].tolist()
+    return found
+
+
+def prescribed(f, actions):
+    """f after a prescription: its clause edits made, a literal l set true or
+    false added as (l) with target 1 or 0, and a link a = b as (a -b) with 1."""
+    clauses = list(f.clauses)
+    for kind, *args in actions:
+        if kind in ("true", "false"):
+            clauses.append(Clause(int(kind == "true"), [args[0]]))
+        elif kind == "link":
+            clauses.append(Clause(1, [args[0], -args[1]]))
+        elif kind == "add":
+            clauses.append(Clause(*args))
+        elif kind == "replace":
+            clauses[args[0]] = Clause(*args[1:])
+        else:
+            assert kind == "remove"
+            clauses[args[0]] = None
+    return Formula(f.num_vars, [c for c in clauses if c is not None])
+
+
+@pytest.mark.parametrize("tag, f", G2_TAG_FIXPOINTS, ids=[tag for tag, _ in G2_TAG_FIXPOINTS])
+def test_g2_tag_fixpoint(tag, f):
+    assert simplify_to_fixpoint(f, Trail(f.num_vars))[0] == f
+    rule = dpll._select_g2(f)
+    assert rule.tag == tag
+    kept = models(f)
+    if rule.kind == "simp":
+        assert models(prescribed(f, rule.actions)) == kept
+    elif rule.kind == "branch":  # every model takes exactly one branch
+        branches = [prescribed(f, b) for b in rule.branches]
+        for a in kept:
+            values = {v: a >> (v - 1) & 1 for v in range(1, f.num_vars + 1)}
+            assert sum(evaluate(g, values) for g in branches) == 1, f"model {a}"
+    elif rule.kind == "unsat":
+        assert not kept
+    result = check_against_oracle(f, solve_g2)
+    assert result.stats.rule_fires.get(tag, 0) >= 1
+
+
+def test_every_rule_tag_is_pinned():
+    # each rule-tag literal in dpll.py is pinned: a g2 tag by the table above,
+    # any other by a golden selection tag equal to it or extending it
+    literals = set(re.findall(r'"(g[234]\.[^"]*)"', Path(dpll.__file__).read_text()))
+    golden = {e["tag"] for e in json.loads((DATA / "golden_selection.json").read_text())}
+    g2 = {tag for tag, _ in G2_TAG_FIXPOINTS}
+    assert g2 <= literals, f"table tags missing from dpll.py: {sorted(g2 - literals)}"
+    unpinned = sorted(
+        t for t in literals - g2 if not any(g == t or g.startswith(t + ".") for g in golden)
+    )
+    assert not unpinned, f"rule tags without a pin: {unpinned}"
 
 
 # Reference: the rule-18 endgame with its own occurrence lists and a
@@ -535,7 +677,7 @@ def test_endgame_matches_memo_reference(rng):
     outcomes = set()
     for f in chain((random_low_degree(rng) for _ in range(800)), [all_negative_exactly2(16)]):
         ref = reference_low_degree_model(f)
-        result = endgame_low_degree(f)
+        result = endgame(f)
         assert result.sat == (ref is not None)
         if ref is not None:
             assert result.model == {v: ref.get(v, 0) for v in range(1, f.num_vars + 1)}
@@ -579,7 +721,7 @@ def test_wide_clause_out_of_reach_fails_at_once():
     # doubled literals only make even counts true: no prefix can reach 3, so
     # none is extended, where a bound on the sum alone walks width**2 of them
     f = Formula(2000, [Clause(3, [v for v in range(1, 2001) for _ in (0, 1)])])
-    assert not endgame_low_degree(f).sat
+    assert not endgame(f).sat
 
 
 def test_fresh_values_in_product_order(rng):

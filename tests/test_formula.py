@@ -10,7 +10,6 @@ from gixsat.formula import (
     Formula,
     Trail,
     assign,
-    degrees,
     evaluate,
     link,
     reconstruct_model,
@@ -78,6 +77,8 @@ def test_trail_check_rejects_without_recording():
         (3, ("link", 1), "already eliminated"),
         (1, ("link", -1), "itself"),
         (1, ("link", 3), "partner must be unassigned"),
+        (1, ("const", 2), "value must be 0 or 1"),
+        (3, ("const", 2), "already eliminated"),
     ):
         with pytest.raises(ValueError, match=message):
             t.check(var, state)
@@ -132,26 +133,6 @@ def test_reconstruct_requires_root_values():
     t.record_link(1, 2)
     with pytest.raises(ValueError):
         reconstruct_model(t, {})
-
-
-# a variable is heavy when its degree is at least 3
-
-
-def test_degree_counts_multiplicity():
-    d = degrees(F(3, C(2, 1, 1, 2), C(1, -1, 3)))
-    assert d[1] == 3  # heavy
-    assert d[2] == 1
-    assert d[3] == 1  # light
-
-
-def test_degree_absent_variable():
-    f = F(3, C(1, 1, 2))
-    assert degrees(f).get(3, 0) == 0
-
-
-def test_heavy_three_single_occurrences():
-    d = degrees(F(5, C(1, 1, 2), C(1, 1, 3), C(2, 1, 4, 5)))
-    assert d[1] == 3  # heavy
 
 
 @given(formulas(n_max=5, m_max=3, k_max=4))

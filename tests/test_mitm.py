@@ -52,6 +52,20 @@ def test_default_alpha_per_class(target, alpha):
     assert default_alpha(target) == pytest.approx(alpha, abs=1e-4)
 
 
+# bit-exact values; targets outside 1..4 clamp to the nearest class
+@pytest.mark.parametrize("target, alpha_hex", [
+    (0, "0x1.4f0218e72ba9bp-1"),
+    (1, "0x1.4f0218e72ba9bp-1"),
+    (2, "0x1.339efb18b4a40p-1"),
+    (3, "0x1.277bb674a33e8p-1"),
+    (4, "0x1.2068d7ce3250ap-1"),
+    (5, "0x1.2068d7ce3250ap-1"),
+    (6, "0x1.2068d7ce3250ap-1"),
+])
+def test_default_alpha_exact(target, alpha_hex):
+    assert default_alpha(target).hex() == alpha_hex
+
+
 def test_enumerate_binomial_count():
     f = F(5, C(2, 1, 2, 3, 4, 5))
     plan = choose_cover(f, 0.99)
