@@ -106,6 +106,37 @@ def test_solve_dpll_stats_keys(sat_path, capsys):
     assert simplify == {**dict.fromkeys("abcdefgh", 0), "g": 1}
 
 
+def test_solve_stats_pinned(tmp_path, capsys):
+    # a 3-clause g4 formula whose only rule is one g4.11.thrice fallback;
+    # every line but the wall time is deterministic
+    path = tmp_path / "fallback.gxsat"
+    assert main(["gen", "--n", "8", "--m", "3", "--min-len", "3", "--max-len", "7",
+                 "--max-target", "4", "--neg-prob", "0.3", "--max-repeat", "3",
+                 "--seed", "35", "--out", str(path)]) == 0
+    assert main(["solve", str(path), "--stats"]) == 20
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("c time ")]
+    assert lines == [
+        "s UNSATISFIABLE",
+        "c nodes 1",
+        "c max_depth 0",
+        "c root_measure 7.0000",
+        "c fixpoint_calls 2",
+        "c fixpoint_unsat 1",
+        "c measure_checks 0",
+        "c measure_violations 0",
+        "c rule g4.11.thrice.fallback 1",
+        "c fallback g4.11.thrice.fallback 1",
+        "c simplify a 1",
+        "c simplify b 1",
+        "c simplify c 0",
+        "c simplify d 0",
+        "c simplify e 0",
+        "c simplify f 2",
+        "c simplify g 0",
+        "c simplify h 2",
+    ]
+
+
 def test_solve_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.gxsat"
     bad.write_text("p gxsat 2 1\n9 1 2 0\n")

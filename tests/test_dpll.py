@@ -16,6 +16,7 @@ from conftest import C, F, formulas, random_formula
 from gixsat import dpll
 from gixsat.dpll import solve_auto, solve_g2, solve_g3, solve_g4
 from gixsat.formula import Clause, Formula, SolveResult, Trail, evaluate, lit_key, true_count
+from gixsat.mitm import solve_mitm
 from gixsat.oracle import brute_solve
 from gixsat.simplify import simplify_to_fixpoint
 
@@ -753,3 +754,18 @@ def test_endgame_reuses_the_selection_overlap_map(monkeypatch):
     assert result.sat and evaluate(f, result.model)
     assert result.stats.rule_fires == {"g2.18": 1}
     assert calls == [600]
+
+
+def test_endgame_reports_unsat_of_a_whole_formula():
+    # K6 with one variable per edge, positive at one end and negative at the
+    # other: whatever its value, each variable makes exactly one of its two
+    # literals true, so 15 literals are true where the targets need 12
+    f = F(15, C(2, 1, 2, 3, 4, 5), C(2, -1, 6, 7, 8, 9), C(2, -2, -6, 10, 11, 12),
+          C(2, -3, -7, -10, 13, 14), C(2, -4, -8, -11, -13, 15),
+          C(2, -5, -9, -12, -14, -15))
+    result = solve_auto(f)
+    assert not result.sat
+    assert result.stats.nodes_expanded == 1
+    assert result.stats.rule_fires == {"g2.18": 1}
+    assert not brute_solve(f).sat
+    assert not solve_mitm(f).sat
