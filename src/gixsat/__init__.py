@@ -8,7 +8,6 @@ from .formula import (
     assign,
     evaluate,
     link,
-    reconstruct_model,
 )
 from .oracle import OracleReport, brute_solve, count_clause_solutions
 from .simplify import simplify_to_fixpoint
@@ -21,7 +20,6 @@ __all__ = [
     "assign",
     "evaluate",
     "link",
-    "reconstruct_model",
     "OracleReport",
     "brute_solve",
     "count_clause_solutions",

@@ -22,8 +22,10 @@ from typing import Iterable, Sequence
 
 from .formula import Clause, Formula
 
-_DATA_DIR = Path(__file__).parent / "data"
-TAU_FIXTURE = _DATA_DIR / "tau_values.txt"
+TAU_FIXTURE = Path(__file__).parent / "data" / "tau_values.txt"
+TAU_FIXTURE_TOL = 1e-3  # a fixture root matches within this of its expected value
+ORACLE_ELL_MAX = 8  # verify_f_le_g counts profiles up to this ell by brute force
+BINOM_BRANCHING_BOUND = 1.5849  # the per-variable case count long clauses stay below
 
 
 # ---------------------------------------------------------------------------
@@ -31,9 +33,10 @@ TAU_FIXTURE = _DATA_DIR / "tau_values.txt"
 
 
 MAX_BRANCHING_FACTOR = 1e300  # larger roots are rejected as bad input
+ROOT_RESIDUAL_TOL = 1e-9  # how far from 0 the residual at a returned root may be
 
 
-def branching_factor(decreases: Sequence[float], tol: float = 1e-9) -> float:
+def branching_factor(decreases: Sequence[float]) -> float:
     """Unique beta > 1 with sum(beta**-t) == 1, found by bisection."""
     ts = tuple(float(t) for t in decreases)
     if len(ts) < 2:
@@ -67,7 +70,7 @@ def branching_factor(decreases: Sequence[float], tol: float = 1e-9) -> float:
         if hi - lo < 1e-15 * hi:
             break
     beta = 0.5 * (lo + hi)
-    assert abs(residual(beta)) <= tol
+    assert abs(residual(beta)) <= ROOT_RESIDUAL_TOL
     return beta
 
 
@@ -238,11 +241,11 @@ class CountingReport:
         return not self.failures
 
 
-def verify_f_le_g(ell_max: int, oracle_ell_max: int = 8) -> CountingReport:
+def verify_f_le_g(ell_max: int) -> CountingReport:
     """Check F(ell,h) <= G(ell,h) everywhere, and F against brute counts.
 
     The brute cross-check enumerates every occurrence profile up to
-    oracle_ell_max and compares profile_count with exhaustive counting of the
+    ORACLE_ELL_MAX and compares profile_count with exhaustive counting of the
     canonical clause.
     """
     from .oracle import count_clause_solutions
@@ -255,7 +258,7 @@ def verify_f_le_g(ell_max: int, oracle_ell_max: int = 8) -> CountingReport:
             report.profiles_checked += 1
             if big_f(ell, h) > big_g(ell, h):
                 report.failures.append(("F>G", ell, h, big_f(ell, h), big_g(ell, h)))
-    for ell in range(1, min(oracle_ell_max, ell_max) + 1):
+    for ell in range(1, min(ORACLE_ELL_MAX, ell_max) + 1):
         for j in range(1, 5):
             for parts in _profiles(ell, j):
                 prof = OccurrenceProfile(ell, *parts, *(0,) * (4 - j))
@@ -302,8 +305,8 @@ class BoundReport:
         return self.max_pair_term <= self.bound and self.max_single_term <= self.bound
 
 
-def max_binom_branching_bound(k_max: int, bound: float = 1.5849) -> BoundReport:
-    """Confirm (k(k-1)/2)**(1/k) and k**(1/k) stay below `bound` for k >= 7.
+def max_binom_branching_bound(k_max: int) -> BoundReport:
+    """Confirm (k(k-1)/2)**(1/k) and k**(1/k) stay below BINOM_BRANCHING_BOUND for k >= 7.
 
     Works in log space so k_max around 10**6 is cheap; both sequences are
     decreasing on this range, but every k is still checked.
@@ -317,7 +320,7 @@ def max_binom_branching_bound(k_max: int, bound: float = 1.5849) -> BoundReport:
     single = np.log(ks) / ks
     return BoundReport(
         k_max=k_max,
-        bound=bound,
+        bound=BINOM_BRANCHING_BOUND,
         max_pair_term=float(np.exp(pair.max())),
         max_single_term=float(np.exp(single.max())),
     )
@@ -327,11 +330,10 @@ def max_binom_branching_bound(k_max: int, bound: float = 1.5849) -> BoundReport:
 # regression fixture
 
 
-def load_tau_regression(path: Path | None = None) -> list[tuple[tuple[float, ...], float, str]]:
+def load_tau_regression() -> list[tuple[tuple[float, ...], float, str]]:
     """Parse the shipped fixture: lines of "t1,t2,... = expected  # note"."""
-    path = path or TAU_FIXTURE
     entries = []
-    for raw in path.read_text().splitlines():
+    for raw in TAU_FIXTURE.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         note = raw.split("#", 1)[1].strip() if "#" in raw else ""
         if not line:
@@ -342,10 +344,10 @@ def load_tau_regression(path: Path | None = None) -> list[tuple[tuple[float, ...
     return entries
 
 
-def run_tau_regression(tol: float = 1e-3, path: Path | None = None):
-    """Recompute every fixture entry; returns (entries, computed, ok) triples."""
+def run_tau_regression():
+    """Recompute every fixture entry: (vector, expected, computed, ok, note) tuples."""
     results = []
-    for vector, expected, note in load_tau_regression(path):
+    for vector, expected, note in load_tau_regression():
         got = branching_factor(vector)
-        results.append((vector, expected, got, abs(got - expected) <= tol, note))
+        results.append((vector, expected, got, abs(got - expected) <= TAU_FIXTURE_TOL, note))
     return results

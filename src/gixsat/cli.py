@@ -93,10 +93,10 @@ def _cmd_solve(args) -> int:
             print(f"c fixpoint_unsat {st.fixpoint_unsat}")
             print(f"c measure_checks {st.measure_checks}")
             print(f"c measure_violations {len(st.measure_violations)}")
-            for tag in sorted(st.rule_fires):
-                print(f"c rule {tag} {st.rule_fires[tag]}")
-            for tag in sorted(st.fallback_fires):
-                print(f"c fallback {tag} {st.fallback_fires[tag]}")
+            for tag, n in sorted(st.rule_fires.items()):
+                print(f"c rule {tag} {n}")
+            for tag, n in sorted(st.fallback_fires.items()):
+                print(f"c fallback {tag} {n}")
             for letter, count in st.simplify_fires.items():
                 print(f"c simplify {letter} {count}")
         elif isinstance(st, mitm.MitmStats):
@@ -135,7 +135,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.tau:
+    if args.tau is not None:
         value = analysis.branching_factor(tuple(float(t) for t in args.tau.split(",")))
         print(f"tau({args.tau}) = {value:.6f}")
         return 0
@@ -145,28 +145,23 @@ def _cmd_analyze(args) -> int:
         print(f"base = {base:.6f}")
         return 0
     if args.tables is not None:
-        lmax = args.tables
         print("ell F(.,2) G(.,2) F(.,3) G(.,3) F(.,4) G(.,4)")
-        for ell in range(1, lmax + 1):
+        for ell in range(1, args.tables + 1):
             row = [str(ell)]
             for h in (2, 3, 4):
                 row.append(str(analysis.big_f(ell, h)))
                 row.append(str(analysis.big_g(ell, h)))
             print(" ".join(row))
         return 0
-    if args.regression:
-        results = analysis.run_tau_regression()
-        bad = 0
-        for vector, expected, got, ok, note in results:
-            mark = "ok" if ok else "FAIL"
-            if not ok:
-                bad += 1
-            vec = ",".join(f"{t:g}" for t in vector)
-            print(f"{mark} tau({vec}) = {got:.5f} expected {expected} ({note})")
-        print(f"c {len(results)} entries, {bad} failures")
-        # the fixture ships with the package, so a failing entry is an internal fault
-        return 0 if bad == 0 else EXIT_INTERNAL
-    raise ValueError("nothing to analyze (see --help)")
+    # the modes are one required group, so this is --regression
+    results = analysis.run_tau_regression()
+    for vector, expected, got, ok, note in results:
+        vec = ",".join(f"{t:g}" for t in vector)
+        print(f"{'ok' if ok else 'FAIL'} tau({vec}) = {got:.5f} expected {expected} ({note})")
+    bad = sum(not ok for *_, ok, _ in results)
+    print(f"c {len(results)} entries, {bad} failures")
+    # the fixture ships with the package, so a failing entry is an internal fault
+    return 0 if bad == 0 else EXIT_INTERNAL
 
 
 def _cmd_verify(args) -> int:
@@ -236,10 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("analyze", help="branching factors, split fractions, tables")
-    p.add_argument("--tau", default=None, help="comma-separated branching vector")
-    p.add_argument("--alpha-for", type=float, default=None, dest="alpha_for")
-    p.add_argument("--tables", type=int, default=None, help="print F/G tables up to this size")
-    p.add_argument("--regression", action="store_true", help="run the shipped branching-factor fixture")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--tau", default=None, help="comma-separated branching vector")
+    mode.add_argument("--alpha-for", type=float, default=None, dest="alpha_for")
+    mode.add_argument("--tables", type=int, default=None, help="print F/G tables up to this size")
+    mode.add_argument("--regression", action="store_true",
+                      help="run the shipped branching-factor fixture")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("verify", help="cross-check solvers against brute force")

@@ -9,7 +9,8 @@ applicable rule; inside a rule, ties break on lowest clause index, then
 lowest variable.
 
 Three rule sets share the engine; _TARGET_CAPS holds the largest clause
-target of each (2, 3 and 4):
+target of each (2, 3 and 4), and solve_auto runs the first that covers a
+formula's largest target:
 
   g2 (targets <= 2): rules 8..18; rules 16/17 isolate and brute-force heavy
       variables (degree >= 3), rule 18 finishes the degree <= 2 remainder by
@@ -28,9 +29,9 @@ target of each (2, 3 and 4):
       (8, 10, 12).
 
 Where a clause shape has no specific prescription, the engine falls back to
-branching the lowest relevant variable 0/1 and records the event in
-SearchStats.fallback_fires for audit. A fallback is the rule whose tag ends
-in ".fallback"; Rule.fallback reads it from the tag.
+branching the lowest relevant variable 0/1 under a tag ending in
+".fallback" (_is_fallback). SearchStats.fallback_fires reads those tags out
+of the rule_fires tally, for audit.
 
 A solve keeps one simplification worklist (simplify._Worklist) as its
 search state, built once from the input formula. Rule actions edit it in
@@ -46,6 +47,7 @@ the worklist's j-th live slot.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -60,21 +62,23 @@ from .formula import (
     Trail,
     evaluate,
     lit_key,
-    reconstruct_model,
     true_count,
 )
 from .simplify import RULE_LETTERS, _Worklist
 
-# each scheme's largest clause target
+# each scheme's largest clause target, in dispatch order
 _TARGET_CAPS = {"g2": 2, "g3": 3, "g4": 4}
+
+
+def _is_fallback(tag: str) -> bool:
+    return tag.endswith(".fallback")
 
 
 @dataclass
 class SearchStats:
     nodes_expanded: int = 0
     max_depth: int = 0
-    rule_fires: dict = field(default_factory=dict)
-    fallback_fires: dict = field(default_factory=dict)
+    rule_fires: Counter = field(default_factory=Counter)
     measure_at_root: float = 0.0
     measure_checks: int = 0
     measure_violations: list = field(default_factory=list)
@@ -83,11 +87,9 @@ class SearchStats:
     # steps of each simplification rule, by letter (a)-(h)
     simplify_fires: dict = field(default_factory=dict)
 
-    def fire(self, tag: str) -> None:
-        self.rule_fires[tag] = self.rule_fires.get(tag, 0) + 1
-
-    def fallback(self, tag: str) -> None:
-        self.fallback_fires[tag] = self.fallback_fires.get(tag, 0) + 1
+    @property
+    def fallback_fires(self) -> dict:
+        return {tag: n for tag, n in self.rule_fires.items() if _is_fallback(tag)}
 
 
 @dataclass
@@ -101,7 +103,7 @@ class Rule:
 
     @property
     def fallback(self) -> bool:
-        return self.tag.endswith(".fallback")
+        return _is_fallback(self.tag)
 
 
 def _simp(tag, actions):
@@ -834,9 +836,7 @@ def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
             raise RuntimeError("rule selection stopped making progress")
         f = w.formula()
         rule = _select(f, scheme)
-        stats.fire(rule.tag)
-        if rule.fallback:
-            stats.fallback(rule.tag)
+        stats.rule_fires[rule.tag] += 1
         if rule.kind == "unsat":
             return None
         if rule.kind == "endgame":
@@ -879,7 +879,7 @@ def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
     if t_end is None:
         return SolveResult(False, None, stats)
     roots = {v: 0 for v in t_end.unassigned_vars()}
-    model = reconstruct_model(t_end, roots)
+    model = t_end.reconstruct(roots)
     if not evaluate(formula, model):
         raise RuntimeError("internal error: solver witness failed verification")
     return SolveResult(True, model, stats)
@@ -903,10 +903,7 @@ def solve_g4(formula: Formula, instrument: bool = False) -> SolveResult:
 def solve_auto(formula: Formula, instrument: bool = False) -> SolveResult:
     """Dispatch on the largest clause target (targets <= 1 run as g2)."""
     top = max((c.target for c in formula.clauses), default=0)
-    if top <= 2:
-        return solve_g2(formula, instrument)
-    if top == 3:
-        return solve_g3(formula, instrument)
-    if top == 4:
-        return solve_g4(formula, instrument)
+    for scheme, cap in _TARGET_CAPS.items():
+        if top <= cap:
+            return _solve(formula, scheme, instrument)
     raise ValueError(f"no solver for target {top}")

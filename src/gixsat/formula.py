@@ -160,10 +160,14 @@ class Trail:
 
     def check(self, var: int, state: tuple) -> None:
         """Raise ValueError unless var may take the state."""
+        if not 1 <= var <= self.num_vars:
+            raise ValueError(f"variable {var} out of range 1..{self.num_vars}")
         if var in self.entries:
             raise ValueError(f"variable {var} already eliminated")
         if state[0] == "link":
             partner = state[1]
+            if not 1 <= abs(partner) <= self.num_vars:
+                raise ValueError(f"link partner {partner} is not a literal over 1..{self.num_vars}")
             if abs(partner) == var:
                 raise ValueError("cannot link a variable to itself")
             if abs(partner) in self.entries:
@@ -192,6 +196,7 @@ class Trail:
         return t
 
     def reconstruct(self, root_values: Mapping[int, int]) -> dict[int, int]:
+        """Extend values of the surviving variables to a total assignment."""
         model: dict[int, int] = {}
         for v in range(1, self.num_vars + 1):
             st = self.entries.get(v)
@@ -311,8 +316,3 @@ def evaluate(formula: Formula, model: Mapping[int, int]) -> bool:
         if true_count(c, model) != c.target:
             return False
     return True
-
-
-def reconstruct_model(trail: Trail, root_values: Mapping[int, int]) -> dict[int, int]:
-    """Extend values of the surviving variables to a total assignment."""
-    return trail.reconstruct(root_values)

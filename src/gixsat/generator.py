@@ -44,15 +44,19 @@ class GenSpec:
             raise ValueError("neg_prob must lie in [0, 1]")
         if self.max_repeat == 1 and self.max_len > self.num_vars:
             raise ValueError("distinct literals require max_len <= num_vars")
+        # a clause holds each literal the signs allow at most max_repeat times
+        capacity = self.num_vars * self.max_repeat * (2 if 0.0 < self.neg_prob < 1.0 else 1)
+        if self.max_len > capacity:
+            raise ValueError(f"max_len {self.max_len} exceeds the {capacity} literals the spec allows")
 
 
 def _draw_literals(rng: random.Random, spec: GenSpec, length: int) -> list[int]:
     lits: list[int] = []
     counts: dict[int, int] = {}
-    guard = 0
+    draws_left = max(10000, 20 * length)  # a full clause takes about length * ln(length)
     while len(lits) < length:
-        guard += 1
-        if guard > 10000:
+        draws_left -= 1
+        if draws_left < 0:
             raise RuntimeError("literal sampling failed to converge")
         v = rng.randint(1, spec.num_vars)
         lit = v if rng.random() >= spec.neg_prob else -v

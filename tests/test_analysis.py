@@ -242,7 +242,7 @@ def test_f_equals_brute_force_counts():
 
 
 def test_verify_f_le_g():
-    report = verify_f_le_g(20, oracle_ell_max=8)
+    report = verify_f_le_g(20)
     assert report.ok
     assert report.profiles_checked > 0 and report.oracle_checked > 0
 
@@ -281,5 +281,5 @@ def test_dominance_bound():
 def test_tau_regression_fixture():
     entries = load_tau_regression()
     assert len(entries) >= 40
-    results = run_tau_regression(tol=1e-3)
+    results = run_tau_regression()
     assert all(ok for _, _, _, ok, _ in results)

@@ -287,7 +287,11 @@ FAILURES = {
                          "error: --timeout must lie in 0..1e+09 seconds, got -1"),
     "nan-timeout": (["solve", "{sat}", "--timeout", "nan"], None, None, 1, "error: --timeout"),
     "huge-timeout": (["solve", "{sat}", "--timeout", "1e300"], None, None, 1, "error: --timeout"),
-    "nothing-to-analyze": (["analyze"], None, None, 1, "error: nothing to analyze"),
+    "nothing-to-analyze": (["analyze"], None, None, 1,
+                           "error: one of the arguments --tau --alpha-for --tables "
+                           "--regression is required"),
+    "two-analyze-modes": (["analyze", "--tau", "2,3", "--tables", "2"], None, None, 1,
+                          "error: argument --tables: not allowed with argument --tau"),
     "bad-tau": (["analyze", "--tau", "2,x"], None, None, 1, "error: "),
     "nan-tau": (["analyze", "--tau", "2,nan"], None, None, 1, "error: branching vector entries"),
     "tiny-tau": (["analyze", "--tau", "1e-300,1e-300"], None, None, 1,
@@ -298,6 +302,12 @@ FAILURES = {
                              "error: neg_prob must lie in [0, 1]"),
     "gen-nan-neg-prob": (["gen", "--n", "5", "--m", "2", "--neg-prob", "nan"], None, None, 1,
                          "error: neg_prob must lie in [0, 1]"),
+    "gen-beyond-capacity": (["gen", "--n", "1", "--m", "1", "--min-len", "5", "--max-len", "5",
+                             "--max-repeat", "2", "--neg-prob", "0"], None, None, 1,
+                            "error: max_len 5 exceeds the 2 literals the spec allows"),
+    "gen-beyond-capacity-both-signs": (["gen", "--n", "2", "--m", "1", "--min-len", "9",
+                                        "--max-len", "9", "--max-repeat", "2"], None, None, 1,
+                                       "error: max_len 9 exceeds the 8 literals the spec allows"),
     "nan-alpha-for": (["analyze", "--alpha-for", "nan"], None, None, 1, "error: base must exceed 1"),
     "solver-value-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(ValueError("no"))),
                            None, 1, "error: no"),

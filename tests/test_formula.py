@@ -12,7 +12,6 @@ from gixsat.formula import (
     assign,
     evaluate,
     link,
-    reconstruct_model,
 )
 from gixsat.oracle import brute_solve
 
@@ -79,9 +78,21 @@ def test_trail_check_rejects_without_recording():
         (1, ("link", 3), "partner must be unassigned"),
         (1, ("const", 2), "value must be 0 or 1"),
         (3, ("const", 2), "already eliminated"),
+        (-2, ("const", 1), "variable -2 out of range 1..3"),
+        (0, ("const", 1), "variable 0 out of range"),
+        (4, ("link", 1), "variable 4 out of range"),
+        (1, ("link", 0), "link partner 0 is not a literal over 1..3"),
+        (1, ("link", 9), "link partner 9 is not a literal"),
+        (1, ("link", -4), "link partner -4 is not a literal"),
     ):
         with pytest.raises(ValueError, match=message):
             t.check(var, state)
+    assert t.entries == {3: ("const", 1)}
+    # the public entry points share the gate, so they record nothing either
+    f = F(3, C(1, 1, 2, 3))
+    for call, var, arg in ((assign, -2, 1), (link, 1, 0), (link, 1, 9)):
+        with pytest.raises(ValueError, match="out of range|not a literal"):
+            call(f, t, var, arg)
     assert t.entries == {3: ("const", 1)}
     t.check(1, ("link", -2))
     t.record(1, ("link", -2))
@@ -119,20 +130,20 @@ def test_evaluate_rejects_partial_model():
 def test_reconstruct_links_chain():
     t = Trail(3)
     t.record_link(2, -3)
-    model = reconstruct_model(t, {1: 1, 3: 0})
+    model = t.reconstruct({1: 1, 3: 0})
     assert model == {1: 1, 2: 1, 3: 0}
 
 
 def test_reconstruct_identity_on_empty_trail():
     t = Trail(2)
-    assert reconstruct_model(t, {1: 0, 2: 1}) == {1: 0, 2: 1}
+    assert t.reconstruct({1: 0, 2: 1}) == {1: 0, 2: 1}
 
 
 def test_reconstruct_requires_root_values():
     t = Trail(2)
     t.record_link(1, 2)
     with pytest.raises(ValueError):
-        reconstruct_model(t, {})
+        t.reconstruct({})
 
 
 @given(formulas(n_max=5, m_max=3, k_max=4))
@@ -218,7 +229,7 @@ def test_trail_stays_acyclic_under_fuzzed_operations(rng):
                 break
             f = g
         roots = {v: rng.randint(0, 1) for v in t.unassigned_vars()}
-        model = reconstruct_model(t, roots)
+        model = t.reconstruct(roots)
         assert set(model) == set(range(1, f.num_vars + 1))
         for var, st in t.entries.items():
             if st[0] == "link":

@@ -65,11 +65,23 @@ def test_infeasible_spec_rejected():
         ({"num_vars": 5, "num_clauses": 2, "neg_prob": 2.0}, "neg_prob must lie in"),
         ({"num_vars": 5, "num_clauses": 2, "neg_prob": -0.1}, "neg_prob must lie in"),
         ({"num_vars": 5, "num_clauses": 2, "neg_prob": float("nan")}, "neg_prob must lie in"),
+        # negative literals only: each variable gives one, max_repeat times
+        ({"num_vars": 2, "num_clauses": 1, "min_len": 5, "max_len": 5, "max_repeat": 2,
+          "neg_prob": 1.0}, "max_len 5 exceeds the 4 literals"),
     ],
 )
 def test_spec_errors_name_their_field(fields, message):
     with pytest.raises(ValueError, match=message):
         GenSpec(**fields)
+
+
+def test_wide_clauses_fill_to_capacity():
+    # all 3000 variables in one clause takes about 26000 draws
+    f, _ = generate(GenSpec(num_vars=3000, num_clauses=1, min_len=3000, max_len=3000))
+    assert sorted(f.clauses[0].variables()) == list(range(1, 3001))
+    # every literal of two variables, twice each: the spec's whole capacity
+    g, _ = generate(GenSpec(num_vars=2, num_clauses=3, min_len=8, max_len=8, max_repeat=2))
+    assert all(c.occ == {1: 2, -1: 2, 2: 2, -2: 2} for c in g.clauses)
 
 
 @pytest.mark.parametrize("neg_prob", [0.0, 1.0])

@@ -15,7 +15,6 @@ from gixsat.formula import (
     assign,
     evaluate,
     link,
-    reconstruct_model,
     substitute,
 )
 from gixsat.oracle import brute_solve
@@ -136,7 +135,7 @@ def test_equisatisfiability_random(rng):
         assert after.sat == before
         if after.sat:
             roots = {v: after.first_model[v] for v in trail.unassigned_vars()}
-            model = reconstruct_model(trail, roots)
+            model = trail.reconstruct(roots)
             assert evaluate(f, model)
 
 
