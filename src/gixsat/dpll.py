@@ -9,8 +9,8 @@ applicable rule; inside a rule, ties break on lowest clause index, then
 lowest variable.
 
 Three rule sets share the engine; _TARGET_CAPS holds the largest clause
-target of each (2, 3 and 4), and solve_auto runs the first that covers a
-formula's largest target:
+target of each (2, 3 and 4), read from its measure weights, and solve_auto
+runs the first that covers a formula's largest target:
 
   g2 (targets <= 2): rules 8..18; rules 16/17 isolate and brute-force heavy
       variables (degree >= 3), rule 18 finishes the degree <= 2 remainder by
@@ -54,7 +54,7 @@ from itertools import accumulate
 from operator import neg
 from typing import Optional
 
-from .analysis import measure
+from .analysis import MEASURE_SCHEMES, measure
 from .formula import (
     Clause,
     Formula,
@@ -66,8 +66,8 @@ from .formula import (
 )
 from .simplify import RULE_LETTERS, _Worklist
 
-# each scheme's largest clause target, in dispatch order
-_TARGET_CAPS = {"g2": 2, "g3": 3, "g4": 4}
+# each scheme's largest clause target, the largest its measure weighs, in dispatch order
+_TARGET_CAPS = {scheme: max(weights) for scheme, weights in MEASURE_SCHEMES.items()}
 
 
 def _is_fallback(tag: str) -> bool:
@@ -100,10 +100,6 @@ class Rule:
     branches: tuple = ()
     # endgame: (shared, varlists) as selection built them, so they are built once
     overlaps: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    @property
-    def fallback(self) -> bool:
-        return _is_fallback(self.tag)
 
 
 def _simp(tag, actions):
@@ -415,7 +411,7 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
     li, lj, sames, flips, a_lits, b_lits = _pair_view(ci, cj, shared)
     t_lits = [li[v] for v in sames]
 
-    if ci.key() == cj.key():
+    if ci == cj:
         return _simp("g2.15.dup", [("remove", j)])
 
     # specials: one clause has no private part beyond its flipped literals
@@ -453,8 +449,7 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
             x, other_extra = b_lits[0], a_lits
         nf = len(flips)
         if nf == 0:
-            new = Clause(1, [-x] + other_extra)
-            if not any(c.key() == new.key() for c in f.clauses):
+            if Clause(1, [-x] + other_extra) not in f.clauses:
                 return _simp("g2.15.one_extra.add", [("add", 1, tuple([-x] + other_extra))])
         elif nf == 1:
             return _branch("g2.15.one_extra.flip1", [

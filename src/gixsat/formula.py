@@ -68,10 +68,6 @@ class Clause:
             out.extend([lit] * self.occ[lit])
         return out
 
-    def key(self):
-        """Hashable identity (target + multiset) for duplicate detection."""
-        return (self.target, tuple(sorted(self.occ.items())))
-
     def copy(self) -> "Clause":
         c = Clause.__new__(Clause)
         c.target = self.target
@@ -152,9 +148,6 @@ class Trail:
         self.num_vars = num_vars
         self.entries: dict[int, tuple] = {}
 
-    def is_unassigned(self, var: int) -> bool:
-        return var not in self.entries
-
     def unassigned_vars(self) -> list[int]:
         return [v for v in range(1, self.num_vars + 1) if v not in self.entries]
 
@@ -181,11 +174,6 @@ class Trail:
 
     def record_const(self, var: int, value: int) -> None:
         state = ("const", value)
-        self.check(var, state)
-        self.record(var, state)
-
-    def record_link(self, var: int, partner: int) -> None:
-        state = ("link", partner)
         self.check(var, state)
         self.record(var, state)
 

@@ -50,20 +50,27 @@ class GenSpec:
             raise ValueError(f"max_len {self.max_len} exceeds the {capacity} literals the spec allows")
 
 
+def _allowed(spec: GenSpec, counts: dict[int, int], lit: int) -> bool:
+    return counts.get(lit, 0) < spec.max_repeat and not (spec.max_repeat == 1 and -lit in counts)
+
+
 def _draw_literals(rng: random.Random, spec: GenSpec, length: int) -> list[int]:
+    """Draw literals until the clause is full; once the draw budget is spent (a
+    skewed neg_prob can do that), draw each slot left from the allowed literals."""
     lits: list[int] = []
     counts: dict[int, int] = {}
     draws_left = max(10000, 20 * length)  # a full clause takes about length * ln(length)
+    signs = [s for s, p in ((1, 1.0 - spec.neg_prob), (-1, spec.neg_prob)) if p > 0]
     while len(lits) < length:
         draws_left -= 1
         if draws_left < 0:
-            raise RuntimeError("literal sampling failed to converge")
-        v = rng.randint(1, spec.num_vars)
-        lit = v if rng.random() >= spec.neg_prob else -v
-        if spec.max_repeat == 1 and (lit in counts or -lit in counts):
-            continue
-        if counts.get(lit, 0) >= spec.max_repeat:
-            continue
+            lit = rng.choice([s * v for v in range(1, spec.num_vars + 1) for s in signs
+                              if _allowed(spec, counts, s * v)])
+        else:
+            v = rng.randint(1, spec.num_vars)
+            lit = v if rng.random() >= spec.neg_prob else -v
+            if not _allowed(spec, counts, lit):
+                continue
         counts[lit] = counts.get(lit, 0) + 1
         lits.append(lit)
     return lits

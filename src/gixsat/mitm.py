@@ -8,7 +8,8 @@ straddle the cut; its inside part is tabulated like a cover clause but only
 capped by the target, exactly as for the other watched clauses, so a wide
 exactly-1 boundary clause keeps 1 + |inside| rows, not 2^|inside|.
 
-The table is grown in numpy one covered variable at a time, in the order a
+The table is grown in numpy one covered variable at a time, in the order
+choose_cover covers them (SplitPlan.covered_vars), which is the order a
 clause-by-clause depth-first search fixes them: one broadcast add gives every
 row two children, the variable 0 then 1, with its literals added to the
 clause counts, and children whose counts pass a target (or miss a completed
@@ -66,11 +67,11 @@ def default_alpha(max_target: int) -> float:
 
 @dataclass
 class SplitPlan:
-    alpha: float
     cover: list[int]                      # clause indices fully inside
     shared: list[int]                     # every other clause index
     boundary: Optional[int] = None        # straddling clause index, if any
-    boundary_inside: frozenset = frozenset()
+    # the fixing order: each cover clause's new variables ascending, in plan
+    # order, then the boundary's inside new variables ascending
     covered_vars: tuple = ()
     complement_vars: tuple = ()
     free_vars: tuple = ()
@@ -95,8 +96,9 @@ class MitmStats:
 def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
     """Greedy clause cover of about alpha * n constrained variables.
 
-    Clauses join the cover largest-new-variable-count first (ties on index).
-    The clause that would cross the cut-off may be split, keeping inside the
+    Clauses join the cover largest-new-variable-count first (ties on index),
+    and covered_vars lists the variables in the order they are covered. The
+    clause that would cross the cut-off may be split, keeping inside the
     number of its new variables that lands closest to the target (ties
     toward more inside). Variables in no clause are reported free.
     """
@@ -106,46 +108,33 @@ def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
     constrained = set().union(*var_sets)
     goal = alpha * len(constrained)
     covered: set[int] = set()
+    order: list[int] = []
     cover: list[int] = []
     boundary = None
-    boundary_inside: frozenset = frozenset()
     remaining = set(range(len(formula.clauses)))
-    while remaining and len(covered) < goal:
+    while remaining and len(order) < goal:
         pick = max(remaining, key=lambda i: (len(var_sets[i] - covered), -i))
-        new_vars = sorted(var_sets[pick] - covered)
-        if len(covered) + len(new_vars) >= goal:
-            best_h = min(
-                range(len(new_vars) + 1),
-                key=lambda h: (abs(len(covered) + h - goal), -h),
-            )
-            if best_h == len(new_vars):
-                cover.append(pick)
-                covered |= set(new_vars)
-                remaining.remove(pick)
-            elif best_h > 0:
-                boundary = pick
-                boundary_inside = frozenset(new_vars[:best_h]) | (var_sets[pick] & covered)
-                covered |= set(new_vars[:best_h])
-                remaining.remove(pick)
-            break
-        cover.append(pick)
-        covered |= set(new_vars)
         remaining.remove(pick)
+        new_vars = sorted(var_sets[pick] - covered)
+        take = len(new_vars)
+        if len(order) + take >= goal:
+            take = min(range(take + 1), key=lambda h: (abs(len(order) + h - goal), -h))
+            remaining.clear()   # the clause at the cut-off is the last one picked
+        if take == len(new_vars):
+            cover.append(pick)
+        elif take:
+            boundary = pick
+        order.extend(new_vars[:take])
+        covered.update(new_vars[:take])
     shared = [i for i in range(len(formula.clauses)) if i not in cover and i != boundary]
-    complement = sorted(constrained - covered)
-    free = [v for v in range(1, formula.num_vars + 1) if v not in constrained]
     return SplitPlan(
-        alpha=alpha,
         cover=cover,
         shared=shared,
         boundary=boundary,
-        boundary_inside=boundary_inside,
-        covered_vars=tuple(sorted(covered)),
-        complement_vars=tuple(complement),
-        free_vars=tuple(free),
+        covered_vars=tuple(order),
+        complement_vars=tuple(sorted(constrained - covered)),
+        free_vars=tuple(v for v in range(1, formula.num_vars + 1) if v not in constrained),
     )
-
-
 
 
 def _watched(plan: SplitPlan) -> list[int]:
@@ -176,30 +165,25 @@ def _step_table(clauses: list, order, dtype):
 
 
 def _cover_table(formula: Formula, plan: SplitPlan):
-    """The cover side as arrays: (fixing order, survivors per step, contribution rows).
+    """The cover side as arrays: (survivors per step, contribution rows).
 
-    Covered variables are fixed in the order of the clause-by-clause search:
-    cover clauses in plan order, each one's not yet fixed variables
-    ascending, then the remaining (boundary-inside) variables ascending. Step
-    k extends every row by the variable 0 then 1 (child 2 * i + b of row i)
-    and adds that value's literals to the clause counts; a row whose count
-    passes a target is dropped, and a cover clause must meet its target once
-    its last variable is fixed. Survivors stay in lexicographic order of
-    their values along the fixing order.
+    Covered variables are fixed in plan.covered_vars order, which is the
+    order of the clause-by-clause search. Step k extends every row by the
+    variable 0 then 1 (child 2 * i + b of row i) and adds that value's
+    literals to the clause counts; a row whose count passes a target is
+    dropped, and a cover clause must meet its target once its last variable
+    is fixed. Survivors stay in lexicographic order of their values along
+    the fixing order.
 
-    Returns the order, each step's surviving child indices (parent idx >> 1,
-    value idx & 1; _values reads them back) and the watched-clause counts
-    (one column per entry of the contribution vector).
+    Returns each step's surviving child indices (parent idx >> 1, value
+    idx & 1; _values reads them back) and the watched-clause counts (one
+    column per entry of the contribution vector).
     """
     cover = [formula.clauses[i] for i in plan.cover]
     clauses = [formula.clauses[i] for i in _watched(plan)] + cover
-    order: list[int] = []
-    fixed: set[int] = set()
-    for c in cover:
-        fresh = sorted(c.variables() - fixed)
-        order.extend(fresh)
-        fixed.update(fresh)
-    order.extend(v for v in plan.covered_vars if v not in fixed)
+    order = plan.covered_vars
+    assert set().union(*(c.variables() for c in cover)) <= set(order), \
+        "a cover clause has a variable outside covered_vars"
 
     # a multiplicity past target + 1 prunes like target + 1, so every count
     # stays within 2 * target + 1 and a narrow dtype cannot overflow
@@ -221,7 +205,7 @@ def _cover_table(formula: Formula, plan: SplitPlan):
             ok &= (rows[:, done[k]] == targets[done[k]]).all(axis=1)
         kept.append(np.flatnonzero(ok))
         counts = rows[kept[-1]]
-    return tuple(order), kept, np.ascontiguousarray(counts[:, :n_watch])
+    return kept, np.ascontiguousarray(counts[:, :n_watch])
 
 
 def _values(kept: list, rows) -> np.ndarray:
@@ -252,10 +236,10 @@ def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[di
     entry past the clause target are discarded. Assignments come in the
     order of a clause-by-clause depth-first search (see _cover_table).
     """
-    order, kept, vectors = _cover_table(formula, plan)
+    kept, vectors = _cover_table(formula, plan)
     values = _values(kept, np.arange(len(vectors)))
     for row, vec in zip(values.tolist(), vectors.tolist()):
-        yield dict(zip(order, row)), tuple(vec)
+        yield dict(zip(plan.covered_vars, row)), tuple(vec)
 
 
 def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
@@ -277,7 +261,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     )
 
     try:
-        order, kept, vectors = _cover_table(formula, plan)
+        kept, vectors = _cover_table(formula, plan)
         # distinct vectors, sorted, each with its first (representative) row
         keys, first = np.unique(_row_keys(vectors), return_index=True)
     except MemoryError as exc:
@@ -300,7 +284,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     bits, at = hit
     stats.sweep_count = bits + 1
     model = {v: 0 for v in plan.free_vars}
-    model.update(zip(order, _values(kept, first[at]).tolist()))
+    model.update(zip(plan.covered_vars, _values(kept, first[at]).tolist()))
     model.update((v, (bits >> k) & 1) for k, v in enumerate(plan.complement_vars))
     if not evaluate(formula, model):
         raise RuntimeError("internal error: matched vectors gave a bad model")

@@ -30,10 +30,6 @@ class OracleReport:
     def sat(self) -> bool:
         return self.model_count > 0
 
-    @property
-    def status(self) -> str:
-        return "SAT" if self.sat else "UNSAT"
-
 
 def env_limit() -> int:
     """The variable cap: GIXSAT_ORACLE_LIMIT, or DEFAULT_LIMIT when unset."""
@@ -49,10 +45,9 @@ def env_limit() -> int:
     return limit
 
 
-def brute_solve(formula: Formula, limit: Optional[int] = None) -> OracleReport:
-    """Count satisfying assignments by checking all 2^n of them."""
-    if limit is None:
-        limit = env_limit()
+def brute_solve(formula: Formula) -> OracleReport:
+    """Count satisfying assignments by checking all 2^n of them (n <= env_limit())."""
+    limit = env_limit()
     n = formula.num_vars
     if n > limit:
         raise ValueError(f"oracle refuses n={n} > limit {limit}")

@@ -273,7 +273,8 @@ def test_criterion_mitm_structural_bound():
         plan = choose_cover(f, default_alpha(1))
         assert plan.boundary == 0
         emitted = sum(1 for _ in enumerate_cover_side(f, plan))
-        assert emitted <= 1 + len(plan.boundary_inside), f"width {width}: emitted {emitted}"
+        inside = set(plan.covered_vars) & f.clauses[0].variables()
+        assert emitted <= 1 + len(inside), f"width {width}: emitted {emitted}"
         result = solve_mitm(f)
         assert result.sat and evaluate(f, result.model)
     _report("cover-side emission bound (100 covered instances, 2 wide boundaries)", True,

@@ -359,12 +359,33 @@ def test_analyze_regression_failure_is_an_internal_error(monkeypatch, capsys):
     assert "FAIL tau(2,3)" in out and "1 failures" in out
 
 
-def test_failure_exit_codes_in_a_process():
+def _run_cli(argv, stdin=None):
     src = os.path.dirname(os.path.dirname(gixsat.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("GIXSAT_ORACLE_LIMIT", None)
+    return subprocess.run([sys.executable, "-m", "gixsat.cli", *argv], env=env, input=stdin,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_failure_exit_codes_in_a_process():
     for argv in (["verify", "--n", "2"], ["solve", "--algo", "nope", "-"]):
-        proc = subprocess.run([sys.executable, "-m", "gixsat.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = _run_cli(argv)
         assert proc.returncode == 1
         assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_timeout_alarm_in_a_process(tmp_path):
+    # brute force over 24 variables takes seconds; the real interval timer
+    # stops it after 0.05 s
+    path = tmp_path / "n24.gxsat"
+    path.write_text(_run_cli(["gen", "--n", "24", "--m", "12", "--seed", "5"]).stdout)
+    proc = _run_cli(["solve", str(path), "--algo", "brute", "--timeout", "0.05"])
+    assert proc.returncode == 2
+    assert proc.stderr == "c resource timeout\n"
+
+
+def test_solve_reads_stdin_in_a_process():
+    planted = _run_cli(["gen", "--n", "12", "--m", "8", "--planted", "--seed", "3"]).stdout
+    proc = _run_cli(["solve", "-"], stdin=planted)
+    assert proc.returncode == 10
+    assert proc.stdout.splitlines() == ["s SATISFIABLE"]

@@ -34,7 +34,7 @@ def test_assign_oversatisfaction_conflicts():
     f = F(1, C(1, 1, 1))
     t = Trail(1)
     assert assign(f, t, 1, 1) is None
-    assert t.is_unassigned(1)
+    assert 1 not in t.entries
 
 
 def test_assign_requires_unassigned():
@@ -129,7 +129,7 @@ def test_evaluate_rejects_partial_model():
 
 def test_reconstruct_links_chain():
     t = Trail(3)
-    t.record_link(2, -3)
+    t.record(2, ("link", -3))
     model = t.reconstruct({1: 1, 3: 0})
     assert model == {1: 1, 2: 1, 3: 0}
 
@@ -141,7 +141,7 @@ def test_reconstruct_identity_on_empty_trail():
 
 def test_reconstruct_requires_root_values():
     t = Trail(2)
-    t.record_link(1, 2)
+    t.record(1, ("link", 2))
     with pytest.raises(ValueError):
         t.reconstruct({})
 

@@ -84,6 +84,16 @@ def test_wide_clauses_fill_to_capacity():
     assert all(c.occ == {1: 2, -1: 2, 2: 2, -2: 2} for c in g.clauses)
 
 
+
+def test_rare_sign_fills_once_the_draw_budget_is_spent():
+    # drawing x1's negation twice at neg_prob 1e-4 takes about 20000 draws,
+    # past the 10000 budget, so the last slots come from the allowed literals
+    for seed in range(20):
+        f, _ = generate(GenSpec(num_vars=1, num_clauses=1, min_len=4, max_len=4,
+                                max_repeat=2, neg_prob=0.0001, seed=seed))
+        assert f.clauses[0].occ == {1: 2, -1: 2}, seed
+
+
 @pytest.mark.parametrize("neg_prob", [0.0, 1.0])
 def test_neg_prob_end_points(neg_prob):
     f, _ = generate(GenSpec(num_vars=6, num_clauses=4, neg_prob=neg_prob, seed=3))

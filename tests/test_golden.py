@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from gixsat.dpll import _select, solve_auto
+from gixsat.dpll import _is_fallback, _select, solve_auto
 from gixsat.formula import Clause, Formula
 from gixsat.generator import GenSpec, generate
 
@@ -97,7 +97,7 @@ def _selection_entry(scheme, target, occ):
         "kind": rule.kind,
         "actions": rule.actions,
         "branches": rule.branches,
-        "fallback": rule.fallback,
+        "fallback": _is_fallback(rule.tag),
     }
     return json.loads(json.dumps(entry))
 

@@ -34,7 +34,7 @@ def test_cover_splits_single_long_clause():
     plan = choose_cover(f, 0.6)
     assert plan.cover == []
     assert plan.boundary == 0
-    assert len(plan.boundary_inside) == 6
+    assert plan.covered_vars == (1, 2, 3, 4, 5, 6)
     assert len(plan.complement_vars) == 4
 
 
@@ -114,7 +114,8 @@ def test_emitted_count_bounded_by_binomials(rng):
             c = f.clauses[i]
             bound *= math.comb(len(c.variables()), min(c.target, len(c.variables())))
         if plan.boundary is not None:
-            bound *= 1 << len(plan.boundary_inside)
+            inside = set(plan.covered_vars) & f.clauses[plan.boundary].variables()
+            bound *= 1 << len(inside)
         if len(emitted) > bound:
             violations += 1
     assert violations == 0
@@ -350,22 +351,22 @@ def test_sweep_at_the_int8_floor_and_past_skipped_blocks(formula, complement):
 
 
 def reference_choose_cover(formula, alpha):
-    """The greedy cover plan, rebuilding each clause's variable set per pick."""
+    """The greedy cover plan, rebuilding each clause's variable set per pick;
+    covered lists the variables in pick order."""
     constrained = set()
     for c in formula.clauses:
         constrained |= c.variables()
     goal = alpha * len(constrained)
-    covered = set()
+    covered = []
     cover = []
     boundary = None
-    boundary_inside = frozenset()
     remaining = set(range(len(formula.clauses)))
     while remaining and len(covered) < goal:
         pick = max(
             remaining,
-            key=lambda i: (len(formula.clauses[i].variables() - covered), -i),
+            key=lambda i: (len(formula.clauses[i].variables() - set(covered)), -i),
         )
-        new_vars = sorted(formula.clauses[pick].variables() - covered)
+        new_vars = sorted(formula.clauses[pick].variables() - set(covered))
         if len(covered) + len(new_vars) >= goal:
             best_h = min(
                 range(len(new_vars) + 1),
@@ -373,29 +374,23 @@ def reference_choose_cover(formula, alpha):
             )
             if best_h == len(new_vars):
                 cover.append(pick)
-                covered |= set(new_vars)
+                covered += new_vars
                 remaining.remove(pick)
             elif best_h > 0:
                 boundary = pick
-                inside = set(new_vars[:best_h]) | (
-                    formula.clauses[pick].variables() & covered
-                )
-                boundary_inside = frozenset(inside)
-                covered |= set(new_vars[:best_h])
+                covered += new_vars[:best_h]
                 remaining.remove(pick)
             break
         cover.append(pick)
-        covered |= set(new_vars)
+        covered += new_vars
         remaining.remove(pick)
     shared = [i for i in range(len(formula.clauses)) if i not in cover and i != boundary]
     return SplitPlan(
-        alpha=alpha,
         cover=cover,
         shared=shared,
         boundary=boundary,
-        boundary_inside=boundary_inside,
-        covered_vars=tuple(sorted(covered)),
-        complement_vars=tuple(sorted(constrained - covered)),
+        covered_vars=tuple(covered),
+        complement_vars=tuple(sorted(constrained - set(covered))),
         free_vars=tuple(v for v in range(1, formula.num_vars + 1) if v not in constrained),
     )
 
@@ -419,7 +414,10 @@ def test_cover_plan_matches_the_greedy_reference():
         if alpha is None:
             alpha = default_alpha(max((c.target for c in f.clauses), default=1))
         plan = choose_cover(f, alpha)
-        assert plan == reference_choose_cover(f, alpha), f
+        reference = reference_choose_cover(f, alpha)
+        # covered_vars is the fixing order the cover table follows
+        assert plan.covered_vars == reference.covered_vars, f
+        assert plan == reference, f
         boundaries += plan.boundary is not None
     assert 0 < boundaries < len(cases)
 
@@ -429,10 +427,10 @@ def test_cover_plan_matches_the_greedy_reference():
     [
         # empty cover: one row, no covered variable, every clause watched
         (F(4, C(2, 1, 2, 3, 4), C(1, 1, 4)),
-         SplitPlan(0.05, [], [0, 1], complement_vars=(1, 2, 3, 4)), 1),
+         SplitPlan([], [0, 1], complement_vars=(1, 2, 3, 4)), 1),
         # a cover clause with no variable and target 1 can never be met
         (F(3, C(1, 1, 2, 3), Clause(1, [])),
-         SplitPlan(0.5, [0, 1], [], covered_vars=(1, 2, 3)), 0),
+         SplitPlan([0, 1], [], covered_vars=(1, 2, 3)), 0),
         # boundary only: its 6 inside variables with at most 2 of them true
         (F(10, C(2, *range(1, 11))), None, 1 + 6 + 15),
     ],
@@ -445,3 +443,23 @@ def test_enumerate_edges_match_the_reference(formula, plan, rows):
     emitted = list(enumerate_cover_side(formula, plan))
     assert len(emitted) == rows
     assert emitted == list(reference_enumerate(formula, plan))
+
+
+def test_cover_table_fixes_variables_in_the_plan_order():
+    # a hand-built plan listing the cover's variables backwards: the rows
+    # are the same assignments, in lexicographic order along that order
+    f = F(6, C(2, 1, 2, 3, 4), C(1, 4, 5, 6))
+    plan = choose_cover(f, 0.99)
+    assert plan.covered_vars == (1, 2, 3, 4, 5, 6)
+    backwards = SplitPlan(plan.cover, plan.shared, covered_vars=plan.covered_vars[::-1])
+    emitted = [a for a, _ in enumerate_cover_side(f, backwards)]
+    forward = [a for a, _ in enumerate_cover_side(f, plan)]
+    assert sorted(sorted(a.items()) for a in emitted) == sorted(sorted(a.items()) for a in forward)
+    rows = [[a[v] for v in backwards.covered_vars] for a in emitted]
+    assert rows == sorted(rows) and len(rows) == 9
+
+
+def test_cover_table_rejects_a_plan_missing_a_cover_variable():
+    f = F(3, C(1, 1, 2, 3))
+    with pytest.raises(AssertionError, match="outside covered_vars"):
+        list(enumerate_cover_side(f, SplitPlan([0], [], covered_vars=(1, 2))))

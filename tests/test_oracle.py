@@ -21,7 +21,7 @@ def test_contradictory_pair():
     report = brute_solve(F(1, C(2, 1, -1)))
     assert report.model_count == 0
     assert report.first_model is None
-    assert report.status == "UNSAT"
+    assert not report.sat
 
 
 def test_first_model_is_lowest_index():
@@ -36,9 +36,10 @@ def test_empty_formula_counts_everything():
     assert report.model_count == 8
 
 
-def test_limit_refusal():
+def test_limit_refusal(monkeypatch):
+    monkeypatch.delenv("GIXSAT_ORACLE_LIMIT", raising=False)
     with pytest.raises(ValueError):
-        brute_solve(F(30, C(1, 1, 2)), limit=24)
+        brute_solve(F(30, C(1, 1, 2)))
 
 
 def test_limit_env_override(monkeypatch):

@@ -475,7 +475,7 @@ def _assert_occurrence_superset(w):
 def action_lists(draw, f, trail):
     """1-4 rule actions on fixpoint f: true / false / link / add / replace, or
     a lone remove. Literals mostly use variables alive in f."""
-    alive = [v for v in range(1, f.num_vars + 1) if trail.is_unassigned(v)]
+    alive = [v for v in range(1, f.num_vars + 1) if v not in trail.entries]
     pool = st.sampled_from(2 * alive + list(range(1, f.num_vars + 1)))
     sign = st.sampled_from([1, -1])
 
