@@ -59,6 +59,11 @@ def _cmd_solve(args) -> int:
     if not 0 <= args.timeout <= MAX_TIMEOUT_S:
         raise ValueError(f"--timeout must lie in 0..{MAX_TIMEOUT_S:g} seconds, "
                          f"got {args.timeout:g}")
+    if args.alpha is not None:
+        if args.algo != "mitm":
+            raise ValueError(f"--alpha applies to --algo mitm only, got --algo {args.algo}")
+        if not 0 < args.alpha < 1:  # also rejects NaN
+            raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha:g}")
     formula = _read_formula(args.file)
     if args.timeout:
         signal.signal(signal.SIGALRM, _alarm)

@@ -1,12 +1,13 @@
 """Polynomial-space branch-and-bound solvers for targets up to 4.
 
 Each solver interleaves the simplification fixpoint with a fixed priority
-list of rules. A rule is either a forced simplification (a list of
-assignments, links, or clause edits) or a branching whose branch
-prescriptions are mutually exclusive and jointly cover every satisfying
-extension of the touched variables. Rule selection always picks the lowest
-applicable rule; inside a rule, ties break on lowest clause index, then
-lowest variable.
+list of rules. A rule is its tag and its branch list, each branch a list of
+assignments, links, or clause edits. The branches are mutually exclusive and
+jointly cover every model of the formula: no branch means UNSAT, one branch
+is a forced reduction, and two or more are a branching. The rule-18 endgame
+has no branches; it carries the overlaps it decides the formula from. Rule
+selection always picks the lowest applicable rule; inside a rule, ties break
+on lowest clause index, then lowest variable.
 
 Three rule sets share the engine; _TARGET_CAPS holds the largest clause
 target of each (2, 3 and 4), read from its measure weights, and solve_auto
@@ -26,7 +27,7 @@ runs the first that covers a formula's largest target:
       literal) keeps its lowest-index clause. For t = 2 up to the scheme's
       top target, a repeated-literal clause takes rule 2t + 3 (7, 9, 11),
       looked up in a profile table, and a single-occurrence one rule 2t + 4
-      (8, 10, 12).
+      (8, 10, 12). The tables hold each rule-7/9/11 prescription whole.
 
 Where a clause shape has no specific prescription, the engine falls back to
 branching the lowest relevant variable 0/1 under a tag ending in
@@ -34,15 +35,16 @@ branching the lowest relevant variable 0/1 under a tag ending in
 of the rule_fires tally, for audit.
 
 A solve keeps one simplification worklist (simplify._Worklist) as its
-search state, built once from the input formula. Rule actions edit it in
-place and it is settled to a fixpoint after each one; at a branching rule
-each branch but the last gets a fork of it (its own copies of the flat
-clause lists and trail, sharing the occurrence map), so backtracking just
-drops the fork; the last branch takes the worklist itself, which nothing
-reads afterwards. The worklist counts the simplification steps of each rule
-(a)-(h) across the whole search, reported as SearchStats.simplify_fires.
-Selection reads the compact formula the worklist lists, whose clause j is
-the worklist's j-th live slot.
+search state, built once from the input formula and settled to a fixpoint.
+A forced rule's branch edits it in place and it is settled again. At a
+branching rule each branch but the last gets a fork of it (its own copies of
+the flat clause lists and trail, sharing the occurrence map), so
+backtracking just drops the fork; the last branch takes the worklist itself,
+which nothing reads afterwards. Each child is settled, and under instrument
+its measure is checked against the parent's, in one place. The worklist
+counts the simplification steps of each rule (a)-(h) across the whole
+search, reported as SearchStats.simplify_fires. Selection reads the compact
+formula the worklist lists, whose clause j is the worklist's j-th live slot.
 """
 
 from __future__ import annotations
@@ -94,24 +96,22 @@ class SearchStats:
 
 @dataclass
 class Rule:
+    """A rule's tag and its branch list, each branch a tuple of actions: no
+    branch is UNSAT, one is forced, two or more are a branching. The rule-18
+    endgame has no branches; it carries overlaps instead."""
+
     tag: str
-    kind: str  # "simp" | "branch" | "unsat" | "endgame"
-    actions: tuple = ()
     branches: tuple = ()
     # endgame: (shared, varlists) as selection built them, so they are built once
     overlaps: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-def _simp(tag, actions):
-    return Rule(tag, "simp", actions=tuple(actions))
-
-
 def _branch(tag, branches):
-    return Rule(tag, "branch", branches=tuple(tuple(b) for b in branches))
+    return Rule(tag, tuple(tuple(b) for b in branches))
 
 
-def _unsat(tag):
-    return Rule(tag, "unsat")
+def _simp(tag, actions):
+    return _branch(tag, [actions])
 
 
 def _branch_lit(tag, lit):
@@ -140,7 +140,7 @@ def _branch_4lit(tag, lits):
 
 
 def _apply_actions(w: _Worklist, actions) -> bool:
-    """Apply a rule's actions to w; False on a conflict."""
+    """Apply a branch's actions to w; False on a conflict."""
     entries = w.trail.entries
     for act in actions:
         kind = act[0]
@@ -166,7 +166,7 @@ def _apply_actions(w: _Worklist, actions) -> bool:
         elif kind == "replace":
             w.replace(w.slot(act[1]), Clause(act[2], act[3]))
         elif kind == "remove":
-            assert len(actions) == 1, "remove must be a rule's only action"
+            assert len(actions) == 1, "remove must be a branch's only action"
             w.delete(w.slot(act[1]))
         else:
             raise RuntimeError(f"unknown action {act!r}")
@@ -175,10 +175,6 @@ def _apply_actions(w: _Worklist, actions) -> bool:
 
 # ---------------------------------------------------------------------------
 # shared per-clause views
-
-
-def _mult_profile(occ: dict) -> tuple:
-    return tuple(sorted(occ.values(), reverse=True))
 
 
 def _overlaps(f: Formula) -> tuple[dict, list, list]:
@@ -298,7 +294,7 @@ def _select_g2(f: Formula) -> Rule:
             return rule
         return _branch_lit("g2.17", heavies[0])
 
-    return Rule("g2.18", "endgame", overlaps=(shared, varlists))
+    return Rule("g2.18", overlaps=(shared, varlists))
 
 
 def _pair_view(ci, cj, shared):
@@ -333,7 +329,7 @@ def _g2_rule9(i, ci, j, cj, shared) -> Rule:
     if len(flips) == 0:
         return _simp("g2.9.share3.dup", [("remove", j)])
     if len(flips) in (1, 3):
-        return _unsat("g2.9.share3.unsat")
+        return Rule("g2.9.share3.unsat")
     return _simp(
         "g2.9.share3.flip2",
         [("false", li[sames[0]]), ("link", li[flips[0]], -li[flips[1]])],
@@ -367,7 +363,7 @@ def _g2_rule11_len5(x2, singles, c1s) -> Rule:
     for idx, c1, negs, poss in views:
         if len(negs) == 0 and len(poss) >= 2:
             if len(poss) == 3:
-                return _unsat("g2.11.len5.sub.unsat")
+                return Rule("g2.11.len5.sub.unsat")
             w = next(s for s in singles if s not in poss)
             return _simp("g2.11.len5.sub", [("link", w, -x2)])
     for idx, c1, negs, poss in views:
@@ -435,7 +431,7 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
             return _simp("g2.15.flip2", [("replace", other_idx, 2, tuple(lits))])
         if nf == 3:
             if not other_extra:
-                return _unsat("g2.15.flip3.unsat")
+                return Rule("g2.15.flip3.unsat")
             acts = [("false", t) for t in t_lits]
             acts.append(("replace", other_idx, 1, tuple(other_extra)))
             return _simp("g2.15.flip3", acts)
@@ -535,83 +531,78 @@ def _g2_rule16(cls, heavies, occurrences, varlists) -> Optional[Rule]:
 # g3 / g4 rule selection
 
 
-def _delta_of(c: Clause, lit: int, copies: int) -> dict:
-    delta = dict(c.occ)
-    delta[lit] -= copies
-    if delta[lit] == 0:
-        del delta[lit]
-    return delta
-
-
 # Rules 7, 9 and 11 on a clause (x..x delta), x its first literal of highest
 # multiplicity: each table maps the occurrence profile of delta to a tag
-# suffix and a rule. "unsat" rejects, "branch" branches x, and "pair3"
-# branches x against d0; otherwise the entry's actions are forced. Actions
-# name literals of delta by multiplicity and canonical order: singles s0,
-# s1, ..., doubles d0, ..., triples t0 ("-" negates). An unlisted profile
-# branches x when delta has at least the table's width distinct literals,
-# and falls back to that branch otherwise; rule 7 and the rule-9 "thrice"
-# case have width 0, so they always branch.
+# suffix and a branch list. Branches name x, v = abs(x) and the literals of
+# delta by multiplicity and canonical order: singles s0, s1, ..., doubles d0,
+# ..., triples t0 ("-" negates). An unlisted profile splits on v, as a
+# "branch" when delta has at least the table's width distinct literals and as
+# a "fallback" otherwise; rule 7 and the rule-9 "thrice" case have width 0,
+# so they always branch.
+
+_SPLIT = [[("true", "v")], [("false", "v")]]
+_PAIR3 = [[("true", "x"), ("true", "d0")], [("link", "x", "-d0")],
+          [("false", "x"), ("false", "d0")]]
 
 _G3_DOUBLED = {
-    (1,): ("len3", [("true", "x"), ("false", "s0")]),
-    (2, 1): ("odd0", [("false", "s0")]),
+    (1,): ("len3", [[("true", "x"), ("false", "s0")]]),
+    (2, 1): ("odd0", [[("false", "s0")]]),
 }
 
 _G4_DOUBLED = {
-    (1,): ("len3", [("true", "x")]),
-    (1, 1): ("pair", [("link", "s0", "s1")]),
-    (2, 1): ("odd0", [("false", "s0")]),
+    (1,): ("len3", [[("true", "x")]]),
+    (1, 1): ("pair", [[("link", "s0", "s1")]]),
+    (2, 1): ("odd0", [[("false", "s0")]]),
 }
 
 # at most two literals besides the three copies of x force x true
-_C3_THRICE = {prof: ("force", [("true", "x")]) for prof in ((), (1,), (1, 1), (2,))}
+_C3_THRICE = {prof: ("force", [[("true", "x")]]) for prof in ((), (1,), (1, 1), (2,))}
 
 _C3_TWICE = {
-    (1,): ("all1", [("true", "x"), ("true", "s0")]),
-    (1, 1): ("pair", [("true", "x"), ("link", "s0", "-s1")]),
-    (2, 1): ("odd1", [("true", "s0")]),
-    (2, 1, 1): ("linkneg", [("link", "x", "-d0")]),
-    (2, 2, 1): ("odd1", [("true", "s0")]),
-    (2, 2, 1, 1): ("linkpair", [("link", "s0", "-s1")]),
-    (2, 2, 2, 1): ("odd1", [("true", "s0")]),
-    (2,): "unsat",
-    (2, 2): "unsat",
-    (2, 2, 2): "unsat",
-    (2, 2, 2, 2): "unsat",
-    (1, 1, 1): "branch",
-    (1, 1, 1, 1): "branch",
-    (2, 1, 1, 1): "branch",
-    (1, 1, 1, 1, 1): "branch",
+    (1,): ("all1", [[("true", "x"), ("true", "s0")]]),
+    (1, 1): ("pair", [[("true", "x"), ("link", "s0", "-s1")]]),
+    (2, 1): ("odd1", [[("true", "s0")]]),
+    (2, 1, 1): ("linkneg", [[("link", "x", "-d0")]]),
+    (2, 2, 1): ("odd1", [[("true", "s0")]]),
+    (2, 2, 1, 1): ("linkpair", [[("link", "s0", "-s1")]]),
+    (2, 2, 2, 1): ("odd1", [[("true", "s0")]]),
+    (2,): ("unsat", []),
+    (2, 2): ("unsat", []),
+    (2, 2, 2): ("unsat", []),
+    (2, 2, 2, 2): ("unsat", []),
+    (1, 1, 1): ("branch", _SPLIT),
+    (1, 1, 1, 1): ("branch", _SPLIT),
+    (2, 1, 1, 1): ("branch", _SPLIT),
+    (1, 1, 1, 1, 1): ("branch", _SPLIT),
 }
 
 _C4_THRICE = {
-    (1,): ("all1", [("true", "x"), ("true", "s0")]),
-    (1, 1): ("pair", [("true", "x"), ("link", "s0", "-s1")]),
-    (2, 1): ("force", [("true", "x"), ("true", "s0"), ("false", "d0")]),
-    (1, 1, 1): ("x1", [("true", "x")]),
-    (3, 1): ("linkneg", [("true", "s0"), ("link", "x", "-t0")]),
-    (2, 2): ("x0", [("false", "x"), ("true", "d0"), ("true", "d1")]),
-    (3,): "unsat",
-    (3, 2): "unsat",
-    (3, 3): "unsat",
+    (1,): ("all1", [[("true", "x"), ("true", "s0")]]),
+    (1, 1): ("pair", [[("true", "x"), ("link", "s0", "-s1")]]),
+    (2, 1): ("force", [[("true", "x"), ("true", "s0"), ("false", "d0")]]),
+    (1, 1, 1): ("x1", [[("true", "x")]]),
+    (3, 1): ("linkneg", [[("true", "s0"), ("link", "x", "-t0")]]),
+    (2, 2): ("x0", [[("false", "x"), ("true", "d0"), ("true", "d1")]]),
+    (3,): ("unsat", []),
+    (3, 2): ("unsat", []),
+    (3, 3): ("unsat", []),
 }
 
 _C4_TWICE = {
-    (1, 1): ("all1", [("true", "x"), ("true", "s0"), ("true", "s1")]),
-    (2, 1): ("force", [("true", "x"), ("true", "d0"), ("false", "s0")]),
-    (1, 1, 1): ("x1", [("true", "x")]),
-    (2, 1, 1): ("linkpair", [("link", "s0", "s1")]),
-    (2, 2, 1): ("even0", [("false", "s0")]),
-    (2, 2, 1, 1): ("linkpair", [("link", "s0", "s1")]),
-    (2, 2, 2, 1): ("even0", [("false", "s0")]),
-    (2, 2, 2, 1, 1): ("linkpair", [("link", "s0", "s1")]),
-    (2, 2, 2, 2, 1): ("even0", [("false", "s0")]),
-    (2, 1, 1, 1, 1): "pair3",
-    (2, 2, 1, 1, 1): "pair3",
-    (1, 1, 1, 1): "branch",
-    (2, 1, 1, 1): "branch",
-    (1, 1, 1, 1, 1): "branch",
+    (1, 1): ("all1", [[("true", "x"), ("true", "s0"), ("true", "s1")]]),
+    (2, 1): ("force", [[("true", "x"), ("true", "d0"), ("false", "s0")]]),
+    (1, 1, 1): ("x1", [[("true", "x")]]),
+    (2, 1, 1): ("linkpair", [[("link", "s0", "s1")]]),
+    (2, 2, 1): ("even0", [[("false", "s0")]]),
+    (2, 2, 1, 1): ("linkpair", [[("link", "s0", "s1")]]),
+    (2, 2, 2, 1): ("even0", [[("false", "s0")]]),
+    (2, 2, 2, 1, 1): ("linkpair", [[("link", "s0", "s1")]]),
+    (2, 2, 2, 2, 1): ("even0", [[("false", "s0")]]),
+    (2, 1, 1, 1, 1): ("pair3", _PAIR3),
+    (2, 2, 1, 1, 1): ("pair3", _PAIR3),
+    (1, 1, 1, 1): ("branch", _SPLIT),
+    (2, 1, 1, 1): ("branch", _SPLIT),
+    (1, 1, 1, 1, 1): ("branch", _SPLIT),
 }
 
 # (scheme, target, multiplicity of x) -> (tag, table, width)
@@ -632,23 +623,16 @@ _SINGLE_SHORT = {2: (4, 5), 3: (6,), 4: (8,)}
 
 def _repeated_rule(tag, table, width, x, delta) -> Rule:
     order = sorted(delta, key=lit_key)
-    lits = {"x": x}
+    lits = {"x": x, "v": abs(x)}
     for name, m in (("s", 1), ("d", 2), ("t", 3)):
         for k, lit in enumerate(l for l in order if delta[l] == m):
             lits[f"{name}{k}"] = lit
-    entry = table.get(_mult_profile(delta))
-    if entry is None:
-        entry = "branch" if len(delta) >= width else "fallback"
-    if entry == "unsat":
-        return _unsat(tag + ".unsat")
-    if entry in ("branch", "fallback"):
-        return _branch_lit(f"{tag}.{entry}", abs(x))
-    if entry == "pair3":
-        return _branch_pair3(tag + ".pair3", x, lits["d0"])
-    suffix, template = entry
-    return _simp(f"{tag}.{suffix}", [
-        (kind, *(-lits[n[1:]] if n[0] == "-" else lits[n] for n in names))
-        for kind, *names in template
+    suffix, branches = table.get(tuple(sorted(delta.values(), reverse=True))) \
+        or ("branch" if len(delta) >= width else "fallback", _SPLIT)
+    return _branch(f"{tag}.{suffix}", [
+        [(kind, *(-lits[n[1:]] if n[0] == "-" else lits[n] for n in names))
+         for kind, *names in branch]
+        for branch in branches
     ])
 
 
@@ -671,7 +655,8 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
             if m == 4:
                 return _branch_lit("g4.11.quad", abs(x))
             tag, table, width = _REPEATED[scheme, t, m]
-            return _repeated_rule(tag, table, width, x, _delta_of(c, x, m))
+            delta = {l: k for l, k in c.occ.items() if l != x}
+            return _repeated_rule(tag, table, width, x, delta)
 
         # rules 8/10/12: single-occurrence exactly-t clause
         c = first.get((t, False))
@@ -808,17 +793,10 @@ def _settle(w: _Worklist, stats: SearchStats) -> bool:
     return False
 
 
-def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
-    """Settle w and search below it; the final trail, or None if UNSAT."""
-    if not _settle(w, stats):
-        return None
+def _search(w, stats, scheme, depth, instrument):
+    """Search below the settled worklist w; the final trail, or None if UNSAT."""
     stats.nodes_expanded += 1
     stats.max_depth = max(stats.max_depth, depth)
-    if instrument and parent_mu is not None:
-        mu = measure(w.formula(), scheme)
-        stats.measure_checks += 1
-        if not mu < parent_mu - 1e-9:
-            stats.measure_violations.append((parent_tag, parent_mu, mu))
     # every simplification chain eliminates a variable within a few steps;
     # a generous cap turns any selection bug into a loud failure, not a hang
     guard = 50 * (w.trail.num_vars + w.count + w.occurrences) + 100
@@ -832,9 +810,7 @@ def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
         f = w.formula()
         rule = _select(f, scheme)
         stats.rule_fires[rule.tag] += 1
-        if rule.kind == "unsat":
-            return None
-        if rule.kind == "endgame":
+        if rule.overlaps is not None:
             part = _low_degree_model(f, *rule.overlaps)
             if part is None:
                 return None
@@ -844,22 +820,26 @@ def _search(w, stats, scheme, depth, instrument, parent_mu, parent_tag):
             for v in sorted(part):
                 w.trail.record_const(v, part[v])
             return w.trail
-        if rule.kind == "simp":
-            if not (_apply_actions(w, rule.actions) and _settle(w, stats)):
+        if len(rule.branches) == 1:  # forced: applied in place, same node
+            if not (_apply_actions(w, rule.branches[0]) and _settle(w, stats)):
                 return None
             continue
-        # branching rule
-        mu_here = measure(f, scheme) if instrument else None
+        mu = measure(f, scheme) if instrument else None
         last = len(rule.branches) - 1
         for b, branch in enumerate(rule.branches):
             # the last branch takes w itself: nothing reads w after it
             child = w if b == last else w.fork()
-            if not _apply_actions(child, branch):
+            if not (_apply_actions(child, branch) and _settle(child, stats)):
                 continue
-            res = _search(child, stats, scheme, depth + 1, instrument, mu_here, rule.tag)
+            if instrument:
+                mu_child = measure(child.formula(), scheme)
+                stats.measure_checks += 1
+                if not mu_child < mu - 1e-9:
+                    stats.measure_violations.append((rule.tag, mu, mu_child))
+            res = _search(child, stats, scheme, depth + 1, instrument)
             if res is not None:
                 return res
-        return None
+        return None  # no branch, or none of them, has a model
 
 
 def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
@@ -869,7 +849,7 @@ def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
             raise ValueError(f"solve_{scheme} handles targets up to {cap}, got {c.target}")
     stats = SearchStats(measure_at_root=measure(formula, scheme))
     w = _Worklist(formula, Trail(formula.num_vars))
-    t_end = _search(w, stats, scheme, 0, instrument, None, None)
+    t_end = _search(w, stats, scheme, 0, instrument) if _settle(w, stats) else None
     stats.simplify_fires = dict(zip(RULE_LETTERS, w.fires))
     if t_end is None:
         return SolveResult(False, None, stats)

@@ -2,10 +2,15 @@
 
 Random mode draws clause lengths, literals, and targets independently.
 Planted mode first draws a hidden assignment and sets each clause's target
-to the number of its literals the assignment makes true, resampling (and
-finally constructing directly) when that count falls outside 1..max_target,
-so planted instances are satisfiable by construction. Everything is a pure
-function of the seed.
+to the number of its literals the assignment makes true, resampling when
+that count falls outside 1..max_target, so planted instances are
+satisfiable by construction. After 200 resamples, or one that spent its
+draw budget, the clause is built directly: a target is drawn from those the
+spec can meet, and that many true and the rest false literals are drawn. A
+clause holds only literals the spec allows (each at most max_repeat times,
+one literal per variable when max_repeat is 1, only the signs neg_prob can
+draw), however it is built; when no target can be met, generate raises
+ValueError. Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -54,16 +59,22 @@ def _allowed(spec: GenSpec, counts: dict[int, int], lit: int) -> bool:
     return counts.get(lit, 0) < spec.max_repeat and not (spec.max_repeat == 1 and -lit in counts)
 
 
-def _draw_literals(rng: random.Random, spec: GenSpec, length: int) -> list[int]:
+def _signs(spec: GenSpec) -> list[int]:
+    """The signs neg_prob can draw."""
+    return [s for s, p in ((1, 1.0 - spec.neg_prob), (-1, spec.neg_prob)) if p > 0]
+
+
+def _draw_literals(rng: random.Random, spec: GenSpec, length: int) -> tuple[list[int], bool]:
     """Draw literals until the clause is full; once the draw budget is spent (a
-    skewed neg_prob can do that), draw each slot left from the allowed literals."""
+    skewed neg_prob can do that), draw each slot left from the allowed literals.
+    Also says whether the budget was spent."""
     lits: list[int] = []
     counts: dict[int, int] = {}
     draws_left = max(10000, 20 * length)  # a full clause takes about length * ln(length)
-    signs = [s for s, p in ((1, 1.0 - spec.neg_prob), (-1, spec.neg_prob)) if p > 0]
     while len(lits) < length:
         draws_left -= 1
         if draws_left < 0:
+            signs = _signs(spec)
             lit = rng.choice([s * v for v in range(1, spec.num_vars + 1) for s in signs
                               if _allowed(spec, counts, s * v)])
         else:
@@ -73,7 +84,35 @@ def _draw_literals(rng: random.Random, spec: GenSpec, length: int) -> list[int]:
                 continue
         counts[lit] = counts.get(lit, 0) + 1
         lits.append(lit)
-    return lits
+    return lits, draws_left < 0
+
+
+def _planted_fallback(rng: random.Random, spec: GenSpec, hidden: dict[int, int],
+                      length: int) -> Clause:
+    """A clause the hidden model meets, built directly: target true and
+    length - target false literals the spec allows, target drawn from those
+    that can be met."""
+    pools = ([], [])  # the literals hidden makes false, and true
+    signs = _signs(spec)
+    for v in range(1, spec.num_vars + 1):
+        for s in signs:
+            pools[hidden[v] == (s > 0)].append(s * v)
+    # each literal holds up to max_repeat copies; at max_repeat 1 a variable
+    # gives one literal, and GenSpec keeps length within num_vars
+    targets = [t for t in range(1, min(spec.max_target, length) + 1)
+               if t <= len(pools[1]) * spec.max_repeat
+               and length - t <= len(pools[0]) * spec.max_repeat]
+    if not targets:
+        raise ValueError(f"no planted clause of length {length} has a target in "
+                         f"1..{spec.max_target} under this spec")
+    target = rng.choice(targets)
+    lits: list[int] = []
+    counts: dict[int, int] = {}
+    for k in range(length):
+        lit = rng.choice([l for l in pools[k < target] if _allowed(spec, counts, l)])
+        counts[lit] = counts.get(lit, 0) + 1
+        lits.append(lit)
+    return Clause(target, lits)
 
 
 def generate(spec: GenSpec) -> tuple[Formula, Optional[dict[int, int]]]:
@@ -86,28 +125,20 @@ def generate(spec: GenSpec) -> tuple[Formula, Optional[dict[int, int]]]:
     for _ in range(spec.num_clauses):
         length = rng.randint(spec.min_len, spec.max_len)
         if not spec.planted:
-            lits = _draw_literals(rng, spec, length)
+            lits, _ = _draw_literals(rng, spec, length)
             target = rng.randint(1, min(spec.max_target, length))
             clauses.append(Clause(target, lits))
             continue
         clause = None
         for _ in range(200):
-            lits = _draw_literals(rng, spec, length)
+            lits, spent = _draw_literals(rng, spec, length)
             count = sum(1 for l in lits if (hidden[abs(l)] if l > 0 else 1 - hidden[abs(l)]))
             if 1 <= count <= spec.max_target:
                 clause = Clause(count, lits)
                 break
+            if spent:  # a skewed spec: the next draws would spend it again
+                break
         if clause is None:
-            # construct directly: pick which slots are true under the model
-            target = rng.randint(1, min(spec.max_target, length))
-            variables = rng.sample(range(1, spec.num_vars + 1), min(length, spec.num_vars))
-            while len(variables) < length:
-                variables.append(rng.randint(1, spec.num_vars))
-            lits = []
-            for k, v in enumerate(variables):
-                make_true = k < target
-                lit = v if hidden[v] == 1 else -v
-                lits.append(lit if make_true else -lit)
-            clause = Clause(target, lits)
+            clause = _planted_fallback(rng, spec, hidden, length)
         clauses.append(clause)
     return Formula(spec.num_vars, clauses), hidden

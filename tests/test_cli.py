@@ -287,6 +287,15 @@ FAILURES = {
                          "error: --timeout must lie in 0..1e+09 seconds, got -1"),
     "nan-timeout": (["solve", "{sat}", "--timeout", "nan"], None, None, 1, "error: --timeout"),
     "huge-timeout": (["solve", "{sat}", "--timeout", "1e300"], None, None, 1, "error: --timeout"),
+    "alpha-with-g2": (["solve", "{sat}", "--algo", "g2", "--alpha", "0.5"], None, None, 1,
+                      "error: --alpha applies to --algo mitm only, got --algo g2"),
+    "alpha-with-brute": (["solve", "{sat}", "--algo", "brute", "--alpha", "7"], None, None, 1,
+                         "error: --alpha applies to --algo mitm only, got --algo brute"),
+    # checked before the file is read: the file does not exist
+    "alpha-out-of-range": (["solve", "{tmp}/missing.gxsat", "--algo", "mitm", "--alpha", "1"],
+                           None, None, 1, "error: --alpha must lie strictly between 0 and 1, got 1"),
+    "nan-alpha": (["solve", "{sat}", "--algo", "mitm", "--alpha", "nan"], None, None, 1,
+                  "error: --alpha must lie strictly between 0 and 1, got nan"),
     "nothing-to-analyze": (["analyze"], None, None, 1,
                            "error: one of the arguments --tau --alpha-for --tables "
                            "--regression is required"),

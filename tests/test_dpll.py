@@ -7,12 +7,11 @@ import sys
 from itertools import chain, product
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import C, F, formulas, random_formula
+from conftest import C, F, check_partition, formulas, random_formula
 from gixsat import dpll
 from gixsat.dpll import solve_auto, solve_g2, solve_g3, solve_g4
 from gixsat.formula import Clause, Formula, SolveResult, Trail, evaluate, lit_key, true_count
@@ -371,7 +370,7 @@ def reference_select_g2(f):
     heavies = sorted(v for v, d in degree.items() if d >= 3)
     if heavies:
         return _ref_rule16(f, heavies) or dpll._branch_lit("g2.17", heavies[0])
-    return dpll.Rule("g2.18", "endgame")
+    return dpll.Rule("g2.18")
 
 
 def g2_fixpoint(rng):
@@ -406,9 +405,7 @@ def g2_fixpoint(rng):
 def check_g2_selection(f):
     got = dpll._select(f, "g2")
     want = reference_select_g2(f)
-    assert (got.tag, got.kind, got.actions, got.branches) == (
-        want.tag, want.kind, want.actions, want.branches
-    ), f"selection differs on {f!r}"
+    assert (got.tag, got.branches) == (want.tag, want.branches), f"selection differs on {f!r}"
     return got.tag
 
 
@@ -459,8 +456,8 @@ def test_g2_selection_names_the_fixpoint_invariant():
 
 
 # One hand-built fixpoint per g2 rule tag, in rule order. Selection picks the
-# tag at the root, its prescription keeps exactly the models of the formula,
-# and the solve fires it and agrees with the oracle.
+# tag at the root, its branches partition the models of the formula, and the
+# solve fires it and agrees with the oracle.
 G2_TAG_FIXPOINTS = [
     ("g2.8", F(4, C(1, 1, -2, -3, -4))),
     ("g2.9.share1", F(5, C(1, 2, -3, 5), C(1, 1, 2, -4))),
@@ -521,53 +518,13 @@ G2_TAG_FIXPOINTS = [
 ]
 
 
-def models(f):
-    """The models of f as assignment numbers, variable v at bit v - 1."""
-    found, total = [], 1 << f.num_vars
-    for start in range(0, total, 1 << 18):
-        idx = np.arange(start, min(start + (1 << 18), total))
-        ok = np.ones(len(idx), dtype=bool)
-        for c in f.clauses:
-            ok &= sum(m * ((idx >> (abs(l) - 1) & 1) == (l > 0)) for l, m in c.occ.items()) \
-                == c.target
-        found += idx[ok].tolist()
-    return found
-
-
-def prescribed(f, actions):
-    """f after a prescription: its clause edits made, a literal l set true or
-    false added as (l) with target 1 or 0, and a link a = b as (a -b) with 1."""
-    clauses = list(f.clauses)
-    for kind, *args in actions:
-        if kind in ("true", "false"):
-            clauses.append(Clause(int(kind == "true"), [args[0]]))
-        elif kind == "link":
-            clauses.append(Clause(1, [args[0], -args[1]]))
-        elif kind == "add":
-            clauses.append(Clause(*args))
-        elif kind == "replace":
-            clauses[args[0]] = Clause(*args[1:])
-        else:
-            assert kind == "remove"
-            clauses[args[0]] = None
-    return Formula(f.num_vars, [c for c in clauses if c is not None])
-
-
 @pytest.mark.parametrize("tag, f", G2_TAG_FIXPOINTS, ids=[tag for tag, _ in G2_TAG_FIXPOINTS])
 def test_g2_tag_fixpoint(tag, f):
     assert simplify_to_fixpoint(f, Trail(f.num_vars))[0] == f
     rule = dpll._select_g2(f)
     assert rule.tag == tag
-    kept = models(f)
-    if rule.kind == "simp":
-        assert models(prescribed(f, rule.actions)) == kept
-    elif rule.kind == "branch":  # every model takes exactly one branch
-        branches = [prescribed(f, b) for b in rule.branches]
-        for a in kept:
-            values = {v: a >> (v - 1) & 1 for v in range(1, f.num_vars + 1)}
-            assert sum(evaluate(g, values) for g in branches) == 1, f"model {a}"
-    elif rule.kind == "unsat":
-        assert not kept
+    if rule.overlaps is None:  # the endgame decides f without branches
+        check_partition(f, rule.branches)
     result = check_against_oracle(f, solve_g2)
     assert result.stats.rule_fires.get(tag, 0) >= 1
 

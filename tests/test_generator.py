@@ -94,6 +94,34 @@ def test_rare_sign_fills_once_the_draw_budget_is_spent():
         assert f.clauses[0].occ == {1: 2, -1: 2}, seed
 
 
+def test_planted_fallback_keeps_to_the_allowed_literals():
+    # at this neg_prob a drawn clause is (1 1 2 2 3 3), whose true count is
+    # even, so nearly every clause is built directly, and a built one holds a
+    # negative literal (a true or a false one); built clauses hold each
+    # literal at most twice and still meet the hidden model
+    built = 0
+    for seed in range(20):
+        f, hidden = generate(GenSpec(num_vars=3, num_clauses=20, min_len=6, max_len=6,
+                                     max_repeat=2, neg_prob=0.0001, planted=True,
+                                     max_target=1, seed=seed))
+        assert evaluate(f, hidden), seed
+        assert all(c.target == 1 and max(c.occ.values()) <= 2 for c in f.clauses), seed
+        built += sum(any(l < 0 for l in c.occ) for c in f.clauses)
+    assert built > 100
+
+
+@pytest.mark.parametrize("fields", [
+    # every allowed clause of 8 literals over 2 variables holds each literal
+    # twice, so 4 are true where max_target is 3
+    dict(num_vars=2, min_len=8, max_len=8, max_target=3, seed=2),
+    # the one clause of 4 literals over 1 variable is (1 1 -1 -1), with 2 true
+    dict(num_vars=1, min_len=4, max_len=4, max_target=1, neg_prob=0.0001, seed=0),
+])
+def test_planted_spec_without_a_valid_clause_is_rejected(fields):
+    with pytest.raises(ValueError, match="no planted clause of length"):
+        generate(GenSpec(num_clauses=5, max_repeat=2, planted=True, **fields))
+
+
 @pytest.mark.parametrize("neg_prob", [0.0, 1.0])
 def test_neg_prob_end_points(neg_prob):
     f, _ = generate(GenSpec(num_vars=6, num_clauses=4, neg_prob=neg_prob, seed=3))

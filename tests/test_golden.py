@@ -7,7 +7,8 @@ with multiplicities up to the target, plus seven doubled or single literals.
 It is also pinned for the other g3/g4 clause classes: an exactly-1 clause of
 3 to 6 literals (rule 6), an exactly-2 clause with a doubled literal and one
 to five singles or doubles (rule 7), and a single-occurrence exactly-t clause
-of 2t to 2t + 3 literals (rules 8, 10 and 12). Search counts are pinned for
+of 2t to 2t + 3 literals (rules 8, 10 and 12). Each pinned selection's
+branches must also partition the clause's models. Search counts are pinned for
 seeded hard instances, since node counts are the main regression signal:
 status, nodes, rule fires, simplification fires, fixpoint calls and a hash of
 the model.
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import check_partition
 from gixsat.dpll import _is_fallback, _select, solve_auto
 from gixsat.formula import Clause, Formula
 from gixsat.generator import GenSpec, generate
@@ -86,17 +88,22 @@ def selection_cases():
                 yield scheme, target, occ
 
 
+def _selection_formula(target, occ):
+    return Formula(len(occ), [Clause(target, dict(occ))])
+
+
 def _selection_entry(scheme, target, occ):
-    clause = Clause(target, dict(occ))
-    rule = _select(Formula(len(occ), [clause]), scheme)
+    rule = _select(_selection_formula(target, occ), scheme)
+    # recorded by kind: no branch is "unsat", one is "simp" (its actions)
+    kind = ("unsat", "simp", "branch")[min(len(rule.branches), 2)]
     entry = {
         "scheme": scheme,
         "target": target,
         "occ": occ,
         "tag": rule.tag,
-        "kind": rule.kind,
-        "actions": rule.actions,
-        "branches": rule.branches,
+        "kind": kind,
+        "actions": rule.branches[0] if kind == "simp" else (),
+        "branches": rule.branches if kind == "branch" else (),
         "fallback": _is_fallback(rule.tag),
     }
     return json.loads(json.dumps(entry))
@@ -148,6 +155,13 @@ def test_selection_matches_golden():
         if want != got
     ]
     assert not mismatches, f"{len(mismatches)} selections changed, first: {mismatches[0]}"
+
+
+def test_selection_partitions_the_models():
+    # every pinned g3/g4 prescription, checked against the clause's models
+    for scheme, target, occ in selection_cases():
+        f = _selection_formula(target, occ)
+        check_partition(f, _select(f, scheme).branches)
 
 
 @pytest.mark.parametrize("family", sorted(SEARCH_SPECS))
