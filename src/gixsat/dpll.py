@@ -38,9 +38,12 @@ A solve keeps one simplification worklist (simplify._Worklist) as its
 search state, built once from the input formula and settled to a fixpoint.
 A forced rule's branch edits it in place and it is settled again. At a
 branching rule each branch but the last gets a fork of it (its own copies of
-the flat clause lists and trail, sharing the occurrence map), so
-backtracking just drops the fork; the last branch takes the worklist itself,
-which nothing reads afterwards. Each child is settled, and under instrument
+the flat clause lists and trail, sharing the Clause objects and the
+occurrence map; each worklist copies a shared clause on its first edit and
+edits its copy in place after that), so backtracking just drops the fork.
+The last branch takes the worklist itself, which nothing reads afterwards,
+and only once every earlier fork is dropped: a worklist must not be edited
+while a fork of it is in use. Each child is settled, and under instrument
 its measure is checked against the parent's, in one place. The worklist
 counts the simplification steps of each rule (a)-(h) across the whole
 search, reported as SearchStats.simplify_fires. Selection reads the compact

@@ -317,7 +317,8 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
         base = targets.copy()
         for k, by_value in enumerate(high):
             base -= by_value[(block >> k) & 1]
-        if (base < 0).any():   # low contributions are never negative
+        # with no high bits base is the targets, never negative
+        if len(high) and (base < 0).any():   # low contributions are never negative
             continue
         need[0] = base - low_zero
         start = 0

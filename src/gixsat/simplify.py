@@ -31,40 +31,52 @@ edited, so a worklist that returned False must be discarded, as every
 caller does. A clause whose rule mask changes moves between the per-rule
 sets for the changed bits only, read from a table of set bits.
 
-Two shortcuts make a step cheaper without changing which steps run or in
-what order. Most clauses a constant reaches are plain: k distinct literals,
+Shortcuts make a step cheaper without changing which steps run or in what
+order. Most clauses an elimination reaches are plain: k distinct literals,
 each once, no variable in both signs. A plain clause's mask depends only on
 its target t and size k, so eliminating a constant from one drops the
 literal, lowers the target, checks for a conflict and takes the new mask
-from a (t, k) memo of _classify on a canonical plain clause; links and
-clauses that are not plain go through substitute and _classify. And rule
-(c) on a target-0 clause sorts its literals once, in canonical order, and
-zeroes them one by one within one step, stopping as soon as an (a) or (b)
-step is pending or the clause is no longer the lowest-index one carrying
-(c). The clause is unpaired and zeroing a literal changes only the clauses
-holding its variable, so each literal is exactly the step a rescan would
-take next, and the trail, the literal order of every clause and the point
-of any conflict stay the same.
+from a (t, k) memo of _classify on a canonical plain clause. A link reaching
+a plain clause that lacks the partner's variable keeps its target, size and
+mask: the literal is renamed to the partner, deleted and appended, the order
+substitute gives. Other link visits and clauses that are not plain go
+through substitute and _classify. And rule (c) on a target-0 clause sorts
+its literals once, in canonical order, and zeroes them one by one within one
+step, stopping as soon as an (a) or (b) step is pending or the clause is no
+longer the lowest-index one carrying (c). The clause is unpaired and zeroing
+a literal changes only the clauses holding its variable, so each literal is
+exactly the step a rescan would take next, and the trail, the literal order
+of every clause and the point of any conflict stay the same.
+
+Clauses are copied on first edit. A worklist's owned set holds the slots
+whose Clause it built since it was created or last forked. The plain-clause
+edits above change an owned clause in place and copy any other clause once,
+claiming the copy; substitute builds a new clause, which is claimed too.
+Clauses put in by add, put or replace are not owned. So the input formula
+and its clauses are never mutated, and a clause another worklist shares is
+copied before it changes.
 
 The worklist (_Worklist) also serves as the search state of a whole
-branch-and-bound solve: the solver applies rule actions to it, settles it
-to a fixpoint, and forks it at each branch. A fork copies the flat slot and
-size lists and the trail, but shares the occurrence map, which is built
-once per solve and only grows: every clause that gains a variable (by a
-link, an added clause or a replaced clause) is registered under it, and
-nothing is ever removed. The map may therefore name clauses that have lost
-the variable, or slots that another branch added, and substitution skips
-both. A per-worklist map that dropped each eliminated variable skipped far
-fewer entries but was no faster: the time goes to the clauses that still
-hold the variable.
+branch-and-bound solve: the solver applies rule actions to it, settles it to
+a fixpoint, and forks it at each branch. A fork copies the flat slot and
+size lists and the trail, so parent and child share every Clause; the child
+starts owning none of them and the parent keeps its owned set. The parent
+must therefore not be edited while a fork of it is in use, or the fork would
+see the parent's in-place edits. A fork also shares the occurrence map,
+which is built once per solve and only grows: every clause that gains a
+variable (by a link, an added clause or a replaced clause) is registered
+under it, and nothing is ever removed. The map may therefore name clauses
+that have lost the variable, or slots that another branch added, and
+substitution skips both. A per-worklist map that dropped each eliminated
+variable skipped far fewer entries but was no faster: the time goes to the
+clauses that still hold the variable.
 
 The progress bound (alive variables, total occurrences, clause count, target
 sum) is kept as running counters and must fall lexicographically with every
 step, which bounds the number of steps.
 
 The result is a fixpoint: none of the rules applies to it. Unsatisfiability
-is a normal outcome (returned as None), never an exception. The input
-formula and its clauses are never mutated: every edit builds a new Clause.
+is a normal outcome (returned as None), never an exception.
 """
 
 from __future__ import annotations
@@ -136,7 +148,7 @@ class _Worklist:
     rule (a)-(h); forks share it, so it counts the steps of a whole search.
     """
 
-    __slots__ = ("trail", "slots", "masks", "sizes", "pending",
+    __slots__ = ("trail", "slots", "masks", "sizes", "pending", "owned",
                  "occ", "occurrences", "targets", "count", "fires")
 
     def __init__(self, formula: Formula, trail: Trail):
@@ -146,6 +158,7 @@ class _Worklist:
         self.masks: list[int] = []
         self.sizes: list[int] = []
         self.pending: list[set[int]] = [set() for _ in range(8)]
+        self.owned: set[int] = set()
         self.occ: dict[int, set[int]] = {}
         self.occurrences = 0
         self.targets = 0
@@ -197,6 +210,7 @@ class _Worklist:
         self.targets += c.target - self.slots[i].target
         self.sizes[i] = size
         self.slots[i] = c
+        self.owned.discard(i)
         if mask != self.masks[i]:
             self._remask(i, mask)
 
@@ -228,6 +242,7 @@ class _Worklist:
         slots = self.slots
         sizes = self.sizes
         masks = self.masks
+        owned = self.owned
         n = len(slots)
         occurrences = targets = 0
         linked = []
@@ -244,19 +259,30 @@ class _Worklist:
                 lit = -var
             else:
                 continue
-            k = sizes[i] - 1
             old = masks[i]
-            if const and k + 1 == len(occ) and not old & (_A | _B):
-                # plain: lit occurs once and var in one sign only
+            # plain: every literal once, var in one sign only; a link then
+            # only renames lit, unless the clause holds the partner's variable
+            if sizes[i] == len(occ) and not old & (_A | _B) and (
+                    const or (arg not in occ and -arg not in occ)):
+                if i not in owned:
+                    slots[i] = c = c.copy()
+                    owned.add(i)
+                    occ = c.occ
+                del occ[lit]
+                if not const:
+                    # target, size and mask stay
+                    occ[arg if lit > 0 else -arg] = 1
+                    linked.append(i)
+                    continue
+                k = sizes[i] - 1
                 t = c.target - (arg if lit > 0 else 1 - arg)
                 if t < 0 or t > k:
                     return False
-                nc = Clause.__new__(Clause)
-                nc.target = t
-                nc.occ = occ = occ.copy()
-                del occ[lit]
+                occurrences -= 1
+                targets += t - c.target
+                c.target = t
+                sizes[i] = k
                 mask = _plain_mask(t, k)
-                size = k
             else:
                 nc = substitute(c, var, state)
                 if nc is None:
@@ -264,10 +290,11 @@ class _Worklist:
                 mask, size = _classify(nc)
                 if not const:
                     linked.append(i)
-            slots[i] = nc
-            occurrences += size - sizes[i]
-            targets += nc.target - c.target
-            sizes[i] = size
+                slots[i] = nc
+                owned.add(i)
+                occurrences += size - sizes[i]
+                targets += nc.target - c.target
+                sizes[i] = size
             if mask != old:
                 self._remask(i, mask)
         self.occurrences += occurrences
@@ -310,7 +337,11 @@ class _Worklist:
         """A copy to branch on, with its own trail; the occurrence map is shared.
 
         Only a fixpoint is forked, so the copy starts with every mask 0 and
-        every rule set empty.
+        every rule set empty. The copy shares every Clause and owns none;
+        self keeps its owned set and edits those clauses in place, so self
+        must not be edited while the copy is in use. A search meets this by
+        searching each fork to the end, and dropping it, before editing the
+        worklist it forked.
         """
         assert not any(self.pending) and not any(self.masks), "fork outside a fixpoint"
         w = _Worklist.__new__(_Worklist)
@@ -319,6 +350,7 @@ class _Worklist:
         w.masks = [0] * len(self.slots)
         w.sizes = self.sizes.copy()
         w.pending = [set() for _ in range(8)]
+        w.owned = set()
         w.occ = self.occ
         w.occurrences = self.occurrences
         w.targets = self.targets

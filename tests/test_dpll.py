@@ -1,6 +1,7 @@
 """Branch-and-bound solvers against the brute-force reference."""
 
 import json
+import operator
 import random
 import re
 import sys
@@ -15,6 +16,7 @@ from conftest import C, F, check_partition, formulas, random_formula
 from gixsat import dpll
 from gixsat.dpll import solve_auto, solve_g2, solve_g3, solve_g4
 from gixsat.formula import Clause, Formula, SolveResult, Trail, evaluate, lit_key, true_count
+from gixsat.generator import GenSpec, generate
 from gixsat.mitm import solve_mitm
 from gixsat.oracle import brute_solve
 from gixsat.simplify import simplify_to_fixpoint
@@ -134,6 +136,25 @@ def test_witness_on_original_formula(rng):
         result = solve_auto(f)
         if result.sat:
             assert evaluate(f, result.model)
+
+
+@pytest.mark.parametrize("solve, cap", [(solve_g2, 2), (solve_g3, 3), (solve_g4, 4),
+                                        (solve_auto, 4)])
+def test_solvers_leave_the_callers_formula_unchanged(rng, solve, cap):
+    """A solve edits copies of the caller's clauses, never the clauses
+    themselves: each keeps its object, target and literal order, a Clause
+    placed at two positions included."""
+    corpus = [random_formula(rng, n_max=12, m_max=7, k_max=7, t_max=cap) for _ in range(150)]
+    corpus += [generate(GenSpec(num_vars=24, num_clauses=12, min_len=5, max_len=6,
+                                max_target=cap, planted=seed % 2 == 0, seed=seed))[0]
+               for seed in range(20)]
+    for f in corpus:
+        f.clauses.insert(rng.randint(0, len(f.clauses)), rng.choice(f.clauses))
+        objects = list(f.clauses)
+        before = [(c.target, list(c.occ.items())) for c in f.clauses]
+        solve(f)
+        assert len(f.clauses) == len(objects) and all(map(operator.is_, f.clauses, objects))
+        assert [(c.target, list(c.occ.items())) for c in f.clauses] == before, f
 
 
 def test_determinism(rng):
@@ -261,8 +282,6 @@ def test_paired_heavy_variables_against_oracle():
 
 
 def test_deep_instance_planted():
-    from gixsat.generator import GenSpec, generate
-
     f, hidden = generate(GenSpec(num_vars=30, num_clauses=24, min_len=4, max_len=6,
                                  max_target=2, planted=True, seed=5))
     assert evaluate(f, hidden)

@@ -6,7 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "outcome_digest.py"
+# the last line of scripts/outcome_digest.py for each pinned workload prefix
+DIGESTS = json.loads((Path(__file__).resolve().parent / "data" / "outcome_digests.json").read_text())
 
 
 def _run(*args):
@@ -28,3 +32,14 @@ def test_digest_is_deterministic_and_hashes_the_records():
         assert {"nodes_expanded", "rule_fires", "simplify_fires", "fixpoint_calls"} <= set(r)
     # another seed builds other instances
     assert _run("--workload", "bnb_hard", "--seed", "2", "--count", "3")[-1] != plain[-1]
+
+
+@pytest.mark.parametrize("line", DIGESTS, ids=lambda line: line.split()[0])
+def test_outcome_digest_is_the_recorded_one(line):
+    """Statuses, models, node counts and rule and simplification fires are
+    pinned. A change that moves any of them re-records the line with
+    ``python3 scripts/outcome_digest.py --workload W --seed S --count N``
+    and says why in CHANGES.md."""
+    workload, seed, count = re.fullmatch(
+        r"(\w+) seed=(\d+) count=(\d+) sha256=[0-9a-f]{64}", line).groups()
+    assert _run("--workload", workload, "--seed", seed, "--count", count)[-1] == line

@@ -460,8 +460,10 @@ def _worklist_outcome(w, actions):
 
 
 def _snapshot(w):
-    return (list(w.slots), list(w.sizes), w.occurrences, w.targets, w.count,
-            dict(w.trail.entries), list(w.trail.entries))
+    # each slot's view as well as its identity: a worklist edits the clauses
+    # it owns in place, so an edit leaking into its parent keeps the identity
+    return (list(w.slots), [c and _clause_view(c) for c in w.slots], list(w.sizes),
+            w.occurrences, w.targets, w.count, dict(w.trail.entries), list(w.trail.entries))
 
 
 def _assert_occurrence_superset(w):
@@ -560,3 +562,51 @@ def test_persistent_worklist_matches_fresh_fixpoints(f, data):
     assert before[1:] == after[1:]
     for w in settled:
         _assert_occurrence_superset(w)
+
+
+@st.composite
+def elimination_chains(draw):
+    """2-4 eliminations as (variable pick, kind, partner pick, sign): a
+    constant 0 or 1, or a link to a literal of another alive variable."""
+    step = st.tuples(st.integers(0, 6), st.sampled_from(["const", "link"]),
+                     st.integers(0, 6), st.integers(0, 1))
+    return draw(st.lists(step, min_size=2, max_size=4))
+
+
+# a constant, then a link whose partner the now owned clause lacks
+@example(F(5, C(1, 1, 2, 3, 4), C(2, 1, 2, 5)), [(0, "const", 0, 0), (1, "link", 2, 1)])
+# a link whose partner the owned clause holds in the same sign, then a
+# constant on the doubled clause; and one whose partner it holds negated
+@example(F(5, C(2, 1, 2, 3, 4, 5)), [(0, "const", 0, 0), (0, "link", 0, 0), (0, "const", 0, 0)])
+@example(F(6, C(2, 1, 2, 3, 4, 5, 6)), [(0, "const", 0, 0), (0, "link", 0, 1), (1, "const", 0, 1)])
+# constants on a clause the worklist owns, reaching a conflict
+@example(F(4, C(1, 1, 2, 3, 4)), [(0, "const", 0, 1), (0, "const", 0, 1)])
+@given(st.one_of(crowded_formulas(), settled_formulas()), elimination_chains())
+@settings(max_examples=300, deadline=None)
+def test_eliminations_in_turn_match_substitute(f, chain):
+    """Eliminations applied in turn to one worklist leave each clause, after
+    each one, as substitute applied in turn leaves it, classified as
+    _classify classifies it. From the second on they reach clauses the
+    worklist built, which it edits in place."""
+    w = _Worklist(f, Trail(f.num_vars))
+    expect = list(f.clauses)
+    alive = list(range(1, f.num_vars + 1))
+    for pick, kind, other, sign in chain:
+        var = alive.pop(pick % len(alive))
+        if kind == "link" and alive:
+            state = ("link", alive[other % len(alive)] * (1 - 2 * sign))
+        else:
+            state = ("const", sign)
+        expect = [substitute(c, var, state) if var in c.occ or -var in c.occ else c
+                  for c in expect]
+        ok = w.eliminate(var, state)
+        assert ok == (None not in expect)
+        if not ok:
+            return
+        assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
+        assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
+        assert w.occurrences == sum(w.sizes) and w.targets == sum(c.target for c in expect)
+        assert w.trail.entries[var] == state
+        _assert_occurrence_superset(w)
+        if not alive:
+            return
