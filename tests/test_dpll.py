@@ -1,7 +1,6 @@
 """Branch-and-bound solvers against the brute-force reference."""
 
 import json
-import operator
 import random
 import re
 import sys
@@ -153,7 +152,8 @@ def test_solvers_leave_the_callers_formula_unchanged(rng, solve, cap):
         objects = list(f.clauses)
         before = [(c.target, list(c.occ.items())) for c in f.clauses]
         solve(f)
-        assert len(f.clauses) == len(objects) and all(map(operator.is_, f.clauses, objects))
+        assert len(f.clauses) == len(objects)
+        assert all(a is b for a, b in zip(f.clauses, objects))
         assert [(c.target, list(c.occ.items())) for c in f.clauses] == before, f
 
 

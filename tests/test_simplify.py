@@ -586,7 +586,7 @@ def elimination_chains(draw):
 def test_eliminations_in_turn_match_substitute(f, chain):
     """Eliminations applied in turn to one worklist leave each clause, after
     each one, as substitute applied in turn leaves it, classified as
-    _classify classifies it. From the second on they reach clauses the
+    _classify classifies it. From the second on they can reach clauses the
     worklist built, which it edits in place."""
     w = _Worklist(f, Trail(f.num_vars))
     expect = list(f.clauses)
