@@ -107,16 +107,6 @@ MEASURE_SCHEMES = {
 }
 
 
-def clause_depends_on(clause: Clause, var: int) -> bool:
-    """True when flipping var can change the clause's true-literal count.
-
-    Operationally the signed multiplicity of var must survive x / -x
-    cancellation: occurrences of var and -var that pair up contribute a
-    constant 1 and carry no dependence.
-    """
-    return clause.occ.get(var, 0) != clause.occ.get(-var, 0)
-
-
 def measure(formula: Formula, scheme: str) -> float:
     """Weighted variable count for the given scheme; at most num_vars."""
     if scheme not in MEASURE_SCHEMES:
@@ -124,18 +114,20 @@ def measure(formula: Formula, scheme: str) -> float:
     weights = MEASURE_SCHEMES[scheme]
     # one pass over the clauses gives each occurring variable its weight;
     # the sum then runs over variables in ascending order
-    weight_of: dict[int, float] = {}
     if scheme == "g2":
         # low weight when some clause that depends on v is not a
-        # 4+-literal exactly-2 clause, high weight otherwise
-        low, high = weights[1], weights[2]
+        # 4+-literal exactly-2 clause, high weight otherwise. A clause depends
+        # on v when flipping v can change its true-literal count, that is when
+        # v and -v occur unequally often: pairs of them contribute a constant 1.
+        held: set[int] = set()
+        low_vars: set[int] = set()
         for c in formula.clauses:
-            wide2 = c.target == 2 and c.size() >= 4
-            for v in c.variables():
-                if not wide2 and clause_depends_on(c, v):
-                    weight_of[v] = low
-                else:
-                    weight_of.setdefault(v, high)
+            occ = c.occ
+            held.update(map(abs, occ))
+            if c.target != 2 or c.size() < 4:
+                low_vars.update([abs(lit) for lit, m in occ.items() if occ.get(-lit, 0) != m])
+        weight_of = dict.fromkeys(held, weights[2])
+        weight_of.update(dict.fromkeys(low_vars, weights[1]))
     else:
         # weight by the smallest positive target among v's clauses
         min_target: dict[int, int] = {}

@@ -19,8 +19,12 @@ runs the first that covers a formula's largest target:
       exactly-1 clause takes rule 8 at once; rules 10, 11 and 13 keep their
       first clause) and one pair pass over the occurrence map (_overlaps) in
       ascending (i, j) (rules 9, 12, 14 and 15 keep their first pair), then
-      walks the priority list. Rules 16/17 read their heavy variables from
-      the map, and the rule-18 endgame reuses the map and variable lists.
+      walks the priority list. _overlaps builds the map in one pass over the
+      clause variables, pairing a clause only with earlier clauses that hold
+      one of its variables. Rules 16/17 read their heavy variables from the
+      map. The rule-18 endgame reuses the map and variable lists, searches
+      each component with one frame per clause, asserts that the values meet
+      every clause target and records them all on the trail in one call.
   g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
       Selection passes over the clauses once. The first exactly-1 clause
       takes rule 6; every other clause class (target t, has a repeated
@@ -188,17 +192,30 @@ def _overlaps(f: Formula) -> tuple[dict, list, list]:
     clause i, in ascending j, to those variables in ascending order.
     varlists[i] lists the variables of clause i in ascending order.
     """
-    varlists = [sorted(c.variables()) for c in f.clauses]
+    varlists = [sorted({abs(lit) for lit in c.occ}) for c in f.clauses]
     occurrences: dict[int, list[int]] = {}
-    for idx, vs in enumerate(varlists):
-        for v in vs:
-            occurrences.setdefault(v, []).append(idx)
-    shared: list[dict[int, list[int]]] = [{} for _ in varlists]
+    shared: list[dict[int, list[int]]] = []
+    # one pass in ascending (j, v): a variable that earlier clauses hold
+    # pairs clause j with each of them. Row j starts with those clauses,
+    # sorted; each later clause then appends itself to it, so keys ascend.
     for j, vs in enumerate(varlists):
+        earlier: dict[int, list[int]] = {}
         for v in vs:
-            for i in occurrences[v]:
-                if i != j:
-                    shared[i].setdefault(j, []).append(v)
+            if v not in occurrences:
+                occurrences[v] = [j]
+                continue
+            held = occurrences[v]
+            for i in held:
+                if i in earlier:
+                    earlier[i].append(v)
+                else:
+                    earlier[i] = [v]
+            held.append(j)
+        if len(earlier) > 1:
+            earlier = dict(sorted(earlier.items()))
+        for i, common in earlier.items():
+            shared[i][j] = common.copy()
+        shared.append(earlier)
     return occurrences, shared, varlists
 
 
@@ -228,12 +245,12 @@ def _select_g2(f: Formula) -> Rule:
                 and c.occ.keys().isdisjoint(map(neg, c.occ)), \
                 "g2 selection needs a simplification fixpoint: an exactly-2 clause " \
                 "must hold unpaired literals, each at most twice"
-            doubled = sum(1 for m in c.occ.values() if m == 2)
+            doubled = c.size() - len(c.occ)  # each multiplicity is 1 or 2
             if doubled >= 2:
                 first.setdefault(10, c)
             elif doubled == 1:
                 first.setdefault(11, c)
-            elif c.size() == 4 and len(c.occ) == 4:
+            elif len(c.occ) == 4:
                 first.setdefault(13, c)
         else:
             raise AssertionError("g2 selection needs clause targets of 1 or 2")
@@ -742,37 +759,52 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
     one frame per clause, trying in product order only the values of the
     clause's fresh variables that meet its target, given their weights (the
     literals each makes true at 0 and at 1); the lists are memoised for up to
-    8 fresh variables. The frontier of position pos holds the variables of
-    earlier clauses that occur again at pos or later; a position whose
-    frontier values failed once is not searched again.
+    8 fresh variables. Each position keeps the weights of its clause's
+    variables that earlier clauses hold too, which are valued on entry, so
+    the count the fresh values must make up is read from them alone. The
+    frontier of position pos holds the variables of earlier clauses that
+    occur again at pos or later; a position whose frontier values failed
+    once is not searched again. Until some position fails there is nothing
+    to look up, so the frontier values are read only after a failure.
     """
     last = {v: pos for pos, vs in enumerate(varlists) for v in vs}
     steps = []
     live: set[int] = set()
     for pos, (c, vs) in enumerate(zip(clauses, varlists)):
         frontier = tuple(sorted(live))
-        fresh = [v for v in vs if v not in live]
-        weights = tuple([(c.occ.get(-v, 0), c.occ.get(v, 0)) for v in fresh])
-        live.difference_update(vs)
-        live.update(v for v in vs if last[v] > pos)
-        steps.append((frontier, fresh, weights, _fresh_table if len(fresh) <= 8 else _fresh_values))
+        get = c.occ.get
+        # known: (variable, weights) of those valued at earlier positions
+        fresh, known, weights = [], [], []
+        for v in vs:
+            w = (get(-v, 0), get(v, 0))
+            if v in live:
+                known.append((v, w))
+                if last[v] == pos:
+                    live.remove(v)
+            else:
+                fresh.append(v)
+                weights.append(w)
+                if last[v] != pos:
+                    live.add(v)
+        steps.append((frontier, known, c.target, fresh, tuple(weights),
+                      _fresh_table if len(fresh) <= 8 else _fresh_values))
     failed = set()
 
     def extend(pos: int) -> bool:
         if pos == len(steps):
             return True
-        frontier, fresh, weights, listing = steps[pos]
-        key = (pos, tuple(map(model.__getitem__, frontier)))
-        if key in failed:
+        frontier, known, need, fresh, weights, listing = steps[pos]
+        if failed and (pos, tuple(map(model.__getitem__, frontier))) in failed:
             return False
-        c = clauses[pos]
-        for values in listing(weights, c.target - true_count(c, model)):
+        for v, w in known:
+            need -= w[model[v]]
+        for values in listing(weights, need):
             model.update(zip(fresh, values))
             if extend(pos + 1):
                 return True
             for v in fresh:
                 del model[v]
-        failed.add(key)
+        failed.add((pos, tuple(map(model.__getitem__, frontier))))
         return False
 
     return extend(0)
@@ -820,8 +852,7 @@ def _search(w, stats, scheme, depth, instrument):
             # part values every clause variable, so it settles every clause
             assert all(true_count(c, part) == c.target for c in f.clauses), \
                 "endgame model conflicts with formula"
-            for v in sorted(part):
-                w.trail.record_const(v, part[v])
+            w.trail.record_consts(part)
             return w.trail
         if len(rule.branches) == 1:  # forced: applied in place, same node
             if not (_apply_actions(w, rule.branches[0]) and _settle(w, stats)):

@@ -172,10 +172,20 @@ class Trail:
         """Record the state of var, which check(var, state) has passed."""
         self.entries[var] = state
 
-    def record_const(self, var: int, value: int) -> None:
-        state = ("const", value)
-        self.check(var, state)
-        self.record(var, state)
+    def record_consts(self, values: Mapping[int, int]) -> None:
+        """Record ("const", values[var]) for every var in values, in ascending order.
+
+        Every var passes check before any entry is written, so a failure
+        raises and leaves the trail as it was.
+        """
+        n, entries = self.num_vars, self.entries
+        for var, value in values.items():
+            # check's tests for a constant, inline; check itself runs only to
+            # raise, naming the failure
+            if not (1 <= var <= n and var not in entries and value in (0, 1)):
+                self.check(var, ("const", value))
+        for var in sorted(values):
+            entries[var] = ("const", values[var])
 
     def copy(self) -> "Trail":
         t = Trail.__new__(Trail)
@@ -298,9 +308,16 @@ def evaluate(formula: Formula, model: Mapping[int, int]) -> bool:
     model is never accepted.
     """
     for c in formula.clauses:
-        missing = c.variables().difference(model)
-        if missing:
-            raise KeyError(min(missing))
-        if true_count(c, model) != c.target:
+        count = 0
+        try:
+            for lit, m in c.occ.items():
+                if lit > 0:
+                    if model[lit] == 1:
+                        count += m
+                elif model[-lit] == 0:
+                    count += m
+        except KeyError:
+            raise KeyError(min(c.variables().difference(model))) from None
+        if count != c.target:
             return False
     return True

@@ -179,13 +179,19 @@ def test_measure_g3_g4_lowest_target():
 def _measure_per_variable(formula, scheme):
     # reference: one scan of all clauses per variable, summed in ascending order
     weights = analysis.MEASURE_SCHEMES[scheme]
+
+    def clause_depends_on(clause, var):
+        # flipping var can change the true-literal count unless var and -var
+        # pair up, each pair contributing a constant 1
+        return clause.occ.get(var, 0) != clause.occ.get(-var, 0)
+
     total = 0.0
     for v in range(1, formula.num_vars + 1):
         holding = [c for c in formula.clauses if v in c.variables()]
         if scheme == "g2":
             if not holding:
                 continue
-            strong = [c for c in holding if analysis.clause_depends_on(c, v)]
+            strong = [c for c in holding if clause_depends_on(c, v)]
             if strong and not all(c.target == 2 and c.size() >= 4 for c in strong):
                 total += weights[1]
             else:

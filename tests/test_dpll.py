@@ -732,6 +732,43 @@ def test_endgame_reuses_the_selection_overlap_map(monkeypatch):
     assert calls == [600]
 
 
+def _overlaps_by_setdefault(f):
+    # the two-pass _overlaps: every variable's clause list, then every other
+    # clause holding each variable of clause j, in ascending (j, variable)
+    varlists = [sorted(c.variables()) for c in f.clauses]
+    occurrences = {}
+    for idx, vs in enumerate(varlists):
+        for v in vs:
+            occurrences.setdefault(v, []).append(idx)
+    shared = [{} for _ in varlists]
+    for j, vs in enumerate(varlists):
+        for v in vs:
+            for i in occurrences[v]:
+                if i != j:
+                    shared[i].setdefault(j, []).append(v)
+    return occurrences, shared, varlists
+
+
+def test_overlaps_matches_setdefault_reference(rng):
+    # g2 rules 9, 12, 14 and 15 take the first pair in this order, so the
+    # order of keys and of common variables is pinned, not only the contents
+    pairs = 0
+    for _ in range(600):
+        f = random_formula(rng, n_max=rng.choice([6, 12, 30]), m_max=10, k_max=7,
+                           distinct_bias=0.5)
+        if rng.random() < 0.3:  # a repeated clause and a clause with a paired literal
+            c = rng.choice(f.clauses)
+            lit = next(iter(c.occ))
+            f = Formula(f.num_vars, f.clauses + [c, Clause(1, [-lit, lit, lit])])
+        occurrences, shared, varlists = dpll._overlaps(f)
+        ref_occurrences, ref_shared, ref_varlists = _overlaps_by_setdefault(f)
+        assert list(occurrences.items()) == list(ref_occurrences.items())
+        assert [list(row.items()) for row in shared] == [list(row.items()) for row in ref_shared]
+        assert varlists == ref_varlists
+        pairs += sum(len(common) >= 2 for row in shared for common in row.values())
+    assert pairs >= 500
+
+
 def test_endgame_reports_unsat_of_a_whole_formula():
     # K6 with one variable per edge, positive at one end and negative at the
     # other: whatever its value, each variable makes exactly one of its two

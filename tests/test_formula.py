@@ -1,17 +1,20 @@
 """Core object behaviour: substitution, evaluation, model reconstruction."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import C, F, formulas, random_formula
 from gixsat.formula import (
+    Clause,
     Formula,
     Trail,
     assign,
     evaluate,
     link,
+    true_count,
 )
 from gixsat.oracle import brute_solve
 
@@ -70,7 +73,7 @@ def test_link_rejects_self():
 
 def test_trail_check_rejects_without_recording():
     t = Trail(3)
-    t.record_const(3, 1)
+    t.record_consts({3: 1})
     for var, state, message in (
         (3, ("const", 0), "already eliminated"),
         (3, ("link", 1), "already eliminated"),
@@ -99,6 +102,32 @@ def test_trail_check_rejects_without_recording():
     assert list(t.entries.items()) == [(3, ("const", 1)), (1, ("link", -2))]
 
 
+def test_trail_record_consts_checks_every_value_before_writing():
+    # a failing variable after passing ones: nothing is written either way
+    for values, message in (
+        ({1: 0, 4: 1}, "variable 4 out of range 1..3"),
+        ({1: 0, 0: 1}, "variable 0 out of range"),
+        ({1: 0, 2: 1}, "variable 2 already eliminated"),
+        ({1: 0, 3: 2}, "value must be 0 or 1"),
+    ):
+        t = Trail(3)
+        t.record(2, ("link", -1))
+        with pytest.raises(ValueError, match=message):
+            t.record_consts(values)
+        assert t.entries == {2: ("link", -1)}
+
+
+def test_trail_record_consts_writes_in_ascending_order():
+    t = Trail(5)
+    t.record(4, ("link", 1))
+    t.record_consts({5: 1, 1: 0, 3: 1})
+    assert list(t.entries.items()) == [
+        (4, ("link", 1)), (1, ("const", 0)), (3, ("const", 1)), (5, ("const", 1)),
+    ]
+    t.record_consts({})
+    assert len(t.entries) == 4
+
+
 def test_link_dissolves_two_literal_clause():
     f = F(3, C(1, 2, 3))
     t = Trail(3)
@@ -125,6 +154,49 @@ def test_evaluate_rejects_partial_model():
     # witness check must not accept a model that skips a clause variable
     with pytest.raises(KeyError):
         evaluate(F(3, C(1, 1, 2, 3)), {1: 1, 2: 0})
+
+
+def _evaluate_by_difference(formula, model):
+    # the set-difference evaluate: the lowest variable of the first clause
+    # with any unvalued variable raises, else clauses are counted in order
+    for c in formula.clauses:
+        missing = c.variables().difference(model)
+        if missing:
+            raise KeyError(min(missing))
+        if true_count(c, model) != c.target:
+            return False
+    return True
+
+
+def _outcome(fn, formula, model):
+    try:
+        return fn(formula, model)
+    except KeyError as exc:
+        return ("KeyError", exc.args)
+
+
+def test_evaluate_matches_set_difference_reference(rng):
+    # the benchmark checks every witness with evaluate: total 0/1 models,
+    # partial models and models holding a 2 must give the same bool, or a
+    # KeyError naming the same variable, as the reference
+    kinds = Counter()
+    for _ in range(3000):
+        f = random_formula(rng, n_max=8, m_max=6, k_max=6)
+        n = f.num_vars
+        model = {v: rng.randint(0, 1) for v in range(1, n + 1)}
+        shape = rng.randrange(4)
+        if shape == 1:
+            for v in rng.sample(range(1, n + 1), rng.randint(1, n)):
+                del model[v]
+        elif shape == 2:
+            model[rng.randint(1, n)] = 2
+        elif shape == 3:  # planted: the model satisfies each clause it can
+            model = {v: rng.randint(0, 1) for v in range(1, n + 1)}
+            f = Formula(n, [Clause(true_count(c, model), c.occ) for c in f.clauses])
+        expected = _outcome(_evaluate_by_difference, f, model)
+        assert _outcome(evaluate, f, model) == expected
+        kinds[expected if isinstance(expected, bool) else "KeyError"] += 1
+    assert min(kinds[True], kinds[False], kinds["KeyError"]) >= 100, kinds
 
 
 def test_reconstruct_links_chain():
