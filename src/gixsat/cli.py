@@ -84,9 +84,9 @@ def _cmd_solve(args) -> int:
             signal.setitimer(signal.ITIMER_REAL, 0)
 
     print("s SATISFIABLE" if result.sat else "s UNSATISFIABLE")
-    if args.witness and result.sat and result.model:
+    if args.witness and result.sat:
         lits = [v if result.model[v] else -v for v in sorted(result.model)]
-        print("v " + " ".join(map(str, lits)) + " 0")
+        print("v " + " ".join(map(str, lits + [0])))
     if args.stats:
         print(f"c time {elapsed:.3f}")
         st = result.stats

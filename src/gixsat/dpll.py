@@ -19,12 +19,15 @@ runs the first that covers a formula's largest target:
       exactly-1 clause takes rule 8 at once; rules 10, 11 and 13 keep their
       first clause) and one pair pass over the occurrence map (_overlaps) in
       ascending (i, j) (rules 9, 12, 14 and 15 keep their first pair), then
-      walks the priority list. _overlaps builds the map in one pass over the
-      clause variables, pairing a clause only with earlier clauses that hold
-      one of its variables. Rules 16/17 read their heavy variables from the
-      map. The rule-18 endgame reuses the map and variable lists, searches
-      each component with one frame per clause, asserts that the values meet
-      every clause target and records them all on the trail in one call.
+      walks the priority list. Rules 9, 12 and 15 look their pair's shape up
+      in _G2_RULE9, _G2_RULE12 and _G2_RULE15, whose entries _bind expands
+      as it does the g3/g4 ones. _overlaps builds the map in one pass over
+      the clause variables, pairing a clause only with earlier clauses that
+      hold one of its variables. Rules 16/17 read their heavy variables from
+      the map. The rule-18 endgame reuses the map and variable lists,
+      searches each component with one frame per clause, asserts that the
+      values meet every clause target and records them all on the trail in
+      one call.
   g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
       Selection passes over the clauses once. The first exactly-1 clause
       takes rule 6; every other clause class (target t, has a repeated
@@ -144,6 +147,39 @@ def _branch_4lit(tag, lits):
         [("link", x, -y), ("link", z, -w)],
         [("link", x, y), ("link", z, w), ("link", y, -w)],
     ])
+
+
+# A table entry is a tag and a branch list whose actions name literals. A
+# name stands for the list of literals a rule binds it to; "-" negates them
+# and a trailing digit picks one by position ("s0", "-f1"). A true or false
+# action acts on each literal of its name; any other action splices in what
+# its fields stand for: a name's literals, a tuple of names' literals joined
+# into one clause (of an add or a replace), an integer itself.
+
+_SPLIT = [[("true", "v")], [("false", "v")]]
+
+
+def _bind(tag, branches, names) -> Rule:
+    """The rule a table entry prescribes; names maps a name to its literals."""
+    def lits(x):  # what an action field stands for
+        if isinstance(x, int):
+            return [x]
+        if isinstance(x, tuple):
+            return [tuple(l for n in x for l in lits(n))]
+        if x[0] == "-":
+            return [-l for l in lits(x[1:])]
+        return names[x] if x in names else [names[x[:-1]][int(x[-1])]]
+
+    bound = []
+    for branch in branches:
+        acts = []
+        for kind, *xs in branch:
+            if kind in ("true", "false"):
+                acts += [(kind, l) for l in lits(xs[0])]
+            else:
+                acts.append((kind, *(v for x in xs for v in lits(x))))
+        bound.append(acts)
+    return _branch(tag, bound)
 
 
 def _apply_actions(w: _Worklist, actions) -> bool:
@@ -268,7 +304,7 @@ def _select_g2(f: Formula) -> Rule:
 
     # the priority walk
     if 9 in first:
-        return _g2_rule9(*first[9])
+        return _pair_rule(_G2_RULE9, *first[9])
     if 10 in first:
         c = first[10]
         twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
@@ -290,7 +326,10 @@ def _select_g2(f: Formula) -> Rule:
             return _g2_rule11_len5(x2, singles, c1s.items())
         return _branch_lit("g2.11.long", x2)
     if 12 in first:
-        return _g2_rule12(*first[12])
+        rule = _pair_rule(_G2_RULE12, *first[12])
+        # only share3.flip3 with b empty, which rule (g) negates first, acts on nothing
+        assert rule.branches != ((),), "flipped subset clause cannot be this short"
+        return rule
     if 13 in first:
         lits = first[13].sorted_literals()
         c1_vars = set().union(*(c1.variables() for c1 in c1s.values()))
@@ -301,7 +340,8 @@ def _select_g2(f: Formula) -> Rule:
     if 14 in first:
         return _branch_lit("g2.14", first[14][4][0])
     if 15 in first:
-        return _g2_rule15(f, *first[15])
+        key, names = _rule15_shape(f, *first[15])
+        return _bind(*_G2_RULE15[key], names)
 
     # rules 16/17: heavy variables, of degree >= 3 counting multiplicity.
     # Rules 10 and 11 take every clause with a doubled literal, and the clause
@@ -317,43 +357,105 @@ def _select_g2(f: Formula) -> Rule:
     return Rule("g2.18", overlaps=(shared, varlists))
 
 
-def _pair_view(ci, cj, shared):
-    """Each clause's literal by variable, the shared variables (given in
-    ascending order) split into those of equal and of opposite sign, and each
-    clause's own literals, over the variables the other lacks, in ascending
-    variable order. At a g2 fixpoint no clause holds both signs of a variable."""
+# Rules 9, 12 and 15 on a pair: each table maps a shape of the pair to a tag
+# and a branch list over the names _pair_names binds. Rules 9 and 12 are
+# keyed by (shared variables, flipped variables), rule 15 by _rule15_shape.
+
+_G2_RULE9 = {
+    **{(1, k): ("g2.9.share1", _SPLIT) for k in (0, 1)},
+    (2, 0): ("g2.9.share2.link", [[("link", "a0", "b0")]]),
+    (2, 1): ("g2.9.share2.force", [[("false", "s0")]]),
+    (2, 2): ("g2.9.share2.flip2", [[("false", "a0"), ("false", "b0"), ("link", "f0", "-f1")]]),
+    (3, 0): ("g2.9.share3.dup", [[("remove", "j")]]),
+    (3, 1): ("g2.9.share3.unsat", []),
+    (3, 2): ("g2.9.share3.flip2", [[("false", "s0"), ("link", "f0", "-f1")]]),
+    (3, 3): ("g2.9.share3.unsat", []),
+}
+
+_G2_RULE12 = {
+    (2, 0): ("g2.12.share2.flip0", [[("replace", "j", 2, ("-a0", "b"))]]),
+    (2, 1): ("g2.12.share2.flip1", [[("replace", "j", 2, ("s0", "s0", "a0", "b"))]]),
+    (2, 2): ("g2.12.share2.flip2", [[("replace", "j", 1, ("a0", "b"))]]),
+    (3, 0): ("g2.12.share3.sub", [[("replace", "j", 1, ("b",))]]),
+    (3, 1): ("g2.12.share3.flip1", [[("replace", "j", 2, ("s0", "s0", "s1", "s1", "b"))]]),
+    (3, 2): ("g2.12.share3.flip2", [[("false", "s0")]]),
+    (3, 3): ("g2.12.share3.flip3", [[("false", "b")]]),
+}
+
+_G2_RULE15 = {
+    "dup": ("g2.15.dup", [[("remove", "j")]]),
+    # ("bare", flips, whether cj has literals of its own)
+    **{("bare", k, own): entry for k, entry in enumerate([
+        ("g2.15.subset", [[("false", "b")]]),
+        ("g2.15.flip1", [[("true", "f0")]]),
+        ("g2.15.flip2", [[("replace", "j", 2, ("-f0", "-f0", "-f1", "-f1", "b"))]]),
+    ]) for own in (False, True)},
+    ("bare", 3, False): ("g2.15.flip3.unsat", []),
+    ("bare", 3, True): ("g2.15.flip3", [[("false", "s"), ("replace", "j", 1, ("b",))]]),
+    ("one", 0): ("g2.15.one_extra.add", [[("add", 1, ("-a0", "b"))]]),
+    ("one", 1): ("g2.15.one_extra.flip1", [[("add", 1, ("s",))], [("false", "s")]]),
+    ("one", 2): ("g2.15.one_extra.flip2",
+                 [[("add", 1, ("s", "a"))], [("false", "s"), ("false", "a")]]),
+    ("one", 3): ("g2.15.one_extra.flip3", [[("false", "s")]]),
+    ("one", 4): ("g2.15.one_extra.flip4", [[("false", "a"), ("false", "s"), ("false", "b")]]),
+    "share2": ("g2.15.share2", [[("true", "h0"), ("true", "h1")], [("link", "h0", "-h1")],
+                                [("false", "h0"), ("false", "h1")]]),
+    "share2.mixed": ("g2.15.share2.mixed", [[("true", "s0"), ("true", "f0")],
+                                            [("true", "s0"), ("false", "f0")], [("false", "s0")]]),
+    "share3.common": ("g2.15.share3.common", [[("false", "ri"), ("false", "rj")],
+                                              [("add", 1, ("s",))], [("false", "s")]]),
+    "share3.mixed": ("g2.15.share3.mixed", [[("link", "s0", "-s1")],
+                                            [("false", "s0"), ("false", "s1")]]),
+    "fallback": ("g2.15.fallback", _SPLIT),
+}
+
+
+def _pair_names(i, ci, j, cj, common) -> dict:
+    """The names of a pair: i and j; v, the first shared variable; h, the
+    shared variables' literals in ci, split into s and f, those of equal and
+    of opposite sign in cj; a and b, each clause's literals over variables
+    the other lacks; ri and rj, each clause's literals outside s. Literal
+    lists ascend by variable. At a g2 fixpoint no clause holds both signs of
+    a variable."""
     li = {abs(l): l for l in ci.occ}
     lj = {abs(l): l for l in cj.occ}
-    sames = [v for v in shared if li[v] == lj[v]]
-    flips = [v for v in shared if li[v] == -lj[v]]
-    own_i = [li[v] for v in sorted(li) if v not in lj]
-    own_j = [lj[v] for v in sorted(lj) if v not in li]
-    return li, lj, sames, flips, own_i, own_j
+    oi, oj = ci.sorted_literals(), cj.sorted_literals()
+    h = [li[v] for v in common]
+    s = [l for l in h if l == lj[abs(l)]]
+    return {"i": [i], "j": [j], "v": common[:1], "h": h, "s": s,
+            "f": [l for l in h if l != lj[abs(l)]],
+            "a": [l for l in oi if abs(l) not in lj], "b": [l for l in oj if abs(l) not in li],
+            "ri": [l for l in oi if l not in s], "rj": [l for l in oj if l not in s]}
 
 
-def _g2_rule9(i, ci, j, cj, shared) -> Rule:
-    if len(shared) == 1:
-        return _branch_lit("g2.9.share1", shared[0])
-    li, lj, sames, flips, own_i, own_j = _pair_view(ci, cj, shared)
-    if len(shared) == 2:
-        r, s = own_i[0], own_j[0]
-        if len(flips) == 0:
-            return _simp("g2.9.share2.link", [("link", r, s)])
-        if len(flips) == 1:
-            return _simp("g2.9.share2.force", [("false", li[sames[0]])])
-        return _simp(
-            "g2.9.share2.flip2",
-            [("false", r), ("false", s), ("link", li[flips[0]], -li[flips[1]])],
-        )
-    # all three variables shared
-    if len(flips) == 0:
-        return _simp("g2.9.share3.dup", [("remove", j)])
-    if len(flips) in (1, 3):
-        return Rule("g2.9.share3.unsat")
-    return _simp(
-        "g2.9.share3.flip2",
-        [("false", li[sames[0]]), ("link", li[flips[0]], -li[flips[1]])],
-    )
+def _pair_rule(table, i, ci, j, cj, common) -> Rule:
+    names = _pair_names(i, ci, j, cj, common)
+    return _bind(*table[len(common), len(names["f"])], names)
+
+
+def _rule15_shape(f, i, ci, j, cj, common) -> tuple:
+    """The _G2_RULE15 key of a rule-15 pair and the names its entry reads:
+    those of the swapped pair (j, i) when cj is the special side, the one
+    with no literal of its own ("bare") or else with one ("one")."""
+    n = _pair_names(i, ci, j, cj, common)
+    na, nb, nf = len(n["a"]), len(n["b"]), len(n["f"])
+    if ci == cj:
+        return "dup", n
+    bare = 0 in (na, nb) and nf <= 3
+    if bare or 1 in (na, nb) and nf <= 4:
+        m = n if na == (0 if bare else 1) else _pair_names(j, cj, i, ci, common)
+        if bare:
+            return ("bare", nf, bool(m["b"])), m
+        # the clause one_extra.add would add may be there already
+        if nf or Clause(1, [-m["a"][0]] + m["b"]) not in f.clauses:
+            return ("one", nf), m
+    if len(common) == 2:
+        return "share2.mixed" if nf == 1 else "share2", n
+    if len(n["s"]) >= 3:
+        return "share3.common", n
+    if len(n["s"]) >= 2 and nf:
+        return "share3.mixed", n
+    return "fallback", n
 
 
 def _g2_rule11_len5(x2, singles, c1s) -> Rule:
@@ -397,127 +499,6 @@ def _g2_rule11_len5(x2, singles, c1s) -> Rule:
     return _branch_lit("g2.11.len5.branch", abs(x2))
 
 
-def _g2_rule12(i, ci, j, cj, shared) -> Rule:
-    li, lj, sames, flips, own_i, rest = _pair_view(ci, cj, shared)
-    if len(shared) == 3:
-        k = len(flips)
-        if k == 0:
-            return _simp("g2.12.share3.sub", [("replace", j, 1, tuple(rest))])
-        if k == 1:
-            lits = []
-            for v in sames:
-                lits.extend([li[v], li[v]])
-            lits.extend(rest)
-            return _simp("g2.12.share3.flip1", [("replace", j, 2, tuple(lits))])
-        if k == 2:
-            return _simp("g2.12.share3.flip2", [("false", li[sames[0]])])
-        assert rest, "flipped subset clause cannot be this short"
-        return _simp("g2.12.share3.flip3", [("false", t) for t in rest])
-    r = own_i[0]
-    k = len(flips)
-    if k == 0:
-        return _simp("g2.12.share2.flip0", [("replace", j, 2, tuple([-r] + rest))])
-    if k == 1:
-        s = li[sames[0]]
-        return _simp("g2.12.share2.flip1", [("replace", j, 2, tuple([s, s, r] + rest))])
-    return _simp("g2.12.share2.flip2", [("replace", j, 1, tuple([r] + rest))])
-
-
-def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
-    li, lj, sames, flips, a_lits, b_lits = _pair_view(ci, cj, shared)
-    t_lits = [li[v] for v in sames]
-
-    if ci == cj:
-        return _simp("g2.15.dup", [("remove", j)])
-
-    # specials: one clause has no private part beyond its flipped literals
-    for base_extra, other_extra, flip_side, other_idx in (
-        (a_lits, b_lits, li, j),
-        (b_lits, a_lits, lj, i),
-    ):
-        if base_extra:
-            continue
-        nf = len(flips)
-        flip_lits = [flip_side[v] for v in flips]
-        if nf == 0:
-            return _simp("g2.15.subset", [("false", t) for t in other_extra])
-        if nf == 1:
-            return _simp("g2.15.flip1", [("true", flip_lits[0])])
-        if nf == 2:
-            lits = []
-            for l in flip_lits:
-                lits.extend([-l, -l])
-            lits.extend(other_extra)
-            return _simp("g2.15.flip2", [("replace", other_idx, 2, tuple(lits))])
-        if nf == 3:
-            if not other_extra:
-                return Rule("g2.15.flip3.unsat")
-            acts = [("false", t) for t in t_lits]
-            acts.append(("replace", other_idx, 1, tuple(other_extra)))
-            return _simp("g2.15.flip3", acts)
-        break
-
-    # one private variable on some side
-    if len(a_lits) == 1 or len(b_lits) == 1:
-        if len(a_lits) == 1:
-            x, other_extra = a_lits[0], b_lits
-        else:
-            x, other_extra = b_lits[0], a_lits
-        nf = len(flips)
-        if nf == 0:
-            if Clause(1, [-x] + other_extra) not in f.clauses:
-                return _simp("g2.15.one_extra.add", [("add", 1, tuple([-x] + other_extra))])
-        elif nf == 1:
-            return _branch("g2.15.one_extra.flip1", [
-                [("add", 1, tuple(t_lits))],
-                [("false", t) for t in t_lits],
-            ])
-        elif nf == 2:
-            gamma = t_lits + [x]
-            return _branch("g2.15.one_extra.flip2", [
-                [("add", 1, tuple(gamma))],
-                [("false", t) for t in gamma],
-            ])
-        elif nf == 3:
-            return _simp("g2.15.one_extra.flip3", [("false", t) for t in t_lits])
-        elif nf == 4:
-            acts = [("false", x)]
-            acts += [("false", t) for t in t_lits]
-            acts += [("false", t) for t in other_extra]
-            return _simp("g2.15.one_extra.flip4", acts)
-
-    if len(shared) == 2:
-        if len(flips) == 1:
-            x = li[sames[0]]
-            y = li[flips[0]]
-            return _branch("g2.15.share2.mixed", [
-                [("true", x), ("true", y)],
-                [("true", x), ("false", y)],
-                [("false", x)],
-            ])
-        x = li[shared[0]]
-        y = li[shared[1]]
-        return _branch_pair3("g2.15.share2", x, y)
-
-    if len(sames) >= 3:
-        gamma = t_lits
-        rest_i = [li[v] for v in sorted(ci.variables()) if v not in sames]
-        rest_j = [lj[v] for v in sorted(cj.variables()) if v not in sames]
-        return _branch("g2.15.share3.common", [
-            [("false", t) for t in rest_i] + [("false", t) for t in rest_j],
-            [("add", 1, tuple(gamma))],
-            [("false", t) for t in gamma],
-        ])
-    if len(sames) >= 2 and len(flips) >= 1:
-        x, y = li[sames[0]], li[sames[1]]
-        return _branch("g2.15.share3.mixed", [
-            [("link", x, -y)],
-            [("false", x), ("false", y)],
-        ])
-
-    return _branch_lit("g2.15.fallback", shared[0])
-
-
 def _g2_rule16(cls, heavies, occurrences, varlists) -> Optional[Rule]:
     # one scan of the variables in three clauses: the first of mixed sign
     # wins at once, else the first of one sign with a qualifying size
@@ -554,13 +535,12 @@ def _g2_rule16(cls, heavies, occurrences, varlists) -> Optional[Rule]:
 # Rules 7, 9 and 11 on a clause (x..x delta), x its first literal of highest
 # multiplicity: each table maps the occurrence profile of delta to a tag
 # suffix and a branch list. Branches name x, v = abs(x) and the literals of
-# delta by multiplicity and canonical order: singles s0, s1, ..., doubles d0,
-# ..., triples t0 ("-" negates). An unlisted profile splits on v, as a
-# "branch" when delta has at least the table's width distinct literals and as
-# a "fallback" otherwise; rule 7 and the rule-9 "thrice" case have width 0,
-# so they always branch.
+# delta by multiplicity and canonical order: singles s, doubles d and
+# triples t. An unlisted profile splits on v, as a "branch" when delta has
+# at least the table's width distinct literals and as a "fallback"
+# otherwise; rule 7 and the rule-9 "thrice" case have width 0, so they
+# always branch.
 
-_SPLIT = [[("true", "v")], [("false", "v")]]
 _PAIR3 = [[("true", "x"), ("true", "d0")], [("link", "x", "-d0")],
           [("false", "x"), ("false", "d0")]]
 
@@ -643,17 +623,12 @@ _SINGLE_SHORT = {2: (4, 5), 3: (6,), 4: (8,)}
 
 def _repeated_rule(tag, table, width, x, delta) -> Rule:
     order = sorted(delta, key=lit_key)
-    lits = {"x": x, "v": abs(x)}
+    names = {"x": [x], "v": [abs(x)]}
     for name, m in (("s", 1), ("d", 2), ("t", 3)):
-        for k, lit in enumerate(l for l in order if delta[l] == m):
-            lits[f"{name}{k}"] = lit
+        names[name] = [l for l in order if delta[l] == m]
     suffix, branches = table.get(tuple(sorted(delta.values(), reverse=True))) \
         or ("branch" if len(delta) >= width else "fallback", _SPLIT)
-    return _branch(f"{tag}.{suffix}", [
-        [(kind, *(-lits[n[1:]] if n[0] == "-" else lits[n] for n in names))
-         for kind, *names in branch]
-        for branch in branches
-    ])
+    return _bind(f"{tag}.{suffix}", branches, names)
 
 
 def _select_g34(f: Formula, scheme: str) -> Rule:

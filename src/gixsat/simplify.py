@@ -35,9 +35,9 @@ Shortcuts make a step cheaper without changing which steps run or in what
 order. Most clauses an elimination reaches are plain: k distinct literals,
 each once, no variable in both signs. A plain clause's mask depends only on
 its target t and size k, so eliminating a constant from one drops the
-literal, lowers the target, checks for a conflict and takes the new mask
-from a (t, k) memo of _classify on a canonical plain clause. A link reaching
-a plain clause that lacks the partner's variable keeps its target, size and
+literal, lowers the target, checks for a conflict and computes the new mask
+from t and k alone (_plain_mask), building no clause. A link reaching a
+plain clause that lacks the partner's variable keeps its target, size and
 mask: the literal is renamed to the partner, deleted and appended, the order
 substitute gives. Other link visits and clauses that are not plain go
 through substitute and _classify. And rule (c) on a target-0 clause sorts
@@ -130,9 +130,16 @@ def _plain_mask(t: int, k: int) -> int:
     """The rule mask of every plain clause of target t and size k.
 
     A plain clause holds k distinct literals, each once, and no variable in
-    both signs, so _classify reads nothing of it but t and k.
+    both signs, so of _classify's conditions only those on t and k can hold:
+    (a) or (h) when empty, (a) out of range, else (c) and (f) at target 0,
+    (e) for two literals of target 1, (f) at target k and (g) above k / 2.
     """
-    return _classify(Clause(t, range(1, k + 1)))[0]
+    if k == 0:
+        return _H if t == 0 else _A
+    if t < 0 or t > k:
+        return _A
+    return ((_C | _F if t == 0 else 0) | (_E if t == 1 and k == 2 else 0)
+            | (_F if t == k else 0) | (_G if 2 * t > k else 0))
 
 
 # _SET_BITS[m] lists the rules whose bits m sets, in ascending order

@@ -48,6 +48,15 @@ def test_solve_witness_line(sat_path, capsys):
     assert sum(model[v] for v in (1, 2, 3)) == 2
 
 
+@pytest.mark.parametrize("algo", ["auto", "g2", "g3", "g4", "mitm", "brute"])
+def test_solve_witness_line_without_variables(algo, tmp_path, capsys):
+    # the empty model of a formula with no variables is a witness too
+    path = tmp_path / "empty.gxsat"
+    path.write_text("p gxsat 0 0\n")
+    assert main(["solve", str(path), "--witness", "--algo", algo]) == 10
+    assert capsys.readouterr().out.splitlines() == ["s SATISFIABLE", "v 0"]
+
+
 def test_solve_wide_clause(tmp_path, capsys):
     # one exactly-2 clause over -1..-40: the endgame finds its one witness
     # with 1 and 2 false without filtering 2**38 product entries first

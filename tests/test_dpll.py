@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import C, F, check_partition, formulas, random_formula
 from gixsat import dpll
+from gixsat.dpll import Rule, _branch, _branch_lit, _branch_pair3, _simp
 from gixsat.dpll import solve_auto, solve_g2, solve_g3, solve_g4
 from gixsat.formula import Clause, Formula, SolveResult, Trail, evaluate, lit_key, true_count
 from gixsat.generator import GenSpec, generate
@@ -292,7 +293,169 @@ def test_deep_instance_planted():
 # Reference: g2 selection as a pairwise clause scan. Rules 9, 12, 14 and 15
 # intersect the variable sets of every candidate clause pair in (i, j) order,
 # and rule 16 collects the heavy variables' occurrences by scanning clauses.
-# The prescriptions themselves come from the solver's rule builders.
+# Rules 9, 12 and 15 prescribe by the hand-unrolled builders below, written
+# apart from the solver's pair tables; the other prescriptions come from the
+# solver's rule builders.
+
+
+def _pair_view(ci, cj, shared):
+    """Each clause's literal by variable, the shared variables (given in
+    ascending order) split into those of equal and of opposite sign, and each
+    clause's own literals, over the variables the other lacks, in ascending
+    variable order. At a g2 fixpoint no clause holds both signs of a variable."""
+    li = {abs(l): l for l in ci.occ}
+    lj = {abs(l): l for l in cj.occ}
+    sames = [v for v in shared if li[v] == lj[v]]
+    flips = [v for v in shared if li[v] == -lj[v]]
+    own_i = [li[v] for v in sorted(li) if v not in lj]
+    own_j = [lj[v] for v in sorted(lj) if v not in li]
+    return li, lj, sames, flips, own_i, own_j
+
+
+def _g2_rule9(i, ci, j, cj, shared) -> Rule:
+    if len(shared) == 1:
+        return _branch_lit("g2.9.share1", shared[0])
+    li, lj, sames, flips, own_i, own_j = _pair_view(ci, cj, shared)
+    if len(shared) == 2:
+        r, s = own_i[0], own_j[0]
+        if len(flips) == 0:
+            return _simp("g2.9.share2.link", [("link", r, s)])
+        if len(flips) == 1:
+            return _simp("g2.9.share2.force", [("false", li[sames[0]])])
+        return _simp(
+            "g2.9.share2.flip2",
+            [("false", r), ("false", s), ("link", li[flips[0]], -li[flips[1]])],
+        )
+    # all three variables shared
+    if len(flips) == 0:
+        return _simp("g2.9.share3.dup", [("remove", j)])
+    if len(flips) in (1, 3):
+        return Rule("g2.9.share3.unsat")
+    return _simp(
+        "g2.9.share3.flip2",
+        [("false", li[sames[0]]), ("link", li[flips[0]], -li[flips[1]])],
+    )
+
+
+def _g2_rule12(i, ci, j, cj, shared) -> Rule:
+    li, lj, sames, flips, own_i, rest = _pair_view(ci, cj, shared)
+    if len(shared) == 3:
+        k = len(flips)
+        if k == 0:
+            return _simp("g2.12.share3.sub", [("replace", j, 1, tuple(rest))])
+        if k == 1:
+            lits = []
+            for v in sames:
+                lits.extend([li[v], li[v]])
+            lits.extend(rest)
+            return _simp("g2.12.share3.flip1", [("replace", j, 2, tuple(lits))])
+        if k == 2:
+            return _simp("g2.12.share3.flip2", [("false", li[sames[0]])])
+        assert rest, "flipped subset clause cannot be this short"
+        return _simp("g2.12.share3.flip3", [("false", t) for t in rest])
+    r = own_i[0]
+    k = len(flips)
+    if k == 0:
+        return _simp("g2.12.share2.flip0", [("replace", j, 2, tuple([-r] + rest))])
+    if k == 1:
+        s = li[sames[0]]
+        return _simp("g2.12.share2.flip1", [("replace", j, 2, tuple([s, s, r] + rest))])
+    return _simp("g2.12.share2.flip2", [("replace", j, 1, tuple([r] + rest))])
+
+
+def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
+    li, lj, sames, flips, a_lits, b_lits = _pair_view(ci, cj, shared)
+    t_lits = [li[v] for v in sames]
+
+    if ci == cj:
+        return _simp("g2.15.dup", [("remove", j)])
+
+    # specials: one clause has no private part beyond its flipped literals
+    for base_extra, other_extra, flip_side, other_idx in (
+        (a_lits, b_lits, li, j),
+        (b_lits, a_lits, lj, i),
+    ):
+        if base_extra:
+            continue
+        nf = len(flips)
+        flip_lits = [flip_side[v] for v in flips]
+        if nf == 0:
+            return _simp("g2.15.subset", [("false", t) for t in other_extra])
+        if nf == 1:
+            return _simp("g2.15.flip1", [("true", flip_lits[0])])
+        if nf == 2:
+            lits = []
+            for l in flip_lits:
+                lits.extend([-l, -l])
+            lits.extend(other_extra)
+            return _simp("g2.15.flip2", [("replace", other_idx, 2, tuple(lits))])
+        if nf == 3:
+            if not other_extra:
+                return Rule("g2.15.flip3.unsat")
+            acts = [("false", t) for t in t_lits]
+            acts.append(("replace", other_idx, 1, tuple(other_extra)))
+            return _simp("g2.15.flip3", acts)
+        break
+
+    # one private variable on some side
+    if len(a_lits) == 1 or len(b_lits) == 1:
+        if len(a_lits) == 1:
+            x, other_extra = a_lits[0], b_lits
+        else:
+            x, other_extra = b_lits[0], a_lits
+        nf = len(flips)
+        if nf == 0:
+            if Clause(1, [-x] + other_extra) not in f.clauses:
+                return _simp("g2.15.one_extra.add", [("add", 1, tuple([-x] + other_extra))])
+        elif nf == 1:
+            return _branch("g2.15.one_extra.flip1", [
+                [("add", 1, tuple(t_lits))],
+                [("false", t) for t in t_lits],
+            ])
+        elif nf == 2:
+            gamma = t_lits + [x]
+            return _branch("g2.15.one_extra.flip2", [
+                [("add", 1, tuple(gamma))],
+                [("false", t) for t in gamma],
+            ])
+        elif nf == 3:
+            return _simp("g2.15.one_extra.flip3", [("false", t) for t in t_lits])
+        elif nf == 4:
+            acts = [("false", x)]
+            acts += [("false", t) for t in t_lits]
+            acts += [("false", t) for t in other_extra]
+            return _simp("g2.15.one_extra.flip4", acts)
+
+    if len(shared) == 2:
+        if len(flips) == 1:
+            x = li[sames[0]]
+            y = li[flips[0]]
+            return _branch("g2.15.share2.mixed", [
+                [("true", x), ("true", y)],
+                [("true", x), ("false", y)],
+                [("false", x)],
+            ])
+        x = li[shared[0]]
+        y = li[shared[1]]
+        return _branch_pair3("g2.15.share2", x, y)
+
+    if len(sames) >= 3:
+        gamma = t_lits
+        rest_i = [li[v] for v in sorted(ci.variables()) if v not in sames]
+        rest_j = [lj[v] for v in sorted(cj.variables()) if v not in sames]
+        return _branch("g2.15.share3.common", [
+            [("false", t) for t in rest_i] + [("false", t) for t in rest_j],
+            [("add", 1, tuple(gamma))],
+            [("false", t) for t in gamma],
+        ])
+    if len(sames) >= 2 and len(flips) >= 1:
+        x, y = li[sames[0]], li[sames[1]]
+        return _branch("g2.15.share3.mixed", [
+            [("link", x, -y)],
+            [("false", x), ("false", y)],
+        ])
+
+    return _branch_lit("g2.15.fallback", shared[0])
 
 
 def _ref_rule16(f, heavies):
@@ -334,7 +497,7 @@ def reference_select_g2(f):
             (i, ci), (j, cj) = c1s[ai], c1s[bi]
             shared = sorted(ci.variables() & cj.variables())
             if shared:
-                return dpll._g2_rule9(i, ci, j, cj, shared)
+                return _g2_rule9(i, ci, j, cj, shared)
     for c in cls:
         twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
         if c.target != 2 or len(twos) < 2:
@@ -361,7 +524,7 @@ def reference_select_g2(f):
         for j, cj in enumerate(cls):
             shared = sorted(ci.variables() & cj.variables())
             if cj.target == 2 and len(shared) >= 2:
-                return dpll._g2_rule12(i, ci, j, cj, shared)
+                return _g2_rule12(i, ci, j, cj, shared)
     for c in cls:
         if c.target == 2 and c.size() == 4 and len(c.occ) == 4:
             lits = c.sorted_literals()
@@ -381,7 +544,7 @@ def reference_select_g2(f):
             cj = cls[j]
             shared = sorted(ci.variables() & cj.variables())
             if ci.target == cj.target == 2 and len(shared) >= 2:
-                return dpll._g2_rule15(f, i, ci, j, cj, shared)
+                return _g2_rule15(f, i, ci, j, cj, shared)
     degree = {}
     for c in f.clauses:
         for lit, m in c.occ.items():
@@ -459,6 +622,50 @@ def test_g2_selection_corpus_reaches_the_pair_rules():
 def test_g2_selection_reaches_rules_10_and_17(f, tag):
     assert simplify_to_fixpoint(f, Trail(f.num_vars))[0] == f
     assert check_g2_selection(f) == tag
+
+
+def _selection(select, f):
+    """The (tag, branches) select picks on f, or the message of its assertion
+    (its first line: pytest appends the failed expression in test modules)."""
+    try:
+        rule = select(f)
+    except AssertionError as e:
+        return str(e).split("\n")[0]
+    return rule.tag, rule.branches
+
+
+def test_g2_pair_tables_match_the_builders_on_every_pair_shape():
+    # two clauses sharing k variables, m of them flipped, with p and q
+    # literals of their own, under every target order; for rule 15, also
+    # with the exactly-1 clause one_extra.add would add already present
+    rng = random.Random(2021)
+    pair_tags = {tag for tag, _ in G2_TAG_FIXPOINTS if tag.split(".")[1] in ("9", "12", "14", "15")}
+    tags, raised, kept_add = set(), 0, 0
+    for k, p, q, _ in product(range(1, 6), range(4), range(4), range(3)):
+        for m in range(k + 1):
+            flipped = set(rng.sample(range(1, k + 1), m))
+            li = [rng.choice((1, -1)) * v for v in range(1, k + p + 1)]
+            lj = [-l if abs(l) in flipped else l for l in li[:k]]
+            lj += [rng.choice((1, -1)) * v for v in range(k + p + 1, k + p + q + 1)]
+            rng.shuffle(li)
+            rng.shuffle(lj)
+            for ti, tj in product((1, 2), repeat=2):
+                f = F(k + p + q, C(ti, *li), C(tj, *lj))
+                got = _selection(dpll._select_g2, f)
+                assert got == _selection(reference_select_g2, f), f
+                if isinstance(got, str):
+                    assert got == "flipped subset clause cannot be this short"
+                    raised += 1
+                    continue
+                tags.add(got[0])
+                if got[0] == "g2.15.one_extra.add":
+                    ((extra,),) = got[1]
+                    f = F(f.num_vars, *f.clauses, Clause(*extra[1:]))
+                    got = _selection(dpll._select_g2, f)
+                    assert got == _selection(reference_select_g2, f), f
+                    kept_add += got[0] != "g2.15.one_extra.add"
+    assert pair_tags <= tags, sorted(pair_tags - tags)
+    assert len(pair_tags) == 31 and raised and kept_add
 
 
 def test_g2_selection_names_the_fixpoint_invariant():

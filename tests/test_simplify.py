@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import C, F, formulas, random_formula
-from gixsat.dpll import _apply_actions
+from gixsat import simplify
+from gixsat.dpll import _apply_actions, solve_auto
 from gixsat.formula import (
     Clause,
+    Formula,
     Trail,
     assign,
     evaluate,
@@ -323,6 +325,33 @@ def test_plain_mask_is_the_classification_of_every_plain_clause():
             for t in range(k + 1):
                 c = Clause(t, lits)
                 assert _plain_mask(t, k) == _classify(c)[0], c
+    # targets out of range too, and sizes up to 64
+    for t, k in product(range(-2, 5), range(65)):
+        c = Clause(t, range(1, k + 1))
+        assert _plain_mask(t, k) == _classify(c)[0], c
+
+
+def test_wide_exactly1_clause_classifies_a_constant_number_of_times(monkeypatch):
+    # after the first branch, rule (c) zeroes the remaining literals of the
+    # clause one at a time; each new (target, size) takes its mask from t and
+    # k alone, so _classify runs as often at 4000 literals as at 40
+    calls = []
+    original = simplify._classify
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(simplify, "_classify", counting)
+    counts = []
+    for k in (40, 4000):
+        _plain_mask.cache_clear()
+        calls.clear()
+        f = Formula(k, [Clause(1, range(1, k + 1))])
+        result = solve_auto(f)
+        assert result.sat and evaluate(f, result.model)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_eliminate_classifies_long_plain_clauses():
