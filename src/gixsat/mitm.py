@@ -16,15 +16,18 @@ clause counts, and children whose counts pass a target (or miss a completed
 cover clause's target) are dropped. The table holds counts only; each step
 keeps its survivors' child indices, through which a row's values are read
 back. Rows stay in that search's order, so the first row with a given vector
-is its representative. The distinct vectors, as fixed-width byte strings,
-are sorted once. The complement is swept in ascending assignment number
-(complement variable k is bit k), in blocks of 2^18 over the low bits; a
-block whose high bits alone overshoot a target is skipped. A block's need
-vectors are written once, in int8, into one table that doubles one low bit
-at a time. Its first 2^10 rows are matched together with np.searchsorted,
-then each new half as soon as it is written, so the sweep stops at the
-first match. That match gives the model, which is verified before it is
-returned.
+is its representative. Each vector is keyed by one int64, its entries packed
+with mixed-radix place values (entry j lies in 0..target_j), or by a
+fixed-width byte string when the product of (target_j + 1) passes 2^63; the
+distinct keys are sorted once. The complement is swept in ascending
+assignment number (complement variable k is bit k), in blocks of 2^18 over
+the low bits; a block whose high bits alone overshoot a target is skipped. A
+block's need vectors are written once, in int8, as the columns of one
+clause-by-assignment table that doubles one low bit at a time, and with
+packed keys their keys double alongside in one int64 column. Its first 2^10
+columns are matched together with np.searchsorted, then each new half as
+soon as it is written, so the sweep stops at the first match. That match
+gives the model, which is verified before it is returned.
 
 The cover fraction alpha defaults to the value balancing the per-variable
 enumeration cost of the worst clause against the 2^((1-alpha) n) sweep.
@@ -46,9 +49,14 @@ _BLOCK_BITS = 18
 # a sweep block that is not skipped every need entry lies in
 # [-(MAX_TARGET + 1) * _BLOCK_BITS, MAX_TARGET] and fits the int8 cover vectors.
 assert -(MAX_TARGET + 1) * _BLOCK_BITS >= np.iinfo(np.int8).min
-# Rows of a sweep block matched at once before the half-by-half checks; on
-# mitm_split, 2^8 and 2^12 each measured 3-7% slower than 2^10.
+# Columns of a sweep block matched at once before the half-by-half checks.
+# With packed keys, over the 270 seed-1 mitm_split instances (each instance's
+# fastest of 25 solves, summed; two runs in opposite orders), 2^8, 2^10 and
+# 2^12 took 146.3/146.8, 145.8/144.4 and 147.4/145.6 ms.
 _FIRST_CHECK = 1 << 10
+# Contribution vectors pack into one int64 while the product of their
+# clauses' (target + 1) stays within this (see _places).
+_PACK_LIMIT = 1 << 63
 
 
 class ResourceLimitError(RuntimeError):
@@ -151,17 +159,16 @@ def _step_table(clauses: list, order, dtype):
     clause, the last step touching it (-1 if none).
     """
     pos = {v: k for k, v in enumerate(order)}
-    width = len(clauses)
-    table = [0] * (2 * len(order) * width)
-    last = [-1] * width
+    table = np.zeros((len(order), 2, len(clauses)), dtype=dtype)
+    last = [-1] * len(clauses)
     for j, c in enumerate(clauses):
         for lit, mult in c.occ.items():
             k = pos.get(abs(lit))
             if k is not None:
-                table[(2 * k + (lit > 0)) * width + j] = min(mult, c.target + 1)
+                table[k, int(lit > 0), j] = min(mult, c.target + 1)
                 if k > last[j]:
                     last[j] = k
-    return np.array(table, dtype=dtype).reshape(len(order), 2, width), last
+    return table, last
 
 
 def _cover_table(formula: Formula, plan: SplitPlan):
@@ -203,9 +210,9 @@ def _cover_table(formula: Formula, plan: SplitPlan):
         ok = (rows <= targets).all(axis=1)
         if done[k]:
             ok &= (rows[:, done[k]] == targets[done[k]]).all(axis=1)
-        kept.append(np.flatnonzero(ok))
+        kept.append(ok.nonzero()[0])
         counts = rows[kept[-1]]
-    return kept, np.ascontiguousarray(counts[:, :n_watch])
+    return kept, counts[:, :n_watch]
 
 
 def _values(kept: list, rows) -> np.ndarray:
@@ -219,8 +226,26 @@ def _values(kept: list, rows) -> np.ndarray:
     return values
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row as one fixed-width byte string, sortable and comparable."""
+def _places(clauses: list) -> Optional[np.ndarray]:
+    """Place values packing a vector over clauses into one int64, or None.
+
+    Entry j lies in 0..target_j, so sum(entry_j * place_j), with place_j the
+    product of (target_i + 1) over i < j, is exact and distinct per vector.
+    None when the product of every (target_j + 1) passes _PACK_LIMIT.
+    """
+    place, size = [], 1
+    for c in clauses:
+        place.append(size)
+        size *= c.target + 1
+    return np.array(place, dtype=np.int64) if size <= _PACK_LIMIT else None
+
+
+def _row_keys(rows: np.ndarray, place: Optional[np.ndarray]) -> np.ndarray:
+    """Each row as one sortable, comparable key: its packed int64 with the
+    place values of _places, or, when there are none, its fixed-width byte
+    string."""
+    if place is not None:
+        return np.dot(rows, place)
     if rows.shape[1] == 0:
         rows = np.zeros((len(rows), 1), dtype=rows.dtype)
     rows = np.ascontiguousarray(rows)
@@ -263,7 +288,8 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     try:
         kept, vectors = _cover_table(formula, plan)
         # distinct vectors, sorted, each with its first (representative) row
-        keys, first = np.unique(_row_keys(vectors), return_index=True)
+        place = _places([formula.clauses[i] for i in _watched(plan)])
+        keys, first = np.unique(_row_keys(vectors, place), return_index=True)
     except MemoryError as exc:
         raise ResourceLimitError("vector table exceeded available memory") from exc
     stats.emitted = len(vectors)
@@ -296,23 +322,37 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
 
     Complement variable k is bit k of the assignment number; assignments are
     tried in ascending number, in blocks over the low bits. A block whose
-    high bits alone overshoot a target is skipped. One need table, in the
-    cover vectors' dtype, is filled in place for each block by doubling: row
-    0 is the need with every low bit 0, and rows 2^k..2^(k+1)-1 are rows
-    0..2^k-1 minus the change of setting bit k, so row a is assignment a's
-    need. Its first _FIRST_CHECK rows are matched once written, then each
-    new half as it is written, and the first hit ends the sweep. Returns
-    (the assignment number, the position of its need vector in keys).
+    high bits alone overshoot a target is skipped. One column-major need
+    table, in the cover vectors' dtype, is filled in place for each block by
+    doubling: column 0 is the need with every low bit 0, and columns
+    2^k..2^(k+1)-1 are columns 0..2^k-1 minus the change of setting bit k,
+    so column a is assignment a's need. When keys are packed, a key column
+    doubles alongside it: a key is linear in its vector, so each new half of
+    keys is the old half minus the packed change. That int64 arithmetic
+    wraps mod 2^64, which leaves the key of every need with no negative entry
+    exact. The first _FIRST_CHECK columns are matched once written, then
+    each new half as it is written, and the first hit ends the sweep. A
+    block wider than _FIRST_CHECK needs only half a block of columns: the
+    last half is written over the first, which is matched by then.
+    Returns (the assignment number, the position of its need vector in keys).
     """
     clauses = [formula.clauses[i] for i in _watched(plan)]
     comp = plan.complement_vars
     targets = np.array([c.target for c in clauses], dtype=np.int64)
+    place = _places(clauses)
     adds = _step_table(clauses, comp, dtype)[0]
     low_bits = min(len(comp), _BLOCK_BITS)
     low, high = adds[:low_bits], adds[low_bits:]
     low_zero = low[:, 0].sum(axis=0, dtype=np.int64)
     steps = low[:, 1] - low[:, 0]
-    need = np.empty((1 << low_bits, len(clauses)), dtype=dtype)
+    width = 1 << low_bits
+    if width > _FIRST_CHECK:
+        width >>= 1
+    need = np.empty((len(clauses), width), dtype=dtype)
+    key = None
+    if place is not None:
+        key = np.empty(width, dtype=np.int64)
+        step_keys = np.dot(steps, place)
     for block in range(1 << len(high)):
         base = targets.copy()
         for k, by_value in enumerate(high):
@@ -320,29 +360,38 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
         # with no high bits base is the targets, never negative
         if len(high) and (base < 0).any():   # low contributions are never negative
             continue
-        need[0] = base - low_zero
-        start = 0
+        base -= low_zero
+        need[:, 0] = base
+        if key is not None:
+            key[:1] = np.dot(base, place)
+        start = off = 0   # column c holds assignment off + c
         for k in range(low_bits + 1):
-            end = 1 << k   # rows [0, end) are written
+            end = 1 << k   # assignments [0, end) are written
             if end >= _FIRST_CHECK or k == low_bits:
-                hit = _match(keys, need[start:end])
+                cols = slice(start - off, end - off)
+                hit = _match(keys, need[:, cols], None if key is None else key[cols])
                 if hit is not None:
                     return (block << low_bits) + start + hit[0], hit[1]
                 start = end
             if k < low_bits:
-                np.subtract(need[:end], steps[k], out=need[end:2 * end])
+                off = end if 2 * end > width else 0
+                dst = slice(end - off, 2 * end - off)
+                np.subtract(need[:, :end], steps[k, :, None], out=need[:, dst])
+                if key is not None:
+                    np.subtract(key[:end], step_keys[k], out=key[dst])
     return None
 
 
-def _match(keys: np.ndarray, need: np.ndarray) -> Optional[tuple]:
-    """(row, position in keys) of the first row of need found in keys, or
-    None. A row with a negative entry cannot match."""
-    cand = np.flatnonzero((need >= 0).all(axis=1))
+def _match(keys: np.ndarray, need: np.ndarray, need_keys: Optional[np.ndarray]) -> Optional[tuple]:
+    """(column, position in keys) of the first column of need found in keys,
+    or None. need_keys are the columns' packed keys, None for byte keys. A
+    column with a negative entry cannot match."""
+    cand = (need.min(axis=0, initial=0) >= 0).nonzero()[0]
     if not len(cand):
         return None
-    wanted = _row_keys(need[cand])
+    wanted = need_keys[cand] if need_keys is not None else _row_keys(need[:, cand].T, None)
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    found = np.flatnonzero(keys[at] == wanted)
+    found = (keys[at] == wanted).nonzero()[0]
     if not len(found):
         return None
     i = found[0]

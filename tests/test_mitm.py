@@ -2,10 +2,11 @@
 
 import math
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
+import gixsat.mitm as mitm_module
 from conftest import C, F, random_formula
 from gixsat.dpll import solve_auto
 from gixsat.formula import Clause, Formula, evaluate, true_count
@@ -166,8 +167,6 @@ def test_rejects_large_targets():
 
 
 def test_memory_exhaustion_is_a_resource_error(monkeypatch):
-    import gixsat.mitm as mitm_module
-
     def boom(formula, plan):
         raise MemoryError("table full")
 
@@ -177,8 +176,6 @@ def test_memory_exhaustion_is_a_resource_error(monkeypatch):
 
 
 def test_sweep_memory_exhaustion_is_a_resource_error(monkeypatch):
-    import gixsat.mitm as mitm_module
-
     def boom(formula, plan, keys, dtype):
         raise MemoryError("low table full")
 
@@ -269,9 +266,32 @@ def planted_wide(rng, n, m):
     return Formula(n, clauses)
 
 
+def planted_deep(rng, m):
+    """Two exactly-2 cover clauses over x1..x10, then m target-4 clauses
+    true under a hidden assignment with x11..x22 = 1. Each of those holds
+    three negated complement literals 4 times, so early sweep assignments
+    overshoot it by up to 8. The m watched clauses' product of (target + 1)
+    is 5^m: about 2^62.7 for m = 27, so those needs' packed keys fall below
+    -2^63, and past 2^63 for m = 28, so vectors are byte strings."""
+    hidden = {v: 1 for v in range(11, 23)}
+    for lo in (1, 6):
+        on = rng.sample(range(lo, lo + 5), 2)
+        hidden.update({v: int(v in on) for v in range(lo, lo + 5)})
+    clauses = [Clause(2, range(1, 6)), Clause(2, range(6, 11))]
+    for _ in range(m):
+        c1, c2, c3, c4 = rng.sample(range(11, 23), 4)
+        v = rng.randint(1, 10)
+        k = rng.randint(1, 3)
+        clauses.append(Clause(4, {-c1: 4, -c2: 4, -c3: 4, c4: k, (v if hidden[v] else -v): 4 - k}))
+    f = Formula(22, clauses)
+    assert evaluate(f, hidden)
+    return f
+
+
 def reference_corpus():
     """Seeded (formula, alpha) pairs: multiplicities, x/-x pairs, target 0,
-    empty clauses, the empty and the full cover, and over 27 watched clauses."""
+    empty clauses, the empty and the full cover, over 27 watched clauses, and
+    vectors too wide to pack into an int64."""
     rng = random.Random(20211)
     for alpha in (0.05, 0.3, 0.6, 0.8, 0.99, None):
         for bias in (0.0, 0.6, 1.0):
@@ -282,11 +302,15 @@ def reference_corpus():
                 yield f, alpha
     for _ in range(6):
         yield planted_wide(rng, 12, 36), 0.3
+    yield planted_deep(rng, 28), 0.45
 
 
-def test_kernel_matches_the_one_at_a_time_reference():
+def check_against_reference(corpus):
+    """Solve each (formula, alpha) and compare the table rows, the outcome,
+    the index size and the sweep count with the one-at-a-time reference.
+    Returns the (feature, reached) pairs the corpus showed."""
     seen = set()
-    for f, alpha in reference_corpus():
+    for f, alpha in corpus:
         result = solve_mitm(f, alpha=alpha)
         plan = choose_cover(f, result.stats.alpha)
         emitted = list(enumerate_cover_side(f, plan))
@@ -294,26 +318,73 @@ def test_kernel_matches_the_one_at_a_time_reference():
         got = (result.sat, result.model, result.stats.index_size, result.stats.sweep_count)
         assert got == reference_solve(f, plan), f
         assert result.stats.emitted == len(emitted)
-        watched = len(plan.shared) + (plan.boundary is not None)
+        watched = [f.clauses[i] for i in plan.shared]
+        if plan.boundary is not None:
+            watched.append(f.clauses[plan.boundary])
         seen.add(("sat", result.sat))
         seen.add(("empty cover", not plan.covered_vars))
         seen.add(("all covered", not plan.complement_vars))
         seen.add(("boundary", plan.boundary is not None))
         seen.add(("empty clause", any(not c.occ for c in f.clauses)))
-        seen.add(("wide", watched > 27 and result.sat and result.stats.index_size > 1))
-    assert all((name, True) in seen for name, _ in seen)
+        seen.add(("wide", len(watched) > 27 and result.sat and result.stats.index_size > 1))
+        seen.add(("byte keys", mitm_module._places(watched) is None))
+        seen.add(("half-by-half", result.stats.sweep_count > mitm_module._FIRST_CHECK))
+    return seen
+
+
+def test_kernel_matches_the_one_at_a_time_reference():
+    seen = check_against_reference(reference_corpus())
+    assert all((name, True) in seen for name, _ in seen if name != "half-by-half")
     assert ("sat", False) in seen
+    # both key encodings: most vectors pack into an int64, but the product of
+    # (target + 1) over planted_deep's 28 watched clauses passes 2^63
+    assert ("byte keys", False) in seen
+
+
+def test_kernel_matches_the_reference_with_byte_keys(monkeypatch):
+    # no vector packs, so every index and sweep lookup uses byte strings
+    monkeypatch.setattr(mitm_module, "_PACK_LIMIT", 0)
+    seen = check_against_reference(reference_corpus())
+    assert ("byte keys", False) not in seen
 
 
 @pytest.mark.parametrize("block_bits", [1, 2, 3, 5])
 def test_kernel_matches_the_reference_across_sweep_blocks(monkeypatch, block_bits):
     # the corpus has at most 12 variables, so only narrow blocks and a small
     # first check reach the high-bit blocks and the half-by-half checks
-    import gixsat.mitm as mitm_module
-
     monkeypatch.setattr(mitm_module, "_BLOCK_BITS", block_bits)
     monkeypatch.setattr(mitm_module, "_FIRST_CHECK", 4)
     test_kernel_matches_the_one_at_a_time_reference()
+
+
+def test_kernel_matches_the_reference_at_benchmark_size():
+    # 2^12-2^13-assignment sweeps reach the half-by-half checks at the
+    # default block size and first check
+    seen = check_against_reference(
+        (f, None) for f in islice(split_shaped_corpus(), 20))
+    assert ("half-by-half", True) in seen and ("sat", False) in seen
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_packed_keys_wrap_past_int64_and_stay_exact(seed):
+    f = planted_deep(random.Random(seed), 27)
+    plan = choose_cover(f, 0.45)
+    assert plan.cover == [0, 1] and len(plan.complement_vars) == 12
+    watched = [f.clauses[i] for i in plan.shared]
+    size = math.prod(c.target + 1 for c in watched)
+    assert 1 << 61 < size <= 1 << 63
+    assert mitm_module._places(watched) is not None
+    result = solve_mitm(f, alpha=0.45)
+    got = (result.sat, result.model, result.stats.index_size, result.stats.sweep_count)
+    assert got == reference_solve(f, plan)
+    # the exact keys of the needs the sweep tried leave the int64 range
+    place = [math.prod(c.target + 1 for c in watched[:j]) for j in range(len(watched))]
+    wrapped = 0
+    for bits in range(result.stats.sweep_count):
+        values = {v: (bits >> k) & 1 for k, v in enumerate(plan.complement_vars)}
+        key = sum((c.target - true_count(c, values)) * p for c, p in zip(watched, place))
+        wrapped += not -(1 << 63) <= key < 1 << 63
+    assert wrapped > 0
 
 
 def _deep_need(*extra):
