@@ -10,24 +10,30 @@ exactly-1 boundary clause keeps 1 + |inside| rows, not 2^|inside|.
 
 The table is grown in numpy one covered variable at a time, in the order
 choose_cover covers them (SplitPlan.covered_vars), which is the order a
-clause-by-clause depth-first search fixes them: one broadcast add gives every
-row two children, the variable 0 then 1, with its literals added to the
-clause counts, and children whose counts pass a target (or miss a completed
-cover clause's target) are dropped. The table holds counts only; each step
+clause-by-clause depth-first search fixes them. A row is one int64 word
+(several for wide formulas) of bit fields, one per clause, watched clauses in
+the low bits. A field holds its clause's count plus a bias that sets the
+field's top (guard) bit exactly when the count passes the target (Lamport's
+guard-bit packing). One broadcast add gives every row two children, the
+variable 0 then 1, with its literals' packed counts added, and one AND and
+one compare drop the children with a guard bit set or with a completed cover
+clause's field off its target. The table holds packed counts only; each step
 keeps its survivors' child indices, through which a row's values are read
 back. Rows stay in that search's order, so the first row with a given vector
-is its representative. Each vector is keyed by one int64, its entries packed
-with mixed-radix place values (entry j lies in 0..target_j), or by a
-fixed-width byte string when the product of (target_j + 1) passes 2^63; the
-distinct keys are sorted once. The complement is swept in ascending
-assignment number (complement variable k is bit k), in blocks of 2^18 over
-the low bits; a block whose high bits alone overshoot a target is skipped. A
-block's need vectors are written once, in int8, as the columns of one
-clause-by-assignment table that doubles one low bit at a time, and with
-packed keys their keys double alongside in one int64 column. Its first 2^10
-columns are matched together with np.searchsorted, then each new half as
-soon as it is written, so the sweep stops at the first match. That match
-gives the model, which is verified before it is returned.
+is its representative. A vector's key is read off its words: every final row
+has its cover fields at their targets, so less the row with watched counts 0
+and cover counts at their targets, a word holds sum(entry_j * 2^shift_j) over
+its watched fields. One such word is the int64 key; when the watched fields
+take several words, the key is the byte string of those words, and the sweep
+packs its need vectors alike. The distinct keys are sorted once. The
+complement is swept in ascending assignment number (complement variable k is
+bit k), in blocks of 2^18 over the low bits; a block whose high bits alone
+overshoot a target is skipped. A block's need vectors are written once, in
+int8, as the columns of one clause-by-assignment table that doubles one low
+bit at a time, and with packed keys their keys double alongside in one int64
+column. Its first 2^10 columns are matched together with np.searchsorted,
+then each new half as soon as it is written, so the sweep stops at the first
+match. That match gives the model, which is verified before it is returned.
 
 The cover fraction alpha defaults to the value balancing the per-variable
 enumeration cost of the worst clause against the 2^((1-alpha) n) sweep.
@@ -47,16 +53,16 @@ from .formula import MAX_TARGET, Formula, SolveResult, evaluate
 _BLOCK_BITS = 18
 # A variable adds at most target + 1 to a clause (_step_table caps it), so in
 # a sweep block that is not skipped every need entry lies in
-# [-(MAX_TARGET + 1) * _BLOCK_BITS, MAX_TARGET] and fits the int8 cover vectors.
+# [-(MAX_TARGET + 1) * _BLOCK_BITS, MAX_TARGET] and fits int8.
 assert -(MAX_TARGET + 1) * _BLOCK_BITS >= np.iinfo(np.int8).min
 # Columns of a sweep block matched at once before the half-by-half checks.
 # With packed keys, over the 270 seed-1 mitm_split instances (each instance's
 # fastest of 25 solves, summed; two runs in opposite orders), 2^8, 2^10 and
 # 2^12 took 146.3/146.8, 145.8/144.4 and 147.4/145.6 ms.
 _FIRST_CHECK = 1 << 10
-# Contribution vectors pack into one int64 while the product of their
-# clauses' (target + 1) stays within this (see _places).
-_PACK_LIMIT = 1 << 63
+# Bits of each int64 word that cover-table rows pack clause fields into,
+# below the sign bit (see _fields).
+_WORD_BITS = 63
 
 
 class ResourceLimitError(RuntimeError):
@@ -150,69 +156,119 @@ def _watched(plan: SplitPlan) -> list[int]:
     return plan.shared + ([plan.boundary] if plan.boundary is not None else [])
 
 
-def _step_table(clauses: list, order, dtype):
+def _step_table(clauses: list, order, dtype) -> np.ndarray:
     """Per step, the counts each value of order[k] adds to every clause.
 
     Returns a (len(order), 2, len(clauses)) array whose [k, b, j] entry is
     the number of clause j's literals that variable order[k] = b makes true,
-    capped at the target + 1, which rules a row out just the same; and, per
-    clause, the last step touching it (-1 if none).
+    capped at the target + 1, which rules a row out just the same.
     """
     pos = {v: k for k, v in enumerate(order)}
     table = np.zeros((len(order), 2, len(clauses)), dtype=dtype)
-    last = [-1] * len(clauses)
     for j, c in enumerate(clauses):
         for lit, mult in c.occ.items():
             k = pos.get(abs(lit))
             if k is not None:
                 table[k, int(lit > 0), j] = min(mult, c.target + 1)
-                if k > last[j]:
-                    last[j] = k
-    return table, last
+    return table
+
+
+def _fields(clauses: list) -> list[tuple[int, int, int, int]]:
+    """Each clause's bit field in a packed cover-table row: (word, shift,
+    width, bias).
+
+    Clause j takes width_j = target_j.bit_length() + 1 bits holding
+    count_j + bias_j, with bias_j = 2^(width_j - 1) - 1 - target_j. So the
+    field's top (guard) bit is set exactly when count_j passes target_j, and
+    the field equals 2^(width_j - 1) - 1 exactly when count_j meets it. A
+    step adds at most target_j + 1 to a count within target_j, so a field
+    never carries into the next. Fields lie in order from bit 0 of word 0;
+    one that would pass bit _WORD_BITS - 1 starts the next word, so no field
+    straddles two words and every mask stays below 2^63.
+    """
+    fields, word, shift, bits = [], 0, 0, _WORD_BITS
+    for c in clauses:
+        target = c.target
+        width = target.bit_length() + 1
+        if shift + width > bits:
+            if width > bits:
+                raise ValueError(f"target {target} does not fit a {bits}-bit word")
+            word, shift = word + 1, 0
+        fields.append((word, shift, width, (1 << (width - 1)) - 1 - target))
+        shift += width
+    return fields
 
 
 def _cover_table(formula: Formula, plan: SplitPlan):
-    """The cover side as arrays: (survivors per step, contribution rows).
+    """The cover side as arrays: (survivors per step, packed contribution
+    vectors, watched fields).
 
     Covered variables are fixed in plan.covered_vars order, which is the
-    order of the clause-by-clause search. Step k extends every row by the
-    variable 0 then 1 (child 2 * i + b of row i) and adds that value's
-    literals to the clause counts; a row whose count passes a target is
-    dropped, and a cover clause must meet its target once its last variable
-    is fixed. Survivors stay in lexicographic order of their values along
+    order of the clause-by-clause search. A row holds one field per clause,
+    watched clauses first and then the cover clauses (_fields), in one or
+    more int64 words. Step k extends every row by the variable 0 then 1
+    (child 2 * i + b of row i) with one add per word of that value's packed
+    literal counts. A child is kept when no guard bit is set, which means no
+    count passes its target, and when every cover clause whose last variable
+    is fixed at step k has its field at its target: one AND and one compare
+    per word. Survivors stay in lexicographic order of their values along
     the fixing order.
 
     Returns each step's surviving child indices (parent idx >> 1, value
-    idx & 1; _values reads them back) and the watched-clause counts (one
-    column per entry of the contribution vector).
+    idx & 1; _values reads them back), the final rows' contribution vectors
+    and the watched clauses' fields. The vectors are packed: one int64
+    array per word that holds watched fields, whose entry for a row is
+    sum(count_j * 2^shift_j) over the fields in that word (_counts unpacks
+    them).
     """
+    watched = [formula.clauses[i] for i in _watched(plan)]
     cover = [formula.clauses[i] for i in plan.cover]
-    clauses = [formula.clauses[i] for i in _watched(plan)] + cover
+    clauses = watched + cover
     order = plan.covered_vars
     assert set().union(*(c.variables() for c in cover)) <= set(order), \
         "a cover clause has a variable outside covered_vars"
 
-    # a multiplicity past target + 1 prunes like target + 1, so every count
-    # stays within 2 * target + 1 and a narrow dtype cannot overflow
-    dt = np.min_scalar_type(-(2 * max((c.target for c in clauses), default=0) + 1))
-    targets = np.array([c.target for c in clauses], dtype=dt)
-    delta, last = _step_table(clauses, order, dt)
-    n_watch, width = len(clauses) - len(cover), len(clauses)
-    done: list[list[int]] = [[] for _ in order]   # cover clauses completed per step
-    for j in range(n_watch, width):
-        if last[j] >= 0:
-            done[last[j]].append(j)
-    empty = any(c.target != 0 for j, c in enumerate(cover, n_watch) if last[j] < 0)
-    counts = np.zeros((0 if empty else 1, width), dtype=dt)
+    fields = _fields(clauses)
+    n_words = fields[-1][0] + 1 if fields else 1
+    pos = {v: k for k, v in enumerate(order)}
+    start = [0] * n_words   # the row with every count 0
+    guard = [0] * n_words
+    for word, shift, width, bias in fields:
+        start[word] |= bias << shift
+        guard[word] |= 1 << (shift + width - 1)
+    add = [[0] * (2 * len(order)) for _ in range(n_words)]   # [2 * k + value]
+    for c, (word, shift, _, _) in zip(clauses, fields):
+        cap, step = c.target + 1, add[word]
+        for lit, mult in c.occ.items():
+            k = pos.get(abs(lit), -1)
+            if k >= 0:
+                step[2 * k + (lit > 0)] += (mult if mult < cap else cap) << shift
+    mask = [[g] * len(order) for g in guard]
+    want = [[0] * len(order) for _ in range(n_words)]   # a kept row's word & mask[k]
+    done = start[:]   # watched counts 0, cover counts at their targets
+    empty = False
+    for c, (word, shift, width, _) in zip(cover, fields[len(watched):]):
+        done[word] += c.target << shift
+        if c.occ:
+            last = max(pos[abs(lit)] for lit in c.occ)
+            mask[word][last] |= ((1 << width) - 1) << shift
+            want[word][last] |= ((1 << (width - 1)) - 1) << shift
+        elif c.target != 0:
+            empty = True
+    words = [np.array([] if empty else [s], dtype=np.int64) for s in start]
+    add = [np.array(a, dtype=np.int64).reshape(-1, 2) for a in add]
     kept = []
     for k in range(len(order)):
-        rows = (counts[:, None, :] + delta[k]).reshape(2 * len(counts), width)
-        ok = (rows <= targets).all(axis=1)
-        if done[k]:
-            ok &= (rows[:, done[k]] == targets[done[k]]).all(axis=1)
+        rows = [(w[:, None] + a[k]).ravel() for w, a in zip(words, add)]
+        ok = (rows[0] & mask[0][k]) == want[0][k]
+        for i in range(1, n_words):
+            ok &= (rows[i] & mask[i][k]) == want[i][k]
         kept.append(ok.nonzero()[0])
-        counts = rows[kept[-1]]
-    return kept, counts[:, :n_watch]
+        words = [r[kept[-1]] for r in rows]
+    # every final row has its cover fields at their targets, so subtracting
+    # done leaves just the watched counts in the watched words
+    n_keys = fields[len(watched) - 1][0] + 1 if watched else 1
+    return kept, [w - d for w, d in zip(words[:n_keys], done)], fields[:len(watched)]
 
 
 def _values(kept: list, rows) -> np.ndarray:
@@ -226,28 +282,40 @@ def _values(kept: list, rows) -> np.ndarray:
     return values
 
 
-def _places(clauses: list) -> Optional[np.ndarray]:
-    """Place values packing a vector over clauses into one int64, or None.
+def _counts(vectors: list, fields: list) -> np.ndarray:
+    """The (rows, len(fields)) counts of contribution vectors packed as
+    _cover_table returns them."""
+    counts = np.empty((len(vectors[0]), len(fields)), dtype=np.int64)
+    for j, (word, shift, width, _) in enumerate(fields):
+        counts[:, j] = (vectors[word] >> shift) & ((1 << (width - 1)) - 1)
+    return counts
 
-    Entry j lies in 0..target_j, so sum(entry_j * place_j), with place_j the
-    product of (target_i + 1) over i < j, is exact and distinct per vector.
-    None when the product of every (target_j + 1) passes _PACK_LIMIT.
+
+def _places(fields: list) -> Optional[np.ndarray]:
+    """Place values packing a vector over the clauses of fields (_fields)
+    into one int64, or None.
+
+    Place j is 2^shift_j, so a vector whose entry j lies in 0..target_j,
+    below 2^(width_j - 1), packs exactly and distinctly into
+    sum(entry_j * place_j). None when the fields take more than one word.
     """
-    place, size = [], 1
-    for c in clauses:
-        place.append(size)
-        size *= c.target + 1
-    return np.array(place, dtype=np.int64) if size <= _PACK_LIMIT else None
+    if fields and fields[-1][0]:
+        return None
+    return np.array([1 << shift for _, shift, _, _ in fields], dtype=np.int64)
 
 
-def _row_keys(rows: np.ndarray, place: Optional[np.ndarray]) -> np.ndarray:
-    """Each row as one sortable, comparable key: its packed int64 with the
-    place values of _places, or, when there are none, its fixed-width byte
-    string."""
-    if place is not None:
-        return np.dot(rows, place)
-    if rows.shape[1] == 0:
-        rows = np.zeros((len(rows), 1), dtype=rows.dtype)
+def _row_keys(vectors: list, fields: list) -> np.ndarray:
+    """Contribution vectors, packed as _cover_table returns them, as
+    sortable, comparable keys: with the place values of _places, the
+    packed int64 itself; otherwise the byte string of the vector's int64
+    words, which _sweep builds alike from need vectors."""
+    if _places(fields) is not None:
+        return vectors[0]
+    return _byte_keys(np.stack(vectors, axis=1))
+
+
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one fixed-width byte string."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
@@ -261,7 +329,8 @@ def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[di
     entry past the clause target are discarded. Assignments come in the
     order of a clause-by-clause depth-first search (see _cover_table).
     """
-    kept, vectors = _cover_table(formula, plan)
+    kept, vectors, fields = _cover_table(formula, plan)
+    vectors = _counts(vectors, fields)
     values = _values(kept, np.arange(len(vectors)))
     for row, vec in zip(values.tolist(), vectors.tolist()):
         yield dict(zip(plan.covered_vars, row)), tuple(vec)
@@ -286,13 +355,12 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     )
 
     try:
-        kept, vectors = _cover_table(formula, plan)
+        kept, vectors, fields = _cover_table(formula, plan)
         # distinct vectors, sorted, each with its first (representative) row
-        place = _places([formula.clauses[i] for i in _watched(plan)])
-        keys, first = np.unique(_row_keys(vectors, place), return_index=True)
+        keys, first = np.unique(_row_keys(vectors, fields), return_index=True)
     except MemoryError as exc:
         raise ResourceLimitError("vector table exceeded available memory") from exc
-    stats.emitted = len(vectors)
+    stats.emitted = len(vectors[0])
     stats.index_size = len(keys)
     indexed = perf_counter()
     stats.enumerate_s = indexed - planned
@@ -300,7 +368,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
         return SolveResult(False, None, stats)
 
     try:
-        hit = _sweep(formula, plan, keys, vectors.dtype)
+        hit = _sweep(formula, plan, keys, np.int8)
     except MemoryError as exc:
         raise ResourceLimitError("sweep table exceeded available memory") from exc
     stats.sweep_s = perf_counter() - indexed
@@ -323,14 +391,16 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
     Complement variable k is bit k of the assignment number; assignments are
     tried in ascending number, in blocks over the low bits. A block whose
     high bits alone overshoot a target is skipped. One column-major need
-    table, in the cover vectors' dtype, is filled in place for each block by
-    doubling: column 0 is the need with every low bit 0, and columns
-    2^k..2^(k+1)-1 are columns 0..2^k-1 minus the change of setting bit k,
-    so column a is assignment a's need. When keys are packed, a key column
-    doubles alongside it: a key is linear in its vector, so each new half of
-    keys is the old half minus the packed change. That int64 arithmetic
-    wraps mod 2^64, which leaves the key of every need with no negative entry
-    exact. The first _FIRST_CHECK columns are matched once written, then
+    table, in dtype (int8 from solve_mitm), is filled in place for each
+    block by doubling: column 0 is the need with every low bit 0, and
+    columns 2^k..2^(k+1)-1 are columns 0..2^k-1 minus the change of setting
+    bit k, so column a is assignment a's need. When keys are packed (with
+    the place values of _places), a key column doubles alongside it: a key
+    is linear in its vector, so each new half of keys is the old half minus
+    the packed change. That int64 arithmetic wraps mod 2^64, which leaves
+    the key of every need with no negative entry exact. Byte keys are built
+    only for the columns matched, packing each into the words of
+    _row_keys. The first _FIRST_CHECK columns are matched once written, then
     each new half as it is written, and the first hit ends the sweep. A
     block wider than _FIRST_CHECK needs only half a block of columns: the
     last half is written over the first, which is matched by then.
@@ -339,8 +409,9 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
     clauses = [formula.clauses[i] for i in _watched(plan)]
     comp = plan.complement_vars
     targets = np.array([c.target for c in clauses], dtype=np.int64)
-    place = _places(clauses)
-    adds = _step_table(clauses, comp, dtype)[0]
+    fields = _fields(clauses)
+    place = _places(fields)
+    adds = _step_table(clauses, comp, dtype)
     low_bits = min(len(comp), _BLOCK_BITS)
     low, high = adds[:low_bits], adds[low_bits:]
     low_zero = low[:, 0].sum(axis=0, dtype=np.int64)
@@ -349,10 +420,14 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
     if width > _FIRST_CHECK:
         width >>= 1
     need = np.empty((len(clauses), width), dtype=dtype)
-    key = None
+    key = word_place = None
     if place is not None:
         key = np.empty(width, dtype=np.int64)
         step_keys = np.dot(steps, place)
+    else:
+        # row w packs a need vector into its word w of _row_keys's byte keys
+        word_place = np.zeros((fields[-1][0] + 1 if fields else 1, len(fields)), dtype=np.int64)
+        word_place[[f[0] for f in fields], range(len(fields))] = [1 << f[1] for f in fields]
     for block in range(1 << len(high)):
         base = targets.copy()
         for k, by_value in enumerate(high):
@@ -369,7 +444,7 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
             end = 1 << k   # assignments [0, end) are written
             if end >= _FIRST_CHECK or k == low_bits:
                 cols = slice(start - off, end - off)
-                hit = _match(keys, need[:, cols], None if key is None else key[cols])
+                hit = _match(keys, need[:, cols], None if key is None else key[cols], word_place)
                 if hit is not None:
                     return (block << low_bits) + start + hit[0], hit[1]
                 start = end
@@ -382,14 +457,19 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
     return None
 
 
-def _match(keys: np.ndarray, need: np.ndarray, need_keys: Optional[np.ndarray]) -> Optional[tuple]:
+def _match(keys: np.ndarray, need: np.ndarray, need_keys: Optional[np.ndarray],
+           word_place: Optional[np.ndarray]) -> Optional[tuple]:
     """(column, position in keys) of the first column of need found in keys,
-    or None. need_keys are the columns' packed keys, None for byte keys. A
+    or None. need_keys are the columns' packed keys; for byte keys they are
+    None and word_place packs each column into the words of its byte key. A
     column with a negative entry cannot match."""
     cand = (need.min(axis=0, initial=0) >= 0).nonzero()[0]
     if not len(cand):
         return None
-    wanted = need_keys[cand] if need_keys is not None else _row_keys(need[:, cand].T, None)
+    if need_keys is not None:
+        wanted = need_keys[cand]
+    else:
+        wanted = _byte_keys((word_place @ need[:, cand]).T)
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     found = (keys[at] == wanted).nonzero()[0]
     if not len(found):

@@ -8,6 +8,7 @@ import pytest
 
 import gixsat.mitm as mitm_module
 from conftest import C, F, random_formula
+from gixsat.analysis import OccurrenceProfile, profile_count
 from gixsat.dpll import solve_auto
 from gixsat.formula import Clause, Formula, evaluate, true_count
 from gixsat.generator import GenSpec, generate
@@ -270,9 +271,9 @@ def planted_deep(rng, m):
     """Two exactly-2 cover clauses over x1..x10, then m target-4 clauses
     true under a hidden assignment with x11..x22 = 1. Each of those holds
     three negated complement literals 4 times, so early sweep assignments
-    overshoot it by up to 8. The m watched clauses' product of (target + 1)
-    is 5^m: about 2^62.7 for m = 27, so those needs' packed keys fall below
-    -2^63, and past 2^63 for m = 28, so vectors are byte strings."""
+    overshoot it by up to 8. Each watched clause takes a 4-bit field, so
+    for m = 28 the watched fields pass one 63-bit word and vectors are byte
+    strings."""
     hidden = {v: 1 for v in range(11, 23)}
     for lo in (1, 6):
         on = rng.sample(range(lo, lo + 5), 2)
@@ -327,7 +328,9 @@ def check_against_reference(corpus):
         seen.add(("boundary", plan.boundary is not None))
         seen.add(("empty clause", any(not c.occ for c in f.clauses)))
         seen.add(("wide", len(watched) > 27 and result.sat and result.stats.index_size > 1))
-        seen.add(("byte keys", mitm_module._places(watched) is None))
+        seen.add(("byte keys", mitm_module._places(mitm_module._fields(watched)) is None))
+        fields = mitm_module._fields(watched + [f.clauses[i] for i in plan.cover])
+        seen.add(("multi-word", bool(fields) and fields[-1][0] > 0))
         seen.add(("half-by-half", result.stats.sweep_count > mitm_module._FIRST_CHECK))
     return seen
 
@@ -336,15 +339,20 @@ def test_kernel_matches_the_one_at_a_time_reference():
     seen = check_against_reference(reference_corpus())
     assert all((name, True) in seen for name, _ in seen if name != "half-by-half")
     assert ("sat", False) in seen
-    # both key encodings: most vectors pack into an int64, but the product of
-    # (target + 1) over planted_deep's 28 watched clauses passes 2^63
+    # both key encodings and both table widths: most rows fit one word, but
+    # planted_deep's 28 watched clauses take 4 bits each, 112 in all
     assert ("byte keys", False) in seen
+    assert ("multi-word", False) in seen
 
 
 def test_kernel_matches_the_reference_with_byte_keys(monkeypatch):
-    # no vector packs, so every index and sweep lookup uses byte strings
-    monkeypatch.setattr(mitm_module, "_PACK_LIMIT", 0)
+    # a 4-bit word holds one field of the widest, target-4 clause, so most
+    # tables take several words; and no vector packs, so every index and
+    # sweep lookup uses byte strings
+    monkeypatch.setattr(mitm_module, "_WORD_BITS", 4)
+    monkeypatch.setattr(mitm_module, "_places", lambda fields: None)
     seen = check_against_reference(reference_corpus())
+    assert ("multi-word", True) in seen
     assert ("byte keys", False) not in seen
 
 
@@ -367,24 +375,82 @@ def test_kernel_matches_the_reference_at_benchmark_size():
 
 @pytest.mark.parametrize("seed", [0, 13])
 def test_packed_keys_wrap_past_int64_and_stay_exact(seed):
-    f = planted_deep(random.Random(seed), 27)
+    f = planted_deep(random.Random(seed), 14)
+    # true with x11..x22 = 1, as planted_deep's clauses are; in field order
+    # after its 14 4-bit fields: a 2-bit, a 1-bit and a 4-bit one, whose
+    # need at assignment 0 is 4 - 4 * 5 = -16, at place 2^59
+    f.clauses += [Clause(1, {-11: 2, 12: 1}), Clause(0, [-13]),
+                  Clause(4, {-11: 5, -12: 5, -13: 5, -14: 5, 15: 4})]
     plan = choose_cover(f, 0.45)
     assert plan.cover == [0, 1] and len(plan.complement_vars) == 12
     watched = [f.clauses[i] for i in plan.shared]
-    size = math.prod(c.target + 1 for c in watched)
-    assert 1 << 61 < size <= 1 << 63
-    assert mitm_module._places(watched) is not None
+    place = [1 << sum(c.target.bit_length() + 1 for c in watched[:j]) for j in range(len(watched))]
+    bits = sum(c.target.bit_length() + 1 for c in watched)
+    assert 60 <= bits <= mitm_module._WORD_BITS
+    assert mitm_module._places(mitm_module._fields(watched)).tolist() == place
     result = solve_mitm(f, alpha=0.45)
     got = (result.sat, result.model, result.stats.index_size, result.stats.sweep_count)
     assert got == reference_solve(f, plan)
     # the exact keys of the needs the sweep tried leave the int64 range
-    place = [math.prod(c.target + 1 for c in watched[:j]) for j in range(len(watched))]
     wrapped = 0
     for bits in range(result.stats.sweep_count):
         values = {v: (bits >> k) & 1 for k, v in enumerate(plan.complement_vars)}
         key = sum((c.target - true_count(c, values)) * p for c, p in zip(watched, place))
         wrapped += not -(1 << 63) <= key < 1 << 63
     assert wrapped > 0
+
+
+@pytest.mark.parametrize("target", range(5))
+def test_packed_field_guard_completion_and_carry(target):
+    # the field of a target-t clause between two neighbours, at every count
+    # a step can leave (a surviving count within t plus at most t + 1)
+    clauses = [Clause(4, [1]), Clause(target, [2]), Clause(3, [3])]
+    fields = mitm_module._fields(clauses)
+    word, shift, width, bias = fields[1]
+    assert [f[0] for f in fields] == [0, 0, 0]
+    guard = 1 << (shift + width - 1)
+    done_mask, done_value = ((1 << width) - 1) << shift, ((1 << (width - 1)) - 1) << shift
+
+    def pack(counts):
+        return sum((n + b) << s for n, (_, s, _, b) in zip(counts, fields))
+
+    def unpack(packed):
+        return [((packed >> s) & ((1 << w) - 1)) - b for _, s, w, b in fields]
+
+    for left, right in [(0, 0), (4, 3), (2, 1)]:
+        for count in range(2 * target + 2):
+            packed = pack([left, count, right])
+            assert (packed & guard == 0) == (count <= target)
+            assert (packed & done_mask == done_value) == (count == target)
+            if count > target:
+                continue
+            for step in range(target + 2):
+                stepped = pack([left, count, right]) + (step << shift)
+                assert unpack(stepped) == [left, count + step, right]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_packed_fields_never_straddle_a_word(seed):
+    rng = random.Random(seed)
+    targets = [rng.randint(0, 4) for _ in range(rng.randint(1, 120))]
+    fields = mitm_module._fields([Clause(t, [1]) for t in targets])
+    end = (0, 0)   # (word, first free bit) after the previous field
+    for t, (word, shift, width, bias) in zip(targets, fields):
+        assert width == t.bit_length() + 1 and bias == (1 << (width - 1)) - 1 - t
+        assert shift + width <= mitm_module._WORD_BITS
+        # in order, and a new word only when the field would not fit the last
+        if (word, shift) != end:
+            assert (word, shift) == (end[0] + 1, 0)
+            assert end[1] + width > mitm_module._WORD_BITS
+        end = (word, shift + width)
+    with pytest.raises(ValueError, match="does not fit"):
+        mitm_module._fields([Clause(1 << (mitm_module._WORD_BITS - 1), [1])])
+    # so fields fit one word, and pack into an int64 key, exactly when
+    # their widths sum to at most the word width
+    for n in range(len(targets) + 1):
+        bits = sum(t.bit_length() + 1 for t in targets[:n])
+        packed = mitm_module._places(fields[:n])
+        assert (packed is None) == (bits > mitm_module._WORD_BITS)
 
 
 def _deep_need(*extra):
@@ -491,6 +557,33 @@ def test_cover_plan_matches_the_greedy_reference():
         assert plan == reference, f
         boundaries += plan.boundary is not None
     assert 0 < boundaries < len(cases)
+
+
+def test_emitted_rows_within_the_product_of_cover_clause_solution_counts():
+    # the cover table holds at most sol(C) rows per cover clause C, times
+    # every assignment of the boundary's inside variables in no cover clause
+    cases = list(reference_corpus()) + [(f, None) for f in split_shaped_corpus()]
+    profiled = 0
+    for f, alpha in cases:
+        result = solve_mitm(f, alpha=alpha)
+        plan = choose_cover(f, result.stats.alpha)
+        bound, in_cover = 1, set()
+        for c in (f.clauses[i] for i in plan.cover):
+            order = sorted(c.variables())
+            sol = sum(true_count(c, dict(zip(order, bits))) == c.target
+                      for bits in product((0, 1), repeat=len(order)))
+            mults = [c.occ.get(v, 0) + c.occ.get(-v, 0) for v in order]
+            if len(c.occ) == len(order) and 1 <= c.target <= 4 and max(mults) <= c.target:
+                # no x/-x pair: negating a variable maps models one to one,
+                # so the count is the multiplicity profile's
+                parts = [mults.count(m) for m in range(1, 5)]
+                assert sol == profile_count(OccurrenceProfile(len(order), *parts), c.target), c
+                profiled += 1
+            bound *= sol
+            in_cover |= c.variables()
+        bound <<= len(set(plan.covered_vars) - in_cover)
+        assert result.stats.emitted <= bound, f
+    assert profiled > 500
 
 
 @pytest.mark.parametrize(
