@@ -19,23 +19,26 @@ runs the first that covers a formula's largest target:
       exactly-1 clause takes rule 8 at once; rules 10, 11 and 13 keep their
       first clause) and one pair pass over the occurrence map (_overlaps) in
       ascending (i, j) (rules 9, 12, 14 and 15 keep their first pair), then
-      walks the priority list. Rules 9, 12 and 15 look their pair's shape up
-      in _G2_RULE9, _G2_RULE12 and _G2_RULE15, whose entries _bind expands
-      as it does the g3/g4 ones. _overlaps builds the map in one pass over
-      the clause variables, pairing a clause only with earlier clauses that
-      hold one of its variables. Rules 16/17 read their heavy variables from
-      the map. The rule-18 endgame reuses the map and variable lists,
-      searches each component with one frame per clause, asserts that the
-      values meet every clause target and records them all on the trail in
-      one call.
+      walks the priority list. Rules 10 and 11 look their clause's shape up
+      in _G2_RULE10 and _G2_RULE11, rules 9, 12 and 15 their pair's in
+      _G2_RULE9, _G2_RULE12 and _G2_RULE15; the other rules bind the shared
+      branch lists (_SPLIT, _PAIR2, ...) to the literals they pick.
+      _overlaps builds the map in one pass over the clause variables,
+      pairing a clause only with earlier clauses that hold one of its
+      variables. Rules 16/17 read their heavy variables from the map. The
+      rule-18 endgame reuses the map and variable lists, searches each
+      component with one frame per clause, asserts that the values meet
+      every clause target and records them all on the trail in one call.
   g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
       Selection passes over the clauses once. The first exactly-1 clause
       takes rule 6; every other clause class (target t, has a repeated
       literal) keeps its lowest-index clause. For t = 2 up to the scheme's
       top target, a repeated-literal clause takes rule 2t + 3 (7, 9, 11),
       looked up in a profile table, and a single-occurrence one rule 2t + 4
-      (8, 10, 12). The tables hold each rule-7/9/11 prescription whole.
+      (8, 10, 12), looked up by (t, size) in _SINGLE.
 
+Every prescription with branches is a table entry or a shared branch list
+in one name language, and _bind alone turns one into a Rule.
 Where a clause shape has no specific prescription, the engine falls back to
 branching the lowest relevant variable 0/1 under a tag ending in
 ".fallback" (_is_fallback). SearchStats.fallback_fires reads those tags out
@@ -116,70 +119,64 @@ class Rule:
     overlaps: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-def _branch(tag, branches):
-    return Rule(tag, tuple(tuple(b) for b in branches))
-
-
-def _simp(tag, actions):
-    return _branch(tag, [actions])
-
-
-def _branch_lit(tag, lit):
-    return _branch(tag, [[("true", lit)], [("false", lit)]])
-
-
-def _branch_pair2(tag, x, y):
-    # exactly-one style: x = -y, or both false
-    return _branch(tag, [[("link", x, -y)], [("false", x), ("false", y)]])
-
-
-def _branch_pair3(tag, x, y):
-    return _branch(tag, [
-        [("true", x), ("true", y)],
-        [("link", x, -y)],
-        [("false", x), ("false", y)],
-    ])
-
-
-def _branch_4lit(tag, lits):
-    x, y, z, w = lits
-    return _branch(tag, [
-        [("link", x, -y), ("link", z, -w)],
-        [("link", x, y), ("link", z, w), ("link", y, -w)],
-    ])
-
-
 # A table entry is a tag and a branch list whose actions name literals. A
 # name stands for the list of literals a rule binds it to; "-" negates them
 # and a trailing digit picks one by position ("s0", "-f1"). A true or false
 # action acts on each literal of its name; any other action splices in what
 # its fields stand for: a name's literals, a tuple of names' literals joined
-# into one clause (of an add or a replace), an integer itself.
+# into one clause (of an add or a replace), an integer itself. The shared
+# lists: _SPLIT sets v true, then false; _PAIR2 sets p0 = -p1 or both false,
+# _PAIR3 first both true, _PAIR4 each value of p0 and p1; _TWO_PAIRS sets
+# p0 = -p1 and p2 = -p3, or p0 = p1 = -p2 = -p3.
 
 _SPLIT = [[("true", "v")], [("false", "v")]]
+_PAIR2 = [[("link", "p0", "-p1")], [("false", "p0"), ("false", "p1")]]
+_PAIR3 = [[("true", "p0"), ("true", "p1")], *_PAIR2]
+_PAIR4 = [[(a, "p0"), (b, "p1")] for a in ("true", "false") for b in ("true", "false")]
+_TWO_PAIRS = [[("link", "p0", "-p1"), ("link", "p2", "-p3")],
+              [("link", "p0", "p1"), ("link", "p2", "p3"), ("link", "p1", "-p3")]]
+
+
+@lru_cache(maxsize=None)  # fields are the tables' strings, a few dozen
+def _field(x: str) -> tuple:
+    """A name field as (name, position or None, sign): "-s1" is ("s", 1, -1)."""
+    name = x.lstrip("-")
+    at = int(name[-1]) if name[-1].isdigit() else None
+    return (name if at is None else name[:-1]), at, -1 if x[0] == "-" else 1
+
+
+def _splice(fields, names) -> list:
+    """The values action fields stand for, in order (see above)."""
+    vals = []
+    for x in fields:
+        if isinstance(x, str):
+            name, at, sign = _field(x)
+            got = names[name]
+            if at is not None:
+                vals.append(sign * got[at])
+            else:
+                vals += got if sign > 0 else [-l for l in got]
+        elif isinstance(x, tuple):
+            vals.append(tuple(_splice(x, names)))
+        else:
+            vals.append(x)
+    return vals
 
 
 def _bind(tag, branches, names) -> Rule:
     """The rule a table entry prescribes; names maps a name to its literals."""
-    def lits(x):  # what an action field stands for
-        if isinstance(x, int):
-            return [x]
-        if isinstance(x, tuple):
-            return [tuple(l for n in x for l in lits(n))]
-        if x[0] == "-":
-            return [-l for l in lits(x[1:])]
-        return names[x] if x in names else [names[x[:-1]][int(x[-1])]]
-
     bound = []
     for branch in branches:
         acts = []
-        for kind, *xs in branch:
-            if kind in ("true", "false"):
-                acts += [(kind, l) for l in lits(xs[0])]
+        for act in branch:
+            kind, vals = act[0], _splice(act[1:], names)
+            if kind == "true" or kind == "false":
+                for lit in vals:
+                    acts.append((kind, lit))
             else:
-                acts.append((kind, *(v for x in xs for v in lits(x))))
-        bound.append(acts)
-    return _branch(tag, bound)
+                acts.append((kind, *vals))
+        bound.append(tuple(acts))
+    return Rule(tag, tuple(bound))
 
 
 def _apply_actions(w: _Worklist, actions) -> bool:
@@ -272,8 +269,7 @@ def _select_g2(f: Formula) -> Rule:
                 "g2 selection needs a simplification fixpoint: an exactly-1 clause " \
                 "must hold distinct, unpaired literals"
             if size >= 4:
-                x, y = c.sorted_literals()[:2]
-                return _branch_pair2("g2.8", x, y)
+                return _bind("g2.8", _PAIR2, {"p": c.sorted_literals()})
             if size == 3:
                 c1s[i] = c
         elif c.target == 2:
@@ -309,22 +305,16 @@ def _select_g2(f: Formula) -> Rule:
         c = first[10]
         twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
         ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
-        if len(twos) in (2, 3) and len(ones) == 1:
-            return _simp("g2.10.single0", [("false", ones[0])])
-        if len(twos) == 2 and len(ones) == 2:
-            return _simp("g2.10.link", [("link", ones[0], ones[1])])
-        return _branch_pair2("g2.10.branch", twos[0], twos[1])
+        entry = _G2_RULE10.get((len(twos), len(ones)), ("g2.10.branch", _PAIR2))
+        return _bind(*entry, {"p": twos, "s": ones})
     if 11 in first:
         c = first[11]
         x2 = next(l for l, m in c.occ.items() if m == 2)
         singles = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
-        if c.size() == 3:
-            return _simp("g2.11.len3", [("true", x2), ("false", singles[0])])
-        if c.size() == 4:
-            return _simp("g2.11.len4", [("link", singles[0], singles[1])])
         if c.size() == 5:
             return _g2_rule11_len5(x2, singles, c1s.items())
-        return _branch_lit("g2.11.long", x2)
+        entry = _G2_RULE11.get(c.size(), ("g2.11.long", _SPLIT))
+        return _bind(*entry, {"v": [x2], "s": singles})
     if 12 in first:
         rule = _pair_rule(_G2_RULE12, *first[12])
         # only share3.flip3 with b empty, which rule (g) negates first, acts on nothing
@@ -335,10 +325,11 @@ def _select_g2(f: Formula) -> Rule:
         c1_vars = set().union(*(c1.variables() for c1 in c1s.values()))
         weighted = [l for l in lits if abs(l) in c1_vars]
         if len(weighted) >= 2:
-            return _branch_pair3("g2.13.two_weighted", *weighted[:2])
-        return _branch_4lit("g2.13.pairs", [l for l in lits if l not in weighted] + weighted)
+            return _bind("g2.13.two_weighted", _PAIR3, {"p": weighted})
+        unweighted = [l for l in lits if l not in weighted]
+        return _bind("g2.13.pairs", _TWO_PAIRS, {"p": unweighted + weighted})
     if 14 in first:
-        return _branch_lit("g2.14", first[14][4][0])
+        return _bind("g2.14", _SPLIT, {"v": first[14][4][:1]})
     if 15 in first:
         key, names = _rule15_shape(f, *first[15])
         return _bind(*_G2_RULE15[key], names)
@@ -349,13 +340,23 @@ def _select_g2(f: Formula) -> Rule:
     # here and a variable's degree is the number of clauses holding it.
     heavies = sorted(v for v, held in occurrences.items() if len(held) >= 3)
     if heavies:
-        rule = _g2_rule16(cls, heavies, occurrences, varlists)
-        if rule is not None:
-            return rule
-        return _branch_lit("g2.17", heavies[0])
+        return _g2_heavy(cls, heavies, occurrences, varlists)
 
     return Rule("g2.18", overlaps=(shared, varlists))
 
+
+# Rule 10 by (doubled, single) literal counts, p its doubled literals; rule
+# 11 by size, v its doubled literal (size 5 is _g2_rule11_len5); s the singles.
+
+_G2_RULE10 = {
+    **{(k, 1): ("g2.10.single0", [[("false", "s0")]]) for k in (2, 3)},
+    (2, 2): ("g2.10.link", [[("link", "s0", "s1")]]),
+}
+
+_G2_RULE11 = {
+    3: ("g2.11.len3", [[("true", "v"), ("false", "s0")]]),
+    4: ("g2.11.len4", [[("link", "s0", "s1")]]),
+}
 
 # Rules 9, 12 and 15 on a pair: each table maps a shape of the pair to a tag
 # and a branch list over the names _pair_names binds. Rules 9 and 12 are
@@ -398,14 +399,12 @@ _G2_RULE15 = {
                  [[("add", 1, ("s", "a"))], [("false", "s"), ("false", "a")]]),
     ("one", 3): ("g2.15.one_extra.flip3", [[("false", "s")]]),
     ("one", 4): ("g2.15.one_extra.flip4", [[("false", "a"), ("false", "s"), ("false", "b")]]),
-    "share2": ("g2.15.share2", [[("true", "h0"), ("true", "h1")], [("link", "h0", "-h1")],
-                                [("false", "h0"), ("false", "h1")]]),
+    "share2": ("g2.15.share2", _PAIR3),
     "share2.mixed": ("g2.15.share2.mixed", [[("true", "s0"), ("true", "f0")],
                                             [("true", "s0"), ("false", "f0")], [("false", "s0")]]),
     "share3.common": ("g2.15.share3.common", [[("false", "ri"), ("false", "rj")],
                                               [("add", 1, ("s",))], [("false", "s")]]),
-    "share3.mixed": ("g2.15.share3.mixed", [[("link", "s0", "-s1")],
-                                            [("false", "s0"), ("false", "s1")]]),
+    "share3.mixed": ("g2.15.share3.mixed", _PAIR2),
     "fallback": ("g2.15.fallback", _SPLIT),
 }
 
@@ -436,7 +435,9 @@ def _pair_rule(table, i, ci, j, cj, common) -> Rule:
 def _rule15_shape(f, i, ci, j, cj, common) -> tuple:
     """The _G2_RULE15 key of a rule-15 pair and the names its entry reads:
     those of the swapped pair (j, i) when cj is the special side, the one
-    with no literal of its own ("bare") or else with one ("one")."""
+    with no literal of its own ("bare") or else with one ("one"). The
+    share2 and share3.mixed entries branch on p, the shared literals h or
+    the equal-sign ones s."""
     n = _pair_names(i, ci, j, cj, common)
     na, nb, nf = len(n["a"]), len(n["b"]), len(n["f"])
     if ci == cj:
@@ -450,82 +451,73 @@ def _rule15_shape(f, i, ci, j, cj, common) -> tuple:
         if nf or Clause(1, [-m["a"][0]] + m["b"]) not in f.clauses:
             return ("one", nf), m
     if len(common) == 2:
-        return "share2.mixed" if nf == 1 else "share2", n
+        return ("share2.mixed", n) if nf == 1 else ("share2", {**n, "p": n["h"]})
     if len(n["s"]) >= 3:
         return "share3.common", n
     if len(n["s"]) >= 2 and nf:
-        return "share3.mixed", n
+        return "share3.mixed", {**n, "p": n["s"]}
     return "fallback", n
 
 
 def _g2_rule11_len5(x2, singles, c1s) -> Rule:
     # C = (x2 x2 s1 s2 s3) with target 2; scan 3-literal exactly-1 clauses
-    # for the shapes that force something, in priority order.
-    for _, c1 in c1s:
-        if c1.occ.get(-x2, 0):
-            return _branch_lit("g2.11.len5.negdup", abs(x2))
-    views = []
-    for idx, c1 in c1s:
-        negs = [s for s in singles if c1.occ.get(-s, 0)]
-        poss = [s for s in singles if c1.occ.get(s, 0)]
-        views.append((idx, c1, negs, poss))
-    for idx, c1, negs, poss in views:
-        if len(negs) >= 2:
-            return _simp("g2.11.len5.negpair", [("false", x2)])
+    # for the shapes that force something, in priority order. The entries
+    # name the literals found here as int fields.
+    if any(-x2 in c1.occ for _, c1 in c1s):
+        return _bind("g2.11.len5.negdup", _SPLIT, {"v": [abs(x2)]})
+    # each c1 with the singles it holds negated and as they are
+    views = [(c1, [s for s in singles if -s in c1.occ], [s for s in singles if s in c1.occ])
+             for _, c1 in c1s]
+    if any(len(negs) >= 2 for _, negs, _ in views):
+        return _bind("g2.11.len5.negpair", [[("false", x2)]], {})
     # each c1 holds three distinct literals, so u below is the third one
-    for idx, c1, negs, poss in views:
+    for c1, negs, poss in views:
         if len(negs) == 1 and len(poss) >= 1:
             ny, pz = negs[0], poss[0]
             u = next(l for l in c1.occ if l not in (-ny, pz))
             w = next(s for s in singles if s not in (ny, pz))
             # u == -w cannot happen here: it would be a second negated single
             if u == w:
-                return _simp("g2.11.len5.mixed.same", [("link", ny, -x2)])
-            return _simp("g2.11.len5.mixed.link", [("link", u, w)])
-    for idx, c1, negs, poss in views:
+                return _bind("g2.11.len5.mixed.same", [[("link", ny, -x2)]], {})
+            return _bind("g2.11.len5.mixed.link", [[("link", u, w)]], {})
+    for c1, negs, poss in views:
         if len(negs) == 0 and len(poss) >= 2:
             if len(poss) == 3:
                 return Rule("g2.11.len5.sub.unsat")
             w = next(s for s in singles if s not in poss)
-            return _simp("g2.11.len5.sub", [("link", w, -x2)])
-    for idx, c1, negs, poss in views:
-        if c1.occ.get(x2, 0) and len(negs) >= 1:
-            return _simp("g2.11.len5.posneg", [("false", x2)])
-    for idx, c1, negs, poss in views:
-        if c1.occ.get(x2, 0) and len(poss) == 1 and len(negs) == 0:
+            return _bind("g2.11.len5.sub", [[("link", w, -x2)]], {})
+    if any(x2 in c1.occ and negs for c1, negs, _ in views):
+        return _bind("g2.11.len5.posneg", [[("false", x2)]], {})
+    for c1, negs, poss in views:
+        if x2 in c1.occ and len(poss) == 1 and len(negs) == 0:
             u = next(l for l in c1.occ if l not in (x2, poss[0]))
             if abs(u) != abs(x2) and abs(u) not in {abs(s) for s in singles}:
-                return _branch_lit("g2.11.len5.fresh", u)
-    return _branch_lit("g2.11.len5.branch", abs(x2))
+                return _bind("g2.11.len5.fresh", _SPLIT, {"v": [u]})
+    return _bind("g2.11.len5.branch", _SPLIT, {"v": [abs(x2)]})
 
 
-def _g2_rule16(cls, heavies, occurrences, varlists) -> Optional[Rule]:
-    # one scan of the variables in three clauses: the first of mixed sign
-    # wins at once, else the first of one sign with a qualifying size
+def _g2_heavy(cls, heavies, occurrences, varlists) -> Rule:
+    # rule 16: one scan of the variables in three clauses, the first of mixed
+    # sign wins at once, else the first of one sign with a qualifying size;
+    # then a clause holding two heavy variables. Else rule 17.
     samepol = None
     for v in heavies:
         held = occurrences[v]
         if len(held) == 3:
             if sum(v in cls[idx].occ for idx in held) in (1, 2):
-                return _branch_lit("g2.16.mixed", v)
+                return _bind("g2.16.mixed", _SPLIT, {"v": [v]})
             if samepol is None:
                 rests = sorted(cls[idx].size() - 1 for idx in held)
                 if rests[0] == 4 or rests[2] >= 6:
                     samepol = v
     if samepol is not None:
-        return _branch_lit("g2.16.samepol", samepol)
+        return _bind("g2.16.samepol", _SPLIT, {"v": [samepol]})
     hs = set(heavies)
     for vs in varlists:
         hv = [v for v in vs if v in hs]
         if len(hv) >= 2:
-            x, y = hv[:2]
-            return _branch("g2.16.pair", [
-                [("true", x), ("true", y)],
-                [("true", x), ("false", y)],
-                [("false", x), ("true", y)],
-                [("false", x), ("false", y)],
-            ])
-    return None
+            return _bind("g2.16.pair", _PAIR4, {"p": hv})
+    return _bind("g2.17", _SPLIT, {"v": heavies[:1]})
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +528,10 @@ def _g2_rule16(cls, heavies, occurrences, varlists) -> Optional[Rule]:
 # multiplicity: each table maps the occurrence profile of delta to a tag
 # suffix and a branch list. Branches name x, v = abs(x) and the literals of
 # delta by multiplicity and canonical order: singles s, doubles d and
-# triples t. An unlisted profile splits on v, as a "branch" when delta has
-# at least the table's width distinct literals and as a "fallback"
-# otherwise; rule 7 and the rule-9 "thrice" case have width 0, so they
-# always branch.
-
-_PAIR3 = [[("true", "x"), ("true", "d0")], [("link", "x", "-d0")],
-          [("false", "x"), ("false", "d0")]]
+# triples t; p is x followed by d. An unlisted profile splits on v, as a
+# "branch" when delta has at least the table's width distinct literals and
+# as a "fallback" otherwise; rule 7 and the rule-9 "thrice" case have width
+# 0, so they always branch.
 
 _G3_DOUBLED = {
     (1,): ("len3", [[("true", "x"), ("false", "s0")]]),
@@ -615,10 +604,12 @@ _REPEATED = {
     ("g4", 4, 2): ("g4.11.twice", _C4_TWICE, 6),
 }
 
-# rules 8/10/12 on a single-occurrence exactly-t clause: the sizes below
-# the long pair branch; size 4 at target 2 splits into two linked pairs,
-# the others branch the first literal
-_SINGLE_SHORT = {2: (4, 5), 3: (6,), 4: (8,)}
+# rules 8/10/12 on a single-occurrence exactly-t clause by (t, size), p its
+# literals and v its first; a longer clause takes ("long", _PAIR3)
+_SINGLE = {
+    (2, 4): ("len4", _TWO_PAIRS),
+    **{key: (f"len{key[1]}", _SPLIT) for key in ((2, 5), (3, 6), (4, 8))},
+}
 
 
 def _repeated_rule(tag, table, width, x, delta) -> Rule:
@@ -626,6 +617,7 @@ def _repeated_rule(tag, table, width, x, delta) -> Rule:
     names = {"x": [x], "v": [abs(x)]}
     for name, m in (("s", 1), ("d", 2), ("t", 3)):
         names[name] = [l for l in order if delta[l] == m]
+    names["p"] = [x] + names["d"]
     suffix, branches = table.get(tuple(sorted(delta.values(), reverse=True))) \
         or ("branch" if len(delta) >= width else "fallback", _SPLIT)
     return _bind(f"{tag}.{suffix}", branches, names)
@@ -637,8 +629,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
     first = {}
     for c in f.clauses:
         if c.target == 1:
-            x, y = c.sorted_literals()[:2]
-            return _branch_pair2(f"{scheme}.6", x, y)
+            return _bind(f"{scheme}.6", _PAIR2, {"p": c.sorted_literals()})
         first.setdefault((c.target, max(c.occ.values()) > 1), c)
 
     for t in range(2, _TARGET_CAPS[scheme] + 1):
@@ -648,7 +639,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
             m = max(c.occ.values())
             x = next(l for l in c.sorted_literals() if c.occ[l] == m)
             if m == 4:
-                return _branch_lit("g4.11.quad", abs(x))
+                return _bind("g4.11.quad", _SPLIT, {"v": [abs(x)]})
             tag, table, width = _REPEATED[scheme, t, m]
             delta = {l: k for l, k in c.occ.items() if l != x}
             return _repeated_rule(tag, table, width, x, delta)
@@ -656,17 +647,12 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
         # rules 8/10/12: single-occurrence exactly-t clause
         c = first.get((t, False))
         if c is not None:
-            short = _SINGLE_SHORT[t]
             size = c.size()
-            assert t == 2 or size >= short[0], \
+            assert t == 2 or size >= 2 * t, \
                 f"short exactly-{t} clauses are removed by simplification"
             lits = c.sorted_literals()
-            tag = f"{scheme}.{2 * t + 4}"
-            if t == 2 and size == 4:
-                return _branch_4lit(f"{tag}.len4", lits)
-            if size in short:
-                return _branch_lit(f"{tag}.len{size}", lits[0])
-            return _branch_pair3(f"{tag}.long", lits[0], lits[1])
+            suffix, branches = _SINGLE.get((t, size), ("long", _PAIR3))
+            return _bind(f"{scheme}.{2 * t + 4}.{suffix}", branches, {"p": lits, "v": lits[:1]})
 
     raise AssertionError(f"{scheme} selection exhausted with clauses remaining")
 

@@ -156,15 +156,15 @@ def _watched(plan: SplitPlan) -> list[int]:
     return plan.shared + ([plan.boundary] if plan.boundary is not None else [])
 
 
-def _step_table(clauses: list, order, dtype) -> np.ndarray:
+def _step_table(clauses: list, order) -> np.ndarray:
     """Per step, the counts each value of order[k] adds to every clause.
 
-    Returns a (len(order), 2, len(clauses)) array whose [k, b, j] entry is
-    the number of clause j's literals that variable order[k] = b makes true,
-    capped at the target + 1, which rules a row out just the same.
+    Returns a (len(order), 2, len(clauses)) int8 array whose [k, b, j] entry
+    is the number of clause j's literals that variable order[k] = b makes
+    true, capped at the target + 1, which rules a row out just the same.
     """
     pos = {v: k for k, v in enumerate(order)}
-    table = np.zeros((len(order), 2, len(clauses)), dtype=dtype)
+    table = np.zeros((len(order), 2, len(clauses)), dtype=np.int8)
     for j, c in enumerate(clauses):
         for lit, mult in c.occ.items():
             k = pos.get(abs(lit))
@@ -368,7 +368,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
         return SolveResult(False, None, stats)
 
     try:
-        hit = _sweep(formula, plan, keys, np.int8)
+        hit = _sweep(formula, plan, keys, fields)
     except MemoryError as exc:
         raise ResourceLimitError("sweep table exceeded available memory") from exc
     stats.sweep_s = perf_counter() - indexed
@@ -385,33 +385,33 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     return SolveResult(True, model, stats)
 
 
-def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Optional[tuple]:
+def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, fields: list) -> Optional[tuple]:
     """First complement assignment whose need vector is in keys, or None.
 
     Complement variable k is bit k of the assignment number; assignments are
     tried in ascending number, in blocks over the low bits. A block whose
-    high bits alone overshoot a target is skipped. One column-major need
-    table, in dtype (int8 from solve_mitm), is filled in place for each
-    block by doubling: column 0 is the need with every low bit 0, and
-    columns 2^k..2^(k+1)-1 are columns 0..2^k-1 minus the change of setting
-    bit k, so column a is assignment a's need. When keys are packed (with
-    the place values of _places), a key column doubles alongside it: a key
-    is linear in its vector, so each new half of keys is the old half minus
-    the packed change. That int64 arithmetic wraps mod 2^64, which leaves
-    the key of every need with no negative entry exact. Byte keys are built
-    only for the columns matched, packing each into the words of
-    _row_keys. The first _FIRST_CHECK columns are matched once written, then
-    each new half as it is written, and the first hit ends the sweep. A
-    block wider than _FIRST_CHECK needs only half a block of columns: the
-    last half is written over the first, which is matched by then.
+    high bits alone overshoot a target is skipped. One column-major int8
+    need table is filled in place for each block by doubling: column 0 is
+    the need with every low bit 0, and columns 2^k..2^(k+1)-1 are columns
+    0..2^k-1 minus the change of setting bit k, so column a is assignment
+    a's need. When keys are packed (with the place values of _places), a key
+    column doubles alongside it: a key is linear in its vector, so each new
+    half of keys is the old half minus the packed change. That int64
+    arithmetic wraps mod 2^64, which leaves the key of every need with no
+    negative entry exact. Byte keys are built only for the columns matched,
+    packing each into the words of _row_keys. The first _FIRST_CHECK columns
+    are matched once written, then each new half as it is written, and the
+    first hit ends the sweep. A block wider than _FIRST_CHECK needs only
+    half a block of columns: the last half is written over the first, which
+    is matched by then. fields are the watched clauses' fields, as
+    _cover_table returns them.
     Returns (the assignment number, the position of its need vector in keys).
     """
     clauses = [formula.clauses[i] for i in _watched(plan)]
     comp = plan.complement_vars
     targets = np.array([c.target for c in clauses], dtype=np.int64)
-    fields = _fields(clauses)
     place = _places(fields)
-    adds = _step_table(clauses, comp, dtype)
+    adds = _step_table(clauses, comp)
     low_bits = min(len(comp), _BLOCK_BITS)
     low, high = adds[:low_bits], adds[low_bits:]
     low_zero = low[:, 0].sum(axis=0, dtype=np.int64)
@@ -419,7 +419,7 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, dtype) -> Option
     width = 1 << low_bits
     if width > _FIRST_CHECK:
         width >>= 1
-    need = np.empty((len(clauses), width), dtype=dtype)
+    need = np.empty((len(clauses), width), dtype=np.int8)
     key = word_place = None
     if place is not None:
         key = np.empty(width, dtype=np.int64)

@@ -4,7 +4,7 @@ import json
 import random
 import re
 import sys
-from itertools import chain, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import pytest
@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import C, F, check_partition, formulas, random_formula
 from gixsat import dpll
-from gixsat.dpll import Rule, _branch, _branch_lit, _branch_pair3, _simp
-from gixsat.dpll import solve_auto, solve_g2, solve_g3, solve_g4
+from gixsat.dpll import Rule, solve_auto, solve_g2, solve_g3, solve_g4
 from gixsat.formula import Clause, Formula, SolveResult, Trail, evaluate, lit_key, true_count
 from gixsat.generator import GenSpec, generate
 from gixsat.mitm import solve_mitm
@@ -293,9 +292,41 @@ def test_deep_instance_planted():
 # Reference: g2 selection as a pairwise clause scan. Rules 9, 12, 14 and 15
 # intersect the variable sets of every candidate clause pair in (i, j) order,
 # and rule 16 collects the heavy variables' occurrences by scanning clauses.
-# Rules 9, 12 and 15 prescribe by the hand-unrolled builders below, written
-# apart from the solver's pair tables; the other prescriptions come from the
-# solver's rule builders.
+# Every prescription is spelled out by the hand-unrolled builders below,
+# written apart from the solver's tables and the _bind that expands them.
+
+
+def _branch(tag, branches):
+    return Rule(tag, tuple(tuple(b) for b in branches))
+
+
+def _simp(tag, actions):
+    return _branch(tag, [actions])
+
+
+def _branch_lit(tag, lit):
+    return _branch(tag, [[("true", lit)], [("false", lit)]])
+
+
+def _branch_pair2(tag, x, y):
+    # exactly-one style: x = -y, or both false
+    return _branch(tag, [[("link", x, -y)], [("false", x), ("false", y)]])
+
+
+def _branch_pair3(tag, x, y):
+    return _branch(tag, [
+        [("true", x), ("true", y)],
+        [("link", x, -y)],
+        [("false", x), ("false", y)],
+    ])
+
+
+def _branch_4lit(tag, lits):
+    x, y, z, w = lits
+    return _branch(tag, [
+        [("link", x, -y), ("link", z, -w)],
+        [("link", x, y), ("link", z, w), ("link", y, -w)],
+    ])
 
 
 def _pair_view(ci, cj, shared):
@@ -458,6 +489,43 @@ def _g2_rule15(f, i, ci, j, cj, shared) -> Rule:
     return _branch_lit("g2.15.fallback", shared[0])
 
 
+def _g2_rule11_len5(x2, singles, c1s) -> Rule:
+    # C = (x2 x2 s1 s2 s3) with target 2 against each 3-literal exactly-1
+    # clause c1, one shape at a time in priority order
+    def held(c1, sign):  # the singles c1 holds with this sign
+        return [s for s in singles if sign * s in c1.occ]
+
+    if any(-x2 in c1.occ for _, c1 in c1s):
+        return _branch_lit("g2.11.len5.negdup", abs(x2))
+    if any(len(held(c1, -1)) >= 2 for _, c1 in c1s):
+        return _simp("g2.11.len5.negpair", [("false", x2)])
+    for _, c1 in c1s:
+        negs, poss = held(c1, -1), held(c1, 1)
+        if len(negs) == 1 and poss:
+            ny, pz = negs[0], poss[0]
+            (u,) = set(c1.occ) - {-ny, pz}
+            (w,) = set(singles) - {ny, pz}
+            if u == w:
+                return _simp("g2.11.len5.mixed.same", [("link", ny, -x2)])
+            return _simp("g2.11.len5.mixed.link", [("link", u, w)])
+    for _, c1 in c1s:
+        poss = held(c1, 1)
+        if not held(c1, -1) and len(poss) >= 2:
+            if len(poss) == 3:
+                return Rule("g2.11.len5.sub.unsat")
+            (w,) = set(singles) - set(poss)
+            return _simp("g2.11.len5.sub", [("link", w, -x2)])
+    if any(x2 in c1.occ and held(c1, -1) for _, c1 in c1s):
+        return _simp("g2.11.len5.posneg", [("false", x2)])
+    for _, c1 in c1s:
+        poss = held(c1, 1)
+        if x2 in c1.occ and len(poss) == 1 and not held(c1, -1):
+            (u,) = set(c1.occ) - {x2, poss[0]}
+            if abs(u) not in {abs(x2)} | {abs(s) for s in singles}:
+                return _branch_lit("g2.11.len5.fresh", u)
+    return _branch_lit("g2.11.len5.branch", abs(x2))
+
+
 def _ref_rule16(f, heavies):
     hs = set(heavies)
     occs = {v: [] for v in heavies}
@@ -466,17 +534,17 @@ def _ref_rule16(f, heavies):
             occs[v].append((idx, v if v in c.occ else -v))
     for v in heavies:
         if len(occs[v]) == 3 and sum(1 for _, l in occs[v] if l > 0) in (1, 2):
-            return dpll._branch_lit("g2.16.mixed", v)
+            return _branch_lit("g2.16.mixed", v)
     for v in heavies:
         if len(occs[v]) == 3 and sum(1 for _, l in occs[v] if l > 0) in (0, 3):
             rests = sorted(f.clauses[idx].size() - 1 for idx, _ in occs[v])
             if rests[0] == 4 or rests[2] >= 6:
-                return dpll._branch_lit("g2.16.samepol", v)
+                return _branch_lit("g2.16.samepol", v)
     for c in f.clauses:
         hv = sorted(c.variables() & hs)
         if len(hv) >= 2:
             x, y = hv[:2]
-            return dpll._branch("g2.16.pair", [
+            return _branch("g2.16.pair", [
                 [("true", x), ("true", y)],
                 [("true", x), ("false", y)],
                 [("false", x), ("true", y)],
@@ -490,7 +558,7 @@ def reference_select_g2(f):
     for c in cls:
         if c.target == 1 and c.size() >= 4:
             x, y = c.sorted_literals()[:2]
-            return dpll._branch_pair2("g2.8", x, y)
+            return _branch_pair2("g2.8", x, y)
     c1s = [(i, c) for i, c in enumerate(cls) if c.target == 1 and c.size() == 3]
     for ai in range(len(c1s)):
         for bi in range(ai + 1, len(c1s)):
@@ -504,22 +572,22 @@ def reference_select_g2(f):
             continue
         ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
         if len(twos) in (2, 3) and len(ones) == 1:
-            return dpll._simp("g2.10.single0", [("false", ones[0])])
+            return _simp("g2.10.single0", [("false", ones[0])])
         if len(twos) == 2 and len(ones) == 2:
-            return dpll._simp("g2.10.link", [("link", ones[0], ones[1])])
-        return dpll._branch_pair2("g2.10.branch", twos[0], twos[1])
+            return _simp("g2.10.link", [("link", ones[0], ones[1])])
+        return _branch_pair2("g2.10.branch", twos[0], twos[1])
     for c in cls:
         twos = [l for l, m in c.occ.items() if m == 2]
         if c.target != 2 or len(twos) != 1:
             continue
         singles = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
         if c.size() == 3:
-            return dpll._simp("g2.11.len3", [("true", twos[0]), ("false", singles[0])])
+            return _simp("g2.11.len3", [("true", twos[0]), ("false", singles[0])])
         if c.size() == 4:
-            return dpll._simp("g2.11.len4", [("link", singles[0], singles[1])])
+            return _simp("g2.11.len4", [("link", singles[0], singles[1])])
         if c.size() == 5:
-            return dpll._g2_rule11_len5(twos[0], singles, c1s)
-        return dpll._branch_lit("g2.11.long", twos[0])
+            return _g2_rule11_len5(twos[0], singles, c1s)
+        return _branch_lit("g2.11.long", twos[0])
     for i, ci in c1s:
         for j, cj in enumerate(cls):
             shared = sorted(ci.variables() & cj.variables())
@@ -531,14 +599,14 @@ def reference_select_g2(f):
             c1_vars = set().union(*(c1.variables() for _, c1 in c1s))
             weighted = [l for l in lits if abs(l) in c1_vars]
             if len(weighted) >= 2:
-                return dpll._branch_pair3("g2.13.two_weighted", *weighted[:2])
+                return _branch_pair3("g2.13.two_weighted", *weighted[:2])
             order = [l for l in lits if l not in weighted] + weighted
-            return dpll._branch_4lit("g2.13.pairs", order)
+            return _branch_4lit("g2.13.pairs", order)
     for i, ci in c1s:
         for j, cj in enumerate(cls):
             shared = sorted(ci.variables() & cj.variables())
             if cj.target == 2 and len(shared) == 1:
-                return dpll._branch_lit("g2.14", shared[0])
+                return _branch_lit("g2.14", shared[0])
     for i, ci in enumerate(cls):
         for j in range(i + 1, len(cls)):
             cj = cls[j]
@@ -551,7 +619,7 @@ def reference_select_g2(f):
             degree[abs(lit)] = degree.get(abs(lit), 0) + m
     heavies = sorted(v for v, d in degree.items() if d >= 3)
     if heavies:
-        return _ref_rule16(f, heavies) or dpll._branch_lit("g2.17", heavies[0])
+        return _ref_rule16(f, heavies) or _branch_lit("g2.17", heavies[0])
     return dpll.Rule("g2.18")
 
 
@@ -666,6 +734,63 @@ def test_g2_pair_tables_match_the_builders_on_every_pair_shape():
                     kept_add += got[0] != "g2.15.one_extra.add"
     assert pair_tags <= tags, sorted(pair_tags - tags)
     assert len(pair_tags) == 31 and raised and kept_add
+
+
+def _ref_single_clause_g34(scheme, c):
+    """g3/g4 rule 6 or rule 8/10/12 on a single-occurrence clause."""
+    lits, t, size = c.sorted_literals(), c.target, c.size()
+    if t == 1:
+        return _branch_pair2(f"{scheme}.6", lits[0], lits[1])
+    tag = f"{scheme}.{2 * t + 4}"
+    if (t, size) == (2, 4):
+        return _branch_4lit(f"{tag}.len4", lits)
+    if (t, size) in ((2, 5), (3, 6), (4, 8)):
+        return _branch_lit(f"{tag}.len{size}", lits[0])
+    return _branch_pair3(f"{tag}.long", lits[0], lits[1])
+
+
+def test_clause_rule_tables_match_the_builders_on_every_clause_shape():
+    # one clause of each shape under three sign patterns (odd and even
+    # variables): g2 rule 8, rules 10 and 11 over d doubled and k single
+    # literals (not rule 11 at size 5), rule 13 with w of its variables in
+    # exactly-1 clauses, and g3/g4 rules 6 and 8/10/12 at sizes 4-9
+    keys10, keys11, keys_single, tags13 = set(), set(), set(), set()
+    for odd, even in ((1, 1), (-1, -1), (1, -1)):
+        def lits(first, last):
+            return [v * (odd if v % 2 else even) for v in range(first, last + 1)]
+
+        for size in range(4, 10):
+            check_g2_selection(F(size, C(1, *lits(1, size))))
+        for d, k in product(range(5), repeat=2):
+            if d == 1 and k == 3:
+                continue
+            ls = lits(1, d + k)
+            f = F(d + k, C(2, *ls, *ls[k:]))  # the last d literals doubled
+            tag = check_g2_selection(f)
+            if d >= 2:
+                keys10.add((d, k))
+            elif d == 1:
+                keys11.add(f.clauses[0].size())
+            elif k == 4:
+                tags13.add(tag)
+        for weighted in chain.from_iterable(combinations(range(1, 5), w) for w in range(5)):
+            c1s = [C(1, v * odd, (3 + 2 * v) * even, 4 + 2 * v) for v in weighted]
+            tags13.add(check_g2_selection(F(12, C(2, *lits(1, 4)), *c1s)))
+        for scheme in ("g3", "g4"):
+            for t, size in product(range(1, dpll._TARGET_CAPS[scheme] + 1), range(4, 10)):
+                f = F(size, C(t, *lits(1, size)))
+                got = _selection(lambda f: dpll._select(f, scheme), f)
+                if t > 2 and size < 2 * t:
+                    assert got == f"short exactly-{t} clauses are removed by simplification"
+                    continue
+                want = _ref_single_clause_g34(scheme, f.clauses[0])
+                assert got == (want.tag, want.branches), f
+                if t > 1:
+                    keys_single.add((t, size))
+    for table, keys in ((dpll._G2_RULE10, keys10), (dpll._G2_RULE11, keys11),
+                        (dpll._SINGLE, keys_single)):
+        assert set(table) < keys, sorted(set(table) - keys)  # the default too
+    assert tags13 == {"g2.13.pairs", "g2.13.two_weighted"}
 
 
 def test_g2_selection_names_the_fixpoint_invariant():

@@ -177,7 +177,7 @@ def test_memory_exhaustion_is_a_resource_error(monkeypatch):
 
 
 def test_sweep_memory_exhaustion_is_a_resource_error(monkeypatch):
-    def boom(formula, plan, keys, dtype):
+    def boom(formula, plan, keys, fields):
         raise MemoryError("low table full")
 
     monkeypatch.setattr(mitm_module, "_sweep", boom)
