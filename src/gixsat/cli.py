@@ -30,6 +30,9 @@ EXIT_RESOURCE = 2
 EXIT_INTERNAL = 3
 # setitimer overflows a little above 9.2e9 seconds
 MAX_TIMEOUT_S = 1e9
+# analyze --tables: the table up to 40 takes seconds, and its cost grows
+# steeply with the size (up to 80 takes over a minute)
+MAX_TABLE_ELL = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,6 +153,8 @@ def _cmd_analyze(args) -> int:
         print(f"base = {base:.6f}")
         return 0
     if args.tables is not None:
+        if not 1 <= args.tables <= MAX_TABLE_ELL:
+            raise ValueError(f"--tables must lie in 1..{MAX_TABLE_ELL}, got {args.tables}")
         print("ell F(.,2) G(.,2) F(.,3) G(.,3) F(.,4) G(.,4)")
         for ell in range(1, args.tables + 1):
             row = [str(ell)]

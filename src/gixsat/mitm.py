@@ -20,20 +20,22 @@ one compare drop the children with a guard bit set or with a completed cover
 clause's field off its target. The table holds packed counts only; each step
 keeps its survivors' child indices, through which a row's values are read
 back. Rows stay in that search's order, so the first row with a given vector
-is its representative. A vector's key is read off its words: every final row
-has its cover fields at their targets, so less the row with watched counts 0
-and cover counts at their targets, a word holds sum(entry_j * 2^shift_j) over
-its watched fields. One such word is the int64 key; when the watched fields
-take several words, the key is the byte string of those words, and the sweep
-packs its need vectors alike. The distinct keys are sorted once. The
-complement is swept in ascending assignment number (complement variable k is
-bit k), in blocks of 2^18 over the low bits; a block whose high bits alone
-overshoot a target is skipped. A block's need vectors are written once, in
-int8, as the columns of one clause-by-assignment table that doubles one low
-bit at a time, and with packed keys their keys double alongside in one int64
-column. Its first 2^10 columns are matched together with np.searchsorted,
-then each new half as soon as it is written, so the sweep stops at the first
-match. That match gives the model, which is verified before it is returned.
+is its representative. A vector's words are read off its row: every final
+row has its cover fields at their targets, so less the row with watched
+counts 0 and cover counts at their targets, a word holds
+sum(entry_j * 2^shift_j) over its watched fields: the vector times the place
+matrix of _places. One key builder, _keys, serves the index and the sweep:
+one word is its own int64 key, several are one byte string. The distinct
+keys are sorted once. The complement is swept in ascending assignment number
+(complement variable k is bit k), in blocks of 2^18 over the low bits; a
+block whose high bits alone overshoot a target is skipped. A block's need
+vectors are written once, in int8, as the columns of one clause-by-assignment
+table that doubles one low bit at a time. With one word their keys double
+alongside in one int64 column; with several, the columns that can match are
+packed by the place matrix as they are matched. The first 2^10 columns are
+matched together with np.searchsorted, then each new half as soon as it is
+written, so the sweep stops at the first match. That match gives the model,
+which is verified before it is returned.
 
 The cover fraction alpha defaults to the value balancing the per-variable
 enumeration cost of the worst clause against the 2^((1-alpha) n) sweep.
@@ -218,8 +220,8 @@ def _cover_table(formula: Formula, plan: SplitPlan):
     idx & 1; _values reads them back), the final rows' contribution vectors
     and the watched clauses' fields. The vectors are packed: one int64
     array per word that holds watched fields, whose entry for a row is
-    sum(count_j * 2^shift_j) over the fields in that word (_counts unpacks
-    them).
+    sum(count_j * 2^shift_j) over the fields in that word: the row's counts
+    times _places(fields). _counts unpacks them.
     """
     watched = [formula.clauses[i] for i in _watched(plan)]
     cover = [formula.clauses[i] for i in plan.cover]
@@ -233,11 +235,10 @@ def _cover_table(formula: Formula, plan: SplitPlan):
     pos = {v: k for k, v in enumerate(order)}
     start = [0] * n_words   # the row with every count 0
     guard = [0] * n_words
-    for word, shift, width, bias in fields:
+    add = [[0] * (2 * len(order)) for _ in range(n_words)]   # [2 * k + value]
+    for c, (word, shift, width, bias) in zip(clauses, fields):
         start[word] |= bias << shift
         guard[word] |= 1 << (shift + width - 1)
-    add = [[0] * (2 * len(order)) for _ in range(n_words)]   # [2 * k + value]
-    for c, (word, shift, _, _) in zip(clauses, fields):
         cap, step = c.target + 1, add[word]
         for lit, mult in c.occ.items():
             k = pos.get(abs(lit), -1)
@@ -291,32 +292,26 @@ def _counts(vectors: list, fields: list) -> np.ndarray:
     return counts
 
 
-def _places(fields: list) -> Optional[np.ndarray]:
-    """Place values packing a vector over the clauses of fields (_fields)
-    into one int64, or None.
+def _places(fields: list) -> np.ndarray:
+    """The (clauses, words) int64 place matrix of fields (_fields).
 
-    Place j is 2^shift_j, so a vector whose entry j lies in 0..target_j,
-    below 2^(width_j - 1), packs exactly and distinctly into
-    sum(entry_j * place_j). None when the fields take more than one word.
+    Entry (j, word_j) is 2^shift_j and the others are 0, so counts @ place
+    packs each vector over the clauses into its words. An entry j in
+    0..target_j lies below 2^(width_j - 1), so such a vector packs exactly
+    and distinctly, into the words _cover_table returns for it.
     """
-    if fields and fields[-1][0]:
-        return None
-    return np.array([1 << shift for _, shift, _, _ in fields], dtype=np.int64)
+    place = np.zeros((len(fields), fields[-1][0] + 1 if fields else 1), dtype=np.int64)
+    place[range(len(fields)), [f[0] for f in fields]] = [1 << f[1] for f in fields]
+    return place
 
 
-def _row_keys(vectors: list, fields: list) -> np.ndarray:
-    """Contribution vectors, packed as _cover_table returns them, as
-    sortable, comparable keys: with the place values of _places, the
-    packed int64 itself; otherwise the byte string of the vector's int64
-    words, which _sweep builds alike from need vectors."""
-    if _places(fields) is not None:
-        return vectors[0]
-    return _byte_keys(np.stack(vectors, axis=1))
-
-
-def _byte_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array as one fixed-width byte string."""
-    rows = np.ascontiguousarray(rows)
+def _keys(words) -> np.ndarray:
+    """Sortable, comparable keys of vectors packed into int64 words, one
+    array per word: the word itself when there is one, else each vector's
+    words as one fixed-width byte string."""
+    if len(words) == 1:
+        return words[0]
+    rows = np.asarray(words).T.copy()   # C order: a vector's words adjacent
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
@@ -357,7 +352,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     try:
         kept, vectors, fields = _cover_table(formula, plan)
         # distinct vectors, sorted, each with its first (representative) row
-        keys, first = np.unique(_row_keys(vectors, fields), return_index=True)
+        keys, first = np.unique(_keys(vectors), return_index=True)
     except MemoryError as exc:
         raise ResourceLimitError("vector table exceeded available memory") from exc
     stats.emitted = len(vectors[0])
@@ -391,20 +386,20 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, fields: list) ->
     Complement variable k is bit k of the assignment number; assignments are
     tried in ascending number, in blocks over the low bits. A block whose
     high bits alone overshoot a target is skipped. One column-major int8
-    need table is filled in place for each block by doubling: column 0 is
-    the need with every low bit 0, and columns 2^k..2^(k+1)-1 are columns
-    0..2^k-1 minus the change of setting bit k, so column a is assignment
-    a's need. When keys are packed (with the place values of _places), a key
-    column doubles alongside it: a key is linear in its vector, so each new
-    half of keys is the old half minus the packed change. That int64
-    arithmetic wraps mod 2^64, which leaves the key of every need with no
-    negative entry exact. Byte keys are built only for the columns matched,
-    packing each into the words of _row_keys. The first _FIRST_CHECK columns
-    are matched once written, then each new half as it is written, and the
-    first hit ends the sweep. A block wider than _FIRST_CHECK needs only
-    half a block of columns: the last half is written over the first, which
-    is matched by then. fields are the watched clauses' fields, as
-    _cover_table returns them.
+    need table, a column per assignment of the block, is filled in place by
+    doubling: column 0 is the need with every low bit 0, and columns
+    2^k..2^(k+1)-1 are columns 0..2^k-1 minus the change of setting bit k,
+    so column a is assignment a's need. Keys are those of _keys over the
+    words of _places, as for the index (fields are the watched clauses'
+    fields, as _cover_table returns them). With one word, a key column
+    doubles alongside, which is faster than packing at match time: a key is
+    linear in its vector, so each new half of keys is the old half minus
+    the packed change. That int64 arithmetic wraps mod 2^64, which leaves
+    the key of every need with no negative entry exact. With several words,
+    _match packs only the columns that can match, which is faster than
+    doubling a column per word. The first _FIRST_CHECK columns are matched
+    once written, then each new half as it is written, and the first hit
+    ends the sweep.
     Returns (the assignment number, the position of its need vector in keys).
     """
     clauses = [formula.clauses[i] for i in _watched(plan)]
@@ -416,18 +411,11 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, fields: list) ->
     low, high = adds[:low_bits], adds[low_bits:]
     low_zero = low[:, 0].sum(axis=0, dtype=np.int64)
     steps = low[:, 1] - low[:, 0]
-    width = 1 << low_bits
-    if width > _FIRST_CHECK:
-        width >>= 1
-    need = np.empty((len(clauses), width), dtype=np.int8)
-    key = word_place = None
-    if place is not None:
-        key = np.empty(width, dtype=np.int64)
-        step_keys = np.dot(steps, place)
-    else:
-        # row w packs a need vector into its word w of _row_keys's byte keys
-        word_place = np.zeros((fields[-1][0] + 1 if fields else 1, len(fields)), dtype=np.int64)
-        word_place[[f[0] for f in fields], range(len(fields))] = [1 << f[1] for f in fields]
+    need = np.empty((len(clauses), 1 << low_bits), dtype=np.int8)
+    key = None
+    if place.shape[1] == 1:
+        key = np.empty(1 << low_bits, dtype=np.int64)
+        step_keys = np.dot(steps, place[:, 0])
     for block in range(1 << len(high)):
         base = targets.copy()
         for k, by_value in enumerate(high):
@@ -438,38 +426,32 @@ def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, fields: list) ->
         base -= low_zero
         need[:, 0] = base
         if key is not None:
-            key[:1] = np.dot(base, place)
-        start = off = 0   # column c holds assignment off + c
+            key[0] = np.dot(base, place[:, 0])
+        start = 0
         for k in range(low_bits + 1):
             end = 1 << k   # assignments [0, end) are written
             if end >= _FIRST_CHECK or k == low_bits:
-                cols = slice(start - off, end - off)
-                hit = _match(keys, need[:, cols], None if key is None else key[cols], word_place)
+                hit = _match(keys, need[:, start:end], None if key is None else key[start:end], place)
                 if hit is not None:
                     return (block << low_bits) + start + hit[0], hit[1]
                 start = end
             if k < low_bits:
-                off = end if 2 * end > width else 0
-                dst = slice(end - off, 2 * end - off)
-                np.subtract(need[:, :end], steps[k, :, None], out=need[:, dst])
+                np.subtract(need[:, :end], steps[k, :, None], out=need[:, end:2 * end])
                 if key is not None:
-                    np.subtract(key[:end], step_keys[k], out=key[dst])
+                    np.subtract(key[:end], step_keys[k], out=key[end:2 * end])
     return None
 
 
 def _match(keys: np.ndarray, need: np.ndarray, need_keys: Optional[np.ndarray],
-           word_place: Optional[np.ndarray]) -> Optional[tuple]:
+           place: np.ndarray) -> Optional[tuple]:
     """(column, position in keys) of the first column of need found in keys,
-    or None. need_keys are the columns' packed keys; for byte keys they are
-    None and word_place packs each column into the words of its byte key. A
-    column with a negative entry cannot match."""
+    or None. need_keys are the columns' one-word keys, or None, and then the
+    candidate columns are packed as place.T @ need, into the words _keys
+    takes. A column with a negative entry cannot match."""
     cand = (need.min(axis=0, initial=0) >= 0).nonzero()[0]
     if not len(cand):
         return None
-    if need_keys is not None:
-        wanted = need_keys[cand]
-    else:
-        wanted = _byte_keys((word_place @ need[:, cand]).T)
+    wanted = _keys(place.T @ need[:, cand]) if need_keys is None else need_keys[cand]
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     found = (keys[at] == wanted).nonzero()[0]
     if not len(found):

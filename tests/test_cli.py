@@ -311,6 +311,12 @@ FAILURES = {
     "two-analyze-modes": (["analyze", "--tau", "2,3", "--tables", "2"], None, None, 1,
                           "error: argument --tables: not allowed with argument --tau"),
     "bad-tau": (["analyze", "--tau", "2,x"], None, None, 1, "error: "),
+    "negative-tables": (["analyze", "--tables", "-1"], None, None, 1,
+                        "error: --tables must lie in 1..40, got -1"),
+    "zero-tables": (["analyze", "--tables", "0"], None, None, 1,
+                    "error: --tables must lie in 1..40, got 0"),
+    "tables-above-cap": (["analyze", "--tables", "41"], None, None, 1,
+                         "error: --tables must lie in 1..40, got 41"),
     "nan-tau": (["analyze", "--tau", "2,nan"], None, None, 1, "error: branching vector entries"),
     "tiny-tau": (["analyze", "--tau", "1e-300,1e-300"], None, None, 1,
                  "error: branching vector entries too small"),

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import islice, product
 
+import numpy as np
 import pytest
 
 import gixsat.mitm as mitm_module
@@ -328,7 +329,7 @@ def check_against_reference(corpus):
         seen.add(("boundary", plan.boundary is not None))
         seen.add(("empty clause", any(not c.occ for c in f.clauses)))
         seen.add(("wide", len(watched) > 27 and result.sat and result.stats.index_size > 1))
-        seen.add(("byte keys", mitm_module._places(mitm_module._fields(watched)) is None))
+        seen.add(("byte keys", mitm_module._places(mitm_module._fields(watched)).shape[1] > 1))
         fields = mitm_module._fields(watched + [f.clauses[i] for i in plan.cover])
         seen.add(("multi-word", bool(fields) and fields[-1][0] > 0))
         seen.add(("half-by-half", result.stats.sweep_count > mitm_module._FIRST_CHECK))
@@ -347,13 +348,20 @@ def test_kernel_matches_the_one_at_a_time_reference():
 
 def test_kernel_matches_the_reference_with_byte_keys(monkeypatch):
     # a 4-bit word holds one field of the widest, target-4 clause, so most
-    # tables take several words; and no vector packs, so every index and
-    # sweep lookup uses byte strings
+    # tables take several words and most index and sweep lookups use byte
+    # strings; a table whose watched fields fit one word keeps int64 keys
     monkeypatch.setattr(mitm_module, "_WORD_BITS", 4)
-    monkeypatch.setattr(mitm_module, "_places", lambda fields: None)
     seen = check_against_reference(reference_corpus())
     assert ("multi-word", True) in seen
-    assert ("byte keys", False) not in seen
+    assert ("byte keys", True) in seen
+
+
+@pytest.mark.parametrize("block_bits", [1, 3])
+def test_kernel_matches_the_reference_with_byte_keys_across_sweep_blocks(monkeypatch, block_bits):
+    # byte keys meet the skipped high-bit blocks and the half-by-half checks
+    monkeypatch.setattr(mitm_module, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(mitm_module, "_FIRST_CHECK", 4)
+    test_kernel_matches_the_reference_with_byte_keys(monkeypatch)
 
 
 @pytest.mark.parametrize("block_bits", [1, 2, 3, 5])
@@ -387,7 +395,7 @@ def test_packed_keys_wrap_past_int64_and_stay_exact(seed):
     place = [1 << sum(c.target.bit_length() + 1 for c in watched[:j]) for j in range(len(watched))]
     bits = sum(c.target.bit_length() + 1 for c in watched)
     assert 60 <= bits <= mitm_module._WORD_BITS
-    assert mitm_module._places(mitm_module._fields(watched)).tolist() == place
+    assert mitm_module._places(mitm_module._fields(watched))[:, 0].tolist() == place
     result = solve_mitm(f, alpha=0.45)
     got = (result.sat, result.model, result.stats.index_size, result.stats.sweep_count)
     assert got == reference_solve(f, plan)
@@ -449,8 +457,65 @@ def test_packed_fields_never_straddle_a_word(seed):
     # their widths sum to at most the word width
     for n in range(len(targets) + 1):
         bits = sum(t.bit_length() + 1 for t in targets[:n])
-        packed = mitm_module._places(fields[:n])
-        assert (packed is None) == (bits > mitm_module._WORD_BITS)
+        place = mitm_module._places(fields[:n])
+        assert (place.shape[1] > 1) == (bits > mitm_module._WORD_BITS)
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 3])
+def test_index_and_sweep_keys_share_one_encoding(monkeypatch, n_words):
+    # seeded watched clauses over x1..x8, each of target t with t distinct
+    # literals so no count passes its target, until their fields take
+    # n_words words
+    rng = random.Random(n_words)
+    watched = []
+    while not watched or mitm_module._fields(watched)[-1][0] < n_words - 1:
+        t = rng.randint(1, 4)
+        watched.append(Clause(t, [rng.choice((1, -1)) * v for v in rng.sample(range(1, 9), t)]))
+    fields = mitm_module._fields(watched)
+    place = mitm_module._places(fields)
+    assert place.shape == (len(watched), n_words)
+    # the index: cover-table vectors (rows less done, with a cover clause
+    # over x9, x10 after the watched fields) against the true counts of
+    # each row's values packed by the place matrix
+    order = tuple(range(1, 11))
+    plan = SplitPlan(cover=[len(watched)], shared=list(range(len(watched))), covered_vars=order)
+    kept, vectors, got = mitm_module._cover_table(Formula(10, watched + [Clause(1, [9, 10])]), plan)
+    assert got == fields and len(vectors) == n_words
+    values = mitm_module._values(kept, np.arange(len(vectors[0]))).tolist()
+    counts = np.array([[true_count(c, dict(zip(order, row))) for c in watched] for row in values])
+    assert len(counts) == 2 << 8
+    keys = mitm_module._keys(vectors).tolist()
+    assert keys == mitm_module._keys((counts @ place).T).tolist()
+    assert len(set(keys)) == len(set(map(tuple, counts.tolist())))
+    # the sweep: every need column _match is given, in assignment order,
+    # and with one word the doubled key column beside it
+    comp = tuple(range(1, 9))
+    needs = np.array([[c.target - true_count(c, {v: (a >> k) & 1 for k, v in enumerate(comp)})
+                       for c in watched] for a in range(1 << 8)])
+    calls = []
+    match = mitm_module._match
+
+    def spy(keys, need, need_keys, *rest):
+        calls.append((need.copy(), None if need_keys is None else need_keys.copy()))
+        return match(keys, need, need_keys, *rest)
+
+    monkeypatch.setattr(mitm_module, "_match", spy)
+    monkeypatch.setattr(mitm_module, "_FIRST_CHECK", 4)
+    plan = SplitPlan(cover=[], shared=list(range(len(watched))), complement_vars=comp)
+    f = Formula(8, watched)
+    # all-ones words: no packed vector has the sign bit set
+    assert mitm_module._sweep(f, plan, mitm_module._keys(-np.ones((n_words, 1), np.int64)),
+                              fields) is None
+    assert np.concatenate([n for n, _ in calls], axis=1).T.tolist() == needs.tolist()
+    if n_words == 1:
+        doubled = np.concatenate([k for _, k in calls]).tolist()
+        assert doubled == mitm_module._keys((needs @ place).T).tolist()
+    else:
+        assert all(k is None for _, k in calls)
+    # and a need packed as the index packs its vectors is found
+    first = needs.tolist().index(needs[200].tolist())
+    at = mitm_module._sweep(f, plan, mitm_module._keys((needs[200:201] @ place).T), fields)
+    assert at == (first, 0)
 
 
 def _deep_need(*extra):
