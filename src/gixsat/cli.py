@@ -52,10 +52,18 @@ def _internal(exc: Exception) -> None:
 
 
 def _read_formula(path: str) -> Formula:
+    """Parse the UTF-8 text at path, or stdin for "-"; one leading byte-order
+    mark is dropped, as editors on some platforms write one."""
     if path == "-":
-        return textio.parse(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return textio.parse(fh.read())
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # the codec's message names no input
+        raise ValueError(f"{path}: {exc}") from None
+    return textio.parse(text)
 
 
 def _cmd_solve(args) -> int:

@@ -10,8 +10,6 @@ files with every target 1.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .formula import MAX_TARGET, Clause, Formula
 
 
@@ -22,9 +20,14 @@ class ParseError(ValueError):
 
 
 def parse(text: str) -> Formula:
+    """One pass over the lines. A header fault is raised on its line; the first
+    clause fault (a token that is not an integer, a target outside 0..4, a
+    literal out of range) is held while the scan goes on, so a header fault
+    on a later line wins over it. Then come a missing header, the held fault,
+    a clause missing its 0 terminator and a wrong clause count, in that order."""
     lines = text.splitlines()
-    header = bad = None  # bad: (line, text) of the first token that is not an int
-    ints, marks = [], []  # clause tokens; (offset of its first token, line) per data line
+    header = fault = occ = None  # occ: literal counts of the open clause, None between clauses
+    clauses = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -36,65 +39,49 @@ def parse(text: str) -> Formula:
             if len(parts) != 4 or parts[1] != "gxsat":
                 raise ParseError("header must be 'p gxsat <vars> <clauses>'", lineno)
             try:
-                header = (int(parts[2]), int(parts[3]), lineno)
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("header counts must be integers", lineno) from None
-            if header[0] < 0 or header[1] < 0:
+            if num_vars < 0 or num_clauses < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
+            header = last = lineno  # last: the header's line, then the last clause line's
             continue
         if header is None:
             raise ParseError("clause data before 'p gxsat' header", lineno)
-        if bad is None:  # clause parsing stops at the bad token
-            marks.append((len(ints), lineno))
-            parts = line.split()
+        last = lineno
+        if fault is not None:  # held to the end of the scan, so a later header fault wins
+            continue
+        for tok in line.split():
             try:
-                ints += list(map(int, parts))
+                val = int(tok)
             except ValueError:
-                for tok in parts:
-                    try:
-                        ints.append(int(tok))
-                    except ValueError:
-                        bad = (lineno, tok)
-                        break
+                expected = "clause target" if occ is None else "literal"
+                fault = (f"expected {expected}, got {tok!r}", lineno)
+                break
+            if occ is None:
+                if not 0 <= val <= MAX_TARGET:
+                    why = "is negative" if val < 0 else f"exceeds {MAX_TARGET}"
+                    fault = (f"clause target {val} {why}", lineno)
+                    break
+                target, occ = val, {}
+            elif val == 0:
+                c = Clause.__new__(Clause)
+                c.target, c.occ = target, occ
+                clauses.append(c)
+                occ = None
+            elif -num_vars <= val <= num_vars:
+                occ[val] = occ.get(val, 0) + 1
+            else:
+                fault = (f"literal {val} out of range 1..{num_vars}", lineno)
+                break
     if header is None:
         raise ParseError("missing 'p gxsat' header", len(lines) or 1)
-    num_vars, num_clauses, _ = header
-
-    def line_of(pos: int) -> int:
-        return marks[bisect_right(marks, pos, key=lambda mark: mark[0]) - 1][1]
-
-    clauses = []
-    pos, end = 0, len(ints)
-    ints.append(0)  # an unterminated clause ends at end
-    while pos < end:
-        target = ints[pos]
-        if target < 0:
-            raise ParseError(f"clause target {target} is negative", line_of(pos))
-        if target > MAX_TARGET:
-            raise ParseError(f"clause target {target} exceeds {MAX_TARGET}", line_of(pos))
-        stop = ints.index(0, pos + 1)
-        lits = ints[pos + 1:stop]
-        if lits and (min(lits) < -num_vars or max(lits) > num_vars):
-            k = next(k for k, lit in enumerate(lits) if not -num_vars <= lit <= num_vars)
-            raise ParseError(f"literal {lits[k]} out of range 1..{num_vars}", line_of(pos + 1 + k))
-        if stop == end:
-            if bad is not None:
-                raise ParseError(f"expected literal, got {bad[1]!r}", bad[0])
-            raise ParseError("clause missing its 0 terminator", line_of(end - 1))
-        occ = {}
-        for lit in lits:
-            occ[lit] = occ.get(lit, 0) + 1
-        c = Clause.__new__(Clause)
-        c.target, c.occ = target, occ
-        clauses.append(c)
-        pos = stop + 1
-    if bad is not None:
-        raise ParseError(f"expected clause target, got {bad[1]!r}", bad[0])
+    if fault is not None:
+        raise ParseError(*fault)
+    if occ is not None:
+        raise ParseError("clause missing its 0 terminator", last)
     if len(clauses) != num_clauses:
-        raise ParseError(
-            f"header declared {num_clauses} clauses, found {len(clauses)}",
-            line_of(end - 1) if end else header[2],
-        )
+        raise ParseError(f"header declared {num_clauses} clauses, found {len(clauses)}", last)
     f = Formula.__new__(Formula)  # every literal is in range: skip Formula's check
     f.num_vars, f.clauses = num_vars, clauses
     return f

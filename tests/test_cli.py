@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes and line-oriented output."""
 
+import io
 import os
 import subprocess
 import sys
@@ -413,3 +414,28 @@ def test_solve_reads_stdin_in_a_process():
     proc = _run_cli(["solve", "-"], stdin=planted)
     assert proc.returncode == 10
     assert proc.stdout.splitlines() == ["s SATISFIABLE"]
+
+
+def _input(source, data, tmp_path, monkeypatch):
+    """The solve argument that reads data: a file path, or - with data on stdin."""
+    if source == "-":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        return "-"
+    path = tmp_path / "in.gxsat"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["file", "-"])
+def test_solve_accepts_a_byte_order_mark(source, tmp_path, monkeypatch, capsys):
+    arg = _input(source, b"\xef\xbb\xbf" + SAT_FILE.encode(), tmp_path, monkeypatch)
+    assert main(["solve", arg]) == 10
+    assert capsys.readouterr().out == "s SATISFIABLE\n"
+
+
+@pytest.mark.parametrize("source", ["file", "-"])
+def test_input_that_is_not_utf8_is_named(source, tmp_path, monkeypatch, capsys):
+    arg = _input(source, b"\xff" + SAT_FILE.encode(), tmp_path, monkeypatch)
+    assert main(["solve", arg]) == 1
+    assert capsys.readouterr().err == (f"error: {arg}: 'utf-8' codec can't decode byte 0xff "
+                                       "in position 0: invalid start byte\n")

@@ -71,6 +71,21 @@ def test_error_reports_line_numbers():
         pytest.fail("expected a parse error")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    # a header fault on a later line wins over a held clause fault
+    ("p gxsat 2 1\n9 1 2 0\np gxsat 2 1\n", 3, "duplicate header"),
+    ("p gxsat 2 1\n1 1 x 0\np gxsat 2\n", 3, "duplicate header"),
+    # a held clause fault wins over a missing terminator and a wrong clause count
+    ("p gxsat 2 1\n1 1 3\n", 2, "literal 3 out of range 1..2"),
+    ("p gxsat 2 3\n1 1 2 0\n1 x 0\n", 3, "expected literal, got 'x'"),
+])
+def test_error_order(text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
 def test_serialize_empty():
     assert serialize(F(4)) == "p gxsat 4 0\n"
 
