@@ -79,7 +79,7 @@ from .formula import (
     lit_key,
     true_count,
 )
-from .simplify import RULE_LETTERS, _Worklist
+from .simplify import _CONST, RULE_LETTERS, _Worklist
 
 # each scheme's largest clause target, the largest its measure weighs, in dispatch order
 _TARGET_CAPS = {scheme: max(weights) for scheme, weights in MEASURE_SCHEMES.items()}
@@ -185,14 +185,15 @@ def _apply_actions(w: _Worklist, actions) -> bool:
     for act in actions:
         kind = act[0]
         if kind in ("true", "false"):
-            lit, value = act[1], 1 if kind == "true" else 0
+            # the constant that makes lit true or false as the action says
+            lit, state = act[1], _CONST[(kind == "true") == (act[1] > 0)]
             st = entries.get(abs(lit))
             if st is None:
-                if not w.assign_literal(lit, value):
+                if not w.eliminate(abs(lit), state):
                     return False
             elif st[0] != "const":
                 raise RuntimeError("prescription touches an eliminated variable")
-            elif st[1] != (value if lit > 0 else 1 - value):
+            elif st != state:
                 return False
         elif kind == "link":
             # value(lit_a) = value(lit_b), eliminating var(lit_a)
@@ -269,7 +270,7 @@ def _select_g2(f: Formula) -> Rule:
                 "g2 selection needs a simplification fixpoint: an exactly-1 clause " \
                 "must hold distinct, unpaired literals"
             if size >= 4:
-                return _bind("g2.8", _PAIR2, {"p": c.sorted_literals()})
+                return _bind("g2.8", _PAIR2, {"p": sorted(c.occ, key=abs)})
             if size == 3:
                 c1s[i] = c
         elif c.target == 2:
@@ -629,7 +630,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
     first = {}
     for c in f.clauses:
         if c.target == 1:
-            return _bind(f"{scheme}.6", _PAIR2, {"p": c.sorted_literals()})
+            return _bind(f"{scheme}.6", _PAIR2, {"p": sorted(c.occ, key=abs)})
         first.setdefault((c.target, max(c.occ.values()) > 1), c)
 
     for t in range(2, _TARGET_CAPS[scheme] + 1):

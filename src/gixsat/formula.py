@@ -58,8 +58,9 @@ class Clause:
         return {abs(l) for l in self.occ}
 
     def sorted_literals(self) -> list[int]:
-        """Distinct literals in canonical order."""
-        return sorted(self.occ, key=lit_key)
+        """Distinct literals in canonical order (that of lit_key)."""
+        # descending puts v before -v; the stable sort by variable keeps that
+        return sorted(sorted(self.occ, reverse=True), key=abs)
 
     def expanded(self) -> list[int]:
         """All literals with multiplicity, in canonical order."""

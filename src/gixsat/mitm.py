@@ -315,6 +315,21 @@ def _keys(words) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
+def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the first (representative) row of each.
+
+    A stable sort keeps equal keys in row order, so a key's first row heads
+    its run; one compare with the neighbour finds the runs. Either key kind
+    of _keys works: != compares byte strings elementwise too.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.empty(len(keys), bool)
+    head[:1] = True
+    head[1:] = keys[1:] != keys[:-1]
+    return keys[head], order[head]
+
+
 def enumerate_cover_side(formula: Formula, plan: SplitPlan) -> Iterator[tuple[dict, tuple]]:
     """All covered-side assignments exactly satisfying the cover clauses.
 
@@ -351,8 +366,7 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
 
     try:
         kept, vectors, fields = _cover_table(formula, plan)
-        # distinct vectors, sorted, each with its first (representative) row
-        keys, first = np.unique(_keys(vectors), return_index=True)
+        keys, first = _first_rows(_keys(vectors))
     except MemoryError as exc:
         raise ResourceLimitError("vector table exceeded available memory") from exc
     stats.emitted = len(vectors[0])

@@ -36,17 +36,26 @@ order. Most clauses an elimination reaches are plain: k distinct literals,
 each once, no variable in both signs. A plain clause's mask depends only on
 its target t and size k, so eliminating a constant from one drops the
 literal, lowers the target, checks for a conflict and computes the new mask
-from t and k alone (_plain_mask), building no clause. A link reaching a
-plain clause that lacks the partner's variable keeps its target, size and
-mask: the literal is renamed to the partner, deleted and appended, the order
-substitute gives. Other link visits and clauses that are not plain go
-through substitute and _classify. And rule (c) on a target-0 clause sorts
-its literals once, in canonical order, and zeroes them one by one within one
-step, stopping as soon as an (a) or (b) step is pending or the clause is no
-longer the lowest-index one carrying (c). The clause is unpaired and zeroing
-a literal changes only the clauses holding its variable, so each literal is
-exactly the step a rescan would take next, and the trail, the literal order
-of every clause and the point of any conflict stay the same.
+from t and k alone (_plain_mask, tabled below 16 literals), building no
+clause. A link reaching a plain clause that lacks the partner's variable
+keeps its target, size and mask: the literal is renamed to the partner,
+deleted and appended, the order substitute gives. A link reaching a plain
+clause that holds the partner's literal with the opposite sign to the
+renamed one cancels the pair: both literals go, the target drops by 1 and
+the size by 2, and the clause stays plain. Every (e) step meets this on its
+own clause, which it empties. A link that would double a literal, and any
+visit to a clause that is not plain, go through substitute and _classify.
+Trail.check's tests run inline, and check itself only to raise, so every
+failure still raises its message before any edit. And rule (c) on a target-0
+clause sorts its literals once, in canonical order, and zeroes them one by
+one within one step, stopping as soon as an (a) or (b) step is pending or
+the clause is no longer the lowest-index one carrying (c). The clause is
+unpaired and zeroing a literal changes only the clauses holding its
+variable, so each literal is exactly the step a rescan would take next, and
+the trail, the literal order of every clause and the point of any conflict
+stay the same. Unpaired, the clause's canonical order is its order by
+variable alone, and so is that of the clauses (e) and (f) act on, since no
+(b) step is pending when they run.
 
 Clauses are copied on first edit. A worklist's owned set holds the slots
 whose Clause it built since it was created or last forked. The plain-clause
@@ -85,10 +94,12 @@ from functools import cache
 from operator import neg
 from typing import Optional
 
-from .formula import Clause, Formula, Trail, lit_key, substitute
+from .formula import Clause, Formula, Trail, substitute
 
 _A, _B, _C, _D, _E, _F, _G, _H = (1 << r for r in range(8))
 RULE_LETTERS = "abcdefgh"
+# the Trail states of the constants 0 and 1, shared by every assignment
+_CONST = (("const", 0), ("const", 1))
 
 
 def _classify(c: Clause) -> tuple[int, int]:
@@ -141,6 +152,9 @@ def _plain_mask(t: int, k: int) -> int:
     return ((_C | _F if t == 0 else 0) | (_E if t == 1 and k == 2 else 0)
             | (_F if t == k else 0) | (_G if 2 * t > k else 0))
 
+
+# _PLAIN[k][t] is _plain_mask(t, k), for sizes below 16 and targets in range
+_PLAIN = tuple(tuple(_plain_mask(t, k) for t in range(k + 1)) for k in range(16))
 
 # _SET_BITS[m] lists the rules whose bits m sets, in ascending order
 _SET_BITS = tuple(tuple(r for r in range(8) if m >> r & 1) for m in range(256))
@@ -243,14 +257,30 @@ class _Worklist:
         already eliminated or the link is not allowed.
         """
         trail = self.trail
-        trail.check(var, state)
+        entries = trail.entries
         kind, arg = state
         const = kind == "const"
+        # check's tests, inline: check itself runs only to raise, naming the
+        # failure
+        num_vars = trail.num_vars
+        if const:
+            ok = arg in (0, 1)
+        else:
+            partner = abs(arg)
+            ok = kind == "link" and 1 <= partner <= num_vars and partner != var \
+                and partner not in entries
+        if not (ok and 1 <= var <= num_vars and var not in entries):
+            trail.check(var, state)
         slots = self.slots
         sizes = self.sizes
         masks = self.masks
         owned = self.owned
+        pending = self.pending
         n = len(slots)
+        nvar = -var
+        # what the literal var, and -var, turn into: for a constant the drop
+        # of the target, for a link the partner's literal
+        up, down = (arg, 1 - arg) if const else (arg, -arg)
         occurrences = targets = 0
         linked = []
         # the map never shrinks and forks share it, so it may name slots this
@@ -261,35 +291,44 @@ class _Worklist:
                 continue
             occ = c.occ
             if var in occ:
-                lit = var
-            elif -var in occ:
-                lit = -var
+                lit, to = var, up
+            elif nvar in occ:
+                lit, to = nvar, down
             else:
                 continue
             old = masks[i]
-            # plain: every literal once, var in one sign only; a link then
-            # only renames lit, unless the clause holds the partner's variable
-            if sizes[i] == len(occ) and not old & (_A | _B) and (
-                    const or (arg not in occ and -arg not in occ)):
+            k = sizes[i]
+            # plain: every literal once, var in one sign only; a link that
+            # would double the partner's literal goes through substitute
+            if k == len(occ) and not old & (_A | _B) and (const or to not in occ):
                 if i not in owned:
-                    slots[i] = c = c.copy()
+                    nc = Clause.__new__(Clause)
+                    nc.target = c.target
+                    nc.occ = occ = dict(occ)
+                    slots[i] = c = nc
                     owned.add(i)
-                    occ = c.occ
                 del occ[lit]
-                if not const:
-                    # target, size and mask stay
-                    occ[arg if lit > 0 else -arg] = 1
+                if const:
+                    drop = to
+                    k -= 1
+                else:
                     linked.append(i)
-                    continue
-                k = sizes[i] - 1
-                t = c.target - (arg if lit > 0 else 1 - arg)
+                    if -to not in occ:
+                        # renamed: target, size and mask stay
+                        occ[to] = 1
+                        continue
+                    # the partner's opposite literal cancels the new one
+                    del occ[-to]
+                    drop = 1
+                    k -= 2
+                t = c.target - drop
                 if t < 0 or t > k:
                     return False
-                occurrences -= 1
-                targets += t - c.target
+                occurrences += k - sizes[i]
+                targets -= drop
                 c.target = t
                 sizes[i] = k
-                mask = _plain_mask(t, k)
+                mask = _PLAIN[k][t] if k < 16 else _plain_mask(t, k)
             else:
                 nc = substitute(c, var, state)
                 if nc is None:
@@ -299,20 +338,21 @@ class _Worklist:
                     linked.append(i)
                 slots[i] = nc
                 owned.add(i)
-                occurrences += size - sizes[i]
+                occurrences += size - k
                 targets += nc.target - c.target
                 sizes[i] = size
             if mask != old:
-                self._remask(i, mask)
+                masks[i] = mask
+                for r in _SET_BITS[mask & ~old]:
+                    pending[r].add(i)
+                for r in _SET_BITS[old & ~mask]:
+                    pending[r].discard(i)
         self.occurrences += occurrences
         self.targets += targets
         if linked:
-            self.occ.setdefault(abs(arg), set()).update(linked)
-        trail.record(var, state)
+            self.occ.setdefault(partner, set()).update(linked)
+        entries[var] = state
         return True
-
-    def assign_literal(self, lit: int, value: int) -> bool:
-        return self.eliminate(abs(lit), ("const", value if lit > 0 else 1 - value))
 
     def settle(self) -> bool:
         """Apply rules until none fires. False means unsatisfiable.
@@ -398,20 +438,21 @@ def _step_b(w: _Worklist, i: int, c: Clause) -> bool:
 def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
     if c.target:
         lit = next(lit for lit in c.sorted_literals() if c.occ[lit] > c.target)
-        return w.assign_literal(lit, 0)
+        return w.eliminate(abs(lit), _CONST[lit < 0])
     # Target 0: every literal exceeds the target, so a rescan would step here
     # again, zeroing the next literal in canonical order, for as long as no
     # (a) or (b) step is pending and clause i stays the lowest-index clause
     # carrying (c). No (b) step is pending now, so clause i is unpaired, and
     # zeroing a literal edits only the clauses holding its variable: the
-    # literals can be sorted once. After the last one clause i is empty.
+    # literals can be sorted once, by variable alone. After the last one
+    # clause i is empty.
     pending = w.pending
-    for n, lit in enumerate(sorted(c.occ, key=lit_key)):
+    for n, lit in enumerate(sorted(c.occ, key=abs)):
         if n:
             if pending[0] or pending[1] or min(pending[2], default=-1) != i:
                 return True
             w.fires[2] += 1
-        if not w.assign_literal(lit, 0):
+        if not w.eliminate(abs(lit), _CONST[lit < 0]):
             return False
     return True
 
@@ -423,18 +464,23 @@ def _step_d(w: _Worklist, i: int, c: Clause) -> bool:
 
 
 def _step_e(w: _Worklist, i: int, c: Clause) -> bool:
-    l1, l2 = c.sorted_literals()
+    l1, l2 = sorted(c.occ, key=abs)  # no (b) step is pending: unpaired
     # value(l1) = value(-l2), eliminating var(l1)
     return w.eliminate(abs(l1), ("link", -l2 if l1 > 0 else l2))
 
 
 def _step_f(w: _Worklist, i: int, c: Clause) -> bool:
     value = 0 if c.target == 0 else 1
-    return all(w.assign_literal(lit, value) for lit in c.sorted_literals())
+    # no (b) step is pending, so c is unpaired
+    return all(w.eliminate(abs(lit), _CONST[value if lit > 0 else 1 - value])
+               for lit in sorted(c.occ, key=abs))
 
 
 def _step_g(w: _Worklist, i: int, c: Clause) -> bool:
-    w.put(i, Clause(w.sizes[i] - c.target, [-lit for lit in c.occ]))
+    nc = Clause.__new__(Clause)  # (g) needs every literal of c once
+    nc.target = w.sizes[i] - c.target
+    nc.occ = {-lit: 1 for lit in c.occ}
+    w.put(i, nc)
     return True
 
 

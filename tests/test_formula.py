@@ -4,7 +4,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import C, F, formulas, random_formula
 from gixsat.formula import (
@@ -14,6 +15,7 @@ from gixsat.formula import (
     assign,
     evaluate,
     link,
+    lit_key,
     true_count,
 )
 from gixsat.oracle import brute_solve
@@ -63,6 +65,17 @@ def test_link_cancels_created_pair():
     )
     new_count = brute_solve(g).model_count
     assert new_count == 2 * orig_count
+
+
+@example({-2: 1, 3: 2, 2: 1, -1: 3, 1: 1})
+@given(st.dictionaries(st.integers(-6, 6).filter(bool), st.integers(1, 3), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_canonical_order_is_that_of_lit_key(occ):
+    # clauses with both signs of a variable and repeated literals
+    c = Clause(0, occ)
+    order = sorted(occ, key=lit_key)
+    assert c.sorted_literals() == order
+    assert c.expanded() == [lit for lit in order for _ in range(occ[lit])]
 
 
 def test_link_rejects_self():

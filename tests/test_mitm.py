@@ -692,3 +692,21 @@ def test_cover_table_rejects_a_plan_missing_a_cover_variable():
     f = F(3, C(1, 1, 2, 3))
     with pytest.raises(AssertionError, match="outside covered_vars"):
         list(enumerate_cover_side(f, SplitPlan([0], [], covered_vars=(1, 2))))
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 3])
+def test_first_rows_are_those_of_np_unique(n_words):
+    # seeded vectors with many repeats, on both key kinds of _keys (the
+    # int64 word, and the byte string of several words); np.unique with
+    # return_index, which also sorts stably, is the reference
+    rng = np.random.default_rng(n_words)
+    for rows in (0, 1, 2, 7, 300):
+        keys = mitm_module._keys(rng.integers(-3, 3, (n_words, rows)).astype(np.int64))
+        got_keys, got_first = mitm_module._first_rows(keys)
+        want_keys, want_first = np.unique(keys, return_index=True)
+        assert got_keys.dtype == keys.dtype
+        assert got_keys.tolist() == want_keys.tolist()
+        assert got_first.tolist() == want_first.tolist()
+        # each first row holds its key, and no earlier row does
+        for key, row in zip(got_keys.tolist(), got_first.tolist()):
+            assert keys[row].tolist() == key and key not in keys[:row].tolist()

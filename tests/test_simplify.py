@@ -281,6 +281,15 @@ def crowded_formulas(draw):
 @example(F(4, C(0, 1, 4), C(2, 1, -2, 2, 3, 4)))
 # zeroing clause 1 stops after literal 2, when clause 0 gains (c)
 @example(F(5, C(2, -2, 3, 3, 5), C(0, 1, 2, 4)))
+# the (e) link 1 = -2 turns 1 into -2, which cancels against 2 in a plain
+# clause: leaving target 0 and literals 3, 4; into a conflict, target 1 over
+# no literal; emptying a duplicate of the linked clause. A clause holding 2 twice is not
+# plain, and keeps one 2. (A link from (e) never meets a target-0 clause:
+# rule (c) would step first.)
+@example(F(4, C(1, 1, 2), C(1, 1, 2, 3, 4)))
+@example(F(3, C(1, 1, 2), C(2, 1, 2)))
+@example(F(2, C(1, 1, 2), C(1, 2, 1)))
+@example(F(4, C(1, 1, 2), C(2, 1, 2, 2, 3, 4)))
 @given(crowded_formulas())
 @settings(max_examples=500, deadline=None)
 def test_fixpoint_matches_rescan_reference(f):
@@ -389,17 +398,34 @@ def test_eliminate_constant_matches_substitute(f, data):
         assert w.trail.entries == {var: ("const", value)}
 
 
-@given(crowded_formulas(), st.data())
+@st.composite
+def linked_formulas(draw):
+    """(formula, var, partner): a crowded formula and a link of var to a
+    literal of another variable."""
+    f = draw(crowded_formulas())
+    var = draw(st.integers(1, f.num_vars))
+    other = draw(st.integers(1, f.num_vars - 1))
+    return f, var, draw(st.sampled_from([1, -1])) * (other if other < var else other + 1)
+
+
+# the new literal cancels against the partner's opposite one in a plain
+# clause: leaving target 1, or 0 (from a negative literal of var); into a
+# conflict, target 0 -> -1; emptying the clause. A clause holding -2 twice
+# is not plain, and keeps one -2.
+@example((F(4, C(2, 1, -2, 3, 4)), 1, 2))
+@example((F(3, C(1, -1, 2, 3)), 1, 2))
+@example((F(3, C(0, 1, -2, 3)), 1, 2))
+@example((F(2, C(1, 1, -2)), 1, 2))
+@example((F(3, C(2, 1, -2, -2, 3)), 1, 2))
+@given(linked_formulas())
 @settings(max_examples=200, deadline=None)
-def test_eliminate_link_matches_substitute(f, data):
+def test_eliminate_link_matches_substitute(case):
     """A variable linked to a literal of another variable in an unsettled
     worklist leaves each clause as substitute leaves it, classified as
     _classify classifies it, and every clause that gains the partner is
     registered under it."""
+    f, var, partner = case
     w = _Worklist(f, Trail(f.num_vars))
-    var = data.draw(st.integers(1, f.num_vars))
-    other = data.draw(st.integers(1, f.num_vars - 1))
-    partner = data.draw(st.sampled_from([1, -1])) * (other if other < var else other + 1)
     expect = []
     for c in f.clauses:
         if var in c.occ or -var in c.occ:
@@ -415,14 +441,25 @@ def test_eliminate_link_matches_substitute(f, data):
 
 
 def test_eliminate_an_eliminated_variable_raises_before_any_edit():
+    """Every failure of Trail.check raises its message before any edit."""
     w = _Worklist(F(3, C(1, 1, 2, 3), C(1, -1, 2, 3)), Trail(3))
     assert w.eliminate(1, ("const", 0))
     # a clause holding the eliminated variable again, which an edit would reach
     w.add(Clause(1, [1, 2]))
     before = (list(w.slots), list(w.masks), list(w.sizes), dict(w.trail.entries))
-    for state in (("const", 0), ("const", 1), ("link", 2), ("link", -3)):
-        with pytest.raises(ValueError, match="already eliminated"):
-            w.eliminate(1, state)
+    for var, state in (
+        (1, ("const", 0)), (1, ("const", 1)), (1, ("link", 2)), (1, ("link", -3)),
+        (0, ("const", 0)), (4, ("const", 1)), (0, ("link", 2)), (4, ("link", 2)),
+        (2, ("const", 2)), (2, ("const", -1)),
+        (2, ("link", 2)), (2, ("link", -2)),
+        (2, ("link", 0)), (2, ("link", 4)), (2, ("link", -4)),
+        (2, ("link", 1)), (2, ("link", -1)),
+    ):
+        with pytest.raises(ValueError) as expected:
+            w.trail.copy().check(var, state)
+        with pytest.raises(ValueError) as raised:
+            w.eliminate(var, state)
+        assert str(raised.value) == str(expected.value)
         after = (list(w.slots), list(w.masks), list(w.sizes), dict(w.trail.entries))
         assert all(a is b for a, b in zip(before[0], after[0])) and before[1:] == after[1:]
 

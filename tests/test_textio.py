@@ -97,6 +97,14 @@ def test_serialize_sorts_and_round_trips():
     assert parse(text) == f
 
 
+def test_serialize_orders_both_signs_of_a_variable():
+    # canonical order: by variable, v before -v, each repeated in place
+    f = F(3, C(3, -2, 3, 2, -2, -1, 1, 3))
+    text = serialize(f)
+    assert text == "p gxsat 3 1\n3 1 -1 2 -2 -2 3 3 0\n"
+    assert parse(text) == f
+
+
 def test_serialize_parse_identity(rng):
     from conftest import random_formula
 
