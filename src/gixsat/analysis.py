@@ -41,8 +41,8 @@ def branching_factor(decreases: Sequence[float]) -> float:
     ts = tuple(float(t) for t in decreases)
     if len(ts) < 2:
         raise ValueError("need at least two branches")
-    if not all(t > 0 for t in ts):  # also rejects NaN
-        raise ValueError("branching vector entries must be positive")
+    if not all(0 < t < math.inf for t in ts):  # also rejects NaN
+        raise ValueError("branching vector entries must be positive and finite")
 
     # expm1: a plain x**-t - 1 rounds to 0 once t * ln x < 2**-53, and the other terms with it
     t_min, *rest = sorted(ts)
@@ -279,8 +279,8 @@ def alpha_for(c: float) -> tuple[float, float]:
     alpha n variables enumerated at cost c per variable balance against a
     2**((1-alpha) n) sweep of the rest.
     """
-    if not c > 1.0:  # also rejects NaN
-        raise ValueError("base must exceed 1")
+    if not 1.0 < c < math.inf:  # also rejects NaN
+        raise ValueError("base must exceed 1 and be finite")
     alpha = math.log(2.0) / (math.log(2.0) + math.log(c))
     return alpha, c ** alpha
 

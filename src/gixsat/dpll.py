@@ -37,8 +37,9 @@ runs the first that covers a formula's largest target:
       looked up in a profile table, and a single-occurrence one rule 2t + 4
       (8, 10, 12), looked up by (t, size) in _SINGLE.
 
-Every prescription with branches is a table entry or a shared branch list
-in one name language, and _bind alone turns one into a Rule.
+Every prescription with branches is a table entry or a shared branch list,
+a function from the literals its rule binds to its branches, and _rule
+alone calls one and builds the Rule.
 Where a clause shape has no specific prescription, the engine falls back to
 branching the lowest relevant variable 0/1 under a tag ending in
 ".fallback" (_is_fallback). SearchStats.fallback_fires reads those tags out
@@ -65,8 +66,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import neg
+from types import SimpleNamespace
 from typing import Optional
 
 from .analysis import MEASURE_SCHEMES, measure
@@ -119,64 +121,39 @@ class Rule:
     overlaps: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-# A table entry is a tag and a branch list whose actions name literals. A
-# name stands for the list of literals a rule binds it to; "-" negates them
-# and a trailing digit picks one by position ("s0", "-f1"). A true or false
-# action acts on each literal of its name; any other action splices in what
-# its fields stand for: a name's literals, a tuple of names' literals joined
-# into one clause (of an add or a replace), an integer itself. The shared
-# lists: _SPLIT sets v true, then false; _PAIR2 sets p0 = -p1 or both false,
-# _PAIR3 first both true, _PAIR4 each value of p0 and p1; _TWO_PAIRS sets
-# p0 = -p1 and p2 = -p3, or p0 = p1 = -p2 = -p3.
+# A table entry is a tag and a function from the names its rule binds to
+# its branch list; _rule calls it with the names, each a literal or a list
+# of literals, as attributes of one argument.
+# The shared lists: _SPLIT sets v true, then false; _PAIR2 sets p0 = -p1 or
+# both false, _PAIR3 first both true, _PAIR4 each value of p0 and p1;
+# _TWO_PAIRS sets p0 = -p1 and p2 = -p3, or p0 = p1 = -p2 = -p3. The other
+# shared functions are prescriptions several entries make.
 
-_SPLIT = [[("true", "v")], [("false", "v")]]
-_PAIR2 = [[("link", "p0", "-p1")], [("false", "p0"), ("false", "p1")]]
-_PAIR3 = [[("true", "p0"), ("true", "p1")], *_PAIR2]
-_PAIR4 = [[(a, "p0"), (b, "p1")] for a in ("true", "false") for b in ("true", "false")]
-_TWO_PAIRS = [[("link", "p0", "-p1"), ("link", "p2", "-p3")],
-              [("link", "p0", "p1"), ("link", "p2", "p3"), ("link", "p1", "-p3")]]
-
-
-@lru_cache(maxsize=None)  # fields are the tables' strings, a few dozen
-def _field(x: str) -> tuple:
-    """A name field as (name, position or None, sign): "-s1" is ("s", 1, -1)."""
-    name = x.lstrip("-")
-    at = int(name[-1]) if name[-1].isdigit() else None
-    return (name if at is None else name[:-1]), at, -1 if x[0] == "-" else 1
-
-
-def _splice(fields, names) -> list:
-    """The values action fields stand for, in order (see above)."""
-    vals = []
-    for x in fields:
-        if isinstance(x, str):
-            name, at, sign = _field(x)
-            got = names[name]
-            if at is not None:
-                vals.append(sign * got[at])
-            else:
-                vals += got if sign > 0 else [-l for l in got]
-        elif isinstance(x, tuple):
-            vals.append(tuple(_splice(x, names)))
-        else:
-            vals.append(x)
-    return vals
+_SPLIT = lambda n: [[("true", n.v)], [("false", n.v)]]
+_PAIR2 = lambda n: [[("link", n.p[0], -n.p[1])], [("false", n.p[0]), ("false", n.p[1])]]
+_PAIR3 = lambda n: [[("true", n.p[0]), ("true", n.p[1])], *_PAIR2(n)]
+_PAIR4 = lambda n: [[(a, n.p[0]), (b, n.p[1])] for a, b in product(("true", "false"), repeat=2)]
+_TWO_PAIRS = lambda n: [[("link", n.p[0], -n.p[1]), ("link", n.p[2], -n.p[3])],
+                        [("link", n.p[0], n.p[1]), ("link", n.p[2], n.p[3]),
+                         ("link", n.p[1], -n.p[3])]]
+_false = lambda lits: [("false", l) for l in lits]  # one action per literal
+_UNSAT = lambda n: []
+_REMOVE_J = lambda n: [[("remove", n.j)]]
+_LINK = lambda n: [[("link", n.u, n.w)]]
+_S_LINK = lambda n: [[("link", n.s[0], n.s[1])]]
+_S0_TRUE = lambda n: [[("true", n.s[0])]]
+_S0_FALSE = lambda n: [[("false", n.s[0])]]
+_B_FALSE = lambda n: [_false(n.b)]
+_X_TRUE = lambda n: [[("true", n.x)]]
+_X_FALSE = lambda n: [[("false", n.x)]]
+_X_TRUE_S0_TRUE = lambda n: [[("true", n.x), ("true", n.s[0])]]
+_X_TRUE_S0_FALSE = lambda n: [[("true", n.x), ("false", n.s[0])]]
+_X_TRUE_S_ANTI = lambda n: [[("true", n.x), ("link", n.s[0], -n.s[1])]]
 
 
-def _bind(tag, branches, names) -> Rule:
-    """The rule a table entry prescribes; names maps a name to its literals."""
-    bound = []
-    for branch in branches:
-        acts = []
-        for act in branch:
-            kind, vals = act[0], _splice(act[1:], names)
-            if kind == "true" or kind == "false":
-                for lit in vals:
-                    acts.append((kind, lit))
-            else:
-                acts.append((kind, *vals))
-        bound.append(tuple(acts))
-    return Rule(tag, tuple(bound))
+def _rule(tag, branches, **names) -> Rule:
+    """The rule a table entry prescribes: its branches bound to names."""
+    return Rule(tag, tuple(map(tuple, branches(SimpleNamespace(**names)))))
 
 
 def _apply_actions(w: _Worklist, actions) -> bool:
@@ -270,7 +247,7 @@ def _select_g2(f: Formula) -> Rule:
                 "g2 selection needs a simplification fixpoint: an exactly-1 clause " \
                 "must hold distinct, unpaired literals"
             if size >= 4:
-                return _bind("g2.8", _PAIR2, {"p": sorted(c.occ, key=abs)})
+                return _rule("g2.8", _PAIR2, p=sorted(c.occ, key=abs))
             if size == 3:
                 c1s[i] = c
         elif c.target == 2:
@@ -307,7 +284,7 @@ def _select_g2(f: Formula) -> Rule:
         twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
         ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
         entry = _G2_RULE10.get((len(twos), len(ones)), ("g2.10.branch", _PAIR2))
-        return _bind(*entry, {"p": twos, "s": ones})
+        return _rule(*entry, p=twos, s=ones)
     if 11 in first:
         c = first[11]
         x2 = next(l for l, m in c.occ.items() if m == 2)
@@ -315,7 +292,7 @@ def _select_g2(f: Formula) -> Rule:
         if c.size() == 5:
             return _g2_rule11_len5(x2, singles, c1s.items())
         entry = _G2_RULE11.get(c.size(), ("g2.11.long", _SPLIT))
-        return _bind(*entry, {"v": [x2], "s": singles})
+        return _rule(*entry, x=x2, v=x2, s=singles)
     if 12 in first:
         rule = _pair_rule(_G2_RULE12, *first[12])
         # only share3.flip3 with b empty, which rule (g) negates first, acts on nothing
@@ -326,14 +303,14 @@ def _select_g2(f: Formula) -> Rule:
         c1_vars = set().union(*(c1.variables() for c1 in c1s.values()))
         weighted = [l for l in lits if abs(l) in c1_vars]
         if len(weighted) >= 2:
-            return _bind("g2.13.two_weighted", _PAIR3, {"p": weighted})
+            return _rule("g2.13.two_weighted", _PAIR3, p=weighted)
         unweighted = [l for l in lits if l not in weighted]
-        return _bind("g2.13.pairs", _TWO_PAIRS, {"p": unweighted + weighted})
+        return _rule("g2.13.pairs", _TWO_PAIRS, p=unweighted + weighted)
     if 14 in first:
-        return _bind("g2.14", _SPLIT, {"v": first[14][4][:1]})
+        return _rule("g2.14", _SPLIT, v=first[14][4][0])
     if 15 in first:
         key, names = _rule15_shape(f, *first[15])
-        return _bind(*_G2_RULE15[key], names)
+        return _rule(*_G2_RULE15[key], **names)
 
     # rules 16/17: heavy variables, of degree >= 3 counting multiplicity.
     # Rules 10 and 11 take every clause with a doubled literal, and the clause
@@ -347,64 +324,70 @@ def _select_g2(f: Formula) -> Rule:
 
 
 # Rule 10 by (doubled, single) literal counts, p its doubled literals; rule
-# 11 by size, v its doubled literal (size 5 is _g2_rule11_len5); s the singles.
+# 11 by size, x = v its doubled literal (size 5 is _g2_rule11_len5); s the
+# singles.
 
 _G2_RULE10 = {
-    **{(k, 1): ("g2.10.single0", [[("false", "s0")]]) for k in (2, 3)},
-    (2, 2): ("g2.10.link", [[("link", "s0", "s1")]]),
+    **{(k, 1): ("g2.10.single0", _S0_FALSE) for k in (2, 3)},
+    (2, 2): ("g2.10.link", _S_LINK),
 }
 
 _G2_RULE11 = {
-    3: ("g2.11.len3", [[("true", "v"), ("false", "s0")]]),
-    4: ("g2.11.len4", [[("link", "s0", "s1")]]),
+    3: ("g2.11.len3", _X_TRUE_S0_FALSE),
+    4: ("g2.11.len4", _S_LINK),
 }
 
 # Rules 9, 12 and 15 on a pair: each table maps a shape of the pair to a tag
-# and a branch list over the names _pair_names binds. Rules 9 and 12 are
-# keyed by (shared variables, flipped variables), rule 15 by _rule15_shape.
+# and a function of the names _pair_names binds. Rules 9 and 12 are keyed by
+# (shared variables, flipped variables), rule 15 by _rule15_shape.
 
 _G2_RULE9 = {
     **{(1, k): ("g2.9.share1", _SPLIT) for k in (0, 1)},
-    (2, 0): ("g2.9.share2.link", [[("link", "a0", "b0")]]),
-    (2, 1): ("g2.9.share2.force", [[("false", "s0")]]),
-    (2, 2): ("g2.9.share2.flip2", [[("false", "a0"), ("false", "b0"), ("link", "f0", "-f1")]]),
-    (3, 0): ("g2.9.share3.dup", [[("remove", "j")]]),
-    (3, 1): ("g2.9.share3.unsat", []),
-    (3, 2): ("g2.9.share3.flip2", [[("false", "s0"), ("link", "f0", "-f1")]]),
-    (3, 3): ("g2.9.share3.unsat", []),
+    (2, 0): ("g2.9.share2.link", lambda n: [[("link", n.a[0], n.b[0])]]),
+    (2, 1): ("g2.9.share2.force", _S0_FALSE),
+    (2, 2): ("g2.9.share2.flip2",
+             lambda n: [[("false", n.a[0]), ("false", n.b[0]), ("link", n.f[0], -n.f[1])]]),
+    (3, 0): ("g2.9.share3.dup", _REMOVE_J),
+    (3, 1): ("g2.9.share3.unsat", _UNSAT),
+    (3, 2): ("g2.9.share3.flip2", lambda n: [[("false", n.s[0]), ("link", n.f[0], -n.f[1])]]),
+    (3, 3): ("g2.9.share3.unsat", _UNSAT),
 }
 
 _G2_RULE12 = {
-    (2, 0): ("g2.12.share2.flip0", [[("replace", "j", 2, ("-a0", "b"))]]),
-    (2, 1): ("g2.12.share2.flip1", [[("replace", "j", 2, ("s0", "s0", "a0", "b"))]]),
-    (2, 2): ("g2.12.share2.flip2", [[("replace", "j", 1, ("a0", "b"))]]),
-    (3, 0): ("g2.12.share3.sub", [[("replace", "j", 1, ("b",))]]),
-    (3, 1): ("g2.12.share3.flip1", [[("replace", "j", 2, ("s0", "s0", "s1", "s1", "b"))]]),
-    (3, 2): ("g2.12.share3.flip2", [[("false", "s0")]]),
-    (3, 3): ("g2.12.share3.flip3", [[("false", "b")]]),
+    (2, 0): ("g2.12.share2.flip0", lambda n: [[("replace", n.j, 2, (-n.a[0], *n.b))]]),
+    (2, 1): ("g2.12.share2.flip1",
+             lambda n: [[("replace", n.j, 2, (n.s[0], n.s[0], n.a[0], *n.b))]]),
+    (2, 2): ("g2.12.share2.flip2", lambda n: [[("replace", n.j, 1, (n.a[0], *n.b))]]),
+    (3, 0): ("g2.12.share3.sub", lambda n: [[("replace", n.j, 1, tuple(n.b))]]),
+    (3, 1): ("g2.12.share3.flip1",
+             lambda n: [[("replace", n.j, 2, (n.s[0], n.s[0], n.s[1], n.s[1], *n.b))]]),
+    (3, 2): ("g2.12.share3.flip2", _S0_FALSE),
+    (3, 3): ("g2.12.share3.flip3", _B_FALSE),
 }
 
 _G2_RULE15 = {
-    "dup": ("g2.15.dup", [[("remove", "j")]]),
+    "dup": ("g2.15.dup", _REMOVE_J),
     # ("bare", flips, whether cj has literals of its own)
     **{("bare", k, own): entry for k, entry in enumerate([
-        ("g2.15.subset", [[("false", "b")]]),
-        ("g2.15.flip1", [[("true", "f0")]]),
-        ("g2.15.flip2", [[("replace", "j", 2, ("-f0", "-f0", "-f1", "-f1", "b"))]]),
+        ("g2.15.subset", _B_FALSE),
+        ("g2.15.flip1", lambda n: [[("true", n.f[0])]]),
+        ("g2.15.flip2",
+         lambda n: [[("replace", n.j, 2, (-n.f[0], -n.f[0], -n.f[1], -n.f[1], *n.b))]]),
     ]) for own in (False, True)},
-    ("bare", 3, False): ("g2.15.flip3.unsat", []),
-    ("bare", 3, True): ("g2.15.flip3", [[("false", "s"), ("replace", "j", 1, ("b",))]]),
-    ("one", 0): ("g2.15.one_extra.add", [[("add", 1, ("-a0", "b"))]]),
-    ("one", 1): ("g2.15.one_extra.flip1", [[("add", 1, ("s",))], [("false", "s")]]),
+    ("bare", 3, False): ("g2.15.flip3.unsat", _UNSAT),
+    ("bare", 3, True): ("g2.15.flip3", lambda n: [[*_false(n.s), ("replace", n.j, 1, tuple(n.b))]]),
+    ("one", 0): ("g2.15.one_extra.add", lambda n: [[("add", 1, (-n.a[0], *n.b))]]),
+    ("one", 1): ("g2.15.one_extra.flip1", lambda n: [[("add", 1, tuple(n.s))], _false(n.s)]),
     ("one", 2): ("g2.15.one_extra.flip2",
-                 [[("add", 1, ("s", "a"))], [("false", "s"), ("false", "a")]]),
-    ("one", 3): ("g2.15.one_extra.flip3", [[("false", "s")]]),
-    ("one", 4): ("g2.15.one_extra.flip4", [[("false", "a"), ("false", "s"), ("false", "b")]]),
+                 lambda n: [[("add", 1, (*n.s, *n.a))], _false(n.s + n.a)]),
+    ("one", 3): ("g2.15.one_extra.flip3", lambda n: [_false(n.s)]),
+    ("one", 4): ("g2.15.one_extra.flip4", lambda n: [_false(n.a + n.s + n.b)]),
     "share2": ("g2.15.share2", _PAIR3),
-    "share2.mixed": ("g2.15.share2.mixed", [[("true", "s0"), ("true", "f0")],
-                                            [("true", "s0"), ("false", "f0")], [("false", "s0")]]),
-    "share3.common": ("g2.15.share3.common", [[("false", "ri"), ("false", "rj")],
-                                              [("add", 1, ("s",))], [("false", "s")]]),
+    "share2.mixed": ("g2.15.share2.mixed", lambda n: [[("true", n.s[0]), ("true", n.f[0])],
+                                                      [("true", n.s[0]), ("false", n.f[0])],
+                                                      [("false", n.s[0])]]),
+    "share3.common": ("g2.15.share3.common", lambda n: [_false(n.ri + n.rj),
+                                                        [("add", 1, tuple(n.s))], _false(n.s)]),
     "share3.mixed": ("g2.15.share3.mixed", _PAIR2),
     "fallback": ("g2.15.fallback", _SPLIT),
 }
@@ -422,7 +405,7 @@ def _pair_names(i, ci, j, cj, common) -> dict:
     oi, oj = ci.sorted_literals(), cj.sorted_literals()
     h = [li[v] for v in common]
     s = [l for l in h if l == lj[abs(l)]]
-    return {"i": [i], "j": [j], "v": common[:1], "h": h, "s": s,
+    return {"i": i, "j": j, "v": common[0], "h": h, "s": s,
             "f": [l for l in h if l != lj[abs(l)]],
             "a": [l for l in oi if abs(l) not in lj], "b": [l for l in oj if abs(l) not in li],
             "ri": [l for l in oi if l not in s], "rj": [l for l in oj if l not in s]}
@@ -430,7 +413,7 @@ def _pair_names(i, ci, j, cj, common) -> dict:
 
 def _pair_rule(table, i, ci, j, cj, common) -> Rule:
     names = _pair_names(i, ci, j, cj, common)
-    return _bind(*table[len(common), len(names["f"])], names)
+    return _rule(*table[len(common), len(names["f"])], **names)
 
 
 def _rule15_shape(f, i, ci, j, cj, common) -> tuple:
@@ -462,15 +445,15 @@ def _rule15_shape(f, i, ci, j, cj, common) -> tuple:
 
 def _g2_rule11_len5(x2, singles, c1s) -> Rule:
     # C = (x2 x2 s1 s2 s3) with target 2; scan 3-literal exactly-1 clauses
-    # for the shapes that force something, in priority order. The entries
-    # name the literals found here as int fields.
+    # for the shapes that force something, in priority order; the links bind
+    # the literals found here as u and w.
     if any(-x2 in c1.occ for _, c1 in c1s):
-        return _bind("g2.11.len5.negdup", _SPLIT, {"v": [abs(x2)]})
+        return _rule("g2.11.len5.negdup", _SPLIT, v=abs(x2))
     # each c1 with the singles it holds negated and as they are
     views = [(c1, [s for s in singles if -s in c1.occ], [s for s in singles if s in c1.occ])
              for _, c1 in c1s]
     if any(len(negs) >= 2 for _, negs, _ in views):
-        return _bind("g2.11.len5.negpair", [[("false", x2)]], {})
+        return _rule("g2.11.len5.negpair", _X_FALSE, x=x2)
     # each c1 holds three distinct literals, so u below is the third one
     for c1, negs, poss in views:
         if len(negs) == 1 and len(poss) >= 1:
@@ -479,22 +462,22 @@ def _g2_rule11_len5(x2, singles, c1s) -> Rule:
             w = next(s for s in singles if s not in (ny, pz))
             # u == -w cannot happen here: it would be a second negated single
             if u == w:
-                return _bind("g2.11.len5.mixed.same", [[("link", ny, -x2)]], {})
-            return _bind("g2.11.len5.mixed.link", [[("link", u, w)]], {})
+                return _rule("g2.11.len5.mixed.same", _LINK, u=ny, w=-x2)
+            return _rule("g2.11.len5.mixed.link", _LINK, u=u, w=w)
     for c1, negs, poss in views:
         if len(negs) == 0 and len(poss) >= 2:
             if len(poss) == 3:
                 return Rule("g2.11.len5.sub.unsat")
             w = next(s for s in singles if s not in poss)
-            return _bind("g2.11.len5.sub", [[("link", w, -x2)]], {})
+            return _rule("g2.11.len5.sub", _LINK, u=w, w=-x2)
     if any(x2 in c1.occ and negs for c1, negs, _ in views):
-        return _bind("g2.11.len5.posneg", [[("false", x2)]], {})
+        return _rule("g2.11.len5.posneg", _X_FALSE, x=x2)
     for c1, negs, poss in views:
         if x2 in c1.occ and len(poss) == 1 and len(negs) == 0:
             u = next(l for l in c1.occ if l not in (x2, poss[0]))
             if abs(u) != abs(x2) and abs(u) not in {abs(s) for s in singles}:
-                return _bind("g2.11.len5.fresh", _SPLIT, {"v": [u]})
-    return _bind("g2.11.len5.branch", _SPLIT, {"v": [abs(x2)]})
+                return _rule("g2.11.len5.fresh", _SPLIT, v=u)
+    return _rule("g2.11.len5.branch", _SPLIT, v=abs(x2))
 
 
 def _g2_heavy(cls, heavies, occurrences, varlists) -> Rule:
@@ -506,19 +489,19 @@ def _g2_heavy(cls, heavies, occurrences, varlists) -> Rule:
         held = occurrences[v]
         if len(held) == 3:
             if sum(v in cls[idx].occ for idx in held) in (1, 2):
-                return _bind("g2.16.mixed", _SPLIT, {"v": [v]})
+                return _rule("g2.16.mixed", _SPLIT, v=v)
             if samepol is None:
                 rests = sorted(cls[idx].size() - 1 for idx in held)
                 if rests[0] == 4 or rests[2] >= 6:
                     samepol = v
     if samepol is not None:
-        return _bind("g2.16.samepol", _SPLIT, {"v": [samepol]})
+        return _rule("g2.16.samepol", _SPLIT, v=samepol)
     hs = set(heavies)
     for vs in varlists:
         hv = [v for v in vs if v in hs]
         if len(hv) >= 2:
-            return _bind("g2.16.pair", _PAIR4, {"p": hv})
-    return _bind("g2.17", _SPLIT, {"v": heavies[:1]})
+            return _rule("g2.16.pair", _PAIR4, p=hv)
+    return _rule("g2.17", _SPLIT, v=heavies[0])
 
 
 # ---------------------------------------------------------------------------
@@ -527,67 +510,66 @@ def _g2_heavy(cls, heavies, occurrences, varlists) -> Rule:
 
 # Rules 7, 9 and 11 on a clause (x..x delta), x its first literal of highest
 # multiplicity: each table maps the occurrence profile of delta to a tag
-# suffix and a branch list. Branches name x, v = abs(x) and the literals of
-# delta by multiplicity and canonical order: singles s, doubles d and
-# triples t; p is x followed by d. An unlisted profile splits on v, as a
-# "branch" when delta has at least the table's width distinct literals and
-# as a "fallback" otherwise; rule 7 and the rule-9 "thrice" case have width
-# 0, so they always branch.
+# suffix and a function of the names x, v = abs(x) and the literals of delta
+# by multiplicity and canonical order: singles s, doubles d and triples t; p
+# is x followed by d. An unlisted profile splits on v, as a "branch" when
+# delta has at least the table's width distinct literals and as a "fallback"
+# otherwise; rule 7 and the rule-9 "thrice" case have width 0, so they
+# always branch.
 
 _G3_DOUBLED = {
-    (1,): ("len3", [[("true", "x"), ("false", "s0")]]),
-    (2, 1): ("odd0", [[("false", "s0")]]),
+    (1,): ("len3", _X_TRUE_S0_FALSE),
+    (2, 1): ("odd0", _S0_FALSE),
 }
 
 _G4_DOUBLED = {
-    (1,): ("len3", [[("true", "x")]]),
-    (1, 1): ("pair", [[("link", "s0", "s1")]]),
-    (2, 1): ("odd0", [[("false", "s0")]]),
+    (1,): ("len3", _X_TRUE),
+    (1, 1): ("pair", _S_LINK),
+    (2, 1): ("odd0", _S0_FALSE),
 }
 
 # at most two literals besides the three copies of x force x true
-_C3_THRICE = {prof: ("force", [[("true", "x")]]) for prof in ((), (1,), (1, 1), (2,))}
+_C3_THRICE = {prof: ("force", _X_TRUE) for prof in ((), (1,), (1, 1), (2,))}
 
 _C3_TWICE = {
-    (1,): ("all1", [[("true", "x"), ("true", "s0")]]),
-    (1, 1): ("pair", [[("true", "x"), ("link", "s0", "-s1")]]),
-    (2, 1): ("odd1", [[("true", "s0")]]),
-    (2, 1, 1): ("linkneg", [[("link", "x", "-d0")]]),
-    (2, 2, 1): ("odd1", [[("true", "s0")]]),
-    (2, 2, 1, 1): ("linkpair", [[("link", "s0", "-s1")]]),
-    (2, 2, 2, 1): ("odd1", [[("true", "s0")]]),
-    (2,): ("unsat", []),
-    (2, 2): ("unsat", []),
-    (2, 2, 2): ("unsat", []),
-    (2, 2, 2, 2): ("unsat", []),
+    (1,): ("all1", _X_TRUE_S0_TRUE),
+    (1, 1): ("pair", _X_TRUE_S_ANTI),
+    (2, 1): ("odd1", _S0_TRUE),
+    (2, 1, 1): ("linkneg", lambda n: [[("link", n.x, -n.d[0])]]),
+    (2, 2, 1): ("odd1", _S0_TRUE),
+    (2, 2, 1, 1): ("linkpair", lambda n: [[("link", n.s[0], -n.s[1])]]),
+    (2, 2, 2, 1): ("odd1", _S0_TRUE),
+    (2,): ("unsat", _UNSAT),
+    (2, 2): ("unsat", _UNSAT),
+    (2, 2, 2): ("unsat", _UNSAT),
+    (2, 2, 2, 2): ("unsat", _UNSAT),
     (1, 1, 1): ("branch", _SPLIT),
     (1, 1, 1, 1): ("branch", _SPLIT),
     (2, 1, 1, 1): ("branch", _SPLIT),
-    (1, 1, 1, 1, 1): ("branch", _SPLIT),
 }
 
 _C4_THRICE = {
-    (1,): ("all1", [[("true", "x"), ("true", "s0")]]),
-    (1, 1): ("pair", [[("true", "x"), ("link", "s0", "-s1")]]),
-    (2, 1): ("force", [[("true", "x"), ("true", "s0"), ("false", "d0")]]),
-    (1, 1, 1): ("x1", [[("true", "x")]]),
-    (3, 1): ("linkneg", [[("true", "s0"), ("link", "x", "-t0")]]),
-    (2, 2): ("x0", [[("false", "x"), ("true", "d0"), ("true", "d1")]]),
-    (3,): ("unsat", []),
-    (3, 2): ("unsat", []),
-    (3, 3): ("unsat", []),
+    (1,): ("all1", _X_TRUE_S0_TRUE),
+    (1, 1): ("pair", _X_TRUE_S_ANTI),
+    (2, 1): ("force", lambda n: [[("true", n.x), ("true", n.s[0]), ("false", n.d[0])]]),
+    (1, 1, 1): ("x1", _X_TRUE),
+    (3, 1): ("linkneg", lambda n: [[("true", n.s[0]), ("link", n.x, -n.t[0])]]),
+    (2, 2): ("x0", lambda n: [[("false", n.x), ("true", n.d[0]), ("true", n.d[1])]]),
+    (3,): ("unsat", _UNSAT),
+    (3, 2): ("unsat", _UNSAT),
+    (3, 3): ("unsat", _UNSAT),
 }
 
 _C4_TWICE = {
-    (1, 1): ("all1", [[("true", "x"), ("true", "s0"), ("true", "s1")]]),
-    (2, 1): ("force", [[("true", "x"), ("true", "d0"), ("false", "s0")]]),
-    (1, 1, 1): ("x1", [[("true", "x")]]),
-    (2, 1, 1): ("linkpair", [[("link", "s0", "s1")]]),
-    (2, 2, 1): ("even0", [[("false", "s0")]]),
-    (2, 2, 1, 1): ("linkpair", [[("link", "s0", "s1")]]),
-    (2, 2, 2, 1): ("even0", [[("false", "s0")]]),
-    (2, 2, 2, 1, 1): ("linkpair", [[("link", "s0", "s1")]]),
-    (2, 2, 2, 2, 1): ("even0", [[("false", "s0")]]),
+    (1, 1): ("all1", lambda n: [[("true", n.x), ("true", n.s[0]), ("true", n.s[1])]]),
+    (2, 1): ("force", lambda n: [[("true", n.x), ("true", n.d[0]), ("false", n.s[0])]]),
+    (1, 1, 1): ("x1", _X_TRUE),
+    (2, 1, 1): ("linkpair", _S_LINK),
+    (2, 2, 1): ("even0", _S0_FALSE),
+    (2, 2, 1, 1): ("linkpair", _S_LINK),
+    (2, 2, 2, 1): ("even0", _S0_FALSE),
+    (2, 2, 2, 1, 1): ("linkpair", _S_LINK),
+    (2, 2, 2, 2, 1): ("even0", _S0_FALSE),
     (2, 1, 1, 1, 1): ("pair3", _PAIR3),
     (2, 2, 1, 1, 1): ("pair3", _PAIR3),
     (1, 1, 1, 1): ("branch", _SPLIT),
@@ -615,13 +597,10 @@ _SINGLE = {
 
 def _repeated_rule(tag, table, width, x, delta) -> Rule:
     order = sorted(delta, key=lit_key)
-    names = {"x": [x], "v": [abs(x)]}
-    for name, m in (("s", 1), ("d", 2), ("t", 3)):
-        names[name] = [l for l in order if delta[l] == m]
-    names["p"] = [x] + names["d"]
+    s, d, t = ([l for l in order if delta[l] == m] for m in (1, 2, 3))
     suffix, branches = table.get(tuple(sorted(delta.values(), reverse=True))) \
         or ("branch" if len(delta) >= width else "fallback", _SPLIT)
-    return _bind(f"{tag}.{suffix}", branches, names)
+    return _rule(f"{tag}.{suffix}", branches, x=x, v=abs(x), s=s, d=d, t=t, p=[x] + d)
 
 
 def _select_g34(f: Formula, scheme: str) -> Rule:
@@ -630,7 +609,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
     first = {}
     for c in f.clauses:
         if c.target == 1:
-            return _bind(f"{scheme}.6", _PAIR2, {"p": sorted(c.occ, key=abs)})
+            return _rule(f"{scheme}.6", _PAIR2, p=sorted(c.occ, key=abs))
         first.setdefault((c.target, max(c.occ.values()) > 1), c)
 
     for t in range(2, _TARGET_CAPS[scheme] + 1):
@@ -640,7 +619,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
             m = max(c.occ.values())
             x = next(l for l in c.sorted_literals() if c.occ[l] == m)
             if m == 4:
-                return _bind("g4.11.quad", _SPLIT, {"v": [abs(x)]})
+                return _rule("g4.11.quad", _SPLIT, v=abs(x))
             tag, table, width = _REPEATED[scheme, t, m]
             delta = {l: k for l, k in c.occ.items() if l != x}
             return _repeated_rule(tag, table, width, x, delta)
@@ -653,7 +632,7 @@ def _select_g34(f: Formula, scheme: str) -> Rule:
                 f"short exactly-{t} clauses are removed by simplification"
             lits = c.sorted_literals()
             suffix, branches = _SINGLE.get((t, size), ("long", _PAIR3))
-            return _bind(f"{scheme}.{2 * t + 4}.{suffix}", branches, {"p": lits, "v": lits[:1]})
+            return _rule(f"{scheme}.{2 * t + 4}.{suffix}", branches, p=lits, v=lits[0])
 
     raise AssertionError(f"{scheme} selection exhausted with clauses remaining")
 

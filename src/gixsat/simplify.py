@@ -90,7 +90,6 @@ is a normal outcome (returned as None), never an exception.
 
 from __future__ import annotations
 
-from functools import cache
 from operator import neg
 from typing import Optional
 
@@ -136,7 +135,6 @@ def _classify(c: Clause) -> tuple[int, int]:
     return mask, k
 
 
-@cache
 def _plain_mask(t: int, k: int) -> int:
     """The rule mask of every plain clause of target t and size k.
 

@@ -51,6 +51,11 @@ def test_rejects_bad_vectors():
         branching_factor((1.0, -2.0))
     with pytest.raises(ValueError):
         branching_factor((0.0, 1.0))
+    # no root above 1 exists with an infinite entry, and no split for an infinite base
+    for bad in (lambda: branching_factor((1.0, math.inf)),
+                lambda: branching_factor((math.inf, math.inf)), lambda: alpha_for(math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            bad()
 
 
 @pytest.mark.parametrize("vector", [(1e-300, 1e-300), (1e-3, 1e-3), (1e-300,) * 3])

@@ -319,6 +319,10 @@ FAILURES = {
     "tables-above-cap": (["analyze", "--tables", "41"], None, None, 1,
                          "error: --tables must lie in 1..40, got 41"),
     "nan-tau": (["analyze", "--tau", "2,nan"], None, None, 1, "error: branching vector entries"),
+    "inf-tau": (["analyze", "--tau", "inf,inf"], None, None, 1,
+                "error: branching vector entries must be positive and finite"),
+    "one-inf-tau": (["analyze", "--tau", "1,inf"], None, None, 1,
+                    "error: branching vector entries must be positive and finite"),
     "tiny-tau": (["analyze", "--tau", "1e-300,1e-300"], None, None, 1,
                  "error: branching vector entries too small"),
     "gen-negative-m": (["gen", "--n", "5", "--m", "-1"], None, None, 1,
@@ -334,6 +338,8 @@ FAILURES = {
                                         "--max-len", "9", "--max-repeat", "2"], None, None, 1,
                                        "error: max_len 9 exceeds the 8 literals the spec allows"),
     "nan-alpha-for": (["analyze", "--alpha-for", "nan"], None, None, 1, "error: base must exceed 1"),
+    "inf-alpha-for": (["analyze", "--alpha-for", "inf"], None, None, 1,
+                      "error: base must exceed 1 and be finite"),
     "solver-value-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(ValueError("no"))),
                            None, 1, "error: no"),
     "solver-resource-limit": (["solve", "{sat}", "--algo", "mitm"],

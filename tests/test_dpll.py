@@ -293,7 +293,7 @@ def test_deep_instance_planted():
 # intersect the variable sets of every candidate clause pair in (i, j) order,
 # and rule 16 collects the heavy variables' occurrences by scanning clauses.
 # Every prescription is spelled out by the hand-unrolled builders below,
-# written apart from the solver's tables and the _bind that expands them.
+# written apart from the solver's tables and the _rule that calls them.
 
 
 def _branch(tag, branches):
@@ -791,6 +791,20 @@ def test_clause_rule_tables_match_the_builders_on_every_clause_shape():
                         (dpll._SINGLE, keys_single)):
         assert set(table) < keys, sorted(set(table) - keys)  # the default too
     assert tags13 == {"g2.13.pairs", "g2.13.two_weighted"}
+
+
+def test_no_table_entry_equals_its_lookup_default():
+    # an entry that prescribes what its lookup gives without it is dead weight
+    for tag, table, width in dpll._REPEATED.values():
+        for profile in table:
+            delta = dict(zip(range(2, 2 + len(profile)), profile))
+            assert dpll._repeated_rule(tag, table, width, 1, delta) \
+                != dpll._repeated_rule(tag, {}, width, 1, delta), (tag, profile)
+    for table, default in ((dpll._G2_RULE10, ("g2.10.branch", dpll._PAIR2)),
+                           (dpll._G2_RULE11, ("g2.11.long", dpll._SPLIT)),
+                           (dpll._SINGLE, ("long", dpll._PAIR3))):
+        for key, entry in table.items():
+            assert entry != default, key
 
 
 def test_g2_selection_names_the_fixpoint_invariant():

@@ -354,7 +354,6 @@ def test_wide_exactly1_clause_classifies_a_constant_number_of_times(monkeypatch)
     monkeypatch.setattr(simplify, "_classify", counting)
     counts = []
     for k in (40, 4000):
-        _plain_mask.cache_clear()
         calls.clear()
         f = Formula(k, [Clause(1, range(1, k + 1))])
         result = solve_auto(f)
