@@ -4,8 +4,9 @@ Exit codes follow solver-community convention: 10 satisfiable, 20
 unsatisfiable, 0 for the other commands' success. main() maps every failure
 to one code: a usage error, ValueError or OSError is an input error (exit 1,
 "error: <message>" on stderr); a mitm.ResourceLimitError, the --timeout
-alarm included, is a resource limit (exit 2, "c resource <message>"); any
-other exception is an internal error (exit 3, "c internal <Type>: <message>").
+alarm included, is a resource limit (exit 2, "c resource <message>"), and so
+is a MemoryError (exit 2, "c resource memory exhausted"); any other exception
+is an internal error (exit 3, "c internal <Type>: <message>").
 "verify" counts a solver that raises, or disagrees with the brute-force
 oracle, as a mismatch and exits 3 when there is one. Output is line
 oriented: "s ..." for status, "v ..." for a witness, "c key value" for
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except mitm.ResourceLimitError as exc:
         print(f"c resource {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:  # its message is most often empty
+        print(f"c resource memory exhausted{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

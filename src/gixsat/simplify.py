@@ -14,22 +14,30 @@ is forced regardless of branching:
 
 Whether a rule applies is a property of one clause, so the fixpoint runs as
 a worklist. Each clause is classified once into a bitmask of the rules that
-apply to it, and one set per rule holds the indices of the clauses carrying
-that rule. A step fires the highest-priority rule on the lowest-index clause
-that carries it, the clause a rescan of the whole formula in priority order
-would pick, and applies the rule there directly. Afterwards only the clauses
-the step changed are classified again: the clause edited in place, or the
-clauses that held the variable an assignment or link eliminated. Those are
-found through a variable -> clause-index occurrence map. A deleted clause
-leaves an empty slot, so indices and clause order stay fixed.
+apply to it, and one Python int per rule is a bitset of the clauses carrying
+that rule: bit i of pending[r] is set exactly when clause i is live and its
+mask holds rule r. A step fires the highest-priority rule on the
+lowest-index clause that carries it, the clause a rescan of the whole
+formula in priority order would pick: the first nonzero bitset, at its
+lowest set bit, (x & -x).bit_length() - 1. It applies the rule there
+directly. Afterwards only the clauses the step changed are classified again:
+the clause edited in place, or the clauses that held the variable an
+assignment or link eliminated. Those are found through a variable ->
+clause-index occurrence map. A deleted clause leaves an empty slot, so
+indices and clause order stay fixed.
 
 Eliminating a variable is one pass over the clauses that hold it: each
 clause's new state is computed and written at once, and the counters are
 updated once at the end, where the trail entry is also written. A conflict
 returns False at the clause where it shows, leaving the worklist half
 edited, so a worklist that returned False must be discarded, as every
-caller does. A clause whose rule mask changes moves between the per-rule
-sets for the changed bits only, read from a table of set bits.
+caller does. A clause whose rule mask changes flips its bit in the bitsets
+of the changed rules only, read from a table of set bits; a flip is exact,
+since the bitsets agree with the masks. Ints are immutable, so an update
+or a pick copies the int: O(m) bytes for m clause slots, a few machine
+words on a search's small formulas and a few kilobytes at tens of
+thousands of clauses, but no O(|pending|) Python work, as a min() over a
+set of pending indices was.
 
 Shortcuts make a step cheaper without changing which steps run or in what
 order. Most clauses an elimination reaches are plain: k distinct literals,
@@ -159,7 +167,7 @@ _SET_BITS = tuple(tuple(r for r in range(8) if m >> r & 1) for m in range(256))
 
 
 class _Worklist:
-    """Clause slots, per-rule index sets, occurrence map and bound counters.
+    """Clause slots, per-rule bitsets, occurrence map and bound counters.
 
     A worklist can be the search state of a whole solve: callers edit it
     through add, replace, delete and eliminate, run settle to reach a
@@ -176,7 +184,7 @@ class _Worklist:
         self.slots: list[Optional[Clause]] = []
         self.masks: list[int] = []
         self.sizes: list[int] = []
-        self.pending: list[set[int]] = [set() for _ in range(8)]
+        self.pending: list[int] = [0] * 8
         self.owned: set[int] = set()
         self.occ: dict[int, set[int]] = {}
         self.occurrences = 0
@@ -200,10 +208,9 @@ class _Worklist:
         old = self.masks[i]
         self.masks[i] = mask
         pending = self.pending
-        for r in _SET_BITS[mask & ~old]:
-            pending[r].add(i)
-        for r in _SET_BITS[old & ~mask]:
-            pending[r].discard(i)
+        bit = 1 << i
+        for r in _SET_BITS[mask ^ old]:
+            pending[r] ^= bit
 
     def add(self, c: Clause) -> None:
         """Append c as a new clause and classify it."""
@@ -284,7 +291,9 @@ class _Worklist:
         # the map never shrinks and forks share it, so it may name slots this
         # worklist lacks and clauses that no longer hold var
         for i in self.occ.get(var, ()):
-            c = slots[i] if i < n else None
+            if i >= n:
+                continue
+            c = slots[i]
             if c is None:
                 continue
             occ = c.occ
@@ -297,8 +306,9 @@ class _Worklist:
             old = masks[i]
             k = sizes[i]
             # plain: every literal once, var in one sign only; a link that
-            # would double the partner's literal goes through substitute
-            if k == len(occ) and not old & (_A | _B) and (const or to not in occ):
+            # would double the partner's literal goes through substitute (3 is
+            # _A | _B, folded to a constant)
+            if k == len(occ) and not old & 3 and (const or to not in occ):
                 if i not in owned:
                     nc = Clause.__new__(Clause)
                     nc.target = c.target
@@ -307,8 +317,12 @@ class _Worklist:
                     owned.add(i)
                 del occ[lit]
                 if const:
-                    drop = to
+                    t = c.target - to
                     k -= 1
+                    if t < 0 or t > k:
+                        return False
+                    occurrences -= 1
+                    targets -= to
                 else:
                     linked.append(i)
                     if -to not in occ:
@@ -317,13 +331,12 @@ class _Worklist:
                         continue
                     # the partner's opposite literal cancels the new one
                     del occ[-to]
-                    drop = 1
+                    t = c.target - 1
                     k -= 2
-                t = c.target - drop
-                if t < 0 or t > k:
-                    return False
-                occurrences += k - sizes[i]
-                targets -= drop
+                    if t < 0 or t > k:
+                        return False
+                    occurrences -= 2
+                    targets -= 1
                 c.target = t
                 sizes[i] = k
                 mask = _PLAIN[k][t] if k < 16 else _plain_mask(t, k)
@@ -341,10 +354,9 @@ class _Worklist:
                 sizes[i] = size
             if mask != old:
                 masks[i] = mask
-                for r in _SET_BITS[mask & ~old]:
-                    pending[r].add(i)
-                for r in _SET_BITS[old & ~mask]:
-                    pending[r].discard(i)
+                bit = 1 << i
+                for r in _SET_BITS[mask ^ old]:
+                    pending[r] ^= bit
         self.occurrences += occurrences
         self.targets += targets
         if linked:
@@ -359,6 +371,7 @@ class _Worklist:
         """
         pending = self.pending
         fires = self.fires
+        slots = self.slots
         num_vars = self.trail.num_vars
         entries = self.trail.entries
         prev = None
@@ -366,23 +379,39 @@ class _Worklist:
             cur = (num_vars - len(entries), self.occurrences, self.count, self.targets)
             assert prev is None or cur < prev, "simplification failed to make progress"
             prev = cur
-            for rule, held in enumerate(pending):
-                if held:
-                    break
+            # the first rule any clause carries, at its lowest set bit
+            a, b, c, d, e, f, g, h = pending
+            if a:
+                fires[0] += 1
+                return False
+            if b:
+                rule, held, step = 1, b, _step_b
+            elif c:
+                rule, held, step = 2, c, _step_c
+            elif d:
+                rule, held, step = 3, d, _step_d
+            elif e:
+                rule, held, step = 4, e, _step_e
+            elif f:
+                rule, held, step = 5, f, _step_f
+            elif g:
+                rule, held, step = 6, g, _step_g
+            elif h:
+                fires[7] += 1
+                self.delete((h & -h).bit_length() - 1)
+                continue
             else:
                 return True
             fires[rule] += 1
-            if rule == 0:
-                return False
-            i = min(pending[rule])
-            if not _STEPS[rule](self, i, self.slots[i]):
+            i = (held & -held).bit_length() - 1
+            if not step(self, i, slots[i]):
                 return False
 
     def fork(self) -> "_Worklist":
         """A copy to branch on, with its own trail; the occurrence map is shared.
 
-        Only a fixpoint is forked, so the copy starts with every mask 0 and
-        every rule set empty. The copy shares every Clause and owns none;
+        Only a fixpoint is forked, so the copy starts with every mask and
+        every rule bitset 0. The copy shares every Clause and owns none;
         self keeps its owned set and edits those clauses in place, so self
         must not be edited while the copy is in use. A search meets this by
         searching each fork to the end, and dropping it, before editing the
@@ -394,7 +423,7 @@ class _Worklist:
         w.slots = self.slots.copy()
         w.masks = [0] * len(self.slots)
         w.sizes = self.sizes.copy()
-        w.pending = [set() for _ in range(8)]
+        w.pending = [0] * 8
         w.owned = set()
         w.occ = self.occ
         w.occurrences = self.occurrences
@@ -415,7 +444,8 @@ class _Worklist:
 
 
 # Each rule's step at clause i, which carries the rule; False means
-# unsatisfiable. Rule (a) has no step: it ends the fixpoint.
+# unsatisfiable. Rule (a) has no step: it ends the fixpoint; settle deletes
+# the clause of an (h) step itself.
 
 
 def _step_b(w: _Worklist, i: int, c: Clause) -> bool:
@@ -445,9 +475,11 @@ def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
     # literals can be sorted once, by variable alone. After the last one
     # clause i is empty.
     pending = w.pending
+    bit = 1 << i
     for n, lit in enumerate(sorted(c.occ, key=abs)):
         if n:
-            if pending[0] or pending[1] or min(pending[2], default=-1) != i:
+            held = pending[2]
+            if pending[0] or pending[1] or held & -held != bit:
                 return True
             w.fires[2] += 1
         if not w.eliminate(abs(lit), _CONST[lit < 0]):
@@ -480,14 +512,6 @@ def _step_g(w: _Worklist, i: int, c: Clause) -> bool:
     nc.occ = {-lit: 1 for lit in c.occ}
     w.put(i, nc)
     return True
-
-
-def _step_h(w: _Worklist, i: int, c: Clause) -> bool:
-    w.delete(i)
-    return True
-
-
-_STEPS = (None, _step_b, _step_c, _step_d, _step_e, _step_f, _step_g, _step_h)
 
 
 def simplify_to_fixpoint(formula: Formula, trail: Trail) -> Optional[tuple[Formula, Trail]]:

@@ -2,15 +2,24 @@
 
 Grammar: comment lines start with 'c'; the header is "p gxsat <n> <m>";
 each clause is "<target> <lit> ... 0" with signed nonzero integers and may
-span lines until its 0 terminator. Putting the target first (rather than
-as a trailing annotation) makes plain CNF tools fail loudly instead of
-silently misreading counted clauses. Exactly-1 instances are ordinary
-files with every target 1.
+span lines until its 0 terminator. Every count, target and literal token is
+ASCII -?[0-9]+. Putting the target first (rather than as a trailing
+annotation) makes plain CNF tools fail loudly instead of silently misreading
+counted clauses. Exactly-1 instances are ordinary files with every target
+1.
 """
 
 from __future__ import annotations
 
 from .formula import MAX_TARGET, Clause, Formula
+
+
+def _ascii_int(tok: str) -> int:
+    """int(tok) for an ASCII -?[0-9]+ token; int() alone also reads '1_0',
+    '+1' and non-ASCII digits."""
+    if tok.isascii() and tok.lstrip("-").isdigit():
+        return int(tok)
+    raise ValueError(tok)
 
 
 class ParseError(ValueError):
@@ -21,11 +30,13 @@ class ParseError(ValueError):
 
 def parse(text: str) -> Formula:
     """One pass over the lines. A header fault is raised on its line; the first
-    clause fault (a token that is not an integer, a target outside 0..4, a
+    clause fault (a token that is not ASCII -?[0-9]+, a target outside 0..4, a
     literal out of range) is held while the scan goes on, so a header fault
     on a later line wins over it. Then come a missing header, the held fault,
     a clause missing its 0 terminator and a wrong clause count, in that order."""
     lines = text.splitlines()
+    # int() reads exactly -?[0-9]+ in an ASCII text without '_' or '+'
+    num = int if text.isascii() and "_" not in text and "+" not in text else _ascii_int
     header = fault = occ = None  # occ: literal counts of the open clause, None between clauses
     clauses = []
     for lineno, raw in enumerate(lines, start=1):
@@ -39,7 +50,7 @@ def parse(text: str) -> Formula:
             if len(parts) != 4 or parts[1] != "gxsat":
                 raise ParseError("header must be 'p gxsat <vars> <clauses>'", lineno)
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                num_vars, num_clauses = _ascii_int(parts[2]), _ascii_int(parts[3])
             except ValueError:
                 raise ParseError("header counts must be integers", lineno) from None
             if num_vars < 0 or num_clauses < 0:
@@ -53,7 +64,7 @@ def parse(text: str) -> Formula:
             continue
         for tok in line.split():
             try:
-                val = int(tok)
+                val = num(tok)
             except ValueError:
                 expected = "clause target" if occ is None else "literal"
                 fault = (f"expected {expected}, got {tok!r}", lineno)

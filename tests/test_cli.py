@@ -10,6 +10,7 @@ import pytest
 import gixsat
 from gixsat import analysis, cli, dpll, generator, mitm
 from gixsat.cli import main
+from gixsat.formula import Trail
 from gixsat.oracle import brute_solve
 from gixsat.textio import parse
 
@@ -345,6 +346,12 @@ FAILURES = {
     "solver-resource-limit": (["solve", "{sat}", "--algo", "mitm"],
                               (mitm, "solve_mitm", _raising(mitm.ResourceLimitError("memory"))),
                               None, 2, "c resource memory"),
+    # a MemoryError is a resource limit too, named although it carries no message
+    "solver-memory-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(MemoryError())),
+                            None, 2, "c resource memory exhausted\n"),
+    "reconstruct-memory-error": (["solve", "{sat}", "--algo", "g4"],
+                                 (Trail, "reconstruct", _raising(MemoryError())),
+                                 None, 2, "c resource memory exhausted\n"),
     "solver-timeout": (["solve", "{sat}", "--algo", "g3"], (dpll, "solve_g3", _alarm_fires),
                        None, 2, "c resource timeout"),
     "solver-runtime-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(RuntimeError("x"))),

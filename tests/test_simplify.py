@@ -1,7 +1,9 @@
 """Fixpoint rules: every reduction is forced, terminating, and idempotent."""
 
+import random
 from collections import Counter
 from itertools import product
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from gixsat.formula import (
     link,
     substitute,
 )
+from gixsat.generator import GenSpec, generate
 from gixsat.oracle import brute_solve
 from gixsat.simplify import (
     RULE_LETTERS,
@@ -675,3 +678,77 @@ def test_eliminations_in_turn_match_substitute(f, chain):
         _assert_occurrence_superset(w)
         if not alive:
             return
+
+
+def _assert_rule_index(w):
+    """Bit i of pending[r] is set exactly when slot i is live and carries rule r."""
+    for r, held in enumerate(w.pending):
+        expect = sum(1 << i for i, (c, mask) in enumerate(zip(w.slots, w.masks))
+                     if c is not None and mask >> r & 1)
+        assert held == expect, (RULE_LETTERS[r], bin(held), bin(expect))
+
+
+def rule_index_corpus(count=200, seed=31):
+    """Seeded g2, g3 and g4 formulas with negations and repeated literals."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(8, 24)
+        spec = GenSpec(n, rng.randint(2, n // 2), min_len=1, max_len=7, max_target=2 + i % 3,
+                       neg_prob=rng.choice([0.0, 0.3, 0.6]), max_repeat=rng.randint(1, 3),
+                       seed=i)
+        yield generate(spec)[0]
+
+
+def test_rule_index_matches_the_masks(monkeypatch):
+    """The per-rule bitsets agree with the masks after construction, after
+    every edit and elimination, and after every settle step, through whole
+    searches over a seeded corpus."""
+    checks = [0]
+
+    def checked(fn, result_is_worklist=False):
+        def wrapper(w, *args):
+            out = fn(w, *args)
+            _assert_rule_index(out if result_is_worklist else w)
+            checks[0] += 1
+            return out
+        return wrapper
+
+    for name in ("__init__", "add", "put", "delete", "eliminate"):
+        monkeypatch.setattr(_Worklist, name, checked(getattr(_Worklist, name)))
+    monkeypatch.setattr(_Worklist, "fork", checked(_Worklist.fork, result_is_worklist=True))
+    for letter in "bcdefg":  # settle looks each step up by name
+        name = f"_step_{letter}"
+        monkeypatch.setattr(simplify, name, checked(getattr(simplify, name)))
+    fires, statuses = Counter(), Counter()
+    for f in rule_index_corpus():
+        result = solve_auto(f)
+        assert not result.sat or evaluate(f, result.model)
+        fires.update(result.stats.simplify_fires)
+        statuses[result.status] += 1
+    # every rule fires, so every step, and the inline (h) deletion, is checked
+    assert all(fires[letter] for letter in RULE_LETTERS), fires
+    assert statuses["SAT"] >= 50 and statuses["UNSAT"] >= 50, statuses
+    assert checks[0] > 4000, checks
+
+
+def _link_chain(m):
+    # x_i + x_{i+1} = 1 for i = 1..m
+    return Formula(m + 1, [Clause(1, [i, i + 1]) for i in range(1, m + 1)])
+
+
+def _copies(m):
+    return Formula(2, [Clause(1, [1, 2]) for _ in range(m)])
+
+
+@pytest.mark.parametrize("shape, m", [(_link_chain, 40000), (_copies, 60000)])
+def test_wide_easy_shapes_settle_in_about_linear_time(shape, m):
+    """Each step takes its clause as the lowest set bit of a rule's bitset. A
+    min() over a set of pending indices made both shapes quadratic: over 30 s
+    at these sizes, against under 1 s."""
+    f = shape(m)
+    started = perf_counter()
+    result = solve_auto(f)
+    elapsed = perf_counter() - started
+    assert result.sat and evaluate(f, result.model)
+    assert result.stats.nodes_expanded == 1
+    assert elapsed < 10, elapsed

@@ -86,6 +86,34 @@ def test_error_order(text, line, message):
     assert _outcome(parse, text) == _outcome(reference_parse, text)
 
 
+# int() alone reads each of these: as 10, 1 and 2
+NOT_ASCII_INTEGERS = ("1_0", "+1", "\u0662")
+
+
+@pytest.mark.parametrize("tok", NOT_ASCII_INTEGERS)
+@pytest.mark.parametrize("text, line, message", [
+    ("p gxsat 3 1\n{} 1 2 0\n", 2, "expected clause target, got {!r}"),
+    ("p gxsat 3 1\n1 2 0\n1 {} 0\n", 3, "expected literal, got {!r}"),
+    ("p gxsat 3 2\n1 1 2 0 1\n2 {} 0\n", 3, "expected literal, got {!r}"),
+    ("p gxsat {} 1\n1 1 0\n", 1, "header counts must be integers"),
+    ("c\np gxsat 3 {}\n1 1 0\n", 2, "header counts must be integers"),
+])
+def test_tokens_must_be_ascii_integers(tok, text, line, message):
+    text, message = text.format(tok), message.format(tok)
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def test_comment_with_other_characters_keeps_the_tokens():
+    # a comment holding non-ASCII text, '_' or '+' sends the whole text
+    # through the per-token check, which reads the same formula
+    text = "p gxsat 3 2\n2 1 -2 3 0\n1 1 1 -3 0\n"
+    for comment in ("c \u00e9t\u00e9 +1 1_0\n", "c \u0662\n"):
+        assert parse(comment + text) == parse(text) == reference_parse(comment + text)
+
+
 def test_serialize_empty():
     assert serialize(F(4)) == "p gxsat 4 0\n"
 
@@ -121,6 +149,13 @@ def test_serialize_parse_identity(rng):
 # and then converts and checks each token on its own.
 
 
+def _integer(tok: str) -> int:
+    if re.fullmatch(r"-?[0-9]+", tok, re.ASCII) is None:
+        raise ValueError(tok)
+    return int(tok)
+
+
+
 def reference_parse(text: str) -> Formula:
     header = None
     tokens: list[tuple[int, str]] = []
@@ -135,7 +170,7 @@ def reference_parse(text: str) -> Formula:
             if len(parts) != 4 or parts[1] != "gxsat":
                 raise ParseError("header must be 'p gxsat <vars> <clauses>'", lineno)
             try:
-                header = (int(parts[2]), int(parts[3]), lineno)
+                header = (_integer(parts[2]), _integer(parts[3]), lineno)
             except ValueError:
                 raise ParseError("header counts must be integers", lineno) from None
             if header[0] < 0 or header[1] < 0:
@@ -154,7 +189,7 @@ def reference_parse(text: str) -> Formula:
     while pos < len(tokens):
         lineno, tok = tokens[pos]
         try:
-            target = int(tok)
+            target = _integer(tok)
         except ValueError:
             raise ParseError(f"expected clause target, got {tok!r}", lineno) from None
         if target < 0:
@@ -167,7 +202,7 @@ def reference_parse(text: str) -> Formula:
         while pos < len(tokens):
             lineno, tok = tokens[pos]
             try:
-                lit = int(tok)
+                lit = _integer(tok)
             except ValueError:
                 raise ParseError(f"expected literal, got {tok!r}", lineno) from None
             pos += 1
@@ -210,7 +245,7 @@ def _mutate(rng, text, num_vars):
             toks.insert(k, toks[k])
         else:
             toks[k] = rng.choice(["0", "-0", "x", "5", "-1", str(num_vars + 1),
-                                  str(-num_vars - 1)])
+                                  str(-num_vars - 1), *NOT_ASCII_INTEGERS])
         lines[i] = " ".join(toks)
     elif kind == 3:  # a clause split across lines
         i = rng.randrange(len(lines))
@@ -272,5 +307,5 @@ def test_parse_matches_the_two_pass_reference():
         else:
             messages.add(re.sub(r"-?\d+|'.*'", "#", got[1]))
     assert formulas >= 600
-    # the corpus reaches all 12 messages parse can raise
-    assert len(messages) == 12, messages
+    # the corpus reaches all 13 messages parse can raise
+    assert len(messages) == 13, messages
