@@ -9,8 +9,18 @@ from .formula import (
     evaluate,
     link,
 )
-from .oracle import OracleReport, brute_solve, count_clause_solutions
 from .simplify import simplify_to_fixpoint
+
+# the brute-force oracle uses numpy: its names load it on first use (PEP 562)
+_ORACLE_NAMES = ("OracleReport", "brute_solve", "count_clause_solutions")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Clause",

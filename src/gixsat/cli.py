@@ -3,7 +3,7 @@
 Exit codes follow solver-community convention: 10 satisfiable, 20
 unsatisfiable, 0 for the other commands' success. main() maps every failure
 to one code: a usage error, ValueError or OSError is an input error (exit 1,
-"error: <message>" on stderr); a mitm.ResourceLimitError, the --timeout
+"error: <message>" on stderr); a ResourceLimitError, the --timeout
 alarm included, is a resource limit (exit 2, "c resource <message>"), and so
 is a MemoryError (exit 2, "c resource memory exhausted"); any other exception
 is an internal error (exit 3, "c internal <Type>: <message>").
@@ -11,6 +11,8 @@ is an internal error (exit 3, "c internal <Type>: <message>").
 oracle, as a mismatch and exits 3 when there is one. Output is line
 oriented: "s ..." for status, "v ..." for a witness, "c key value" for
 diagnostics. GIXSAT_ORACLE_LIMIT overrides the brute-force variable cap.
+mitm and oracle, the modules that use numpy, are imported by the commands
+that run them, so the other commands start without numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import signal
 import sys
 import time
 
-from . import analysis, dpll, generator, mitm, oracle, textio
-from .formula import MAX_TARGET, Formula
+from . import analysis, dpll, generator, textio
+from .formula import MAX_TARGET, Formula, ResourceLimitError
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -45,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _alarm(signum, frame):
-    raise mitm.ResourceLimitError("timeout")
+    raise ResourceLimitError("timeout")
 
 
 def _internal(exc: Exception) -> None:
@@ -77,6 +79,11 @@ def _cmd_solve(args) -> int:
         if not 0 < args.alpha < 1:  # also rejects NaN
             raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha:g}")
     formula = _read_formula(args.file)
+    # imported before the alarm is set, so that it cannot stop an import
+    if args.algo == "brute":
+        from . import oracle
+    elif args.algo == "mitm":
+        from . import mitm
     if args.timeout:
         signal.signal(signal.SIGALRM, _alarm)
         signal.setitimer(signal.ITIMER_REAL, args.timeout)
@@ -116,7 +123,7 @@ def _cmd_solve(args) -> int:
                 print(f"c fallback {tag} {n}")
             for letter, count in st.simplify_fires.items():
                 print(f"c simplify {letter} {count}")
-        elif isinstance(st, mitm.MitmStats):
+        elif args.algo == "mitm":
             print(f"c alpha {st.alpha:.6f}")
             for key in ("cover_size", "covered_vars", "complement_vars",
                         "emitted", "index_size", "sweep_count"):
@@ -184,6 +191,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import mitm, oracle
     limit = oracle.env_limit()
     if not 3 <= args.n <= limit:
         raise ValueError(f"--n must lie in 3..{limit} (the oracle's cap), got {args.n}")
@@ -272,7 +280,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except mitm.ResourceLimitError as exc:
+    except ResourceLimitError as exc:
         print(f"c resource {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError as exc:  # its message is most often empty

@@ -15,11 +15,13 @@ runs the first that covers a formula's largest target:
 
   g2 (targets <= 2): rules 8..18; rules 16/17 isolate and brute-force heavy
       variables (degree >= 3), rule 18 finishes the degree <= 2 remainder by
-      component decomposition. Selection makes one clause pass (a long
-      exactly-1 clause takes rule 8 at once; rules 10, 11 and 13 keep their
-      first clause) and one pair pass over the occurrence map (_overlaps) in
-      ascending (i, j) (rules 9, 12, 14 and 15 keep their first pair), then
-      walks the priority list. Rules 10 and 11 look their clause's shape up
+      component decomposition. Selection first passes over the clauses
+      checking the fixpoint shape of each, until the first exactly-1 clause
+      of 4 or more literals, which takes rule 8 at once. Failing one, it
+      makes one clause pass (rules 10, 11 and 13 keep their first clause)
+      and one pair pass over the occurrence map (_overlaps) in ascending
+      (i, j) (rules 9, 12, 14 and 15 keep their first pair), then walks the
+      priority list. Rules 10 and 11 look their clause's shape up
       in _G2_RULE10 and _G2_RULE11, rules 9, 12 and 15 their pair's in
       _G2_RULE9, _G2_RULE12 and _G2_RULE15; the other rules bind the shared
       branch lists (_SPLIT, _PAIR2, ...) to the literals they pick.
@@ -30,12 +32,12 @@ runs the first that covers a formula's largest target:
       component with one frame per clause, asserts that the values meet
       every clause target and records them all on the trail in one call.
   g3 (targets <= 3) and g4 (targets <= 4): one class scan, then tables.
-      Selection passes over the clauses once. The first exactly-1 clause
-      takes rule 6; every other clause class (target t, has a repeated
-      literal) keeps its lowest-index clause. For t = 2 up to the scheme's
-      top target, a repeated-literal clause takes rule 2t + 3 (7, 9, 11),
-      looked up in a profile table, and a single-occurrence one rule 2t + 4
-      (8, 10, 12), looked up by (t, size) in _SINGLE.
+      The first exactly-1 clause takes rule 6. Failing one, selection
+      passes over the clauses once more, and every clause class (target t,
+      has a repeated literal) keeps its lowest-index clause. For t = 2 up to
+      the scheme's top target, a repeated-literal clause takes rule 2t + 3
+      (7, 9, 11), looked up in a profile table, and a single-occurrence one
+      rule 2t + 4 (8, 10, 12), looked up by (t, size) in _SINGLE.
 
 Every prescription with branches is a table entry or a shared branch list,
 a function from the literals its rule binds to its branches, and _rule
@@ -47,7 +49,8 @@ of the rule_fires tally, for audit.
 
 A solve keeps one simplification worklist (simplify._Worklist) as its
 search state, built once from the input formula and settled to a fixpoint.
-A forced rule's branch edits it in place and it is settled again. At a
+A forced rule's branch edits it in place and it is settled again; a true or
+false action is one falsify call, a link one eliminate call. At a
 branching rule each branch but the last gets a fork of it (its own copies of
 the flat clause lists and trail, sharing the Clause objects and the
 occurrence map; each worklist copies a shared clause on its first edit and
@@ -162,15 +165,16 @@ def _apply_actions(w: _Worklist, actions) -> bool:
     for act in actions:
         kind = act[0]
         if kind in ("true", "false"):
-            # the constant that makes lit true or false as the action says
-            lit, state = act[1], _CONST[(kind == "true") == (act[1] > 0)]
+            # the literal the action makes false
+            lit = act[1]
+            off = lit if kind == "false" else -lit
             st = entries.get(abs(lit))
             if st is None:
-                if not w.eliminate(abs(lit), state):
+                if not w.falsify((off,)):
                     return False
             elif st[0] != "const":
                 raise RuntimeError("prescription touches an eliminated variable")
-            elif st != state:
+            elif st != _CONST[off < 0]:
                 return False
         elif kind == "link":
             # value(lit_a) = value(lit_b), eliminating var(lit_a)
@@ -237,10 +241,9 @@ def _overlaps(f: Formula) -> tuple[dict, list, list]:
 def _select_g2(f: Formula) -> Rule:
     cls = f.clauses
 
-    # clause pass: rule 8 at once; rules 10, 11 and 13 keep their first clause
-    c1s = {}  # the 3-literal exactly-1 clauses by index
-    first: dict = {}  # rule -> its first clause, or first pair (i, ci, j, cj, common)
-    for i, c in enumerate(cls):
+    # fixpoint pass: rule 8 takes the first exactly-1 clause of 4 or more
+    # literals at once; every clause up to it is checked
+    for c in cls:
         if c.target == 1:
             size = c.size()
             assert size == len(c.occ) and c.occ.keys().isdisjoint(map(neg, c.occ)), \
@@ -248,22 +251,29 @@ def _select_g2(f: Formula) -> Rule:
                 "must hold distinct, unpaired literals"
             if size >= 4:
                 return _rule("g2.8", _PAIR2, p=sorted(c.occ, key=abs))
-            if size == 3:
-                c1s[i] = c
         elif c.target == 2:
             assert max(c.occ.values(), default=0) <= 2 \
                 and c.occ.keys().isdisjoint(map(neg, c.occ)), \
                 "g2 selection needs a simplification fixpoint: an exactly-2 clause " \
                 "must hold unpaired literals, each at most twice"
-            doubled = c.size() - len(c.occ)  # each multiplicity is 1 or 2
-            if doubled >= 2:
-                first.setdefault(10, c)
-            elif doubled == 1:
-                first.setdefault(11, c)
-            elif len(c.occ) == 4:
-                first.setdefault(13, c)
         else:
             raise AssertionError("g2 selection needs clause targets of 1 or 2")
+
+    # clause pass: rules 10, 11 and 13 keep their first clause
+    c1s = {}  # the 3-literal exactly-1 clauses by index
+    first: dict = {}  # rule -> its first clause, or first pair (i, ci, j, cj, common)
+    for i, c in enumerate(cls):
+        if c.target == 1:
+            if len(c.occ) == 3:
+                c1s[i] = c
+            continue
+        doubled = c.size() - len(c.occ)  # each multiplicity is 1 or 2
+        if doubled >= 2:
+            first.setdefault(10, c)
+        elif doubled == 1:
+            first.setdefault(11, c)
+        elif len(c.occ) == 4:
+            first.setdefault(13, c)
 
     # pair pass in ascending (i, j): rules 9, 12, 14 and 15 keep their first pair
     occurrences, shared, varlists = _overlaps(f)
@@ -604,12 +614,13 @@ def _repeated_rule(tag, table, width, x, delta) -> Rule:
 
 
 def _select_g34(f: Formula, scheme: str) -> Rule:
-    # one pass: rule 6 takes the first exactly-1 clause; every other class
-    # (target, has a repeated literal) keeps its lowest-index clause
-    first = {}
+    # rule 6 takes the first exactly-1 clause; failing one, every other
+    # class (target, has a repeated literal) keeps its lowest-index clause
     for c in f.clauses:
         if c.target == 1:
             return _rule(f"{scheme}.6", _PAIR2, p=sorted(c.occ, key=abs))
+    first = {}
+    for c in f.clauses:
         first.setdefault((c.target, max(c.occ.values()) > 1), c)
 
     for t in range(2, _TARGET_CAPS[scheme] + 1):

@@ -216,6 +216,11 @@ class Trail:
         return model
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when a solve runs out of a resource: memory for the MITM
+    tables, or the command line's --timeout."""
+
+
 @dataclass
 class SolveResult:
     sat: bool

@@ -50,7 +50,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .analysis import alpha_for, binom_branching
-from .formula import MAX_TARGET, Formula, SolveResult, evaluate
+from .formula import MAX_TARGET, Formula, ResourceLimitError, SolveResult, evaluate
 
 _BLOCK_BITS = 18
 # A variable adds at most target + 1 to a clause (_step_table caps it), so in
@@ -65,10 +65,6 @@ _FIRST_CHECK = 1 << 10
 # Bits of each int64 word that cover-table rows pack clause fields into,
 # below the sign bit (see _fields).
 _WORD_BITS = 63
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when the vector table cannot be held in memory."""
 
 
 def default_alpha(max_target: int) -> float:

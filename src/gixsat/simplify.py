@@ -26,12 +26,15 @@ assignment or link eliminated. Those are found through a variable ->
 clause-index occurrence map. A deleted clause leaves an empty slot, so
 indices and clause order stay fixed.
 
-Eliminating a variable is one pass over the clauses that hold it: each
-clause's new state is computed and written at once, and the counters are
-updated once at the end, where the trail entry is also written. A conflict
-returns False at the clause where it shows, leaving the worklist half
-edited, so a worklist that returned False must be discarded, as every
-caller does. A clause whose rule mask changes flips its bit in the bitsets
+Constants and links take two passes. falsify makes a list of literals
+false, in order, in one call: for each literal, one pass over the clauses
+that hold its variable computes and writes each clause's new state at once,
+then the counters are updated and the trail entry is written, before the
+next literal. eliminate handles links, in the same one pass per variable,
+and hands a constant to falsify. A conflict returns False at the clause
+where it shows, leaving the worklist half edited and the trail holding the
+entries of the literals before it, so a worklist that returned False must
+be discarded, as every caller does. A clause whose rule mask changes flips its bit in the bitsets
 of the changed rules only, read from a table of set bits; a flip is exact,
 since the bitsets agree with the masks. Ints are immutable, so an update
 or a pick copies the int: O(m) bytes for m clause slots, a few machine
@@ -54,21 +57,25 @@ the size by 2, and the clause stays plain. Every (e) step meets this on its
 own clause, which it empties. A link that would double a literal, and any
 visit to a clause that is not plain, go through substitute and _classify.
 Trail.check's tests run inline, and check itself only to raise, so every
-failure still raises its message before any edit. And rule (c) on a target-0
-clause sorts its literals once, in canonical order, and zeroes them one by
-one within one step, stopping as soon as an (a) or (b) step is pending or
-the clause is no longer the lowest-index one carrying (c). The clause is
+failure still raises its message before its literal's edit. Rule (g) acts
+on a plain clause, so the negated clause takes its mask from t and k too.
+And rule (c) on a target-0 clause sorts its literals once, in canonical
+order, and zeroes them in one falsify call with the clause as its home:
+before each literal after the first, falsify stops unless no (a) or (b)
+step is pending and the home clause is still the lowest-index one carrying
+(c), and each literal it goes on to counts one (c) fire. The clause is
 unpaired and zeroing a literal changes only the clauses holding its
 variable, so each literal is exactly the step a rescan would take next, and
 the trail, the literal order of every clause and the point of any conflict
 stay the same. Unpaired, the clause's canonical order is its order by
 variable alone, and so is that of the clauses (e) and (f) act on, since no
-(b) step is pending when they run.
+(b) step is pending when they run; an (f) step is one falsify call too.
 
 Clauses are copied on first edit. A worklist's owned set holds the slots
 whose Clause it built since it was created or last forked. The plain-clause
 edits above change an owned clause in place and copy any other clause once,
-claiming the copy; substitute builds a new clause, which is claimed too.
+claiming the copy; substitute and rule (g) build a new clause, which is
+claimed too.
 Clauses put in by add, put or replace are not owned. So the input formula
 and its clauses are never mutated, and a clause another worklist shares is
 copied before it changes.
@@ -170,8 +177,8 @@ class _Worklist:
     """Clause slots, per-rule bitsets, occurrence map and bound counters.
 
     A worklist can be the search state of a whole solve: callers edit it
-    through add, replace, delete and eliminate, run settle to reach a
-    fixpoint, and fork it at a branch point. fires counts the steps of each
+    through add, replace, delete, falsify and eliminate, run settle to reach
+    a fixpoint, and fork it at a branch point. fires counts the steps of each
     rule (a)-(h); forks share it, so it counts the steps of a whole search.
     """
 
@@ -252,29 +259,128 @@ class _Worklist:
         self.slots[i] = None
         self._remask(i, 0)
 
-    def eliminate(self, var: int, state: tuple) -> bool:
-        """Substitute var by a Trail state in the clauses that hold it.
+    def falsify(self, lits, home: Optional[int] = None) -> bool:
+        """Make each literal of lits false, in order, in one call.
 
-        Each clause takes its new state where it is computed, so the edit is
-        one pass. Records state on the trail and returns True, or returns
-        False on a conflict, leaving the worklist half edited: after False it
-        must be discarded. Raises ValueError, before any edit, if var is
-        already eliminated or the link is not allowed.
+        Each literal's variable is substituted by the constant in the
+        clauses that hold it, in one pass, and its trail entry is written
+        before the next literal. With home, the slot of a target-0 clause
+        whose (c) step this is, the step stops before each literal after
+        the first unless it is still the step a rescan would take: no (a)
+        or (b) step pending and slot home still the lowest carrying (c).
+        Each literal it goes on to counts one (c) fire. Returns True, or
+        False on a conflict, leaving the worklist half edited and the
+        entries of the earlier literals written: after False it must be
+        discarded. Raises ValueError, before that literal's edit, if its
+        variable is out of range or already eliminated.
         """
         trail = self.trail
         entries = trail.entries
-        kind, arg = state
-        const = kind == "const"
-        # check's tests, inline: check itself runs only to raise, naming the
-        # failure
         num_vars = trail.num_vars
-        if const:
-            ok = arg in (0, 1)
-        else:
-            partner = abs(arg)
-            ok = kind == "link" and 1 <= partner <= num_vars and partner != var \
-                and partner not in entries
-        if not (ok and 1 <= var <= num_vars and var not in entries):
+        slots = self.slots
+        sizes = self.sizes
+        masks = self.masks
+        owned = self.owned
+        pending = self.pending
+        where = self.occ
+        n = len(slots)
+        watching = home is not None
+        bit = 1 << home if watching else 0
+        watch = False
+        for lit in lits:
+            if watch:
+                held = pending[2]
+                if pending[0] or pending[1] or held & -held != bit:
+                    return True
+                self.fires[2] += 1
+            watch = watching
+            var = abs(lit)
+            nlit = -lit
+            state = _CONST[lit < 0]
+            # check's tests, inline: check itself runs only to raise, naming
+            # the failure
+            if not (1 <= var <= num_vars and var not in entries):
+                trail.check(var, state)
+            occurrences = targets = 0
+            # the map never shrinks and forks share it, so it may name slots
+            # this worklist lacks and clauses that no longer hold var
+            for i in where.get(var, ()):
+                if i >= n:
+                    continue
+                c = slots[i]
+                if c is None:
+                    continue
+                occ = c.occ
+                # drop is the fall of the target: 0 for lit, 1 for -lit
+                if lit in occ:
+                    gone, drop = lit, 0
+                elif nlit in occ:
+                    gone, drop = nlit, 1
+                else:
+                    continue
+                old = masks[i]
+                k = sizes[i]
+                # plain: every literal once, var in one sign only (3 is
+                # _A | _B, folded to a constant)
+                if k == len(occ) and not old & 3:
+                    if i not in owned:
+                        nc = Clause.__new__(Clause)
+                        nc.target = c.target
+                        nc.occ = occ = dict(occ)
+                        slots[i] = c = nc
+                        owned.add(i)
+                    del occ[gone]
+                    t = c.target - drop
+                    k -= 1
+                    if t < 0 or t > k:
+                        return False
+                    occurrences -= 1
+                    targets -= drop
+                    c.target = t
+                    sizes[i] = k
+                    mask = _PLAIN[k][t] if k < 16 else _plain_mask(t, k)
+                else:
+                    nc = substitute(c, var, state)
+                    if nc is None:
+                        return False
+                    mask, size = _classify(nc)
+                    slots[i] = nc
+                    owned.add(i)
+                    occurrences += size - k
+                    targets += nc.target - c.target
+                    sizes[i] = size
+                if mask != old:
+                    masks[i] = mask
+                    b = 1 << i
+                    for r in _SET_BITS[mask ^ old]:
+                        pending[r] ^= b
+            self.occurrences += occurrences
+            self.targets += targets
+            entries[var] = state
+        return True
+
+    def eliminate(self, var: int, state: tuple) -> bool:
+        """Substitute var by a Trail state in the clauses that hold it.
+
+        A constant goes to falsify, as the literal of var it makes false;
+        this pass handles links. Each clause takes its new state where it is
+        computed, so the edit is one pass. Records state on the trail and
+        returns True, or returns False on a conflict, leaving the worklist
+        half edited: after False it must be discarded. Raises ValueError,
+        before any edit, if var is already eliminated or the state is not
+        allowed.
+        """
+        kind, arg = state
+        if kind == "const" and arg in (0, 1) and var > 0:
+            return self.falsify((-var if arg else var,))
+        trail = self.trail
+        entries = trail.entries
+        # check's tests, inline: check itself runs only to raise, naming the
+        # failure, as it does for every constant that reaches here
+        num_vars = trail.num_vars
+        partner = abs(arg)
+        if not (kind == "link" and 1 <= partner <= num_vars and partner != var
+                and partner not in entries and 1 <= var <= num_vars and var not in entries):
             trail.check(var, state)
         slots = self.slots
         sizes = self.sizes
@@ -283,13 +389,9 @@ class _Worklist:
         pending = self.pending
         n = len(slots)
         nvar = -var
-        # what the literal var, and -var, turn into: for a constant the drop
-        # of the target, for a link the partner's literal
-        up, down = (arg, 1 - arg) if const else (arg, -arg)
         occurrences = targets = 0
         linked = []
-        # the map never shrinks and forks share it, so it may name slots this
-        # worklist lacks and clauses that no longer hold var
+        # stale entries are skipped, as in falsify
         for i in self.occ.get(var, ()):
             if i >= n:
                 continue
@@ -297,18 +399,18 @@ class _Worklist:
             if c is None:
                 continue
             occ = c.occ
+            # to is the partner's literal that lit turns into
             if var in occ:
-                lit, to = var, up
+                lit, to = var, arg
             elif nvar in occ:
-                lit, to = nvar, down
+                lit, to = nvar, -arg
             else:
                 continue
+            linked.append(i)
             old = masks[i]
             k = sizes[i]
-            # plain: every literal once, var in one sign only; a link that
-            # would double the partner's literal goes through substitute (3 is
-            # _A | _B, folded to a constant)
-            if k == len(occ) and not old & 3 and (const or to not in occ):
+            # plain, and not doubling the partner's literal
+            if k == len(occ) and not old & 3 and to not in occ:
                 if i not in owned:
                     nc = Clause.__new__(Clause)
                     nc.target = c.target
@@ -316,27 +418,18 @@ class _Worklist:
                     slots[i] = c = nc
                     owned.add(i)
                 del occ[lit]
-                if const:
-                    t = c.target - to
-                    k -= 1
-                    if t < 0 or t > k:
-                        return False
-                    occurrences -= 1
-                    targets -= to
-                else:
-                    linked.append(i)
-                    if -to not in occ:
-                        # renamed: target, size and mask stay
-                        occ[to] = 1
-                        continue
-                    # the partner's opposite literal cancels the new one
-                    del occ[-to]
-                    t = c.target - 1
-                    k -= 2
-                    if t < 0 or t > k:
-                        return False
-                    occurrences -= 2
-                    targets -= 1
+                if -to not in occ:
+                    # renamed: target, size and mask stay
+                    occ[to] = 1
+                    continue
+                # the partner's opposite literal cancels the new one
+                del occ[-to]
+                t = c.target - 1
+                k -= 2
+                if t < 0 or t > k:
+                    return False
+                occurrences -= 2
+                targets -= 1
                 c.target = t
                 sizes[i] = k
                 mask = _PLAIN[k][t] if k < 16 else _plain_mask(t, k)
@@ -345,8 +438,6 @@ class _Worklist:
                 if nc is None:
                     return False
                 mask, size = _classify(nc)
-                if not const:
-                    linked.append(i)
                 slots[i] = nc
                 owned.add(i)
                 occurrences += size - k
@@ -466,25 +557,15 @@ def _step_b(w: _Worklist, i: int, c: Clause) -> bool:
 def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
     if c.target:
         lit = next(lit for lit in c.sorted_literals() if c.occ[lit] > c.target)
-        return w.eliminate(abs(lit), _CONST[lit < 0])
+        return w.falsify((lit,))
     # Target 0: every literal exceeds the target, so a rescan would step here
     # again, zeroing the next literal in canonical order, for as long as no
     # (a) or (b) step is pending and clause i stays the lowest-index clause
-    # carrying (c). No (b) step is pending now, so clause i is unpaired, and
-    # zeroing a literal edits only the clauses holding its variable: the
-    # literals can be sorted once, by variable alone. After the last one
-    # clause i is empty.
-    pending = w.pending
-    bit = 1 << i
-    for n, lit in enumerate(sorted(c.occ, key=abs)):
-        if n:
-            held = pending[2]
-            if pending[0] or pending[1] or held & -held != bit:
-                return True
-            w.fires[2] += 1
-        if not w.eliminate(abs(lit), _CONST[lit < 0]):
-            return False
-    return True
+    # carrying (c); falsify stops as soon as that fails. No (b) step is
+    # pending now, so clause i is unpaired, and zeroing a literal edits only
+    # the clauses holding its variable: the literals can be sorted once, by
+    # variable alone. After the last one clause i is empty.
+    return w.falsify(sorted(c.occ, key=abs), home=i)
 
 
 def _step_d(w: _Worklist, i: int, c: Clause) -> bool:
@@ -500,17 +581,24 @@ def _step_e(w: _Worklist, i: int, c: Clause) -> bool:
 
 
 def _step_f(w: _Worklist, i: int, c: Clause) -> bool:
-    value = 0 if c.target == 0 else 1
-    # no (b) step is pending, so c is unpaired
-    return all(w.eliminate(abs(lit), _CONST[value if lit > 0 else 1 - value])
-               for lit in sorted(c.occ, key=abs))
+    # no (b) step is pending, so c is unpaired; at target 0 every literal is
+    # made false, at its size every literal true
+    lits = sorted(c.occ, key=abs)
+    return w.falsify(lits if c.target == 0 else [-lit for lit in lits])
 
 
 def _step_g(w: _Worklist, i: int, c: Clause) -> bool:
-    nc = Clause.__new__(Clause)  # (g) needs every literal of c once
-    nc.target = w.sizes[i] - c.target
+    # no (a)-(f) step is pending, so c is plain and so is its negation, of
+    # the same size: the mask comes from the table
+    k = w.sizes[i]
+    t = k - c.target
+    nc = Clause.__new__(Clause)
+    nc.target = t
     nc.occ = {-lit: 1 for lit in c.occ}
-    w.put(i, nc)
+    w.targets += t - c.target
+    w.slots[i] = nc
+    w.owned.add(i)
+    w._remask(i, _PLAIN[k][t] if k < 16 else _plain_mask(t, k))
     return True
 
 

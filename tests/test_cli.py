@@ -422,6 +422,18 @@ def test_timeout_alarm_in_a_process(tmp_path):
     assert proc.stderr == "c resource timeout\n"
 
 
+def test_core_modules_do_not_load_numpy():
+    # only mitm and oracle use numpy; the package's oracle names and the
+    # commands that run those modules load it on first use
+    src = os.path.dirname(os.path.dirname(gixsat.__file__))
+    code = ("import sys, gixsat, gixsat.dpll, gixsat.textio, gixsat.generator, gixsat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')[:3])")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_solve_reads_stdin_in_a_process():
     planted = _run_cli(["gen", "--n", "12", "--m", "8", "--planted", "--seed", "3"]).stdout
     proc = _run_cli(["solve", "-"], stdin=planted)

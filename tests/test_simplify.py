@@ -284,6 +284,10 @@ def crowded_formulas(draw):
 @example(F(4, C(0, 1, 4), C(2, 1, -2, 2, 3, 4)))
 # zeroing clause 1 stops after literal 2, when clause 0 gains (c)
 @example(F(5, C(2, -2, 3, 3, 5), C(0, 1, 2, 4)))
+# zeroing clause 0 conflicts at its second literal, in a plain clause and in
+# one that repeats it: variable 1 is on the trail, variable 2 is not
+@example(F(4, C(0, 1, 2, 3), C(0, -2, 4)))
+@example(F(4, C(0, 1, 2, 3), C(1, -2, -2, 4)))
 # the (e) link 1 = -2 turns 1 into -2, which cancels against 2 in a plain
 # clause: leaving target 0 and literals 3, 4; into a conflict, target 1 over
 # no literal; emptying a duplicate of the linked clause. A clause holding 2 twice is not
@@ -688,7 +692,7 @@ def _assert_rule_index(w):
         assert held == expect, (RULE_LETTERS[r], bin(held), bin(expect))
 
 
-def rule_index_corpus(count=200, seed=31):
+def rule_index_corpus(count=240, seed=31):
     """Seeded g2, g3 and g4 formulas with negations and repeated literals."""
     rng = random.Random(seed)
     for i in range(count):
@@ -706,14 +710,14 @@ def test_rule_index_matches_the_masks(monkeypatch):
     checks = [0]
 
     def checked(fn, result_is_worklist=False):
-        def wrapper(w, *args):
-            out = fn(w, *args)
+        def wrapper(w, *args, **kwargs):
+            out = fn(w, *args, **kwargs)
             _assert_rule_index(out if result_is_worklist else w)
             checks[0] += 1
             return out
         return wrapper
 
-    for name in ("__init__", "add", "put", "delete", "eliminate"):
+    for name in ("__init__", "add", "put", "delete", "eliminate", "falsify"):
         monkeypatch.setattr(_Worklist, name, checked(getattr(_Worklist, name)))
     monkeypatch.setattr(_Worklist, "fork", checked(_Worklist.fork, result_is_worklist=True))
     for letter in "bcdefg":  # settle looks each step up by name
