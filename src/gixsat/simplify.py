@@ -26,50 +26,53 @@ assignment or link eliminated. Those are found through a variable ->
 clause-index occurrence map. A deleted clause leaves an empty slot, so
 indices and clause order stay fixed.
 
-Constants and links take two passes. falsify makes a list of literals
-false, in order, in one call: for each literal, one pass over the clauses
+Constants and links take one pass. falsify makes a list of literals false,
+in order, in one call, and eliminate links a variable to a literal of
+another; both run _substitute. For each literal, one visit of the clauses
 that hold its variable computes and writes each clause's new state at once,
 then the counters are updated and the trail entry is written, before the
-next literal. eliminate handles links, in the same one pass per variable,
-and hands a constant to falsify. A conflict returns False at the clause
-where it shows, leaving the worklist half edited and the trail holding the
-entries of the literals before it, so a worklist that returned False must
-be discarded, as every caller does. A clause whose rule mask changes flips its bit in the bitsets
-of the changed rules only, read from a table of set bits; a flip is exact,
-since the bitsets agree with the masks. Ints are immutable, so an update
-or a pick copies the int: O(m) bytes for m clause slots, a few machine
-words on a search's small formulas and a few kilobytes at tens of
-thousands of clauses, but no O(|pending|) Python work, as a min() over a
-set of pending indices was.
+next literal. A constant drops the visited literal and lowers the target by
+0 or 1; a link renames it to the partner's literal, or cancels it against
+the partner's opposite one. A conflict returns False at the clause where it
+shows, leaving the worklist half edited and the trail holding the entries
+of the literals before it, so a worklist that returned False must be
+discarded, as every caller does. A clause whose rule mask changes flips its
+bit in the bitsets of the changed rules only, read from a table of set
+bits; a flip is exact, since the bitsets agree with the masks. Ints are
+immutable, so an update or a pick copies the int: O(m) bytes for m clause
+slots, a few machine words on a search's small formulas and a few kilobytes
+at tens of thousands of clauses, but no O(|pending|) Python work, as a
+min() over a set of pending indices was.
 
 Shortcuts make a step cheaper without changing which steps run or in what
-order. Most clauses an elimination reaches are plain: k distinct literals,
-each once, no variable in both signs. A plain clause's mask depends only on
-its target t and size k, so eliminating a constant from one drops the
-literal, lowers the target, checks for a conflict and computes the new mask
-from t and k alone (_plain_mask, tabled below 16 literals), building no
-clause. A link reaching a plain clause that lacks the partner's variable
-keeps its target, size and mask: the literal is renamed to the partner,
-deleted and appended, the order substitute gives. A link reaching a plain
-clause that holds the partner's literal with the opposite sign to the
-renamed one cancels the pair: both literals go, the target drops by 1 and
-the size by 2, and the clause stays plain. Every (e) step meets this on its
-own clause, which it empties. A link that would double a literal, and any
-visit to a clause that is not plain, go through substitute and _classify.
-Trail.check's tests run inline, and check itself only to raise, so every
-failure still raises its message before its literal's edit. Rule (g) acts
-on a plain clause, so the negated clause takes its mask from t and k too.
-And rule (c) on a target-0 clause sorts its literals once, in canonical
-order, and zeroes them in one falsify call with the clause as its home:
-before each literal after the first, falsify stops unless no (a) or (b)
-step is pending and the home clause is still the lowest-index one carrying
-(c), and each literal it goes on to counts one (c) fire. The clause is
-unpaired and zeroing a literal changes only the clauses holding its
-variable, so each literal is exactly the step a rescan would take next, and
-the trail, the literal order of every clause and the point of any conflict
-stay the same. Unpaired, the clause's canonical order is its order by
-variable alone, and so is that of the clauses (e) and (f) act on, since no
-(b) step is pending when they run; an (f) step is one falsify call too.
+order. Most clauses the pass reaches are plain: k distinct literals, each
+once, no variable in both signs. A plain clause's mask depends only on its
+target t and size k, so a constant drops the literal, lowers the target,
+checks for a conflict and computes the new mask from t and k alone
+(_plain_mask, tabled below 16 literals), building no clause. A link
+reaching a plain clause that lacks the partner's variable keeps its target,
+size and mask: the literal is renamed to the partner, deleted and appended,
+the order substitute gives. A link reaching a plain clause that holds the
+partner's literal with the opposite sign to the renamed one cancels the
+pair: both literals go, the target drops by 1 and the size by 2, and the
+clause stays plain, its mask again from t and k. Every (e) step meets this
+on its own clause, which it empties. A link that would double a literal,
+and any visit to a clause that is not plain, go through substitute and
+_classify. Trail.check's tests run inline, and check itself only to raise,
+so every failure still raises its message before its literal's edit; for a
+link, eliminate tests the partner before the pass. Rule (g) acts on a plain
+clause, so the negated clause takes its mask from t and k too. And rule (c)
+on a target-0 clause sorts its literals once, in canonical order, and
+zeroes them in one pass with the clause as its home: before each literal
+after the first, the pass stops unless no (a) or (b) step is pending and
+the home clause is still the lowest-index one carrying (c), and each
+literal it goes on to counts one (c) fire. The clause is unpaired and
+zeroing a literal changes only the clauses holding its variable, so each
+literal is exactly the step a rescan would take next, and the trail, the
+literal order of every clause and the point of any conflict stay the same.
+Unpaired, the clause's canonical order is its order by variable alone, and
+so is that of the clauses (e) and (f) act on, since no (b) step is pending
+when they run; an (f) step is one pass too.
 
 Clauses are copied on first edit. A worklist's owned set holds the slots
 whose Clause it built since it was created or last forked. The plain-clause
@@ -274,6 +277,42 @@ class _Worklist:
         discarded. Raises ValueError, before that literal's edit, if its
         variable is out of range or already eliminated.
         """
+        return self._substitute(lits, home, None)
+
+    def eliminate(self, var: int, state: tuple) -> bool:
+        """Substitute var by a Trail state in the clauses that hold it.
+
+        A constant goes to falsify, as the literal of var it makes false;
+        a link takes the same one pass. Records state on the trail and
+        returns True, or returns False on a conflict, leaving the worklist
+        half edited: after False it must be discarded. Raises ValueError,
+        before any edit, if var is already eliminated or the state is not
+        allowed.
+        """
+        kind, arg = state
+        if kind == "const" and arg in (0, 1) and var > 0:
+            return self.falsify((-var if arg else var,))
+        trail = self.trail
+        # check's tests, inline: check itself runs only to raise, naming the
+        # failure, as it does for every constant that reaches here
+        num_vars = trail.num_vars
+        partner = abs(arg)
+        if not (kind == "link" and 1 <= partner <= num_vars and partner != var
+                and partner not in trail.entries and 1 <= var <= num_vars
+                and var not in trail.entries):
+            trail.check(var, state)
+        return self._substitute((var,), None, state)
+
+    def _substitute(self, lits, home: Optional[int], link: Optional[tuple]) -> bool:
+        """The one pass of falsify and eliminate, over lits in order.
+
+        With link None each literal is made false, and home is falsify's;
+        with a link state, lits holds its one variable, which eliminate has
+        checked with its partner. Each literal's variable is substituted in
+        the clauses that hold it, each clause taking its new state where it
+        is computed, then the counters are updated and the trail entry is
+        written, before the next literal. Returns as falsify does.
+        """
         trail = self.trail
         entries = trail.entries
         num_vars = trail.num_vars
@@ -287,6 +326,17 @@ class _Worklist:
         watching = home is not None
         bit = 1 << home if watching else 0
         watch = False
+        # what lit and -lit turn into, and the fall of the target when they
+        # go: a constant (to 0) drops the literal, lowering the target by 0
+        # for the false lit and 1 for -lit; a link renames lit to the
+        # partner's literal to and -lit to -to, or cancels the new literal
+        # against the partner's opposite one, lowering the target by 1
+        if link:
+            to, drop_lit, linked = link[1], 1, []
+        else:
+            to = drop_lit = 0
+            linked = None
+        nto = -to
         for lit in lits:
             if watch:
                 held = pending[2]
@@ -296,9 +346,9 @@ class _Worklist:
             watch = watching
             var = abs(lit)
             nlit = -lit
-            state = _CONST[lit < 0]
+            state = link or _CONST[lit < 0]
             # check's tests, inline: check itself runs only to raise, naming
-            # the failure
+            # the failure (eliminate has run them on a link)
             if not (1 <= var <= num_vars and var not in entries):
                 trail.check(var, state)
             occurrences = targets = 0
@@ -311,18 +361,18 @@ class _Worklist:
                 if c is None:
                     continue
                 occ = c.occ
-                # drop is the fall of the target: 0 for lit, 1 for -lit
                 if lit in occ:
-                    gone, drop = lit, 0
+                    gone, new, drop = lit, to, drop_lit
                 elif nlit in occ:
-                    gone, drop = nlit, 1
+                    gone, new, drop = nlit, nto, 1
                 else:
                     continue
                 old = masks[i]
                 k = sizes[i]
                 # plain: every literal once, var in one sign only (3 is
-                # _A | _B, folded to a constant)
-                if k == len(occ) and not old & 3:
+                # _A | _B, folded to a constant), and a link not doubling
+                # the partner's literal
+                if k == len(occ) and not old & 3 and (not new or new not in occ):
                     if i not in owned:
                         nc = Clause.__new__(Clause)
                         nc.target = c.target
@@ -330,11 +380,21 @@ class _Worklist:
                         slots[i] = c = nc
                         owned.add(i)
                     del occ[gone]
-                    t = c.target - drop
+                    if new:
+                        if -new not in occ:
+                            # renamed: target, size and mask stay
+                            occ[new] = 1
+                            linked.append(i)
+                            continue
+                        # the partner's opposite literal cancels the new one
+                        del occ[-new]
+                        k -= 1
+                        occurrences -= 1
                     k -= 1
+                    occurrences -= 1
+                    t = c.target - drop
                     if t < 0 or t > k:
                         return False
-                    occurrences -= 1
                     targets -= drop
                     c.target = t
                     sizes[i] = k
@@ -349,6 +409,8 @@ class _Worklist:
                     occurrences += size - k
                     targets += nc.target - c.target
                     sizes[i] = size
+                    if link:
+                        linked.append(i)
                 if mask != old:
                     masks[i] = mask
                     b = 1 << i
@@ -357,102 +419,9 @@ class _Worklist:
             self.occurrences += occurrences
             self.targets += targets
             entries[var] = state
-        return True
-
-    def eliminate(self, var: int, state: tuple) -> bool:
-        """Substitute var by a Trail state in the clauses that hold it.
-
-        A constant goes to falsify, as the literal of var it makes false;
-        this pass handles links. Each clause takes its new state where it is
-        computed, so the edit is one pass. Records state on the trail and
-        returns True, or returns False on a conflict, leaving the worklist
-        half edited: after False it must be discarded. Raises ValueError,
-        before any edit, if var is already eliminated or the state is not
-        allowed.
-        """
-        kind, arg = state
-        if kind == "const" and arg in (0, 1) and var > 0:
-            return self.falsify((-var if arg else var,))
-        trail = self.trail
-        entries = trail.entries
-        # check's tests, inline: check itself runs only to raise, naming the
-        # failure, as it does for every constant that reaches here
-        num_vars = trail.num_vars
-        partner = abs(arg)
-        if not (kind == "link" and 1 <= partner <= num_vars and partner != var
-                and partner not in entries and 1 <= var <= num_vars and var not in entries):
-            trail.check(var, state)
-        slots = self.slots
-        sizes = self.sizes
-        masks = self.masks
-        owned = self.owned
-        pending = self.pending
-        n = len(slots)
-        nvar = -var
-        occurrences = targets = 0
-        linked = []
-        # stale entries are skipped, as in falsify
-        for i in self.occ.get(var, ()):
-            if i >= n:
-                continue
-            c = slots[i]
-            if c is None:
-                continue
-            occ = c.occ
-            # to is the partner's literal that lit turns into
-            if var in occ:
-                lit, to = var, arg
-            elif nvar in occ:
-                lit, to = nvar, -arg
-            else:
-                continue
-            linked.append(i)
-            old = masks[i]
-            k = sizes[i]
-            # plain, and not doubling the partner's literal
-            if k == len(occ) and not old & 3 and to not in occ:
-                if i not in owned:
-                    nc = Clause.__new__(Clause)
-                    nc.target = c.target
-                    nc.occ = occ = dict(occ)
-                    slots[i] = c = nc
-                    owned.add(i)
-                del occ[lit]
-                if -to not in occ:
-                    # renamed: target, size and mask stay
-                    occ[to] = 1
-                    continue
-                # the partner's opposite literal cancels the new one
-                del occ[-to]
-                t = c.target - 1
-                k -= 2
-                if t < 0 or t > k:
-                    return False
-                occurrences -= 2
-                targets -= 1
-                c.target = t
-                sizes[i] = k
-                mask = _PLAIN[k][t] if k < 16 else _plain_mask(t, k)
-            else:
-                nc = substitute(c, var, state)
-                if nc is None:
-                    return False
-                mask, size = _classify(nc)
-                slots[i] = nc
-                owned.add(i)
-                occurrences += size - k
-                targets += nc.target - c.target
-                sizes[i] = size
-            if mask != old:
-                masks[i] = mask
-                bit = 1 << i
-                for r in _SET_BITS[mask ^ old]:
-                    pending[r] ^= bit
-        self.occurrences += occurrences
-        self.targets += targets
+        # a cancelled clause already held the partner, so is registered
         if linked:
-            self.occ.setdefault(partner, set()).update(linked)
-        entries[var] = state
+            where.setdefault(abs(to), set()).update(linked)
         return True
 
     def settle(self) -> bool:
@@ -565,7 +534,7 @@ def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
     # pending now, so clause i is unpaired, and zeroing a literal edits only
     # the clauses holding its variable: the literals can be sorted once, by
     # variable alone. After the last one clause i is empty.
-    return w.falsify(sorted(c.occ, key=abs), home=i)
+    return w.falsify(sorted(c.occ, key=abs), i)
 
 
 def _step_d(w: _Worklist, i: int, c: Clause) -> bool:

@@ -370,16 +370,21 @@ def test_wide_exactly1_clause_classifies_a_constant_number_of_times(monkeypatch)
 
 
 def test_eliminate_classifies_long_plain_clauses():
+    """Constants and links on plain clauses around the 16-literal edge of the
+    mask table: a link to size + 1, which the clause lacks, renames -1, and a
+    link to 2 cancels the renamed -1 against the clause's 2, dropping the
+    size by 2 (17 -> 15 from the table, 18 -> 16 from _plain_mask)."""
     for size in (15, 16, 17, 18, 60):
         for target in (0, 1, 2, size // 2, size // 2 + 1, size - 1, size):
-            for value in (0, 1):
+            for state in (("const", 0), ("const", 1), ("link", size + 1), ("link", 2)):
                 c = Clause(target, [-1] + list(range(2, size + 1)))
-                expect = substitute(c, 1, ("const", value))
-                w = _Worklist(F(size, c), Trail(size))
-                assert w.eliminate(1, ("const", value)) == (expect is not None)
+                expect = substitute(c, 1, state)
+                w = _Worklist(F(size + 1, c), Trail(size + 1))
+                assert w.eliminate(1, state) == (expect is not None)
                 if expect is not None:
                     assert (_clause_view(w.slots[0]), w.masks[0], w.sizes[0]) == (
                         _clause_view(expect), *_classify(expect))
+                    assert w.occurrences == w.sizes[0] and w.targets == expect.target
 
 
 @given(crowded_formulas(), st.data())
@@ -638,10 +643,12 @@ def test_persistent_worklist_matches_fresh_fixpoints(f, data):
 
 @st.composite
 def elimination_chains(draw):
-    """2-4 eliminations as (variable pick, kind, partner pick, sign): a
-    constant 0 or 1, or a link to a literal of another alive variable."""
-    step = st.tuples(st.integers(0, 6), st.sampled_from(["const", "link"]),
-                     st.integers(0, 6), st.integers(0, 1))
+    """2-4 steps as (variable pick, kind, partner pick, signs): a constant
+    (the low bit of signs) or a link to a literal of another alive variable,
+    by eliminate, or 2-3 literals made false by one falsify call, the
+    partner pick setting their count and the bits of signs their signs."""
+    step = st.tuples(st.integers(0, 6), st.sampled_from(["const", "link", "falsify"]),
+                     st.integers(0, 6), st.integers(0, 7))
     return draw(st.lists(step, min_size=2, max_size=4))
 
 
@@ -653,32 +660,50 @@ def elimination_chains(draw):
 @example(F(6, C(2, 1, 2, 3, 4, 5, 6)), [(0, "const", 0, 0), (0, "link", 0, 1), (1, "const", 0, 1)])
 # constants on a clause the worklist owns, reaching a conflict
 @example(F(4, C(1, 1, 2, 3, 4)), [(0, "const", 0, 1), (0, "const", 0, 1)])
+# two literals in one falsify call, each reaching clauses: the counters must
+# take both; and two made true, the second into a conflict, after which the
+# first one's trail entry is written and the second one's is not
+@example(F(4, C(2, 1, 2, 3, 4), C(1, 1, 3)), [(0, "falsify", 0, 0), (0, "const", 0, 0)])
+@example(F(3, C(1, 1, 2, 3)), [(0, "falsify", 0, 3), (0, "const", 0, 0)])
 @given(st.one_of(crowded_formulas(), settled_formulas()), elimination_chains())
 @settings(max_examples=300, deadline=None)
 def test_eliminations_in_turn_match_substitute(f, chain):
     """Eliminations applied in turn to one worklist leave each clause, after
     each one, as substitute applied in turn leaves it, classified as
     _classify classifies it. From the second on they can reach clauses the
-    worklist built, which it edits in place."""
+    worklist built, which it edits in place. A falsify call substitutes its
+    literals in order, writing each one's trail entry before the next, and
+    stops at the first conflict."""
     w = _Worklist(f, Trail(f.num_vars))
     expect = list(f.clauses)
     alive = list(range(1, f.num_vars + 1))
-    for pick, kind, other, sign in chain:
-        var = alive.pop(pick % len(alive))
-        if kind == "link" and alive:
-            state = ("link", alive[other % len(alive)] * (1 - 2 * sign))
+    for pick, kind, other, signs in chain:
+        if kind == "falsify":
+            lits = [alive.pop(pick % len(alive)) * (1 - 2 * (signs >> j & 1))
+                    for j in range(min(2 + other % 2, len(alive)))]
+            steps = [(abs(lit), ("const", int(lit < 0))) for lit in lits]
         else:
-            state = ("const", sign)
-        expect = [substitute(c, var, state) if var in c.occ or -var in c.occ else c
-                  for c in expect]
-        ok = w.eliminate(var, state)
+            var = alive.pop(pick % len(alive))
+            if kind == "link" and alive:
+                state = ("link", alive[other % len(alive)] * (1 - 2 * (signs & 1)))
+            else:
+                state = ("const", signs & 1)
+            steps = [(var, state)]
+        entries = dict(w.trail.entries)
+        for var, state in steps:
+            expect = [substitute(c, var, state) if var in c.occ or -var in c.occ else c
+                      for c in expect]
+            if None in expect:
+                break
+            entries[var] = state
+        ok = w.falsify(lits) if kind == "falsify" else w.eliminate(var, state)
         assert ok == (None not in expect)
+        assert w.trail.entries == entries
         if not ok:
             return
         assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
         assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
         assert w.occurrences == sum(w.sizes) and w.targets == sum(c.target for c in expect)
-        assert w.trail.entries[var] == state
         _assert_occurrence_superset(w)
         if not alive:
             return
