@@ -49,19 +49,19 @@ of the rule_fires tally, for audit.
 
 A solve keeps one simplification worklist (simplify._Worklist) as its
 search state, built once from the input formula and settled to a fixpoint.
-A forced rule's branch edits it in place and it is settled again; a true or
-false action is one falsify call, a link one eliminate call. At a
-branching rule each branch but the last gets a fork of it (its own copies of
-the flat clause lists and trail, sharing the Clause objects and the
-occurrence map; each worklist copies a shared clause on its first edit and
-edits its copy in place after that), so backtracking just drops the fork.
-The last branch takes the worklist itself, which nothing reads afterwards,
-and only once every earlier fork is dropped: a worklist must not be edited
-while a fork of it is in use. Each child is settled, and under instrument
-its measure is checked against the parent's, in one place. The worklist
-counts the simplification steps of each rule (a)-(h) across the whole
-search, reported as SearchStats.simplify_fires. Selection reads the compact
-formula the worklist lists, whose clause j is the worklist's j-th live slot.
+A forced rule's branch edits it in place and it is settled again; a true,
+false or link action is one eliminate call. At a branching rule each branch
+but the last gets a fork of it (its own copies of the flat clause lists and
+trail, sharing the Clause objects and the occurrence map; each worklist
+copies a shared clause on its first edit and edits its copy in place after
+that), so backtracking just drops the fork. The last branch takes the
+worklist itself, which nothing reads afterwards, and only once every
+earlier fork is dropped: a worklist must not be edited while a fork of it
+is in use. Each child is settled, and under instrument its measure is
+checked against the parent's, in one place. The worklist counts the
+simplification steps of each rule (a)-(h) across the whole search, reported
+as SearchStats.simplify_fires. Selection reads the compact formula the
+worklist lists, whose clause j is the worklist's j-th live slot.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .formula import (
     lit_key,
     true_count,
 )
-from .simplify import _CONST, RULE_LETTERS, _Worklist
+from .simplify import RULE_LETTERS, _Worklist
 
 # each scheme's largest clause target, the largest its measure weighs, in dispatch order
 _TARGET_CAPS = {scheme: max(weights) for scheme, weights in MEASURE_SCHEMES.items()}
@@ -170,18 +170,18 @@ def _apply_actions(w: _Worklist, actions) -> bool:
             off = lit if kind == "false" else -lit
             st = entries.get(abs(lit))
             if st is None:
-                if not w.falsify((off,)):
+                if not w.eliminate((off,)):
                     return False
             elif st[0] != "const":
                 raise RuntimeError("prescription touches an eliminated variable")
-            elif st != _CONST[off < 0]:
+            elif st[1] != (off < 0):
                 return False
         elif kind == "link":
             # value(lit_a) = value(lit_b), eliminating var(lit_a)
             lit_a, lit_b = act[1], act[2]
             v = abs(lit_a)
             partner = lit_b if lit_a > 0 else -lit_b
-            if not w.eliminate(v, ("link", partner)):
+            if not w.eliminate((v,), partner=partner):
                 return False
         elif kind == "add":
             w.add(Clause(act[1], act[2]))

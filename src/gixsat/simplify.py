@@ -26,62 +26,61 @@ assignment or link eliminated. Those are found through a variable ->
 clause-index occurrence map. A deleted clause leaves an empty slot, so
 indices and clause order stay fixed.
 
-Constants and links take one pass. falsify makes a list of literals false,
-in order, in one call, and eliminate links a variable to a literal of
-another; both run _substitute. For each literal, one visit of the clauses
-that hold its variable computes and writes each clause's new state at once,
-then the counters are updated and the trail entry is written, before the
-next literal. A constant drops the visited literal and lowers the target by
-0 or 1; a link renames it to the partner's literal, or cancels it against
-the partner's opposite one. A conflict returns False at the clause where it
-shows, leaving the worklist half edited and the trail holding the entries
-of the literals before it, so a worklist that returned False must be
-discarded, as every caller does. A clause whose rule mask changes flips its
-bit in the bitsets of the changed rules only, read from a table of set
-bits; a flip is exact, since the bitsets agree with the masks. Ints are
-immutable, so an update or a pick copies the int: O(m) bytes for m clause
-slots, a few machine words on a search's small formulas and a few kilobytes
-at tens of thousands of clauses, but no O(|pending|) Python work, as a
-min() over a set of pending indices was.
+Constants and links take one pass, _Worklist.eliminate: one call makes a
+list of literals false, in order, or links one variable to a literal of
+another. For each literal, one visit of the clauses that hold its variable
+computes and writes each clause's new state at once, then the counters are
+updated and the trail entry is written, before the next literal. A constant
+drops the visited literal and lowers the target by 0 or 1; a link renames it
+to the partner's literal, or cancels it against the partner's opposite one.
+A conflict returns False at the clause where it shows, leaving the worklist
+half edited and the trail holding the entries of the literals before it, so
+a worklist that returned False must be discarded, as every caller does. A
+clause whose rule mask changes flips its bit in the bitsets of the changed
+rules only, read from a table of set bits; a flip is exact, since the
+bitsets agree with the masks. Ints are immutable, so an update or a pick
+copies the int: O(m) bytes for m clause slots, a few machine words on a
+search's small formulas and a few kilobytes at tens of thousands of clauses,
+but no O(|pending|) Python work, as a min() over a set of pending indices
+was.
 
 Shortcuts make a step cheaper without changing which steps run or in what
 order. Most clauses the pass reaches are plain: k distinct literals, each
 once, no variable in both signs. A plain clause's mask depends only on its
 target t and size k, so a constant drops the literal, lowers the target,
 checks for a conflict and computes the new mask from t and k alone
-(_plain_mask, tabled below 16 literals), building no clause. A link
-reaching a plain clause that lacks the partner's variable keeps its target,
-size and mask: the literal is renamed to the partner, deleted and appended,
-the order substitute gives. A link reaching a plain clause that holds the
-partner's literal with the opposite sign to the renamed one cancels the
-pair: both literals go, the target drops by 1 and the size by 2, and the
-clause stays plain, its mask again from t and k. Every (e) step meets this
-on its own clause, which it empties. A link that would double a literal,
-and any visit to a clause that is not plain, go through substitute and
-_classify. Trail.check's tests run inline, and check itself only to raise,
-so every failure still raises its message before its literal's edit; for a
-link, eliminate tests the partner before the pass. Rule (g) acts on a plain
+(_plain_mask, tabled below 16 literals), building no clause. A link reaching
+a plain clause that lacks the partner's variable keeps its target, size and
+mask: the literal is renamed to the partner, deleted and appended, the order
+substitute gives. A link reaching a plain clause that holds the partner's
+literal with the opposite sign to the renamed one cancels the pair: both
+literals go, the target drops by 1 and the size by 2, and the clause stays
+plain, its mask again from t and k. Every (e) step meets this on its own
+clause, which it empties. A link that would double a literal, and any visit
+to a clause that is not plain, go through substitute and _classify.
+Trail.check's tests run inline, and check itself only to raise, so every
+failure still raises its message before its literal's edit; a link's
+variable and partner are tested before the pass. Rule (g) acts on a plain
 clause, so the negated clause takes its mask from t and k too. And rule (c)
-on a target-0 clause sorts its literals once, in canonical order, and
-zeroes them in one pass with the clause as its home: before each literal
-after the first, the pass stops unless no (a) or (b) step is pending and
-the home clause is still the lowest-index one carrying (c), and each
-literal it goes on to counts one (c) fire. The clause is unpaired and
-zeroing a literal changes only the clauses holding its variable, so each
-literal is exactly the step a rescan would take next, and the trail, the
-literal order of every clause and the point of any conflict stay the same.
-Unpaired, the clause's canonical order is its order by variable alone, and
-so is that of the clauses (e) and (f) act on, since no (b) step is pending
-when they run; an (f) step is one pass too.
+on a target-0 clause sorts its literals once, in canonical order, and zeroes
+them in one pass with the clause as its home: before each literal after the
+first, the pass stops unless no (a) or (b) step is pending and the home
+clause is still the lowest-index one carrying (c), and each literal it goes
+on to counts one (c) fire. The clause is unpaired and zeroing a literal
+changes only the clauses holding its variable, so each literal is exactly
+the step a rescan would take next, and the trail, the literal order of every
+clause and the point of any conflict stay the same. Unpaired, the clause's
+canonical order is its order by variable alone, and so is that of the
+clauses (e) and (f) act on, since no (b) step is pending when they run; an
+(f) step is one pass too.
 
 Clauses are copied on first edit. A worklist's owned set holds the slots
 whose Clause it built since it was created or last forked. The plain-clause
 edits above change an owned clause in place and copy any other clause once,
 claiming the copy; substitute and rule (g) build a new clause, which is
-claimed too.
-Clauses put in by add, put or replace are not owned. So the input formula
-and its clauses are never mutated, and a clause another worklist shares is
-copied before it changes.
+claimed too. Clauses put in by add or replace are not owned. So the input
+formula and its clauses are never mutated, and a clause another worklist
+shares is copied before it changes.
 
 The worklist (_Worklist) also serves as the search state of a whole
 branch-and-bound solve: the solver applies rule actions to it, settles it to
@@ -180,8 +179,8 @@ class _Worklist:
     """Clause slots, per-rule bitsets, occurrence map and bound counters.
 
     A worklist can be the search state of a whole solve: callers edit it
-    through add, replace, delete, falsify and eliminate, run settle to reach
-    a fixpoint, and fork it at a branch point. fires counts the steps of each
+    through add, replace, delete and eliminate, run settle to reach a
+    fixpoint, and fork it at a branch point. fires counts the steps of each
     rule (a)-(h); forks share it, so it counts the steps of a whole search.
     """
 
@@ -236,11 +235,10 @@ class _Worklist:
         if mask:
             self._remask(i, mask)
 
-    def put(self, i: int, c: Clause) -> None:
-        """Replace clause i by c and classify it again.
-
-        Every variable of c must already be registered under i.
-        """
+    def replace(self, i: int, c: Clause) -> None:
+        """Replace clause i by c, which may hold variables clause i lacks,
+        and classify it again."""
+        self._register(i, c)
         mask, size = _classify(c)
         self.occurrences += size - self.sizes[i]
         self.targets += c.target - self.slots[i].target
@@ -250,11 +248,6 @@ class _Worklist:
         if mask != self.masks[i]:
             self._remask(i, mask)
 
-    def replace(self, i: int, c: Clause) -> None:
-        """Replace clause i by c, which may hold variables clause i lacks."""
-        self._register(i, c)
-        self.put(i, c)
-
     def delete(self, i: int) -> None:
         self.occurrences -= self.sizes[i]
         self.targets -= self.slots[i].target
@@ -262,60 +255,45 @@ class _Worklist:
         self.slots[i] = None
         self._remask(i, 0)
 
-    def falsify(self, lits, home: Optional[int] = None) -> bool:
-        """Make each literal of lits false, in order, in one call.
+    def eliminate(self, lits, home: Optional[int] = None,
+                  partner: Optional[int] = None) -> bool:
+        """Eliminate the variables of lits, in order, in one call.
 
-        Each literal's variable is substituted by the constant in the
-        clauses that hold it, in one pass, and its trail entry is written
-        before the next literal. With home, the slot of a target-0 clause
-        whose (c) step this is, the step stops before each literal after
-        the first unless it is still the step a rescan would take: no (a)
-        or (b) step pending and slot home still the lowest carrying (c).
-        Each literal it goes on to counts one (c) fire. Returns True, or
-        False on a conflict, leaving the worklist half edited and the
-        entries of the earlier literals written: after False it must be
-        discarded. Raises ValueError, before that literal's edit, if its
-        variable is out of range or already eliminated.
-        """
-        return self._substitute(lits, home, None)
-
-    def eliminate(self, var: int, state: tuple) -> bool:
-        """Substitute var by a Trail state in the clauses that hold it.
-
-        A constant goes to falsify, as the literal of var it makes false;
-        a link takes the same one pass. Records state on the trail and
-        returns True, or returns False on a conflict, leaving the worklist
-        half edited: after False it must be discarded. Raises ValueError,
-        before any edit, if var is already eliminated or the state is not
-        allowed.
-        """
-        kind, arg = state
-        if kind == "const" and arg in (0, 1) and var > 0:
-            return self.falsify((-var if arg else var,))
-        trail = self.trail
-        # check's tests, inline: check itself runs only to raise, naming the
-        # failure, as it does for every constant that reaches here
-        num_vars = trail.num_vars
-        partner = abs(arg)
-        if not (kind == "link" and 1 <= partner <= num_vars and partner != var
-                and partner not in trail.entries and 1 <= var <= num_vars
-                and var not in trail.entries):
-            trail.check(var, state)
-        return self._substitute((var,), None, state)
-
-    def _substitute(self, lits, home: Optional[int], link: Optional[tuple]) -> bool:
-        """The one pass of falsify and eliminate, over lits in order.
-
-        With link None each literal is made false, and home is falsify's;
-        with a link state, lits holds its one variable, which eliminate has
-        checked with its partner. Each literal's variable is substituted in
-        the clauses that hold it, each clause taking its new state where it
-        is computed, then the counters are updated and the trail entry is
-        written, before the next literal. Returns as falsify does.
+        With no partner each literal is made false; with one, lits holds one
+        variable, linked to the literal partner. Each literal takes one pass
+        over the clauses that hold its variable, then its trail entry is
+        written. With home, the slot of a target-0 clause whose (c) step
+        this is, the step stops before each literal after the first unless
+        it is still the step a rescan would take: no (a) or (b) step pending
+        and slot home still the lowest carrying (c); each literal it goes on
+        to counts one (c) fire. Returns True, or False on a conflict,
+        leaving the worklist half edited and the earlier literals' entries
+        written: after False it must be discarded. Raises ValueError, as
+        Trail.check does, before a literal's edit if its variable is out of
+        range or eliminated, and before any edit if the link is not allowed.
         """
         trail = self.trail
         entries = trail.entries
         num_vars = trail.num_vars
+        # what lit and -lit turn into, and the fall of the target when they
+        # go: a constant (to 0) drops the literal, lowering the target by 0
+        # for the false lit and 1 for -lit; a link renames lit to partner and
+        # -lit to -partner, or cancels the new literal against the partner's
+        # opposite one, lowering the target by 1
+        if partner is None:
+            link = linked = None
+            to = drop_lit = 0
+        else:
+            link = ("link", partner)
+            to, drop_lit, linked = partner, 1, []
+            # check's tests of the variable and the partner, inline and
+            # before any edit: check itself runs only to raise, naming the
+            # failure, the variable's first
+            var, = lits
+            p = abs(partner)
+            if not (1 <= var <= num_vars and var not in entries and 1 <= p <= num_vars
+                    and p != var and p not in entries):
+                trail.check(var, link)
         slots = self.slots
         sizes = self.sizes
         masks = self.masks
@@ -326,16 +304,6 @@ class _Worklist:
         watching = home is not None
         bit = 1 << home if watching else 0
         watch = False
-        # what lit and -lit turn into, and the fall of the target when they
-        # go: a constant (to 0) drops the literal, lowering the target by 0
-        # for the false lit and 1 for -lit; a link renames lit to the
-        # partner's literal to and -lit to -to, or cancels the new literal
-        # against the partner's opposite one, lowering the target by 1
-        if link:
-            to, drop_lit, linked = link[1], 1, []
-        else:
-            to = drop_lit = 0
-            linked = None
         nto = -to
         for lit in lits:
             if watch:
@@ -348,7 +316,7 @@ class _Worklist:
             nlit = -lit
             state = link or _CONST[lit < 0]
             # check's tests, inline: check itself runs only to raise, naming
-            # the failure (eliminate has run them on a link)
+            # the failure
             if not (1 <= var <= num_vars and var not in entries):
                 trail.check(var, state)
             occurrences = targets = 0
@@ -519,41 +487,42 @@ def _step_b(w: _Worklist, i: int, c: Clause) -> bool:
             nc.occ[lit] = m
         else:
             del nc.occ[lit]
-    w.put(i, nc)
+    w.replace(i, nc)
     return True
 
 
 def _step_c(w: _Worklist, i: int, c: Clause) -> bool:
     if c.target:
         lit = next(lit for lit in c.sorted_literals() if c.occ[lit] > c.target)
-        return w.falsify((lit,))
+        return w.eliminate((lit,))
     # Target 0: every literal exceeds the target, so a rescan would step here
     # again, zeroing the next literal in canonical order, for as long as no
     # (a) or (b) step is pending and clause i stays the lowest-index clause
-    # carrying (c); falsify stops as soon as that fails. No (b) step is
+    # carrying (c); eliminate stops as soon as that fails. No (b) step is
     # pending now, so clause i is unpaired, and zeroing a literal edits only
     # the clauses holding its variable: the literals can be sorted once, by
     # variable alone. After the last one clause i is empty.
-    return w.falsify(sorted(c.occ, key=abs), i)
+    return w.eliminate(sorted(c.occ, key=abs), i)
 
 
 def _step_d(w: _Worklist, i: int, c: Clause) -> bool:
     m = next(iter(c.occ.values()))
-    w.put(i, Clause(c.target // m, {lit: 1 for lit in c.occ}))
+    w.replace(i, Clause(c.target // m, {lit: 1 for lit in c.occ}))
     return True
 
 
 def _step_e(w: _Worklist, i: int, c: Clause) -> bool:
     l1, l2 = sorted(c.occ, key=abs)  # no (b) step is pending: unpaired
     # value(l1) = value(-l2), eliminating var(l1)
-    return w.eliminate(abs(l1), ("link", -l2 if l1 > 0 else l2))
+    return w.eliminate((abs(l1),), partner=-l2 if l1 > 0 else l2)
 
 
 def _step_f(w: _Worklist, i: int, c: Clause) -> bool:
-    # no (b) step is pending, so c is unpaired; at target 0 every literal is
-    # made false, at its size every literal true
-    lits = sorted(c.occ, key=abs)
-    return w.falsify(lits if c.target == 0 else [-lit for lit in lits])
+    # every nonempty target-0 clause carries (c), which outranks (f), so c's
+    # target is its size; no (b) step is pending, so c is unpaired. Every
+    # literal is made true
+    assert c.target, "a target-0 clause carries rule (c), which outranks (f)"
+    return w.eliminate([-lit for lit in sorted(c.occ, key=abs)])
 
 
 def _step_g(w: _Worklist, i: int, c: Clause) -> bool:

@@ -369,6 +369,15 @@ def test_wide_exactly1_clause_classifies_a_constant_number_of_times(monkeypatch)
     assert counts[0] == counts[1], counts
 
 
+def _eliminate(w, var, state):
+    """Give var a Trail state through the worklist's one elimination call:
+    a constant as the literal of var it makes false, a link with its partner."""
+    kind, arg = state
+    if kind == "link":
+        return w.eliminate((var,), partner=arg)
+    return w.eliminate((-var if arg else var,))
+
+
 def test_eliminate_classifies_long_plain_clauses():
     """Constants and links on plain clauses around the 16-literal edge of the
     mask table: a link to size + 1, which the clause lacks, renames -1, and a
@@ -380,7 +389,7 @@ def test_eliminate_classifies_long_plain_clauses():
                 c = Clause(target, [-1] + list(range(2, size + 1)))
                 expect = substitute(c, 1, state)
                 w = _Worklist(F(size + 1, c), Trail(size + 1))
-                assert w.eliminate(1, state) == (expect is not None)
+                assert _eliminate(w, 1, state) == (expect is not None)
                 if expect is not None:
                     assert (_clause_view(w.slots[0]), w.masks[0], w.sizes[0]) == (
                         _clause_view(expect), *_classify(expect))
@@ -401,7 +410,7 @@ def test_eliminate_constant_matches_substitute(f, data):
         if var in c.occ or -var in c.occ:
             c = substitute(c, var, ("const", value))
         expect.append(c)
-    ok = w.eliminate(var, ("const", value))
+    ok = _eliminate(w, var, ("const", value))
     assert ok == (None not in expect)
     if ok:
         assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
@@ -442,7 +451,7 @@ def test_eliminate_link_matches_substitute(case):
         if var in c.occ or -var in c.occ:
             c = substitute(c, var, ("link", partner))
         expect.append(c)
-    ok = w.eliminate(var, ("link", partner))
+    ok = _eliminate(w, var, ("link", partner))
     assert ok == (None not in expect)
     if ok:
         assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
@@ -454,14 +463,13 @@ def test_eliminate_link_matches_substitute(case):
 def test_eliminate_an_eliminated_variable_raises_before_any_edit():
     """Every failure of Trail.check raises its message before any edit."""
     w = _Worklist(F(3, C(1, 1, 2, 3), C(1, -1, 2, 3)), Trail(3))
-    assert w.eliminate(1, ("const", 0))
+    assert w.eliminate((1,))
     # a clause holding the eliminated variable again, which an edit would reach
     w.add(Clause(1, [1, 2]))
     before = (list(w.slots), list(w.masks), list(w.sizes), dict(w.trail.entries))
     for var, state in (
         (1, ("const", 0)), (1, ("const", 1)), (1, ("link", 2)), (1, ("link", -3)),
         (0, ("const", 0)), (4, ("const", 1)), (0, ("link", 2)), (4, ("link", 2)),
-        (2, ("const", 2)), (2, ("const", -1)),
         (2, ("link", 2)), (2, ("link", -2)),
         (2, ("link", 0)), (2, ("link", 4)), (2, ("link", -4)),
         (2, ("link", 1)), (2, ("link", -1)),
@@ -469,10 +477,28 @@ def test_eliminate_an_eliminated_variable_raises_before_any_edit():
         with pytest.raises(ValueError) as expected:
             w.trail.copy().check(var, state)
         with pytest.raises(ValueError) as raised:
-            w.eliminate(var, state)
+            _eliminate(w, var, state)
         assert str(raised.value) == str(expected.value)
         after = (list(w.slots), list(w.masks), list(w.sizes), dict(w.trail.entries))
         assert all(a is b for a, b in zip(before[0], after[0])) and before[1:] == after[1:]
+
+
+@pytest.mark.parametrize("lits, message", [
+    ((1, 1), "variable 1 already eliminated"),
+    ((1, 4), "variable 4 out of range 1..3"),
+])
+def test_a_call_on_several_literals_raises_at_the_failing_one(lits, message):
+    """A call that makes several literals false raises at the first that
+    fails Trail.check, before that literal's edit, with the earlier
+    literals eliminated and their trail entries written."""
+    f = F(3, C(1, 1, 2, 3), C(1, -1, 2, 3))
+    w = _Worklist(f, Trail(3))
+    with pytest.raises(ValueError, match=message):
+        w.eliminate(lits)
+    assert w.trail.entries == {1: ("const", 0)}
+    expect = [substitute(c, 1, ("const", 0)) for c in f.clauses]
+    assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
+    assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
 
 
 # Reference for the solver's persistent worklist: a rule's actions applied to
@@ -645,7 +671,7 @@ def test_persistent_worklist_matches_fresh_fixpoints(f, data):
 def elimination_chains(draw):
     """2-4 steps as (variable pick, kind, partner pick, signs): a constant
     (the low bit of signs) or a link to a literal of another alive variable,
-    by eliminate, or 2-3 literals made false by one falsify call, the
+    by one eliminate call, or 2-3 literals made false by one call, the
     partner pick setting their count and the bits of signs their signs."""
     step = st.tuples(st.integers(0, 6), st.sampled_from(["const", "link", "falsify"]),
                      st.integers(0, 6), st.integers(0, 7))
@@ -660,7 +686,7 @@ def elimination_chains(draw):
 @example(F(6, C(2, 1, 2, 3, 4, 5, 6)), [(0, "const", 0, 0), (0, "link", 0, 1), (1, "const", 0, 1)])
 # constants on a clause the worklist owns, reaching a conflict
 @example(F(4, C(1, 1, 2, 3, 4)), [(0, "const", 0, 1), (0, "const", 0, 1)])
-# two literals in one falsify call, each reaching clauses: the counters must
+# two literals in one call, each reaching clauses: the counters must
 # take both; and two made true, the second into a conflict, after which the
 # first one's trail entry is written and the second one's is not
 @example(F(4, C(2, 1, 2, 3, 4), C(1, 1, 3)), [(0, "falsify", 0, 0), (0, "const", 0, 0)])
@@ -671,9 +697,9 @@ def test_eliminations_in_turn_match_substitute(f, chain):
     """Eliminations applied in turn to one worklist leave each clause, after
     each one, as substitute applied in turn leaves it, classified as
     _classify classifies it. From the second on they can reach clauses the
-    worklist built, which it edits in place. A falsify call substitutes its
-    literals in order, writing each one's trail entry before the next, and
-    stops at the first conflict."""
+    worklist built, which it edits in place. A call on several literals
+    substitutes them in order, writing each one's trail entry before the
+    next, and stops at the first conflict."""
     w = _Worklist(f, Trail(f.num_vars))
     expect = list(f.clauses)
     alive = list(range(1, f.num_vars + 1))
@@ -696,7 +722,7 @@ def test_eliminations_in_turn_match_substitute(f, chain):
             if None in expect:
                 break
             entries[var] = state
-        ok = w.falsify(lits) if kind == "falsify" else w.eliminate(var, state)
+        ok = w.eliminate(lits) if kind == "falsify" else _eliminate(w, var, state)
         assert ok == (None not in expect)
         assert w.trail.entries == entries
         if not ok:
@@ -742,7 +768,7 @@ def test_rule_index_matches_the_masks(monkeypatch):
             return out
         return wrapper
 
-    for name in ("__init__", "add", "put", "delete", "eliminate", "falsify"):
+    for name in ("__init__", "add", "replace", "delete", "eliminate"):
         monkeypatch.setattr(_Worklist, name, checked(getattr(_Worklist, name)))
     monkeypatch.setattr(_Worklist, "fork", checked(_Worklist.fork, result_is_worklist=True))
     for letter in "bcdefg":  # settle looks each step up by name
