@@ -21,10 +21,10 @@ runs the first that covers a formula's largest target:
       makes one clause pass (rules 10, 11 and 13 keep their first clause)
       and one pair pass over the occurrence map (_overlaps) in ascending
       (i, j) (rules 9, 12, 14 and 15 keep their first pair), then walks the
-      priority list. Rules 10 and 11 look their clause's shape up
-      in _G2_RULE10 and _G2_RULE11, rules 9, 12 and 15 their pair's in
-      _G2_RULE9, _G2_RULE12 and _G2_RULE15; the other rules bind the shared
-      branch lists (_SPLIT, _PAIR2, ...) to the literals they pick.
+      priority list. Rules 10 and 11 look their clause's shape up in one
+      table, _G2_DOUBLED, rules 9, 12 and 15 their pair's in _G2_RULE9,
+      _G2_RULE12 and _G2_RULE15; the other rules bind the shared branch
+      lists (_SPLIT, _PAIR2, ...) to the literals they pick.
       _overlaps builds the map in one pass over the clause variables,
       pairing a clause only with earlier clauses that hold one of its
       variables. Rules 16/17 read their heavy variables from the map. The
@@ -166,9 +166,8 @@ def _apply_actions(w: _Worklist, actions) -> bool:
         kind = act[0]
         if kind in ("true", "false"):
             # the literal the action makes false
-            lit = act[1]
-            off = lit if kind == "false" else -lit
-            st = entries.get(abs(lit))
+            off = act[1] if kind == "false" else -act[1]
+            st = entries.get(abs(off))
             if st is None:
                 if not w.eliminate((off,)):
                     return False
@@ -177,11 +176,8 @@ def _apply_actions(w: _Worklist, actions) -> bool:
             elif st[1] != (off < 0):
                 return False
         elif kind == "link":
-            # value(lit_a) = value(lit_b), eliminating var(lit_a)
-            lit_a, lit_b = act[1], act[2]
-            v = abs(lit_a)
-            partner = lit_b if lit_a > 0 else -lit_b
-            if not w.eliminate((v,), partner=partner):
+            # value(act[1]) = value(act[2]), eliminating var(act[1])
+            if not w.eliminate((act[1],), partner=act[2]):
                 return False
         elif kind == "add":
             w.add(Clause(act[1], act[2]))
@@ -268,10 +264,8 @@ def _select_g2(f: Formula) -> Rule:
                 c1s[i] = c
             continue
         doubled = c.size() - len(c.occ)  # each multiplicity is 1 or 2
-        if doubled >= 2:
-            first.setdefault(10, c)
-        elif doubled == 1:
-            first.setdefault(11, c)
+        if doubled:
+            first.setdefault(10 if doubled >= 2 else 11, c)
         elif len(c.occ) == 4:
             first.setdefault(13, c)
 
@@ -289,20 +283,16 @@ def _select_g2(f: Formula) -> Rule:
     # the priority walk
     if 9 in first:
         return _pair_rule(_G2_RULE9, *first[9])
-    if 10 in first:
-        c = first[10]
-        twos = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
-        ones = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
-        entry = _G2_RULE10.get((len(twos), len(ones)), ("g2.10.branch", _PAIR2))
-        return _rule(*entry, p=twos, s=ones)
-    if 11 in first:
-        c = first[11]
-        x2 = next(l for l, m in c.occ.items() if m == 2)
-        singles = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
-        if c.size() == 5:
-            return _g2_rule11_len5(x2, singles, c1s.items())
-        entry = _G2_RULE11.get(c.size(), ("g2.11.long", _SPLIT))
-        return _rule(*entry, x=x2, v=x2, s=singles)
+    c = first.get(10) or first.get(11)
+    if c is not None:
+        p = sorted((l for l, m in c.occ.items() if m == 2), key=lit_key)
+        s = sorted((l for l, m in c.occ.items() if m == 1), key=lit_key)
+        key = len(p), len(s)
+        if key == (1, 3):
+            return _g2_rule11_len5(p[0], s, c1s.items())
+        entry = _G2_DOUBLED.get(key) \
+            or (("g2.10.branch", _PAIR2) if len(p) >= 2 else ("g2.11.long", _SPLIT))
+        return _rule(*entry, p=p, s=s, x=p[0], v=p[0])
     if 12 in first:
         rule = _pair_rule(_G2_RULE12, *first[12])
         # only share3.flip3 with b empty, which rule (g) negates first, acts on nothing
@@ -333,18 +323,17 @@ def _select_g2(f: Formula) -> Rule:
     return Rule("g2.18", overlaps=(shared, varlists))
 
 
-# Rule 10 by (doubled, single) literal counts, p its doubled literals; rule
-# 11 by size, x = v its doubled literal (size 5 is _g2_rule11_len5); s the
-# singles.
+# Rules 10 (two or more doubled literals) and 11 (one) on an exactly-2
+# clause, by (doubled, single) literal counts: p the doubled literals, s the
+# singles, x = v = p[0]. An unlisted shape takes ("g2.10.branch", _PAIR2)
+# under rule 10 and ("g2.11.long", _SPLIT) under rule 11; (1, 3), size 5, is
+# _g2_rule11_len5.
 
-_G2_RULE10 = {
+_G2_DOUBLED = {
     **{(k, 1): ("g2.10.single0", _S0_FALSE) for k in (2, 3)},
     (2, 2): ("g2.10.link", _S_LINK),
-}
-
-_G2_RULE11 = {
-    3: ("g2.11.len3", _X_TRUE_S0_FALSE),
-    4: ("g2.11.len4", _S_LINK),
+    (1, 1): ("g2.11.len3", _X_TRUE_S0_FALSE),
+    (1, 2): ("g2.11.len4", _S_LINK),
 }
 
 # Rules 9, 12 and 15 on a pair: each table maps a shape of the pair to a tag
@@ -767,9 +756,7 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
 
 
 def _select(f: Formula, scheme: str) -> Rule:
-    if scheme == "g2":
-        return _select_g2(f)
-    return _select_g34(f, scheme)
+    return _select_g2(f) if scheme == "g2" else _select_g34(f, scheme)
 
 
 def _settle(w: _Worklist, stats: SearchStats) -> bool:
@@ -835,12 +822,14 @@ def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
             raise ValueError(f"solve_{scheme} handles targets up to {cap}, got {c.target}")
     stats = SearchStats(measure_at_root=measure(formula, scheme))
     w = _Worklist(formula, Trail(formula.num_vars))
-    t_end = _search(w, stats, scheme, 0, instrument) if _settle(w, stats) else None
-    stats.simplify_fires = dict(zip(RULE_LETTERS, w.fires))
-    if t_end is None:
-        return SolveResult(False, None, stats)
-    roots = {v: 0 for v in t_end.unassigned_vars()}
-    model = t_end.reconstruct(roots)
+    try:
+        t_end = _search(w, stats, scheme, 0, instrument) if _settle(w, stats) else None
+        stats.simplify_fires = dict(zip(RULE_LETTERS, w.fires))
+        if t_end is None:
+            return SolveResult(False, None, stats)
+        model = t_end.reconstruct({v: 0 for v in t_end.unassigned_vars()})
+    except ValueError as exc:  # the input passed its checks: the solver's fault
+        raise RuntimeError(f"internal error: {exc}") from exc
     if not evaluate(formula, model):
         raise RuntimeError("internal error: solver witness failed verification")
     return SolveResult(True, model, stats)

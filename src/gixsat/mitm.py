@@ -350,44 +350,48 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
     if alpha is None:
         alpha = default_alpha(max((c.target for c in formula.clauses), default=1))
     started = perf_counter()
-    plan = choose_cover(formula, alpha)
-    planned = perf_counter()
-    stats = MitmStats(
-        alpha=alpha,
-        cover_size=len(plan.cover) + (plan.boundary is not None),
-        covered_vars=len(plan.covered_vars),
-        complement_vars=len(plan.complement_vars),
-        cover_s=planned - started,
-    )
-
+    plan = choose_cover(formula, alpha)  # checks alpha
     try:
-        kept, vectors, fields = _cover_table(formula, plan)
-        keys, first = _first_rows(_keys(vectors))
-    except MemoryError as exc:
-        raise ResourceLimitError("vector table exceeded available memory") from exc
-    stats.emitted = len(vectors[0])
-    stats.index_size = len(keys)
-    indexed = perf_counter()
-    stats.enumerate_s = indexed - planned
-    if not len(keys):
-        return SolveResult(False, None, stats)
+        planned = perf_counter()
+        stats = MitmStats(
+            alpha=alpha,
+            cover_size=len(plan.cover) + (plan.boundary is not None),
+            covered_vars=len(plan.covered_vars),
+            complement_vars=len(plan.complement_vars),
+            cover_s=planned - started,
+        )
 
-    try:
-        hit = _sweep(formula, plan, keys, fields)
-    except MemoryError as exc:
-        raise ResourceLimitError("sweep table exceeded available memory") from exc
-    stats.sweep_s = perf_counter() - indexed
-    if hit is None:
-        stats.sweep_count = 1 << len(plan.complement_vars)
-        return SolveResult(False, None, stats)
-    bits, at = hit
-    stats.sweep_count = bits + 1
-    model = {v: 0 for v in plan.free_vars}
-    model.update(zip(plan.covered_vars, _values(kept, first[at]).tolist()))
-    model.update((v, (bits >> k) & 1) for k, v in enumerate(plan.complement_vars))
-    if not evaluate(formula, model):
-        raise RuntimeError("internal error: matched vectors gave a bad model")
-    return SolveResult(True, model, stats)
+        try:
+            kept, vectors, fields = _cover_table(formula, plan)
+            keys, first = _first_rows(_keys(vectors))
+        except MemoryError as exc:
+            raise ResourceLimitError("vector table exceeded available memory") from exc
+        stats.emitted = len(vectors[0])
+        stats.index_size = len(keys)
+        indexed = perf_counter()
+        stats.enumerate_s = indexed - planned
+        if not len(keys):
+            return SolveResult(False, None, stats)
+
+        try:
+            hit = _sweep(formula, plan, keys, fields)
+        except MemoryError as exc:
+            raise ResourceLimitError("sweep table exceeded available memory") from exc
+        stats.sweep_s = perf_counter() - indexed
+        if hit is None:
+            stats.sweep_count = 1 << len(plan.complement_vars)
+            return SolveResult(False, None, stats)
+        bits, at = hit
+        stats.sweep_count = bits + 1
+        model = {v: 0 for v in plan.free_vars}
+        model.update(zip(plan.covered_vars, _values(kept, first[at]).tolist()))
+        model.update((v, (bits >> k) & 1) for k, v in enumerate(plan.complement_vars))
+        if not evaluate(formula, model):
+            raise RuntimeError("internal error: matched vectors gave a bad model")
+        return SolveResult(True, model, stats)
+    except ValueError as exc:
+        # the input passed its checks, so this is the solver's fault
+        raise RuntimeError(f"internal error: {exc}") from exc
 
 
 def _sweep(formula: Formula, plan: SplitPlan, keys: np.ndarray, fields: list) -> Optional[tuple]:

@@ -37,8 +37,9 @@ def env_limit() -> int:
     if raw is None:
         return DEFAULT_LIMIT
     try:
-        limit = int(raw)
-    except ValueError:
+        # ASCII digits only: int() also reads '1_0', '+5', ' 7 ', non-ASCII digits
+        limit = int(raw) if raw.isascii() and raw.isdigit() else -1
+    except ValueError:  # more digits than int() converts
         limit = -1
     if limit < 0:
         raise ValueError(f"GIXSAT_ORACLE_LIMIT must be a non-negative integer, got {raw!r}")

@@ -27,8 +27,8 @@ clause-index occurrence map. A deleted clause leaves an empty slot, so
 indices and clause order stay fixed.
 
 Constants and links take one pass, _Worklist.eliminate: one call makes a
-list of literals false, in order, or links one variable to a literal of
-another. For each literal, one visit of the clauses that hold its variable
+list of literals false, in order, or links one literal to a literal of
+another variable. For each literal, one visit of the clauses that hold its variable
 computes and writes each clause's new state at once, then the counters are
 updated and the trail entry is written, before the next literal. A constant
 drops the visited literal and lowers the target by 0 or 1; a link renames it
@@ -260,7 +260,8 @@ class _Worklist:
         """Eliminate the variables of lits, in order, in one call.
 
         With no partner each literal is made false; with one, lits holds one
-        variable, linked to the literal partner. Each literal takes one pass
+        literal a, linked by value(a) = value(partner): a is renamed to
+        partner and -a to -partner. Each literal takes one pass
         over the clauses that hold its variable, then its trail entry is
         written. With home, the slot of a target-0 clause whose (c) step
         this is, the step stops before each literal after the first unless
@@ -284,12 +285,13 @@ class _Worklist:
             link = linked = None
             to = drop_lit = 0
         else:
-            link = ("link", partner)
+            a, = lits
+            var = abs(a)
+            link = ("link", partner if a > 0 else -partner)
             to, drop_lit, linked = partner, 1, []
             # check's tests of the variable and the partner, inline and
             # before any edit: check itself runs only to raise, naming the
             # failure, the variable's first
-            var, = lits
             p = abs(partner)
             if not (1 <= var <= num_vars and var not in entries and 1 <= p <= num_vars
                     and p != var and p not in entries):
@@ -514,7 +516,7 @@ def _step_d(w: _Worklist, i: int, c: Clause) -> bool:
 def _step_e(w: _Worklist, i: int, c: Clause) -> bool:
     l1, l2 = sorted(c.occ, key=abs)  # no (b) step is pending: unpaired
     # value(l1) = value(-l2), eliminating var(l1)
-    return w.eliminate((abs(l1),), partner=-l2 if l1 > 0 else l2)
+    return w.eliminate((l1,), partner=-l2)
 
 
 def _step_f(w: _Worklist, i: int, c: Clause) -> bool:

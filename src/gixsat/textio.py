@@ -33,8 +33,11 @@ def parse(text: str) -> Formula:
     clause fault (a token that is not ASCII -?[0-9]+, a target outside 0..4, a
     literal out of range) is held while the scan goes on, so a header fault
     on a later line wins over it. Then come a missing header, the held fault,
-    a clause missing its 0 terminator and a wrong clause count, in that order."""
-    lines = text.splitlines()
+    a clause missing its 0 terminator and a wrong clause count, in that order.
+    Lines end at LF, CRLF or CR only, not at a form feed or NEL as in splitlines."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the empty rest after a final line end, or an empty text
+        lines.pop()
     # int() reads exactly -?[0-9]+ in an ASCII text without '_' or '+'
     num = int if text.isascii() and "_" not in text and "+" not in text else _ascii_int
     header = fault = occ = None  # occ: literal counts of the open clause, None between clauses

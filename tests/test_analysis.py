@@ -294,3 +294,25 @@ def test_tau_regression_fixture():
     assert len(entries) >= 40
     results = run_tau_regression()
     assert all(ok for _, _, _, ok, _ in results)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: measure(F(1, C(1, 1)), "g9"), "unknown measure scheme 'g9'"),
+    (lambda: OccurrenceProfile(3, 1, 1), "inconsistent occurrence profile"),
+    (lambda: OccurrenceProfile(1, 2, -1), "inconsistent occurrence profile"),
+    (lambda: profile_count(OccurrenceProfile(1, 1), 0), "target must be 1..4"),
+    (lambda: profile_count(OccurrenceProfile(1, 1), 5), "target must be 1..4"),
+    (lambda: profile_count(OccurrenceProfile(2, 0, 2), 1), "multiplicity exceeds target"),
+    (lambda: big_f(3, 0), "h must be 1..4"),
+    (lambda: big_f(3, 5), "h must be 1..4"),
+    (lambda: big_g(-1, 1), "bad arguments"),
+    (lambda: big_g(3, 0), "bad arguments"),
+    (lambda: verify_f_le_g(0), "ell_max must be >= 1"),
+    (lambda: binom_branching(3, 0), "need 1 <= h <= k"),
+    (lambda: binom_branching(3, 4), "need 1 <= h <= k"),
+    (lambda: max_binom_branching_bound(6), "k_max must be >= 7"),
+])
+def test_argument_checks_raise_value_error_with_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

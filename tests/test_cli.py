@@ -83,6 +83,17 @@ def test_solve_stats(sat_path, capsys):
     assert any(l.startswith("c cover_size ") for l in out.splitlines())
 
 
+def test_solve_stats_counts_measure_violations(tmp_path, monkeypatch, capsys):
+    # a constant measure never drops, so each branch g2.8 takes is a violation
+    path = tmp_path / "branch.gxsat"
+    path.write_text("p gxsat 4 1\n1 1 -2 -3 -4 0\n")
+    monkeypatch.setattr(dpll, "measure", lambda f, scheme: 1.0)
+    assert main(["solve", str(path), "--algo", "g2", "--stats"]) == 10
+    lines = capsys.readouterr().out.splitlines()
+    count = next(int(l.split()[2]) for l in lines if l.startswith("c measure_violations "))
+    assert count >= 1
+
+
 def test_solve_mitm_stats_keys(sat_path, capsys):
     assert main(["solve", sat_path, "--algo", "mitm", "--stats"]) == 10
     stats = {}
@@ -292,6 +303,11 @@ FAILURES = {
                                     "must be a non-negative integer, got 'abc'"),
     "verify-oracle-limit-negative": (["verify"], None, "-5", 1, "error: GIXSAT_ORACLE_LIMIT "
                                      "must be a non-negative integer, got '-5'"),
+    # int() reads each of these, as 10, 5, 2 and 7
+    **{f"verify-oracle-limit-{name}": (["verify"], None, raw, 1, "error: GIXSAT_ORACLE_LIMIT "
+                                       f"must be a non-negative integer, got {raw!r}")
+       for name, raw in (("underscore", "1_0"), ("plus", "+5"), ("arabic-indic", "\u0662"),
+                         ("spaces", " 7 "))},
     "brute-oracle-limit-not-int": (["solve", "{sat}", "--algo", "brute"], None, "abc", 1,
                                    "error: GIXSAT_ORACLE_LIMIT must be a non-negative integer"),
     "negative-timeout": (["solve", "{sat}", "--timeout", "-1"], None, None, 1,
@@ -354,6 +370,16 @@ FAILURES = {
                                  None, 2, "c resource memory exhausted\n"),
     "solver-timeout": (["solve", "{sat}", "--algo", "g3"], (dpll, "solve_g3", _alarm_fires),
                        None, 2, "c resource timeout"),
+    # past the input checks, a ValueError is the solver's own fault: here a
+    # rule that links variable 1 twice, and a sweep that fails
+    "dpll-internal-value-error": (["solve", "{sat}"],
+                                  (dpll, "_select_g2", lambda f: dpll.Rule(
+                                      "g2.bug", ((("link", 1, 2), ("link", 1, 3)),))),
+                                  None, 3, "c internal RuntimeError: internal error: "
+                                  "variable 1 already eliminated"),
+    "mitm-internal-value-error": (["solve", "{sat}", "--algo", "mitm"],
+                                  (mitm, "_sweep", _raising(ValueError("sweep broke"))),
+                                  None, 3, "c internal RuntimeError: internal error: sweep broke"),
     "solver-runtime-error": (["solve", "{sat}"], (dpll, "solve_auto", _raising(RuntimeError("x"))),
                              None, 3, "c internal RuntimeError: x"),
     "solver-key-error": (["solve", "{sat}", "--algo", "g2"],

@@ -770,7 +770,7 @@ def test_clause_rule_tables_match_the_builders_on_every_clause_shape():
             if d >= 2:
                 keys10.add((d, k))
             elif d == 1:
-                keys11.add(f.clauses[0].size())
+                keys11.add((d, k))
             elif k == 4:
                 tags13.add(tag)
         for weighted in chain.from_iterable(combinations(range(1, 5), w) for w in range(5)):
@@ -787,7 +787,10 @@ def test_clause_rule_tables_match_the_builders_on_every_clause_shape():
                 assert got == (want.tag, want.branches), f
                 if t > 1:
                     keys_single.add((t, size))
-    for table, keys in ((dpll._G2_RULE10, keys10), (dpll._G2_RULE11, keys11),
+    # _G2_DOUBLED serves rules 10 and 11, split by the doubled-literal count
+    doubled10 = {key for key in dpll._G2_DOUBLED if key[0] >= 2}
+    doubled11 = set(dpll._G2_DOUBLED) - doubled10
+    for table, keys in ((doubled10, keys10), (doubled11, keys11),
                         (dpll._SINGLE, keys_single)):
         assert set(table) < keys, sorted(set(table) - keys)  # the default too
     assert tags13 == {"g2.13.pairs", "g2.13.two_weighted"}
@@ -800,11 +803,11 @@ def test_no_table_entry_equals_its_lookup_default():
             delta = dict(zip(range(2, 2 + len(profile)), profile))
             assert dpll._repeated_rule(tag, table, width, 1, delta) \
                 != dpll._repeated_rule(tag, {}, width, 1, delta), (tag, profile)
-    for table, default in ((dpll._G2_RULE10, ("g2.10.branch", dpll._PAIR2)),
-                           (dpll._G2_RULE11, ("g2.11.long", dpll._SPLIT)),
-                           (dpll._SINGLE, ("long", dpll._PAIR3))):
-        for key, entry in table.items():
-            assert entry != default, key
+    for key, entry in dpll._G2_DOUBLED.items():
+        default = ("g2.10.branch", dpll._PAIR2) if key[0] >= 2 else ("g2.11.long", dpll._SPLIT)
+        assert entry != default, key
+    for key, entry in dpll._SINGLE.items():
+        assert entry != ("long", dpll._PAIR3), key
 
 
 def test_g2_selection_names_the_fixpoint_invariant():
@@ -1128,3 +1131,23 @@ def test_endgame_reports_unsat_of_a_whole_formula():
     assert result.stats.rule_fires == {"g2.18": 1}
     assert not brute_solve(f).sat
     assert not solve_mitm(f).sat
+
+
+def test_a_measure_that_does_not_drop_is_recorded(monkeypatch):
+    # a constant measure never drops, so every child checked is a violation
+    monkeypatch.setattr(dpll, "measure", lambda f, scheme: 1.0)
+    result = solve_g2(F(4, C(1, 1, -2, -3, -4)), instrument=True)
+    st = result.stats
+    assert st.measure_checks >= 1 and len(st.measure_violations) == st.measure_checks
+    assert set(st.measure_violations) == {("g2.8", 1.0, 1.0)}
+
+
+def test_a_value_error_past_the_input_checks_is_an_internal_error(monkeypatch):
+    # a rule that links variable 1 twice fails Trail.check: a solver fault,
+    # not an input error like the target caps (test_target_caps)
+    monkeypatch.setattr(dpll, "_select_g2", lambda f: Rule(
+        "g2.bug", ((("link", 1, 2), ("link", 1, 3)),)))
+    with pytest.raises(RuntimeError, match="internal error: variable 1 already eliminated") \
+            as info:
+        solve_g2(F(3, C(1, 1, 2, 3), C(2, 1, 2, 3)))
+    assert isinstance(info.value.__cause__, ValueError)

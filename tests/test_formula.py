@@ -322,3 +322,27 @@ def test_trail_stays_acyclic_under_fuzzed_operations(rng):
                 expected = model[abs(partner)] if partner > 0 else 1 - model[abs(partner)]
                 assert model[var] == expected
 
+
+
+def _stale_link_trail():
+    # entries written directly, out of order: 1 links to 2, which a link
+    # recorded before it eliminated, so the newest-first replay meets 2 unvalued
+    t = Trail(3)
+    t.entries[2] = ("link", 3)
+    t.entries[1] = ("link", 2)
+    return t
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Clause(1, {1: 0}), "bad literal/multiplicity in clause"),
+    (lambda: Clause(1, {0: 1}), "bad literal/multiplicity in clause"),
+    (lambda: Clause(1, [1, 0]), "0 is not a literal"),
+    (lambda: Formula(-1), "num_vars must be nonnegative"),
+    (lambda: Formula(2, [Clause(-1, [1])]), "negative clause target"),
+    (lambda: Formula(2, [Clause(1, [1, -3])]), "literal -3 out of range 1..2"),
+    (lambda: _stale_link_trail().reconstruct({3: 0}), "link chain reached an unvalued variable"),
+])
+def test_input_checks_raise_value_error_with_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

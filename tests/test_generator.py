@@ -60,6 +60,10 @@ def test_infeasible_spec_rejected():
 @pytest.mark.parametrize(
     "fields,message",
     [
+        ({"num_vars": 5, "num_clauses": 1, "min_len": 0}, "bad clause length range"),
+        ({"num_vars": 5, "num_clauses": 1, "min_len": 4, "max_len": 3},
+         "bad clause length range"),
+        ({"num_vars": 5, "num_clauses": 1, "max_repeat": 0}, "max_repeat must be >= 1"),
         ({"num_vars": 0, "num_clauses": 1}, "need at least one variable"),
         ({"num_vars": 5, "num_clauses": -1}, "num_clauses must not be negative"),
         ({"num_vars": 5, "num_clauses": 2, "neg_prob": 2.0}, "neg_prob must lie in"),
@@ -71,8 +75,9 @@ def test_infeasible_spec_rejected():
     ],
 )
 def test_spec_errors_name_their_field(fields, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         GenSpec(**fields)
+    assert type(info.value) is ValueError
 
 
 def test_wide_clauses_fill_to_capacity():

@@ -710,3 +710,25 @@ def test_first_rows_are_those_of_np_unique(n_words):
         # each first row holds its key, and no earlier row does
         for key, row in zip(got_keys.tolist(), got_first.tolist()):
             assert keys[row].tolist() == key and key not in keys[:row].tolist()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0, math.nan])
+def test_alpha_outside_0_1_is_an_input_error(alpha):
+    # raised by choose_cover, and by solve_mitm as it is: an input error, not
+    # the RuntimeError solve_mitm makes of a later ValueError
+    f = F(3, C(1, 1, 2, 3))
+    for call in (choose_cover, solve_mitm):
+        with pytest.raises(ValueError) as info:
+            call(f, alpha)
+        assert (type(info.value), str(info.value)) == \
+            (ValueError, "alpha must be strictly between 0 and 1")
+
+
+def test_a_value_error_past_the_input_checks_is_an_internal_error(monkeypatch):
+    def broken(*args):
+        raise ValueError("sweep broke")
+
+    monkeypatch.setattr(mitm_module, "_sweep", broken)
+    with pytest.raises(RuntimeError, match="internal error: sweep broke") as info:
+        solve_mitm(F(3, C(1, 1, 2, 3)))
+    assert isinstance(info.value.__cause__, ValueError)

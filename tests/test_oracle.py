@@ -78,3 +78,13 @@ def test_block_boundary_counts(rng):
     report = brute_solve(f)
     assert report.model_count == direct
     assert report.first_model == first
+
+
+def test_the_package_loads_the_oracle_names_on_first_use():
+    import gixsat
+    from gixsat import oracle
+
+    assert gixsat.brute_solve is oracle.brute_solve
+    assert gixsat.OracleReport is oracle.OracleReport
+    with pytest.raises(AttributeError, match="module 'gixsat' has no attribute 'nope'"):
+        gixsat.nope

@@ -443,21 +443,23 @@ def test_eliminate_link_matches_substitute(case):
     """A variable linked to a literal of another variable in an unsettled
     worklist leaves each clause as substitute leaves it, classified as
     _classify classifies it, and every clause that gains the partner is
-    registered under it."""
+    registered under it. The link is the same from either sign of var:
+    value(var) = value(partner) and value(-var) = value(-partner)."""
     f, var, partner = case
-    w = _Worklist(f, Trail(f.num_vars))
     expect = []
     for c in f.clauses:
         if var in c.occ or -var in c.occ:
             c = substitute(c, var, ("link", partner))
         expect.append(c)
-    ok = _eliminate(w, var, ("link", partner))
-    assert ok == (None not in expect)
-    if ok:
-        assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
-        assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
-        assert w.trail.entries == {var: ("link", partner)}
-        _assert_occurrence_superset(w)
+    for a, b in ((var, partner), (-var, -partner)):
+        w = _Worklist(f, Trail(f.num_vars))
+        ok = w.eliminate((a,), partner=b)
+        assert ok == (None not in expect)
+        if ok:
+            assert [_clause_view(c) for c in w.slots] == [_clause_view(c) for c in expect]
+            assert [w.masks, w.sizes] == [list(m) for m in zip(*map(_classify, expect))]
+            assert w.trail.entries == {var: ("link", partner)}
+            _assert_occurrence_superset(w)
 
 
 def test_eliminate_an_eliminated_variable_raises_before_any_edit():

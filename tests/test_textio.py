@@ -78,6 +78,9 @@ def test_error_reports_line_numbers():
     # a held clause fault wins over a missing terminator and a wrong clause count
     ("p gxsat 2 1\n1 1 3\n", 2, "literal 3 out of range 1..2"),
     ("p gxsat 2 3\n1 1 2 0\n1 x 0\n", 3, "expected literal, got 'x'"),
+    # a form feed or a NEL is whitespace inside a line, not a line end
+    ("p gxsat 3 1\n1 1\x0c2 0\n1 x 0\n", 3, "expected literal, got 'x'"),
+    ("p gxsat 3 1\n1 1\x852 0\n1 x 0\n", 3, "expected literal, got 'x'"),
 ])
 def test_error_order(text, line, message):
     with pytest.raises(ParseError) as info:
@@ -149,6 +152,12 @@ def test_serialize_parse_identity(rng):
 # and then converts and checks each token on its own.
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of text, each ended by LF, CRLF or CR alone."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _integer(tok: str) -> int:
     if re.fullmatch(r"-?[0-9]+", tok, re.ASCII) is None:
         raise ValueError(tok)
@@ -159,7 +168,7 @@ def _integer(tok: str) -> int:
 def reference_parse(text: str) -> Formula:
     header = None
     tokens: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -181,7 +190,7 @@ def reference_parse(text: str) -> Formula:
         for tok in line.split():
             tokens.append((lineno, tok))
     if header is None:
-        raise ParseError("missing 'p gxsat' header", len(text.splitlines()) or 1)
+        raise ParseError("missing 'p gxsat' header", len(_lines(text)) or 1)
     num_vars, num_clauses, _ = header
 
     clauses = []
