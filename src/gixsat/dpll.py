@@ -99,6 +99,8 @@ class SearchStats:
     nodes_expanded: int = 0
     max_depth: int = 0
     rule_fires: Counter = field(default_factory=Counter)
+    # the measure of the input, the measure checks and their failures are
+    # taken only under instrument, and read 0 otherwise
     measure_at_root: float = 0.0
     measure_checks: int = 0
     measure_violations: list = field(default_factory=list)
@@ -225,7 +227,7 @@ def _overlaps(f: Formula) -> tuple[dict, list, list]:
         if len(earlier) > 1:
             earlier = dict(sorted(earlier.items()))
         for i, common in earlier.items():
-            shared[i][j] = common.copy()
+            shared[i][j] = common
         shared.append(earlier)
     return occurrences, shared, varlists
 
@@ -693,6 +695,23 @@ def _fresh_table(weights: tuple, need: int) -> tuple:
     return tuple(_fresh_values(weights, need))
 
 
+def _frontiers(varlists: list, last: dict) -> list:
+    """Per position, the variables of earlier clauses that occur again at
+    that position or later, ascending; last maps each variable to its last
+    position."""
+    out = []
+    live: set[int] = set()
+    for pos, vs in enumerate(varlists):
+        out.append(tuple(sorted(live)))
+        for v in vs:
+            if v in live:
+                if last[v] == pos:
+                    live.remove(v)
+            elif last[v] != pos:
+                live.add(v)
+    return out
+
+
 def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool:
     """Extend model over one component, clauses in BFS order; False if UNSAT.
 
@@ -706,13 +725,12 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
     frontier of position pos holds the variables of earlier clauses that
     occur again at pos or later; a position whose frontier values failed
     once is not searched again. Until some position fails there is nothing
-    to look up, so the frontier values are read only after a failure.
+    to look up, so the frontiers are built at the first failure.
     """
     last = {v: pos for pos, vs in enumerate(varlists) for v in vs}
     steps = []
     live: set[int] = set()
     for pos, (c, vs) in enumerate(zip(clauses, varlists)):
-        frontier = tuple(sorted(live))
         get = c.occ.get
         # known: (variable, weights) of those valued at earlier positions
         fresh, known, weights = [], [], []
@@ -727,15 +745,16 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
                 weights.append(w)
                 if last[v] != pos:
                     live.add(v)
-        steps.append((frontier, known, c.target, fresh, tuple(weights),
+        steps.append((known, c.target, fresh, tuple(weights),
                       _fresh_table if len(fresh) <= 8 else _fresh_values))
     failed = set()
+    frontiers = []
 
     def extend(pos: int) -> bool:
         if pos == len(steps):
             return True
-        frontier, known, need, fresh, weights, listing = steps[pos]
-        if failed and (pos, tuple(map(model.__getitem__, frontier))) in failed:
+        known, need, fresh, weights, listing = steps[pos]
+        if failed and (pos, tuple(map(model.__getitem__, frontiers[pos]))) in failed:
             return False
         for v, w in known:
             need -= w[model[v]]
@@ -745,7 +764,9 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
                 return True
             for v in fresh:
                 del model[v]
-        failed.add((pos, tuple(map(model.__getitem__, frontier))))
+        if not frontiers:
+            frontiers.extend(_frontiers(varlists, last))
+        failed.add((pos, tuple(map(model.__getitem__, frontiers[pos]))))
         return False
 
     return extend(0)
@@ -820,14 +841,14 @@ def _solve(formula: Formula, scheme: str, instrument: bool) -> SolveResult:
     for c in formula.clauses:
         if c.target > cap:
             raise ValueError(f"solve_{scheme} handles targets up to {cap}, got {c.target}")
-    stats = SearchStats(measure_at_root=measure(formula, scheme))
+    stats = SearchStats(measure_at_root=measure(formula, scheme) if instrument else 0.0)
     w = _Worklist(formula, Trail(formula.num_vars))
     try:
         t_end = _search(w, stats, scheme, 0, instrument) if _settle(w, stats) else None
         stats.simplify_fires = dict(zip(RULE_LETTERS, w.fires))
         if t_end is None:
             return SolveResult(False, None, stats)
-        model = t_end.reconstruct({v: 0 for v in t_end.unassigned_vars()})
+        model = t_end.reconstruct()  # every surviving variable takes 0
     except ValueError as exc:  # the input passed its checks: the solver's fault
         raise RuntimeError(f"internal error: {exc}") from exc
     if not evaluate(formula, model):

@@ -194,20 +194,29 @@ class Trail:
         t.entries = dict(self.entries)
         return t
 
-    def reconstruct(self, root_values: Mapping[int, int]) -> dict[int, int]:
-        """Extend values of the surviving variables to a total assignment."""
-        model: dict[int, int] = {}
-        for v in range(1, self.num_vars + 1):
-            st = self.entries.get(v)
-            if st is None:
-                if v not in root_values:
-                    raise ValueError(f"no value supplied for unassigned variable {v}")
-                model[v] = root_values[v]
-            elif st[0] == "const":
+    def reconstruct(self, root_values: Optional[Mapping[int, int]] = None) -> dict[int, int]:
+        """Extend values of the surviving variables to a total assignment.
+
+        root_values values every unassigned variable; with None each takes
+        0, and the model is the one dict built.
+        """
+        entries = self.entries
+        model = dict.fromkeys(range(1, self.num_vars + 1), 0)
+        if root_values is not None:
+            for v in model:
+                if v not in entries:
+                    if v not in root_values:
+                        raise ValueError(f"no value supplied for unassigned variable {v}")
+                    model[v] = root_values[v]
+        # a constant takes its value; a linked variable leaves the model until
+        # its link is replayed. Links refer to variables that were alive at
+        # record time, so replay newest first.
+        for v, st in entries.items():
+            if st[0] == "const":
                 model[v] = st[1]
-        # Links refer to variables that were alive at record time, so replay
-        # newest first.
-        for v, st in reversed(self.entries.items()):
+            else:
+                del model[v]
+        for v, st in reversed(entries.items()):
             if st[0] == "link":
                 partner = st[1]
                 if abs(partner) not in model:

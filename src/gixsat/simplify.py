@@ -49,7 +49,8 @@ order. Most clauses the pass reaches are plain: k distinct literals, each
 once, no variable in both signs. A plain clause's mask depends only on its
 target t and size k, so a constant drops the literal, lowers the target,
 checks for a conflict and computes the new mask from t and k alone
-(_plain_mask, tabled below 16 literals), building no clause. A link reaching
+(_plain_mask, tabled below 16 literals), building no clause; _classify
+reads a plain clause's mask from the same table. A link reaching
 a plain clause that lacks the partner's variable keeps its target, size and
 mask: the literal is renamed to the partner, deleted and appended, the order
 substitute gives. A link reaching a plain clause that holds the partner's
@@ -88,12 +89,14 @@ a fixpoint, and forks it at each branch. A fork copies the flat slot and
 size lists and the trail, so parent and child share every Clause; the child
 starts owning none of them and the parent keeps its owned set. The parent
 must therefore not be edited while a fork of it is in use, or the fork would
-see the parent's in-place edits. A fork also shares the occurrence map,
-which is built once per solve and only grows: every clause that gains a
-variable (by a link, an added clause or a replaced clause) is registered
-under it, and nothing is ever removed. The map may therefore name clauses
-that have lost the variable, or slots that another branch added, and
-substitution skips both. A per-worklist map that dropped each eliminated
+see the parent's in-place edits. A fork also shares the occurrence map.
+The map is built from the live slots at a solve's first eliminate or fork,
+since nothing else reads it: a solve the endgame decides at the root, with
+no step that eliminates, never builds it. From then on it only grows:
+every clause that gains a variable (by a link, an added clause or a
+replaced clause) is registered under it, and nothing is ever removed. The
+map may therefore name clauses that have lost the variable, or slots that
+another branch added, and substitution skips both. A per-worklist map that dropped each eliminated
 variable skipped far fewer entries but was no faster: the time goes to the
 clauses that still hold the variable.
 
@@ -132,6 +135,9 @@ def _classify(c: Clause) -> tuple[int, int]:
     if t < 0 or t > k:
         return _A, k
     paired = any(map(occ.__contains__, map(neg, occ)))
+    if k < 16 and k == len(occ) and not paired:
+        # plain: every literal once, no variable in both signs
+        return _PLAIN[k][t], k
     if len(occ) == 1:
         if t != k and t != 0:
             return _A, k
@@ -195,7 +201,9 @@ class _Worklist:
         self.sizes: list[int] = []
         self.pending: list[int] = [0] * 8
         self.owned: set[int] = set()
-        self.occ: dict[int, set[int]] = {}
+        # built at the first eliminate or fork: a solve decided without
+        # either never reads it
+        self.occ: Optional[dict[int, set[int]]] = None
         self.occurrences = 0
         self.targets = 0
         self.count = 0
@@ -212,6 +220,15 @@ class _Worklist:
                 occ[v] = {i}
             else:
                 held.add(i)
+
+    def _occurrences(self) -> dict[int, set[int]]:
+        """The occurrence map, built from the live slots on first use."""
+        if self.occ is None:
+            self.occ = {}
+            for i, c in enumerate(self.slots):
+                if c is not None:
+                    self._register(i, c)
+        return self.occ
 
     def _remask(self, i: int, mask: int) -> None:
         old = self.masks[i]
@@ -231,14 +248,16 @@ class _Worklist:
         self.occurrences += size
         self.targets += c.target
         self.count += 1
-        self._register(i, c)
+        if self.occ is not None:
+            self._register(i, c)
         if mask:
             self._remask(i, mask)
 
     def replace(self, i: int, c: Clause) -> None:
         """Replace clause i by c, which may hold variables clause i lacks,
         and classify it again."""
-        self._register(i, c)
+        if self.occ is not None:
+            self._register(i, c)
         mask, size = _classify(c)
         self.occurrences += size - self.sizes[i]
         self.targets += c.target - self.slots[i].target
@@ -302,6 +321,8 @@ class _Worklist:
         owned = self.owned
         pending = self.pending
         where = self.occ
+        if where is None:
+            where = self._occurrences()
         n = len(slots)
         watching = home is not None
         bit = 1 << home if watching else 0
@@ -438,7 +459,8 @@ class _Worklist:
                 return False
 
     def fork(self) -> "_Worklist":
-        """A copy to branch on, with its own trail; the occurrence map is shared.
+        """A copy to branch on, with its own trail; the occurrence map,
+        built here if no eliminate has built it, is shared.
 
         Only a fixpoint is forked, so the copy starts with every mask and
         every rule bitset 0. The copy shares every Clause and owns none;
@@ -455,7 +477,7 @@ class _Worklist:
         w.sizes = self.sizes.copy()
         w.pending = [0] * 8
         w.owned = set()
-        w.occ = self.occ
+        w.occ = self._occurrences()
         w.occurrences = self.occurrences
         w.targets = self.targets
         w.count = self.count

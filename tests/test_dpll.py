@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import C, F, check_partition, formulas, random_formula
-from gixsat import dpll
+from gixsat import analysis, dpll
 from gixsat.dpll import Rule, solve_auto, solve_g2, solve_g3, solve_g4
 from gixsat.formula import Clause, Formula, SolveResult, Trail, evaluate, lit_key, true_count
 from gixsat.generator import GenSpec, generate
 from gixsat.mitm import solve_mitm
 from gixsat.oracle import brute_solve
-from gixsat.simplify import simplify_to_fixpoint
+from gixsat.simplify import _Worklist, simplify_to_fixpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,9 +169,43 @@ def test_determinism(rng):
 
 def test_stats_counts_nodes():
     f = F(7, C(2, 1, 2, 3, 4), C(2, 1, 2, 5, 6), C(1, 3, 5, 7))
-    result = solve_g2(f)
+    result = solve_g2(f, instrument=True)
     assert result.stats.nodes_expanded >= 1
     assert result.stats.measure_at_root > 0
+    # the root measure is taken only under instrument
+    assert solve_g2(f).stats.measure_at_root == 0.0
+
+
+def test_a_chain_is_decided_at_the_root_without_an_occurrence_map_or_a_measure(monkeypatch):
+    """A chain of exactly-2 clauses over 5 variables, clause k sharing one
+    variable with clause k - 1 and one with clause k + 1 (the benchmark's
+    chain_endgame shape), is decided by the rule-18 endgame at the root.
+    Nothing is eliminated and nothing forked, so the worklist builds no
+    occurrence map, and a plain solve takes no measure."""
+    rng = random.Random(3)
+    m = 300
+    f = Formula(4 * m + 1, [Clause(2, [v if rng.random() < 0.5 else -v
+                                       for v in range(4 * k + 1, 4 * k + 6)])
+                            for k in range(m)])
+    measures = []
+    measure = dpll.measure
+    monkeypatch.setattr(dpll, "measure", lambda *args: measures.append(args) or measure(*args))
+    worklists = []
+    init = _Worklist.__init__
+
+    def recording(w, *args):
+        init(w, *args)
+        worklists.append(w)
+
+    monkeypatch.setattr(_Worklist, "__init__", recording)
+    result = solve_auto(f)
+    assert result.sat and evaluate(f, result.model)
+    assert (result.stats.nodes_expanded, dict(result.stats.rule_fires)) == (1, {"g2.18": 1})
+    assert [w.occ for w in worklists] == [None]
+    assert measures == [] and result.stats.measure_at_root == 0.0
+    result = solve_auto(f, instrument=True)
+    assert result.stats.measure_at_root == analysis.measure(f, "g2")
+    assert len(measures) == 1
 
 
 def test_measure_strictly_decreases_along_branches():

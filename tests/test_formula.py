@@ -224,6 +224,19 @@ def test_reconstruct_identity_on_empty_trail():
     assert t.reconstruct({1: 0, 2: 1}) == {1: 0, 2: 1}
 
 
+def test_reconstruct_without_roots_values_each_survivor_0():
+    """With no root values every unassigned variable takes 0: the model and
+    its key order are those of explicit zeros."""
+    t = Trail(5)
+    t.record(2, ("link", -3))
+    t.record(4, ("const", 1))
+    t.record(3, ("link", 5))
+    zeros = t.reconstruct({1: 0, 5: 0})
+    model = t.reconstruct()
+    assert model == zeros == {1: 0, 2: 1, 3: 0, 4: 1, 5: 0}
+    assert list(model) == list(zeros) == [1, 4, 5, 3, 2]
+
+
 def test_reconstruct_requires_root_values():
     t = Trail(2)
     t.record(1, ("link", 2))
@@ -341,6 +354,7 @@ def _stale_link_trail():
     (lambda: Formula(2, [Clause(-1, [1])]), "negative clause target"),
     (lambda: Formula(2, [Clause(1, [1, -3])]), "literal -3 out of range 1..2"),
     (lambda: _stale_link_trail().reconstruct({3: 0}), "link chain reached an unvalued variable"),
+    (lambda: _stale_link_trail().reconstruct(), "link chain reached an unvalued variable"),
 ])
 def test_input_checks_raise_value_error_with_their_message(call, message):
     with pytest.raises(ValueError) as info:

@@ -334,17 +334,39 @@ def test_fires_count_the_rescan_steps(f):
     assert dict(zip(RULE_LETTERS, w.fires)) == {r: counts[r] for r in RULE_LETTERS}
 
 
+def _rescan_mask(c):
+    """The mask of the rules _ref_step's per-clause tests find on c: (a)
+    alone when it applies, else each of (b)-(h)."""
+    k, t, mults = c.size(), c.target, set(c.occ.values())
+    single = {abs(lit) for lit in c.occ} if len(c.variables()) == 1 else ()
+    if t < 0 or t > k or any(t not in (c.occ.get(v, 0), c.occ.get(-v, 0)) for v in single):
+        return 1
+    tests = (
+        any(-lit in c.occ for lit in c.occ),
+        any(m > t for m in mults),
+        len(mults) == 1 and min(mults) >= 2 and t % min(mults) == 0,
+        t == 1 and k == 2 and len(c.occ) == 2,
+        bool(c.occ) and t in (0, k),
+        bool(k) and mults == {1} and 2 * t > k,
+        t == 0 and not c.occ,
+    )
+    return sum(1 << r for r, hit in enumerate(tests, 1) if hit)
+
+
 def test_plain_mask_is_the_classification_of_every_plain_clause():
+    """_classify reads a plain clause below 16 literals from the _plain_mask
+    table, so the table is checked against the rescan reference's tests as
+    well as against _classify."""
     for k in range(11):
         for signs in product((1, -1), repeat=k):
             lits = [s * v for s, v in zip(signs, range(1, k + 1))]
             for t in range(k + 1):
                 c = Clause(t, lits)
-                assert _plain_mask(t, k) == _classify(c)[0], c
+                assert _plain_mask(t, k) == _classify(c)[0] == _rescan_mask(c), c
     # targets out of range too, and sizes up to 64
     for t, k in product(range(-2, 5), range(65)):
         c = Clause(t, range(1, k + 1))
-        assert _plain_mask(t, k) == _classify(c)[0], c
+        assert _plain_mask(t, k) == _classify(c)[0] == _rescan_mask(c), c
 
 
 def test_wide_exactly1_clause_classifies_a_constant_number_of_times(monkeypatch):
@@ -622,6 +644,43 @@ def settled_formulas(draw):
         lits = [v * draw(st.sampled_from([1, -1])) for v in variables]
         clauses.append(Clause(draw(st.integers(1, len(lits) // 2)), lits))
     return F(n, *clauses)
+
+
+@given(st.one_of(crowded_formulas(), settled_formulas()), st.sampled_from(["eliminate", "fork"]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_late_occurrence_map_names_every_live_clause(f, trigger, data):
+    """The occurrence map is built at a worklist's first eliminate or fork,
+    from the live slots: clauses added, replaced or deleted at the root
+    before then are named as they stand, and clauses added or replaced after
+    it are registered under their variables."""
+    w = _Worklist(f, Trail(f.num_vars))
+    literal = st.integers(1, f.num_vars).flatmap(lambda v: st.sampled_from([v, -v]))
+    clause = st.builds(Clause, st.integers(0, 3), st.lists(literal, min_size=1, max_size=4))
+
+    def edit(w, kinds):
+        for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=4)):
+            live = [i for i, c in enumerate(w.slots) if c is not None]
+            if kind == "add" or not live:
+                w.add(data.draw(clause))
+            elif kind == "replace":
+                w.replace(data.draw(st.sampled_from(live)), data.draw(clause))
+            else:
+                w.delete(data.draw(st.sampled_from(live)))
+
+    edit(w, ["add", "replace", "delete"])
+    assert w.occ is None
+    if trigger == "fork":
+        if not w.settle():
+            return
+        # settle may have built the map; the fork shares it either way
+        w = w.fork()
+    elif not w.eliminate((data.draw(literal),)):
+        return
+    assert w.occ is not None
+    _assert_occurrence_superset(w)
+    edit(w, ["add", "replace"])
+    _assert_occurrence_superset(w)
 
 
 @given(st.one_of(crowded_formulas(), settled_formulas()), st.data())
