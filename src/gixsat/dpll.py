@@ -205,7 +205,7 @@ def _overlaps(f: Formula) -> tuple[dict, list, list]:
     clause i, in ascending j, to those variables in ascending order.
     varlists[i] lists the variables of clause i in ascending order.
     """
-    varlists = [sorted({abs(lit) for lit in c.occ}) for c in f.clauses]
+    varlists = [sorted(set(map(abs, c.occ))) for c in f.clauses]
     occurrences: dict[int, list[int]] = {}
     shared: list[dict[int, list[int]]] = []
     # one pass in ascending (j, v): a variable that earlier clauses hold
@@ -265,7 +265,7 @@ def _select_g2(f: Formula) -> Rule:
             if len(c.occ) == 3:
                 c1s[i] = c
             continue
-        doubled = c.size() - len(c.occ)  # each multiplicity is 1 or 2
+        doubled = sum(c.occ.values()) - len(c.occ)  # each multiplicity is 1 or 2
         if doubled:
             first.setdefault(10 if doubled >= 2 else 11, c)
         elif len(c.occ) == 4:
@@ -279,7 +279,7 @@ def _select_g2(f: Formula) -> Rule:
                 first.setdefault(12 if len(common) >= 2 else 14, (i, cls[i], j, cls[j], common))
             elif j > i and i in c1s and j in c1s:
                 first.setdefault(9, (i, cls[i], j, cls[j], common))
-            elif j > i and cls[i].target == cls[j].target == 2 and len(common) >= 2:
+            elif len(common) >= 2 and j > i and cls[i].target == cls[j].target == 2:
                 first.setdefault(15, (i, cls[i], j, cls[j], common))
 
     # the priority walk
@@ -695,10 +695,10 @@ def _fresh_table(weights: tuple, need: int) -> tuple:
     return tuple(_fresh_values(weights, need))
 
 
-def _frontiers(varlists: list, last: dict) -> list:
+def _frontiers(varlists: list) -> list:
     """Per position, the variables of earlier clauses that occur again at
-    that position or later, ascending; last maps each variable to its last
-    position."""
+    that position or later, ascending."""
+    last = {v: pos for pos, vs in enumerate(varlists) for v in vs}
     out = []
     live: set[int] = set()
     for pos, vs in enumerate(varlists):
@@ -721,30 +721,32 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
     literals each makes true at 0 and at 1); the lists are memoised for up to
     8 fresh variables. Each position keeps the weights of its clause's
     variables that earlier clauses hold too, which are valued on entry, so
-    the count the fresh values must make up is read from them alone. The
-    frontier of position pos holds the variables of earlier clauses that
-    occur again at pos or later; a position whose frontier values failed
-    once is not searched again. Until some position fails there is nothing
-    to look up, so the frontiers are built at the first failure.
+    the count the fresh values must make up is read from them alone. One
+    seen set tells those known variables from the fresh ones. Every clause
+    must be unpaired, holding no variable in both signs, as rule 18's
+    formulas are: a variable's weights are then read with one lookup, and an
+    assertion checks it per clause. The frontier of position pos holds the
+    variables of earlier clauses that occur again at pos or later; a position
+    whose frontier values failed once is not searched again. Until some
+    position fails there is nothing to look up, so the frontiers, and the
+    last position of each variable they are read from, are built at the
+    first failure.
     """
-    last = {v: pos for pos, vs in enumerate(varlists) for v in vs}
     steps = []
-    live: set[int] = set()
-    for pos, (c, vs) in enumerate(zip(clauses, varlists)):
-        get = c.occ.get
+    seen: set[int] = set()
+    for c, vs in zip(clauses, varlists):
+        occ = c.occ
+        assert len(vs) == len(occ), "rule 18 needs unpaired clauses"
         # known: (variable, weights) of those valued at earlier positions
         fresh, known, weights = [], [], []
         for v in vs:
-            w = (get(-v, 0), get(v, 0))
-            if v in live:
+            w = (0, occ[v]) if v in occ else (occ[-v], 0)
+            if v in seen:
                 known.append((v, w))
-                if last[v] == pos:
-                    live.remove(v)
             else:
                 fresh.append(v)
                 weights.append(w)
-                if last[v] != pos:
-                    live.add(v)
+        seen.update(fresh)
         steps.append((known, c.target, fresh, tuple(weights),
                       _fresh_table if len(fresh) <= 8 else _fresh_values))
     failed = set()
@@ -765,7 +767,7 @@ def _solve_component(clauses: list[Clause], varlists: list, model: dict) -> bool
             for v in fresh:
                 del model[v]
         if not frontiers:
-            frontiers.extend(_frontiers(varlists, last))
+            frontiers.extend(_frontiers(varlists))
         failed.add((pos, tuple(map(model.__getitem__, frontiers[pos]))))
         return False
 

@@ -18,6 +18,8 @@ from typing import Iterable, Mapping, Optional
 
 # the largest clause target of the G2XSAT/G3XSAT/G4XSAT family
 MAX_TARGET = 4
+# the Trail states of the constants 0 and 1, shared by every assignment
+_CONST = (("const", 0), ("const", 1))
 
 
 def lit_key(lit: int):
@@ -186,7 +188,7 @@ class Trail:
             if not (1 <= var <= n and var not in entries and value in (0, 1)):
                 self.check(var, ("const", value))
         for var in sorted(values):
-            entries[var] = ("const", values[var])
+            entries[var] = _CONST[values[var]]
 
     def copy(self) -> "Trail":
         t = Trail.__new__(Trail)
@@ -198,7 +200,11 @@ class Trail:
         """Extend values of the surviving variables to a total assignment.
 
         root_values values every unassigned variable; with None each takes
-        0, and the model is the one dict built.
+        0, and the model is the one dict built. One pass over the entries
+        writes each constant, takes each linked variable out of the model
+        and collects its link; the links are then replayed newest first, as
+        a link refers to variables alive when it was recorded. A link whose
+        partner has no value raises ValueError.
         """
         entries = self.entries
         model = dict.fromkeys(range(1, self.num_vars + 1), 0)
@@ -208,20 +214,17 @@ class Trail:
                     if v not in root_values:
                         raise ValueError(f"no value supplied for unassigned variable {v}")
                     model[v] = root_values[v]
-        # a constant takes its value; a linked variable leaves the model until
-        # its link is replayed. Links refer to variables that were alive at
-        # record time, so replay newest first.
-        for v, st in entries.items():
-            if st[0] == "const":
-                model[v] = st[1]
+        links = []
+        for v, (kind, arg) in entries.items():
+            if kind == "const":
+                model[v] = arg
             else:
                 del model[v]
-        for v, st in reversed(entries.items()):
-            if st[0] == "link":
-                partner = st[1]
-                if abs(partner) not in model:
-                    raise ValueError("link chain reached an unvalued variable")
-                model[v] = lit_value(partner, model)
+                links.append((v, arg))
+        for v, partner in reversed(links):
+            if abs(partner) not in model:
+                raise ValueError("link chain reached an unvalued variable")
+            model[v] = lit_value(partner, model)
         return model
 
 

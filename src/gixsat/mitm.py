@@ -86,7 +86,6 @@ class SplitPlan:
     # order, then the boundary's inside new variables ascending
     covered_vars: tuple = ()
     complement_vars: tuple = ()
-    free_vars: tuple = ()
 
 
 @dataclass
@@ -112,7 +111,8 @@ def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
     and covered_vars lists the variables in the order they are covered. The
     clause that would cross the cut-off may be split, keeping inside the
     number of its new variables that lands closest to the target (ties
-    toward more inside). Variables in no clause are reported free.
+    toward more inside). Variables in no clause are in neither
+    covered_vars nor complement_vars.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be strictly between 0 and 1")
@@ -145,7 +145,6 @@ def choose_cover(formula: Formula, alpha: float) -> SplitPlan:
         boundary=boundary,
         covered_vars=tuple(order),
         complement_vars=tuple(sorted(constrained - covered)),
-        free_vars=tuple(v for v in range(1, formula.num_vars + 1) if v not in constrained),
     )
 
 
@@ -383,7 +382,8 @@ def solve_mitm(formula: Formula, alpha: Optional[float] = None) -> SolveResult:
             return SolveResult(False, None, stats)
         bits, at = hit
         stats.sweep_count = bits + 1
-        model = {v: 0 for v in plan.free_vars}
+        # every variable in no clause takes 0; the model is the one dict built
+        model = dict.fromkeys(range(1, formula.num_vars + 1), 0)
         model.update(zip(plan.covered_vars, _values(kept, first[at]).tolist()))
         model.update((v, (bits >> k) & 1) for k, v in enumerate(plan.complement_vars))
         if not evaluate(formula, model):

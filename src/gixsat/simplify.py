@@ -113,12 +113,10 @@ from __future__ import annotations
 from operator import neg
 from typing import Optional
 
-from .formula import Clause, Formula, Trail, substitute
+from .formula import _CONST, Clause, Formula, Trail, substitute
 
 _A, _B, _C, _D, _E, _F, _G, _H = (1 << r for r in range(8))
 RULE_LETTERS = "abcdefgh"
-# the Trail states of the constants 0 and 1, shared by every assignment
-_CONST = (("const", 0), ("const", 1))
 
 
 def _classify(c: Clause) -> tuple[int, int]:
@@ -134,7 +132,7 @@ def _classify(c: Clause) -> tuple[int, int]:
     k = sum(mults)
     if t < 0 or t > k:
         return _A, k
-    paired = any(map(occ.__contains__, map(neg, occ)))
+    paired = not occ.keys().isdisjoint(map(neg, occ))
     if k < 16 and k == len(occ) and not paired:
         # plain: every literal once, no variable in both signs
         return _PLAIN[k][t], k

@@ -1097,22 +1097,38 @@ def test_fresh_values_in_product_order(rng):
             assert list(dpll._fresh_table(weights, need)) == listed
 
 
+def count_calls(monkeypatch, name):
+    """Patch dpll.<name> to log each call, returning the log."""
+    calls = []
+    original = getattr(dpll, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dpll, name, counting)
+    return calls
+
+
 def test_endgame_reuses_the_selection_overlap_map(monkeypatch):
     # the chain goes straight to rule 18; the endgame must not build the
-    # overlap map selection has just built
+    # overlap map selection has just built, and with no failed position it
+    # builds no frontiers
     f = chain_600()
-    calls = []
-    original = dpll._overlaps
-
-    def counting(formula):
-        calls.append(len(formula.clauses))
-        return original(formula)
-
-    monkeypatch.setattr(dpll, "_overlaps", counting)
+    overlaps = count_calls(monkeypatch, "_overlaps")
+    frontiers = count_calls(monkeypatch, "_frontiers")
     result = solve_auto(f)
     assert result.sat and evaluate(f, result.model)
     assert result.stats.rule_fires == {"g2.18": 1}
-    assert calls == [600]
+    assert [len(formula.clauses) for formula, in overlaps] == [600]
+    assert frontiers == []
+
+
+def test_endgame_rejects_a_paired_clause():
+    # rule 18 reads one weight per variable, which needs unpaired clauses
+    f = F(3, C(1, 1, -1, 2), C(1, 2, 3))
+    with pytest.raises(AssertionError, match="unpaired"):
+        dpll._low_degree_model(f, *dpll._overlaps(f)[1:])
 
 
 def _overlaps_by_setdefault(f):
@@ -1152,15 +1168,17 @@ def test_overlaps_matches_setdefault_reference(rng):
     assert pairs >= 500
 
 
-def test_endgame_reports_unsat_of_a_whole_formula():
+def test_endgame_reports_unsat_of_a_whole_formula(monkeypatch):
     # K6 with one variable per edge, positive at one end and negative at the
     # other: whatever its value, each variable makes exactly one of its two
     # literals true, so 15 literals are true where the targets need 12
     f = F(15, C(2, 1, 2, 3, 4, 5), C(2, -1, 6, 7, 8, 9), C(2, -2, -6, 10, 11, 12),
           C(2, -3, -7, -10, 13, 14), C(2, -4, -8, -11, -13, 15),
           C(2, -5, -9, -12, -14, -15))
+    frontiers = count_calls(monkeypatch, "_frontiers")
     result = solve_auto(f)
     assert not result.sat
+    assert frontiers  # built at the first failed position
     assert result.stats.nodes_expanded == 1
     assert result.stats.rule_fires == {"g2.18": 1}
     assert not brute_solve(f).sat

@@ -16,6 +16,7 @@ from gixsat.formula import (
     evaluate,
     link,
     lit_key,
+    lit_value,
     true_count,
 )
 from gixsat.oracle import brute_solve
@@ -307,9 +308,27 @@ def test_forced_link_preserves_counts(rng):
             assert brute_solve(g).model_count == 2 * restricted
 
 
+def reconstruct_two_pass(trail, root_values):
+    """Reference replay: a pass in event order writes the constants and drops
+    the linked variables, then a reversed pass over every entry replays the
+    links newest first."""
+    model = {v: root_values.get(v, 0) for v in range(1, trail.num_vars + 1)}
+    for v, st in trail.entries.items():
+        if st[0] == "const":
+            model[v] = st[1]
+        else:
+            del model[v]
+    for v, st in reversed(trail.entries.items()):
+        if st[0] == "link":
+            model[v] = lit_value(st[1], model)
+    return model
+
+
 def test_trail_stays_acyclic_under_fuzzed_operations(rng):
     # arbitrary assign/link sequences: chains always end at a constant or an
-    # unassigned root, so reconstruction terminates with a total model
+    # unassigned root, so reconstruction terminates with a total model, the
+    # one the two-pass replay gives
+    mixed = 0
     for _ in range(150):
         f = random_formula(rng, n_max=7, m_max=4)
         t = Trail(f.num_vars)
@@ -329,11 +348,15 @@ def test_trail_stays_acyclic_under_fuzzed_operations(rng):
         roots = {v: rng.randint(0, 1) for v in t.unassigned_vars()}
         model = t.reconstruct(roots)
         assert set(model) == set(range(1, f.num_vars + 1))
+        assert model == reconstruct_two_pass(t, roots)
+        assert t.reconstruct() == reconstruct_two_pass(t, {})
+        mixed += {st[0] for st in t.entries.values()} == {"const", "link"}
         for var, st in t.entries.items():
             if st[0] == "link":
                 partner = st[1]
                 expected = model[abs(partner)] if partner > 0 else 1 - model[abs(partner)]
                 assert model[var] == expected
+    assert mixed >= 20
 
 
 

@@ -41,10 +41,11 @@ def test_cover_splits_single_long_clause():
     assert len(plan.complement_vars) == 4
 
 
-def test_cover_reports_free_variables():
+def test_cover_leaves_free_variables_out():
+    # variables in no clause are on neither side
     f = F(6, C(1, 1, 2, 3))
     plan = choose_cover(f, 0.5)
-    assert set(plan.free_vars) == {4, 5, 6}
+    assert set(plan.covered_vars + plan.complement_vars) == {1, 2, 3}
 
 
 @pytest.mark.parametrize(
@@ -159,7 +160,8 @@ def test_free_variables_in_witness():
     f = F(6, C(1, 2, 3))
     result = solve_mitm(f)
     assert result.sat
-    assert set(result.model) == set(range(1, 7))
+    assert list(result.model) == list(range(1, 7))
+    assert [result.model[v] for v in (1, 4, 5, 6)] == [0, 0, 0, 0]
     assert evaluate(f, result.model)
 
 
@@ -251,7 +253,7 @@ def reference_solve(formula, plan):
         values = {v: (bits >> k) & 1 for k, v in enumerate(comp)}
         rep = index.get(tuple(c.target - true_count(c, values) for c in watch))
         if rep is not None:
-            model = {v: 0 for v in plan.free_vars}
+            model = dict.fromkeys(range(1, formula.num_vars + 1), 0)
             model.update(rep)
             model.update(values)
             return True, model, len(index), bits + 1
@@ -593,7 +595,6 @@ def reference_choose_cover(formula, alpha):
         boundary=boundary,
         covered_vars=tuple(covered),
         complement_vars=tuple(sorted(constrained - set(covered))),
-        free_vars=tuple(v for v in range(1, formula.num_vars + 1) if v not in constrained),
     )
 
 
